@@ -1,0 +1,88 @@
+"""Golden outputs of the bandwidth sweep on two synthetic datasets.
+
+The files under ``tests/golden/`` were generated from the command line,
+with the default kernels (gaussian, epanechnikov, triangular):
+
+    echo '{"seed": 42}' > seed42.json
+    echo '{"seed": 7, "intercept_drift": 0.3}' > seed7_drift.json
+    driftscope synth --config seed42.json --out seed42.csv
+    driftscope sweep --descriptor seed42.descriptor.json --data seed42.csv \
+        --grid 1:100:9 --out tests/golden/synth_seed42
+    driftscope synth --config seed7_drift.json --out seed7_drift.csv
+    driftscope sweep --descriptor seed7_drift.descriptor.json \
+        --data seed7_drift.csv --grid 1:100:9 --out tests/golden/synth_seed7_drift
+
+(``manifest.json`` holds a timestamp and is not kept.)  The stationary
+seed-42 data gives only ``near_stationary`` verdicts; the drifting seed-7
+data gives both ``near_stationary`` and ``non_stationary`` ones.  Any
+change to the sweep must reproduce every relative error within
+``RE_ATOL`` and every verdict exactly.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from driftscope.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+RE_ATOL = 1e-12
+RE_COLUMNS = ("re_train_nu", "re_test_nu", "re_train_u", "re_test_u")
+
+CASES = {
+    "synth_seed42": {"seed": 42},
+    "synth_seed7_drift": {"seed": 7, "intercept_drift": 0.3},
+}
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def sweep(request, tmp_path_factory):
+    name = request.param
+    work = tmp_path_factory.mktemp(name)
+    config = work / "config.json"
+    config.write_text(json.dumps(CASES[name]))
+    data = work / "data.csv"
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    out = work / "out"
+    assert main([
+        "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
+        "--data", str(data), "--grid", "1:100:9", "--out", str(out),
+    ]) == 0
+    return GOLDEN / name, out
+
+
+def test_curves_match_golden(sweep):
+    golden, out = sweep
+    expected, actual = _rows(golden / "curves.csv"), _rows(out / "curves.csv")
+    assert len(actual) == len(expected) == 272
+    for want, got in zip(expected, actual):
+        for key in ("dataset", "split", "kernel", "bandwidth"):
+            assert got[key] == want[key]
+        for key in RE_COLUMNS:
+            if want[key] == "":
+                assert got[key] == ""
+            else:
+                assert math.isclose(
+                    float(got[key]), float(want[key]), rel_tol=0.0, abs_tol=RE_ATOL
+                ), (want["split"], want["kernel"], want["bandwidth"], key)
+
+
+def test_verdicts_match_golden(sweep):
+    golden, out = sweep
+    expected = json.loads((golden / "verdicts.json").read_text())
+    actual = json.loads((out / "verdicts.json").read_text())
+    assert actual == expected
+
+
+def test_drifting_fixture_covers_both_verdicts():
+    doc = json.loads((GOLDEN / "synth_seed7_drift" / "verdicts.json").read_text())
+    calls = {v["classification"] for v in doc["verdicts"].values()}
+    assert calls == {"near_stationary", "non_stationary"}
