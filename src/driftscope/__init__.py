@@ -39,13 +39,11 @@ from .kernels import (
     BandwidthGrid,
     Granularity,
     KernelKind,
-    WeightVector,
     assign_period_indices,
     build_grid,
     decay_horizon,
     kernel_weight,
     min_bandwidth,
-    normalized_lag,
     weights_for_target,
 )
 from .stats import (
@@ -70,9 +68,9 @@ __all__ = [
     "Dataset", "DatasetDescriptor", "EffortMultipliers", "ProjectRecord",
     "SynthConfig", "builtin_descriptor", "cocomo_effort",
     "effective_multiplier", "load_dataset", "synthesize",
-    "BandwidthGrid", "Granularity", "KernelKind", "WeightVector",
+    "BandwidthGrid", "Granularity", "KernelKind",
     "assign_period_indices", "build_grid", "decay_horizon", "kernel_weight",
-    "min_bandwidth", "normalized_lag", "weights_for_target",
+    "min_bandwidth", "weights_for_target",
     "ModelFormula", "Term", "back_transform", "build_design_matrix",
     "predict", "relative_error", "sample_variance", "shapiro_wilk",
     "weighted_least_squares",

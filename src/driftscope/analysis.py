@@ -1,5 +1,5 @@
-# The sweep engine.  For every (split, kernel, bandwidth) cell a
-# kernel-weighted fit and an unweighted fit are built on the same
+# The sweep engine.  Every split gets one unweighted fit, and every
+# (kernel, bandwidth) cell of it one kernel-weighted fit, on the same
 # training data; relative errors of both, on training and test records,
 # form the four curves a stationarity reading needs.  Convergence of the
 # weighted training curve onto the flat unweighted line, combined with
@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import stats
 from .chronology import Split, SplitPlan, build_split_plan, resolve_levels
 from .kernels import (
     KernelKind,
-    WeightVector,
     build_grid,
     decay_horizon,
     weights_for_target,
@@ -97,83 +98,83 @@ class SweepResult:
         ]
 
 
-def _re_pair(model, design, actuals, log_scale: bool):
+def _relative_error(model, design, actuals, log_scale: bool) -> float:
     fitted = stats.predict(model, design)
     predictions = stats.back_transform(fitted) if log_scale else fitted
     return stats.relative_error(predictions, actuals)
 
 
-def _fit_both(train_design, test_design, train_actuals, test_actuals, weights, log_scale):
-    model = stats.weighted_least_squares(train_design, weights)
-    re_train = _re_pair(model, train_design, train_actuals, log_scale)
-    re_test = (
-        _re_pair(model, test_design, test_actuals, log_scale)
-        if test_design is not None
-        else None
-    )
-    return re_train, re_test
+def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[SweepCell]:
+    """Every cell of one split.  The designs and the uniform fit are built
+    once; each kernel's weights come as one row per value of
+    ``bandwidths[kind]``, and each row gets one weighted fit."""
+    log_scale = formula.response_transform == stats.LOG
+    train_rows = [records_by_id[i].attributes for i in split.train_ids]
+    test_rows = [records_by_id[i].attributes for i in split.test_ids]
+    try:
+        train = stats.build_design_matrix(train_rows, formula)
+        test = (
+            stats.build_design_matrix(test_rows, formula, levels=train.levels)
+            if test_rows
+            else None
+        )
+    except (ValueError, stats.SingularDesignError) as exc:
+        raise SweepError(exc, split=split.ordinal) from exc
+    train_actuals = np.array([r[formula.response] for r in train_rows], dtype=float)
+    test_actuals = np.array([r[formula.response] for r in test_rows], dtype=float)
 
+    def relative_errors(weights):
+        model = stats.weighted_least_squares(train, weights)
+        re_test = (
+            _relative_error(model, test, test_actuals, log_scale)
+            if test is not None
+            else None
+        )
+        return _relative_error(model, train, train_actuals, log_scale), re_test
 
-@dataclass(frozen=True)
-class _SplitContext:
-    """Designs and raw actuals for one split, built once and reused for
-    every bandwidth."""
+    # The uniform fit serves every cell; a failure there is reported at
+    # the split's first cell, the first one that needs it.
+    first = next(iter(bandwidths))
+    try:
+        re_train_u, re_test_u = relative_errors(np.ones(len(train_rows)))
+    except (ValueError, stats.SingularDesignError) as exc:
+        raise SweepError(
+            exc, split=split.ordinal, kernel=first, bandwidth=bandwidths[first][0]
+        ) from exc
 
-    split: Split
-    train_design: stats.DesignMatrix
-    test_design: stats.DesignMatrix | None
-    train_actuals: tuple[float, ...]
-    test_actuals: tuple[float, ...] | None
-    log_scale: bool
-
-
-def _split_context(dataset, split: Split, formula) -> _SplitContext:
-    by_id = {r.id: r for r in dataset.records}
-    train_rows = [by_id[i].attributes for i in split.train_ids]
-    test_rows = [by_id[i].attributes for i in split.test_ids]
-    train_design = stats.build_design_matrix(train_rows, formula)
-    test_design = (
-        stats.build_design_matrix(test_rows, formula, levels=train_design.levels)
-        if test_rows
-        else None
-    )
-    return _SplitContext(
-        split=split,
-        train_design=train_design,
-        test_design=test_design,
-        train_actuals=tuple(r[formula.response] for r in train_rows),
-        test_actuals=tuple(r[formula.response] for r in test_rows) or None,
-        log_scale=formula.response_transform == stats.LOG,
-    )
+    cells = []
+    for kind, values in bandwidths.items():
+        try:
+            weights = weights_for_target(
+                split.train_indices, split.target, kind, values
+            )
+        except ValueError as exc:
+            raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
+        for b, w in zip(values, weights):
+            try:
+                re_train_nu, re_test_nu = relative_errors(w)
+            except (ValueError, stats.SingularDesignError) as exc:
+                raise SweepError(
+                    exc, split=split.ordinal, kernel=kind, bandwidth=b
+                ) from exc
+            cells.append(
+                SweepCell(
+                    split=split.ordinal,
+                    kernel=kind,
+                    bandwidth=b,
+                    re_train_nu=re_train_nu,
+                    re_test_nu=re_test_nu,
+                    re_train_u=re_train_u,
+                    re_test_u=re_test_u,
+                )
+            )
+    return cells
 
 
 def fit_cell(dataset, split: Split, formula, kind: KernelKind, bandwidth: float) -> SweepCell:
     """Fit the weighted and unweighted models for one grid cell."""
-    ctx = _split_context(dataset, split, formula)
-    return _cell_from_context(ctx, kind, bandwidth)
-
-
-def _cell_from_context(ctx: _SplitContext, kind: KernelKind, bandwidth: float) -> SweepCell:
-    split = ctx.split
-    weights = weights_for_target(split.train_indices, split.target, kind, bandwidth)
-    re_train_nu, re_test_nu = _fit_both(
-        ctx.train_design, ctx.test_design, ctx.train_actuals, ctx.test_actuals,
-        weights, ctx.log_scale,
-    )
-    uniform = WeightVector((1.0,) * len(split.train_ids))
-    re_train_u, re_test_u = _fit_both(
-        ctx.train_design, ctx.test_design, ctx.train_actuals, ctx.test_actuals,
-        uniform, ctx.log_scale,
-    )
-    return SweepCell(
-        split=split.ordinal,
-        kernel=kind,
-        bandwidth=bandwidth,
-        re_train_nu=re_train_nu,
-        re_test_nu=re_test_nu,
-        re_train_u=re_train_u,
-        re_test_u=re_test_u,
-    )
+    records_by_id = {r.id: r for r in dataset.records}
+    return _split_cells(records_by_id, split, formula, {kind: (bandwidth,)})[0]
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
@@ -209,23 +210,11 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
             step=config.grid_step,
         )
 
-    contexts = []
-    for split in plan.splits:
-        try:
-            contexts.append(_split_context(dataset, split, formula))
-        except (ValueError, stats.SingularDesignError) as exc:
-            raise SweepError(exc, split=split.ordinal) from exc
-
+    records_by_id = {r.id: r for r in dataset.records}
+    bandwidths = {kind: grids[kind].values for kind in kernels}
     cells = []
-    for ctx in contexts:
-        for kind in kernels:
-            for b in grids[kind].values:
-                try:
-                    cells.append(_cell_from_context(ctx, kind, b))
-                except (ValueError, stats.SingularDesignError) as exc:
-                    raise SweepError(
-                        exc, split=ctx.split.ordinal, kernel=kind, bandwidth=b
-                    ) from exc
+    for split in plan.splits:
+        cells.extend(_split_cells(records_by_id, split, formula, bandwidths))
     return SweepResult(
         dataset=dataset.name,
         config=config,
@@ -342,44 +331,38 @@ def summarize(sweep: SweepResult, config: AnalysisConfig | None = None) -> Sweep
     """Per-split, per-kernel verdicts plus cross-kernel agreement and the
     spread of test relative errors."""
     config = config or sweep.config
+    curves: dict = {}
+    for c in sweep.cells:
+        curves.setdefault((c.split, c.kernel), []).append(c)
+    weighted = [k for k in sweep.kernels if k is not KernelKind.UNIFORM]
     verdicts = []
+    test_re_range = {}
+    agree = 0
     for split in sweep.plan.splits:
         span = max(split.train_span, sweep.plan.granularity.increment)
+        calls = set()
+        test_res = []
         for kind in sweep.kernels:
-            curve = [
-                (c.bandwidth, c.re_train_nu) for c in sweep.curve(split.ordinal, kind)
-            ]
-            uniform_re = sweep.curve(split.ordinal, kind)[0].re_train_u
-            point = detect_convergence(curve, uniform_re, config.epsilon)
-            verdicts.append(
-                stationarity_verdict(point, kind, span, config, split=split.ordinal)
+            curve = curves[split.ordinal, kind]
+            point = detect_convergence(
+                [(c.bandwidth, c.re_train_nu) for c in curve],
+                curve[0].re_train_u,
+                config.epsilon,
             )
-
-    weighted = [k for k in sweep.kernels if k is not KernelKind.UNIFORM]
+            verdict = stationarity_verdict(point, kind, span, config, split=split.ordinal)
+            verdicts.append(verdict)
+            if kind in weighted:
+                calls.add(verdict.classification)
+            test_res += [
+                re for c in curve if c.re_test_nu is not None
+                for re in (c.re_test_nu, c.re_test_u)
+            ]
+        agree += len(calls) == 1
+        if test_res:
+            test_re_range[split.ordinal] = (min(test_res), max(test_res))
     agreement = None
     if len(weighted) >= 2:
-        agree = 0
-        total = 0
-        for split in sweep.plan.splits:
-            calls = {
-                v.classification
-                for v in verdicts
-                if v.split == split.ordinal and v.kernel in weighted
-            }
-            total += 1
-            if len(calls) == 1:
-                agree += 1
-        agreement = agree / total if total else None
-
-    test_re_range = {}
-    for split in sweep.plan.splits:
-        values = []
-        for c in sweep.cells:
-            if c.split == split.ordinal and c.re_test_nu is not None:
-                values.append(c.re_test_nu)
-                values.append(c.re_test_u)
-        if values:
-            test_re_range[split.ordinal] = (min(values), max(values))
+        agreement = agree / len(sweep.plan.splits)
     return SweepSummary(
         dataset=sweep.dataset,
         verdicts=tuple(verdicts),

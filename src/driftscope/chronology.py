@@ -152,14 +152,14 @@ def _period_key(record, granularity: Granularity):
 
 
 def _completion_as_date(record) -> date:
+    """Completion as a date; a year-only completion is read as the last
+    day of that year."""
     c = record.completion
     if isinstance(c, datetime):
         return c.date()
     if isinstance(c, date):
         return c
-    raise SplitError(
-        f"record {record.id!r} needs a full completion date for date-filtered tests"
-    )
+    return date(int(c), 12, 31)
 
 
 def _make_split(ordinal, train, test, index_of, granularity) -> Split:

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -225,7 +226,10 @@ def cmd_sweep(args) -> int:
     )
     kernels = _parse_kernels(args.kernels)
 
-    dataset = load_dataset(descriptor, args.data)
+    # one read: the manifest's digest describes the very bytes analyzed
+    input_bytes = Path(args.data).read_bytes()
+    text = io.StringIO(input_bytes.decode("utf-8"), newline="")
+    dataset = load_dataset(descriptor, text)
     if overrides != descriptor.overrides:
         dataset = type(dataset)(
             name=dataset.name,
@@ -244,7 +248,8 @@ def cmd_sweep(args) -> int:
         f"{v.split}:{v.kernel.value}": {
             "classification": v.classification.value,
             "bandwidth": v.convergence.bandwidth if v.convergence else None,
-            "horizon": v.horizon,
+            # null beside a bandwidth: the kernel never decays (uniform)
+            "horizon": None if v.horizon in (None, math.inf) else v.horizon,
             "span": v.train_span,
         }
         for v in summary.verdicts
@@ -255,7 +260,6 @@ def cmd_sweep(args) -> int:
         "verdicts": verdicts,
     }
     _atomic_write(out / "verdicts.json", json.dumps(doc, indent=2) + "\n")
-    input_bytes = Path(args.data).read_bytes()
     manifest = _manifest(descriptor, config, kernels, input_bytes)
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(

@@ -1,5 +1,5 @@
-# Temporal kernel weighting: period indexing, normalized lags, kernel
-# weights, bandwidth grids and weight-decay horizons.
+# Temporal kernel weighting: period indexing, kernel weights, bandwidth
+# grids and weight-decay horizons.
 #
 # Conventions:
 #   lag  = (target_period - origin_period) / bandwidth
@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "Granularity",
     "KernelKind",
     "BandwidthError",
     "BandwidthGrid",
-    "WeightVector",
     "assign_period_indices",
-    "normalized_lag",
     "kernel_weight",
     "weights_for_target",
     "min_bandwidth",
@@ -93,69 +93,59 @@ def assign_period_indices(completions, granularity: Granularity) -> list[float]:
     return [round(0.1 * (1 + m - oldest), 10) for m in months]
 
 
-def normalized_lag(origin: float, target: float, bandwidth: float) -> float:
-    """Elapsed periods from origin to target, scaled by the bandwidth."""
-    if bandwidth <= 0:
-        raise BandwidthError(f"bandwidth must be positive, got {bandwidth}")
-    if origin > target:
-        raise ValueError(
-            f"origin period {origin} is newer than target period {target}"
-        )
-    return (target - origin) / bandwidth
+def kernel_weight(kind: KernelKind, lag):
+    """Weight for a normalized lag, or elementwise for an array of lags.
 
-
-def kernel_weight(kind: KernelKind, lag: float) -> float:
-    """Weight for a single normalized lag.
-
-    Finite-support kinds reject lags at or beyond 1; the Gaussian decays
-    smoothly for any nonnegative lag and the Uniform kind is constant.
+    A scalar lag gives a float.  Finite-support kinds reject lags at or
+    beyond 1; the Gaussian decays smoothly for any nonnegative lag and
+    the Uniform kind is constant.
     """
-    if lag < 0:
-        raise ValueError(f"negative lag: {lag}")
-    if kind.finite_support and lag >= 1:
+    lags = np.asarray(lag, dtype=float)
+    if np.any(lags < 0):
+        raise ValueError(f"negative lag: {lags.min()}")
+    if kind.finite_support and np.any(lags >= 1):
         raise BandwidthError(
-            f"lag {lag} outside the support of the {kind.value} kernel"
+            f"lag {lags.max()} outside the support of the {kind.value} kernel"
         )
     if kind is KernelKind.UNIFORM:
-        return 1.0
-    if kind is KernelKind.GAUSSIAN:
-        return math.exp(-0.5 * lag * lag)
-    if kind is KernelKind.EPANECHNIKOV:
-        return 1.0 - lag * lag
-    return 1.0 - lag  # triangular
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-record weights aligned with the training records."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("empty weight vector")
-        for w in self.weights:
-            if not (0.0 < w <= 1.0):
-                raise ValueError(f"weight {w} outside (0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
+        weights = np.ones_like(lags)
+    elif kind is KernelKind.GAUSSIAN:
+        weights = np.exp(-0.5 * lags * lags)
+    elif kind is KernelKind.EPANECHNIKOV:
+        weights = 1.0 - lags * lags
+    else:  # triangular
+        weights = 1.0 - lags
+    return float(weights) if weights.ndim == 0 else weights
 
 
 def weights_for_target(
-    indices, target: float, kind: KernelKind, bandwidth: float
-) -> WeightVector:
-    """Kernel weights for training records relative to a target period."""
-    lags = [normalized_lag(idx, target, bandwidth) for idx in indices]
-    if kind.finite_support and any(lag >= 1 for lag in lags):
-        raise BandwidthError(
-            f"bandwidth {bandwidth} below support minimum for "
-            f"{kind.value} kernel (max elapsed {max(lags) * bandwidth:g})"
+    indices, target: float, kind: KernelKind, bandwidths
+) -> np.ndarray:
+    """Kernel weights of training records relative to a target period.
+
+    Returns one row per bandwidth and one column per record; the lag of a
+    record is its elapsed periods to the target over the bandwidth.
+    Records of one period share a weight, so the kernel is evaluated once
+    per distinct period.
+    """
+    b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
+    if np.any(b <= 0):
+        raise BandwidthError(f"bandwidth must be positive, got {b.min()}")
+    origins, record_period = np.unique(
+        np.asarray(indices, dtype=float), return_inverse=True
+    )
+    if np.any(origins > target):
+        raise ValueError(
+            f"origin period {origins.max()} is newer than target period {target}"
         )
-    return WeightVector(tuple(kernel_weight(kind, lag) for lag in lags))
+    elapsed = target - origins
+    lags = elapsed / b
+    if kind.finite_support and np.any(lags >= 1):
+        raise BandwidthError(
+            f"bandwidth {b.min():g} below support minimum for "
+            f"{kind.value} kernel (max elapsed {elapsed.max():g})"
+        )
+    return kernel_weight(kind, lags)[:, record_period]
 
 
 def min_bandwidth(

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "back_transform",
     "relative_error",
     "sample_variance",
-    "normality_diagnostics",
 ]
 
 LOG = "log"
@@ -202,8 +201,6 @@ class FittedModel:
     coefficients: np.ndarray
     labels: tuple[str, ...]
     residuals: np.ndarray  # transformed scale, training rows
-    weights: np.ndarray
-    normality: dict[str, NormalityReport] = field(default_factory=dict)
 
 
 def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
@@ -213,7 +210,7 @@ def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
     is solved by orthogonal decomposition, which keeps dummy-heavy
     designs numerically stable.
     """
-    w = np.asarray(list(weights), dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape[0] != design.n_rows:
         raise ValueError(
             f"{w.shape[0]} weights for {design.n_rows} design rows"
@@ -235,7 +232,6 @@ def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
         coefficients=coef,
         labels=design.labels,
         residuals=residuals,
-        weights=w,
     )
 
 
@@ -254,7 +250,7 @@ def back_transform(log_predictions) -> np.ndarray:
 
 
 def sample_variance(values) -> float:
-    v = np.asarray(list(values), dtype=float)
+    v = np.asarray(values, dtype=float)
     if v.shape[0] < 2:
         raise ValueError(f"variance needs at least 2 points, got {v.shape[0]}")
     return float(np.var(v, ddof=1))
@@ -266,8 +262,8 @@ def relative_error(predictions, actuals) -> float:
     A value of 1 is the constant-predictor benchmark; values near zero
     indicate accurate predictions.
     """
-    p = np.asarray(list(predictions), dtype=float)
-    a = np.asarray(list(actuals), dtype=float)
+    p = np.asarray(predictions, dtype=float)
+    a = np.asarray(actuals, dtype=float)
     if p.shape != a.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} vs {a.shape[0]}")
     denom = sample_variance(a)
@@ -275,23 +271,3 @@ def relative_error(predictions, actuals) -> float:
         raise ValueError("actuals have zero variance")
     return sample_variance(a - p) / denom
 
-
-def normality_diagnostics(
-    rows, formula: ModelFormula, alpha: float = 0.05
-) -> dict[str, NormalityReport]:
-    """Shapiro-Wilk reports for the response and each numeric term, on
-    their transformed scales.  Variables too small or constant to test
-    are omitted."""
-    rows = list(rows)
-    reports: dict[str, NormalityReport] = {}
-    targets = [(formula.response, formula.response_transform)]
-    targets += [
-        (t.column, t.transform) for t in formula.terms if t.kind == "numeric"
-    ]
-    for column, transform in targets:
-        try:
-            values = [_transformed(r[column], transform, column) for r in rows]
-            reports[column] = shapiro_wilk(values, alpha=alpha)
-        except ValueError:
-            continue
-    return reports

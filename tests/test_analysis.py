@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from driftscope import stats
 from driftscope.analysis import (
     AnalysisConfig,
     Classification,
@@ -104,6 +105,18 @@ class TestRunSweep:
             assert abs(last.re_train_nu - last.re_train_u) <= (
                 abs(first.re_train_nu - first.re_train_u) + 1e-9
             )
+
+    def test_one_uniform_fit_per_split(self, stationary_dataset, monkeypatch):
+        calls = []
+        wls = stats.weighted_least_squares
+
+        def counted(design, weights):
+            calls.append(1)
+            return wls(design, weights)
+
+        monkeypatch.setattr(stats, "weighted_least_squares", counted)
+        sweep = run_sweep(stationary_dataset, ALL_KERNELS)
+        assert len(calls) == len(sweep.cells) + len(sweep.plan.splits)
 
     def test_empty_kernel_set(self, stationary_dataset):
         with pytest.raises(ValueError):

@@ -208,6 +208,31 @@ class TestDateFilteredTest:
             if s.test_ids:
                 assert set(s.test_ids) <= plain_tests[min(s.test_indices)]
 
+    def test_year_only_completions_end_their_year(self):
+        # Integer completion years, as maxwell publishes them, end on 31
+        # December: a project tests after a training set that completed
+        # in year Y only if it started after Y.
+        spec = [  # (completion year, start year, start month)
+            (1994, 1994, 1), (1994, 1994, 3), (1994, 1994, 5),
+            (1995, 1994, 9), (1995, 1995, 1), (1995, 1995, 2),
+            (1996, 1995, 6), (1996, 1996, 4), (1996, 1996, 5),
+        ]
+        records = [
+            ProjectRecord(
+                id=f"y{i:03d}",
+                completion=year,
+                start=date(sy, sm, 1),
+                attributes={"size": 20.0 + i, "effort": 300.0 + i},
+            )
+            for i, (year, sy, sm) in enumerate(spec)
+        ]
+        plan = build_split_plan(
+            records, Granularity.YEARLY, ChronologyMode.DATE_FILTERED_TEST, ONE_TERM
+        )
+        assert plan.splits[0].train_ids == ("y000", "y001", "y002")
+        assert plan.splits[0].test_ids == ("y004", "y005")
+        assert plan.splits[1].test_ids == ("y007", "y008")
+
 
 class TestRemainderTest:
     def _monthly(self, n=16, start=(1999, 10)):

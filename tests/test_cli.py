@@ -130,6 +130,26 @@ class TestSweep:
                 "stationary", "near_stationary", "non_stationary"
             )
 
+    def test_uniform_verdicts_are_strict_json(self, synth_csv, tmp_path):
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "uniform,gaussian")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((out / "verdicts.json").read_text(), parse_constant=reject)
+        uniform = [v for k, v in doc["verdicts"].items() if k.endswith(":uniform")]
+        assert uniform
+        for entry in uniform:
+            assert entry["bandwidth"] is not None and entry["horizon"] is None
+
+    def test_manifest_digest_is_sha256_of_data(self, synth_csv, tmp_path):
+        data, _ = synth_csv
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
+
     def test_unknown_kernel_is_usage_error(self, synth_csv, tmp_path):
         code, _ = self._run(synth_csv, tmp_path, "--kernels", "cauchy")
         assert code == 1

@@ -2,6 +2,7 @@ import math
 from datetime import date
 
 import pytest
+import numpy as np
 from hypothesis import given, strategies as stn
 
 from driftscope.kernels import (
@@ -9,13 +10,11 @@ from driftscope.kernels import (
     BandwidthGrid,
     Granularity,
     KernelKind,
-    WeightVector,
     assign_period_indices,
     build_grid,
     decay_horizon,
     kernel_weight,
     min_bandwidth,
-    normalized_lag,
     weights_for_target,
 )
 
@@ -53,22 +52,31 @@ class TestPeriodIndices:
 
 
 class TestNormalizedLag:
+    """The lag ``weights_for_target`` feeds the kernel: elapsed periods
+    from origin to target over the bandwidth."""
+
+    def _lag(self, origin, target, bandwidth):
+        # the triangular weight is 1 - lag
+        [[w]] = weights_for_target([origin], target, KernelKind.TRIANGULAR, [bandwidth])
+        return 1.0 - w
+
     def test_basic(self):
-        assert normalized_lag(3, 8, 5) == 1.0
+        [[w]] = weights_for_target([3], 8, KernelKind.GAUSSIAN, [5])
+        assert w == math.exp(-0.5)
 
     def test_zero_at_target(self):
-        assert normalized_lag(7.0, 7.0, 3.0) == 0.0
+        assert self._lag(7.0, 7.0, 3.0) == 0.0
 
     def test_monthly_scale(self):
-        assert normalized_lag(0.1, 0.4, 10) == pytest.approx(0.03)
+        assert self._lag(0.1, 0.4, 10) == pytest.approx(0.03)
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(BandwidthError):
-            normalized_lag(1, 2, 0)
+            weights_for_target([1], 2, KernelKind.GAUSSIAN, [0])
 
     def test_rejects_future_origin(self):
         with pytest.raises(ValueError):
-            normalized_lag(5, 3, 1)
+            weights_for_target([5], 3, KernelKind.GAUSSIAN, [1])
 
 
 class TestKernelWeight:
@@ -93,6 +101,25 @@ class TestKernelWeight:
     def test_negative_lag(self):
         with pytest.raises(ValueError):
             kernel_weight(KernelKind.GAUSSIAN, -0.1)
+
+    def test_scalar_gives_float(self):
+        assert type(kernel_weight(KernelKind.UNIFORM, 0.3)) is float
+        assert type(kernel_weight(KernelKind.GAUSSIAN, np.float64(0.3))) is float
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_array_matches_scalars(self, kind):
+        lags = np.array([[0.0, 0.2], [0.5, 0.99]])
+        weights = kernel_weight(kind, lags)
+        assert weights.shape == lags.shape
+        assert weights.tolist() == [
+            [kernel_weight(kind, lag) for lag in row] for row in lags.tolist()
+        ]
+
+    def test_array_checks_every_lag(self):
+        with pytest.raises(ValueError):
+            kernel_weight(KernelKind.GAUSSIAN, np.array([0.5, -0.1]))
+        with pytest.raises(BandwidthError):
+            kernel_weight(KernelKind.TRIANGULAR, np.array([0.5, 1.0]))
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bounds_and_monotonicity_on_grid(self, kind):
@@ -122,24 +149,29 @@ class TestKernelWeight:
 
 class TestWeightsForTarget:
     def test_uniform_all_ones(self):
-        wv = weights_for_target([1, 1, 2], 2, KernelKind.UNIFORM, 10)
-        assert list(wv) == [1.0, 1.0, 1.0]
+        w = weights_for_target([1, 1, 2], 2, KernelKind.UNIFORM, [10])
+        assert w.tolist() == [[1.0, 1.0, 1.0]]
 
     def test_gaussian_vector(self):
-        wv = weights_for_target([1, 2, 3], 3, KernelKind.GAUSSIAN, 2)
-        assert list(wv) == pytest.approx([0.606531, 0.882497, 1.0], abs=1e-6)
+        [w] = weights_for_target([1, 2, 3], 3, KernelKind.GAUSSIAN, [2])
+        assert list(w) == pytest.approx([0.606531, 0.882497, 1.0], abs=1e-6)
 
     def test_weight_one_at_target_period(self):
-        wv = weights_for_target([2, 5], 5, KernelKind.TRIANGULAR, 10)
-        assert wv.weights[1] == 1.0
+        [w] = weights_for_target([2, 5], 5, KernelKind.TRIANGULAR, [10])
+        assert w[1] == 1.0
 
     def test_support_violation(self):
         with pytest.raises(BandwidthError):
             weights_for_target([1, 3], 3, KernelKind.EPANECHNIKOV, 2)
 
-    def test_weight_vector_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            WeightVector((0.5, 0.0))
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_one_row_per_bandwidth(self, kind):
+        indices, target, bandwidths = [2, 1, 4, 2], 5, [5.0, 7.5, 40.0]
+        rows = weights_for_target(indices, target, kind, bandwidths)
+        assert rows.shape == (3, 4)
+        for b, row in zip(bandwidths, rows):
+            expected = [kernel_weight(kind, (target - i) / b) for i in indices]
+            assert row.tolist() == expected
 
 
 class TestBandwidthGrid:
