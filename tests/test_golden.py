@@ -1,4 +1,4 @@
-"""Golden outputs of the bandwidth sweep on two synthetic datasets.
+"""Golden outputs of the bandwidth sweep on synthetic datasets.
 
 The files under ``tests/golden/`` were generated from the command line,
 with the default kernels (gaussian, epanechnikov, triangular):
@@ -17,6 +17,20 @@ seed-42 data gives only ``near_stationary`` verdicts; the drifting seed-7
 data gives both ``near_stationary`` and ``non_stationary`` ones.  Any
 change to the sweep must reproduce every relative error within
 ``RE_ATOL`` and every verdict exactly.
+
+The ``*_seed1`` directories pin the shapes of the five builtin
+descriptors: dummy coding and a derived product (nasa93, desharnais),
+``DATE_FILTERED_TEST`` with day-first and year-only dates (kitchenham,
+maxwell), and monthly ``REMAINDER_TEST`` with split overrides (xbc).
+Their ``data.csv`` files are the benchmark's seed-1 inputs, written by
+``workloads.build("promise-batch", 1, work)`` in ``bench/workloads.py``;
+each was swept with its builtin descriptor:
+
+    driftscope sweep --descriptor nasa93 --data nasa93_seed1/data.csv \
+        --grid 1:100:9 --out tests/golden/nasa93_seed1
+
+These designs have up to five columns and training sets as small as six
+records, so their relative errors are held to ``SHAPES_RE_ATOL``.
 """
 
 import csv
@@ -30,12 +44,14 @@ from driftscope.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 RE_ATOL = 1e-12
+SHAPES_RE_ATOL = 1e-10
 RE_COLUMNS = ("re_train_nu", "re_test_nu", "re_train_u", "re_test_u")
 
 CASES = {
     "synth_seed42": {"seed": 42},
     "synth_seed7_drift": {"seed": 7, "intercept_drift": 0.3},
 }
+SHAPES = ("nasa93", "desharnais", "kitchenham", "maxwell", "xbc")
 
 
 def _rows(path):
@@ -59,10 +75,20 @@ def sweep(request, tmp_path_factory):
     return GOLDEN / name, out
 
 
-def test_curves_match_golden(sweep):
-    golden, out = sweep
+@pytest.fixture(scope="module", params=SHAPES)
+def shape_sweep(request, tmp_path_factory):
+    golden = GOLDEN / f"{request.param}_seed1"
+    out = tmp_path_factory.mktemp(request.param) / "out"
+    assert main([
+        "sweep", "--descriptor", request.param, "--data", str(golden / "data.csv"),
+        "--grid", "1:100:9", "--out", str(out),
+    ]) == 0
+    return golden, out
+
+
+def _assert_curves_match(golden, out, atol):
     expected, actual = _rows(golden / "curves.csv"), _rows(out / "curves.csv")
-    assert len(actual) == len(expected) == 272
+    assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         for key in ("dataset", "split", "kernel", "bandwidth"):
             assert got[key] == want[key]
@@ -71,15 +97,32 @@ def test_curves_match_golden(sweep):
                 assert got[key] == ""
             else:
                 assert math.isclose(
-                    float(got[key]), float(want[key]), rel_tol=0.0, abs_tol=RE_ATOL
+                    float(got[key]), float(want[key]), rel_tol=0.0, abs_tol=atol
                 ), (want["split"], want["kernel"], want["bandwidth"], key)
 
 
-def test_verdicts_match_golden(sweep):
-    golden, out = sweep
+def _assert_verdicts_match(golden, out):
     expected = json.loads((golden / "verdicts.json").read_text())
     actual = json.loads((out / "verdicts.json").read_text())
     assert actual == expected
+
+
+def test_curves_match_golden(sweep):
+    golden, out = sweep
+    assert len(_rows(golden / "curves.csv")) == 272
+    _assert_curves_match(golden, out, RE_ATOL)
+
+
+def test_verdicts_match_golden(sweep):
+    _assert_verdicts_match(*sweep)
+
+
+def test_shape_curves_match_golden(shape_sweep):
+    _assert_curves_match(*shape_sweep, SHAPES_RE_ATOL)
+
+
+def test_shape_verdicts_match_golden(shape_sweep):
+    _assert_verdicts_match(*shape_sweep)
 
 
 def test_drifting_fixture_covers_both_verdicts():
