@@ -98,16 +98,18 @@ class SweepResult:
         ]
 
 
-def _relative_error(model, design, actuals, log_scale: bool) -> float:
-    fitted = stats.predict(model, design)
-    predictions = stats.back_transform(fitted) if log_scale else fitted
+def _relative_errors(model, design, actuals, log_scale: bool):
+    """Relative error of each fit of ``model`` on ``design``'s records."""
+    predictions = stats.predict(model, design)
+    if log_scale:
+        np.exp(predictions, out=predictions)
     return stats.relative_error(predictions, actuals)
 
 
 def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[SweepCell]:
     """Every cell of one split.  The designs and the uniform fit are built
     once; each kernel's weights come as one row per value of
-    ``bandwidths[kind]``, and each row gets one weighted fit."""
+    ``bandwidths[kind]``, and all rows get one stacked weighted fit."""
     log_scale = formula.response_transform == stats.LOG
     train_rows = [records_by_id[i].attributes for i in split.train_ids]
     test_rows = [records_by_id[i].attributes for i in split.test_ids]
@@ -123,20 +125,21 @@ def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[Sweep
     train_actuals = np.array([r[formula.response] for r in train_rows], dtype=float)
     test_actuals = np.array([r[formula.response] for r in test_rows], dtype=float)
 
-    def relative_errors(weights):
-        model = stats.weighted_least_squares(train, weights)
+    def relative_errors(model):
         re_test = (
-            _relative_error(model, test, test_actuals, log_scale)
+            _relative_errors(model, test, test_actuals, log_scale)
             if test is not None
             else None
         )
-        return _relative_error(model, train, train_actuals, log_scale), re_test
+        return _relative_errors(model, train, train_actuals, log_scale), re_test
 
     # The uniform fit serves every cell; a failure there is reported at
     # the split's first cell, the first one that needs it.
     first = next(iter(bandwidths))
     try:
-        re_train_u, re_test_u = relative_errors(np.ones(len(train_rows)))
+        re_train_u, re_test_u = relative_errors(
+            stats.weighted_least_squares(train, np.ones(len(train_rows)))
+        )
     except (ValueError, stats.SingularDesignError) as exc:
         raise SweepError(
             exc, split=split.ordinal, kernel=first, bandwidth=bandwidths[first][0]
@@ -150,24 +153,36 @@ def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[Sweep
             )
         except ValueError as exc:
             raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
-        for b, w in zip(values, weights):
+        if kind is KernelKind.UNIFORM:
+            # every weight is 1, so the uniform fit is this kernel's fit
+            re_train_nu = [re_train_u] * len(values)
+            re_test_nu = [re_test_u] * len(values)
+        else:
             try:
-                re_train_nu, re_test_nu = relative_errors(w)
+                model = stats.weighted_least_squares(train, weights)
+                del weights  # free the bandwidths x records array before predicting
+                re_train_nu, re_test_nu = relative_errors(model)
             except (ValueError, stats.SingularDesignError) as exc:
                 raise SweepError(
-                    exc, split=split.ordinal, kernel=kind, bandwidth=b
+                    exc, split=split.ordinal, kernel=kind,
+                    bandwidth=values[getattr(exc, "row", 0)],
                 ) from exc
-            cells.append(
-                SweepCell(
-                    split=split.ordinal,
-                    kernel=kind,
-                    bandwidth=b,
-                    re_train_nu=re_train_nu,
-                    re_test_nu=re_test_nu,
-                    re_train_u=re_train_u,
-                    re_test_u=re_test_u,
-                )
+            re_train_nu = re_train_nu.tolist()
+            re_test_nu = (
+                [None] * len(values) if re_test_nu is None else re_test_nu.tolist()
             )
+        cells.extend(
+            SweepCell(
+                split=split.ordinal,
+                kernel=kind,
+                bandwidth=b,
+                re_train_nu=train_nu,
+                re_test_nu=test_nu,
+                re_train_u=re_train_u,
+                re_test_u=re_test_u,
+            )
+            for b, train_nu, test_nu in zip(values, re_train_nu, re_test_nu)
+        )
     return cells
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "well_formed_min",
     "completion_date",
     "build_split_plan",
-    "target_period",
 ]
 
 
@@ -132,14 +131,6 @@ class SplitPlan:
             }
             for s in self.splits
         ]
-
-
-def target_period(split: Split, granularity: Granularity) -> float:
-    """Period the split predicts: the earliest test period, or one
-    increment past the newest training period for the all-data split."""
-    if split.test_indices:
-        return min(split.test_indices)
-    return round(max(split.train_indices) + granularity.increment, 10)
 
 
 def _period_key(record, granularity: Granularity):

@@ -18,6 +18,7 @@ __all__ = [
     "FittedModel",
     "NormalityReport",
     "SingularDesignError",
+    "WeightError",
     "shapiro_wilk",
     "build_design_matrix",
     "weighted_least_squares",
@@ -30,9 +31,29 @@ __all__ = [
 LOG = "log"
 IDENTITY = "identity"
 
+# A Gram matrix X'WX whose smallest eigenvalue is more than this share of
+# its largest is solved directly.  Passing bounds the singular value
+# ratio of sqrt(W)X above 1e-4, far above lstsq's rank cut-off of
+# max(n, p) * eps (2.2e-13 at a thousand rows), so every row that passes
+# is one lstsq would call full rank.
+GRAM_RATIO_MIN = 1e-8
 
-class SingularDesignError(RuntimeError):
+
+class _RowError:
+    """Mixin: ``row`` is the first failing row of a stacked weight matrix
+    (0 for a single weight vector)."""
+
+    def __init__(self, message, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+class SingularDesignError(_RowError, RuntimeError):
     """Design matrix is rank deficient or has too few rows."""
+
+
+class WeightError(_RowError, ValueError):
+    """A weight is not strictly positive."""
 
 
 @dataclass(frozen=True)
@@ -198,50 +219,96 @@ def build_design_matrix(
 
 @dataclass(frozen=True)
 class FittedModel:
+    """Coefficients of one fit, or one row of coefficients per fit of a
+    stacked weight matrix, with the training design they were fitted on."""
+
     coefficients: np.ndarray
-    labels: tuple[str, ...]
-    residuals: np.ndarray  # transformed scale, training rows
+    design: DesignMatrix
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.design.labels
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """Transformed-scale training residuals, one row per fit.  They are
+        computed on request, so a stacked fit holds no fits x rows array."""
+        return self.design.response - predict(self, self.design)
+
+
+def _solve(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Coefficients minimizing sum_i w_bi (y_i - x_i b)^2 for every row b
+    of ``w``, one row per fit.
+
+    Every row's Gram matrix X'W_bX and moment X'W_by come from one matrix
+    product of ``w`` with the records' outer products x_i x_i' and x_i y_i.
+    Gram matrices that pass ``GRAM_RATIO_MIN`` are solved directly; the
+    rest by an SVD of sqrt(w_b)X, whose singular values at or below
+    max(n, p) * eps times the largest count as zero, the rule
+    ``np.linalg.lstsq`` applies with ``rcond=None``.
+    """
+    n, p = x.shape
+    outer = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
+    moments = w @ np.column_stack((outer, x * y[:, None]))
+    gram = moments[:, : p * p].reshape(-1, p, p)
+    xty = moments[:, p * p:]
+    eigenvalues = np.linalg.eigvalsh(gram)
+    direct = eigenvalues[:, 0] > GRAM_RATIO_MIN * eigenvalues[:, -1]
+    coefficients = np.empty((len(w), p))
+    coefficients[direct] = np.linalg.solve(gram[direct], xty[direct, :, None])[..., 0]
+    rest = np.flatnonzero(~direct)
+    if rest.size:
+        sw = np.sqrt(w[rest])
+        u, sv, vt = np.linalg.svd(x * sw[:, :, None], full_matrices=False)
+        rank = np.sum(sv > max(n, p) * np.finfo(float).eps * sv[:, :1], axis=1)
+        singular = rest[rank < p]
+        if singular.size:
+            raise SingularDesignError("singular design", row=int(singular[0]))
+        z = np.einsum("knp,kn->kp", u, y * sw) / sv
+        coefficients[rest] = np.einsum("kpq,kp->kq", vt, z)
+    return coefficients
 
 
 def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
     """Minimize the weighted sum of squared transformed-scale residuals.
 
-    Rows are scaled by sqrt(weight) and the plain least-squares problem
-    is solved by orthogonal decomposition, which keeps dummy-heavy
-    designs numerically stable.
+    ``weights`` holds one weight per design row, or one such row per fit;
+    stacked weights give one row of coefficients per fit, all solved in
+    one pass (see ``_solve``).  A design is singular exactly when
+    ``np.linalg.lstsq`` on sqrt(w)X finds its rank below the number of
+    columns.  Errors name the first failing row of stacked weights.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape[0] != design.n_rows:
+    rows = np.atleast_2d(w)
+    if rows.shape[1] != design.n_rows:
         raise ValueError(
-            f"{w.shape[0]} weights for {design.n_rows} design rows"
+            f"{rows.shape[1]} weights for {design.n_rows} design rows"
         )
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    nonpositive = np.flatnonzero(np.any(rows <= 0, axis=1))
+    stop = int(nonpositive[0]) if nonpositive.size else len(rows)
+    if stop == 0:
+        raise WeightError("weights must be strictly positive")
     if design.n_rows < design.n_columns:
         raise SingularDesignError(
             f"{design.n_rows} rows cannot identify {design.n_columns} coefficients"
         )
-    sw = np.sqrt(w)
-    xw = design.matrix * sw[:, None]
-    yw = design.response * sw
-    coef, _, rank, _ = np.linalg.lstsq(xw, yw, rcond=None)
-    if rank < design.n_columns:
-        raise SingularDesignError("singular design")
-    residuals = design.response - design.matrix @ coef
+    coefficients = _solve(design.matrix, design.response, rows[:stop])
+    if stop < len(rows):
+        raise WeightError("weights must be strictly positive", row=stop)
     return FittedModel(
-        coefficients=coef,
-        labels=design.labels,
-        residuals=residuals,
+        coefficients=coefficients[0] if w.ndim == 1 else coefficients,
+        design=design,
     )
 
 
 def predict(model: FittedModel, design: DesignMatrix) -> np.ndarray:
-    """Linear predictions on the transformed scale."""
+    """Linear predictions on the transformed scale, one row per fit of a
+    stacked model."""
     if design.labels != model.labels:
         raise ValueError(
             f"design columns {design.labels} do not match model columns {model.labels}"
         )
-    return design.matrix @ model.coefficients
+    return model.coefficients @ design.matrix.T
 
 
 def back_transform(log_predictions) -> np.ndarray:
@@ -256,18 +323,24 @@ def sample_variance(values) -> float:
     return float(np.var(v, ddof=1))
 
 
-def relative_error(predictions, actuals) -> float:
-    """Variance of residuals over variance of the actuals.
+def relative_error(predictions, actuals):
+    """Variance of residuals over variance of the actuals: a float, or one
+    value per row of stacked predictions.
 
     A value of 1 is the constant-predictor benchmark; values near zero
     indicate accurate predictions.
     """
     p = np.asarray(predictions, dtype=float)
     a = np.asarray(actuals, dtype=float)
-    if p.shape != a.shape:
-        raise ValueError(f"length mismatch: {p.shape[0]} vs {a.shape[0]}")
+    if p.shape[-1:] != a.shape:
+        raise ValueError(f"length mismatch: {p.shape[-1]} vs {a.shape[0]}")
     denom = sample_variance(a)
     if denom <= 0:
         raise ValueError("actuals have zero variance")
-    return sample_variance(a - p) / denom
-
+    # np.var(a - p, axis=-1, ddof=1), in the same order of operations but
+    # with one temporary array
+    residuals = a - p
+    residuals -= residuals.mean(axis=-1, keepdims=True)
+    np.square(residuals, out=residuals)
+    ratio = residuals.sum(axis=-1) / (a.shape[0] - 1) / denom
+    return float(ratio) if ratio.ndim == 0 else ratio

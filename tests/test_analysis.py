@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from driftscope import stats
+from driftscope import analysis, stats
 from driftscope.analysis import (
     AnalysisConfig,
     Classification,
@@ -116,7 +116,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(stats, "weighted_least_squares", counted)
         sweep = run_sweep(stationary_dataset, ALL_KERNELS)
-        assert len(calls) == len(sweep.cells) + len(sweep.plan.splits)
+        # one uniform fit and one stacked fit per kernel, per split
+        assert len(calls) == len(sweep.plan.splits) * (len(ALL_KERNELS) + 1)
 
     def test_empty_kernel_set(self, stationary_dataset):
         with pytest.raises(ValueError):
@@ -135,6 +136,31 @@ class TestRunSweep:
         )
         with pytest.raises(SweepError, match="split"):
             run_sweep(broken, (KernelKind.GAUSSIAN,))
+
+    def test_gaussian_underflow_coordinates(self):
+        # Gaussian weights underflow to 0.0 past a lag of about 38.6; the
+        # sweep stops at the first cell that meets it.
+        ds = synthesize(SynthConfig(n_projects=200, n_periods=39, seed=0))
+        with pytest.raises(SweepError) as info:
+            run_sweep(ds, (KernelKind.GAUSSIAN,))
+        assert str(info.value) == (
+            "[split 39, kernel gaussian, bandwidth 1] weights must be strictly positive"
+        )
+
+    def test_singular_row_reports_its_bandwidth(self, stationary_dataset, monkeypatch):
+        weights_for_target = analysis.weights_for_target
+
+        def degenerate(indices, target, kind, bandwidths):
+            weights = weights_for_target(indices, target, kind, bandwidths)
+            for row in (2, 4):  # weight on one record only, numerically
+                weights[row] = 1e-40
+                weights[row, 0] = 1.0
+            return weights
+
+        monkeypatch.setattr(analysis, "weights_for_target", degenerate)
+        with pytest.raises(SweepError) as info:
+            run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,))
+        assert str(info.value) == "[split 1, kernel gaussian, bandwidth 3] singular design"
 
 
 class TestDetectConvergence:

@@ -8,7 +8,6 @@ from driftscope.chronology import (
     build_split_plan,
     completion_date,
     resolve_levels,
-    target_period,
     well_formed_min,
 )
 from driftscope.datasets import ProjectRecord
@@ -37,6 +36,25 @@ def _yearly(spec):
                 )
             )
             i += 1
+    return records
+
+
+def _monthly(n=16, start=(1999, 10)):
+    """Two records a month from ``start``."""
+    records = []
+    y, m = start
+    for i in range(n):
+        records.append(
+            ProjectRecord(
+                id=f"m{i:02d}",
+                completion=date(y, m, 1 + (i % 27)),
+                attributes={"org_effort": 50.0 + i, "total_effort": 60.0 + i},
+            )
+        )
+        if i % 2:
+            m += 1
+            if m > 12:
+                m, y = 1, y + 1
     return records
 
 
@@ -235,25 +253,8 @@ class TestDateFilteredTest:
 
 
 class TestRemainderTest:
-    def _monthly(self, n=16, start=(1999, 10)):
-        records = []
-        y, m = start
-        for i in range(n):
-            records.append(
-                ProjectRecord(
-                    id=f"m{i:02d}",
-                    completion=date(y, m, 1 + (i % 27)),
-                    attributes={"org_effort": 50.0 + i, "total_effort": 60.0 + i},
-                )
-            )
-            if i % 2:
-                m += 1
-                if m > 12:
-                    m, y = 1, y + 1
-        return records
-
     def test_overrides_produce_expected_splits(self):
-        records = self._monthly()
+        records = _monthly()
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
         plan = build_split_plan(
             records,
@@ -268,7 +269,7 @@ class TestRemainderTest:
             assert set(s.train_ids) | set(s.test_ids) == {r.id for r in records}
 
     def test_without_overrides_each_split_is_well_formed(self):
-        records = self._monthly()
+        records = _monthly()
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
         plan = build_split_plan(
             records, Granularity.MONTHLY, ChronologyMode.REMAINDER_TEST, f
@@ -279,7 +280,7 @@ class TestRemainderTest:
             assert set(s.train_ids) | set(s.test_ids) == {r.id for r in records}
 
     def test_override_below_minimum_rejected(self):
-        records = self._monthly()
+        records = _monthly()
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
         with pytest.raises(SplitError):
             build_split_plan(
@@ -297,26 +298,20 @@ class TestTargetPeriod:
         plan = build_split_plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
-        assert target_period(plan.splits[0], Granularity.YEARLY) == 3.0
+        assert plan.splits[0].target == 3.0
 
     def test_all_data_split_is_one_increment_past(self):
         records = _yearly([(1990, 4), (1992, 3)])
         plan = build_split_plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
-        assert target_period(plan.splits[-1], Granularity.YEARLY) == 4.0
         assert plan.splits[-1].target == 4.0
 
     def test_monthly_increment(self):
-        from driftscope.chronology import Split
-
-        split = Split(
-            ordinal=1,
-            train_ids=("a", "b"),
-            test_ids=(),
-            train_indices=(0.1, 1.8),
-            test_indices=(),
-            target=1.9,
-            train_span=1.7,
+        f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
+        plan = build_split_plan(
+            _monthly(), Granularity.MONTHLY, ChronologyMode.REMAINDER_TEST, f
         )
-        assert target_period(split, Granularity.MONTHLY) == 1.9
+        # eight months, 1999-10 .. 2000-05, at indices 0.1 .. 0.8
+        assert plan.splits[0].target == min(plan.splits[0].test_indices)
+        assert plan.splits[-1].target == 0.9

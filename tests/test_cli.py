@@ -101,6 +101,21 @@ class TestSweep:
             assert cell.re_train_nu == cell.re_train_u
             assert cell.re_test_nu == cell.re_test_u
 
+    def test_failed_cell_exits_3_with_coordinates(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_projects": 200, "n_periods": 39, "seed": 0}))
+        data = tmp_path / "long.csv"
+        assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+        code = main([
+            "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
+            "--data", str(data), "--kernels", "gaussian", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            "driftscope: [split 39, kernel gaussian, bandwidth 1] "
+            "weights must be strictly positive"
+        )
+
     def test_custom_grid_honored(self, synth_csv, tmp_path):
         code, out = self._run(
             synth_csv, tmp_path, "--kernels", "epanechnikov", "--grid", "17:100:1"

@@ -1,0 +1,49 @@
+"""The benchmark's tracer against the sweep.
+
+``bench/spans.py`` wraps named functions where the sweep looks them up.
+A function the sweep stops calling leaves its traced metric at 0, which
+makes the benchmark's output malformed; so every span must record calls.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from driftscope import cli
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture()
+def tracer_cls():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer, module.TARGETS
+
+
+def test_every_span_is_called(tracer_cls, tmp_path):
+    Tracer, targets = tracer_cls
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 21, "n_projects": 60, "n_periods": 6}))
+    data = tmp_path / "synth.csv"
+    assert cli.main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main([
+            "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
+            "--data", str(data), "--out", str(tmp_path / "out"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.absent == []
+    (layers,) = tracer.rounds()
+    for _, _, span, _ in targets:
+        assert layers[f"{span}.calls"] > 0, span
+    # one uniform fit and one stacked fit per default kernel, per split
+    splits = layers["chronology.splits"]
+    assert layers["stats.weighted_least_squares.calls"] == splits * 4
