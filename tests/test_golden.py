@@ -35,6 +35,17 @@ records, so their relative errors are held to ``SHAPES_RE_ATOL``, not
 to the batched Gram solve: the fixtures' relative errors moved by at most
 7.8e-13 (nasa93), but the same nasa93 input on the default grid 1:100:1
 moved by 1.09e-12, so 1e-12 does not hold for this shape.
+
+Each fixture directory also holds ``plan.json``: the split plan of its
+dataset as ``SplitPlan.to_rows()`` plus every split's ``target``,
+``train_span``, ``train_indices`` and ``test_indices``.  The plans cover
+the four plan shapes: year accumulation (the synthetic data, nasa93,
+desharnais), date-filtered tests (kitchenham, maxwell), remainder tests
+(xbc without its overrides, ``xbc_seed1/plan_remainder.json``) and split
+overrides (xbc).  They were written by ``_plan_doc`` below, before splits
+became row ranges of one design, and must not change:
+
+    json.dump(_plan_doc(_plan(case)), fh, indent=1)
 """
 
 import csv
@@ -44,7 +55,9 @@ from pathlib import Path
 
 import pytest
 
+from driftscope.chronology import ChronologyMode, build_split_plan
 from driftscope.cli import main
+from driftscope.datasets import SynthConfig, builtin_descriptor, load_dataset, synthesize
 
 GOLDEN = Path(__file__).parent / "golden"
 RE_ATOL = 1e-12
@@ -133,3 +146,55 @@ def test_drifting_fixture_covers_both_verdicts():
     doc = json.loads((GOLDEN / "synth_seed7_drift" / "verdicts.json").read_text())
     calls = {v["classification"] for v in doc["verdicts"].values()}
     assert calls == {"near_stationary", "non_stationary"}
+
+
+PLANS = (*sorted(CASES), *(f"{s}_seed1" for s in SHAPES), "xbc_seed1/remainder")
+
+
+def _plan(case):
+    if case in CASES:
+        ds = synthesize(SynthConfig(**CASES[case]))
+    else:
+        name = case.split("_")[0]
+        ds = load_dataset(builtin_descriptor(name), GOLDEN / f"{name}_seed1" / "data.csv")
+    overrides = None if case.endswith("/remainder") else ds.overrides
+    return build_split_plan(
+        ds.records, ds.granularity, ds.mode, ds.formula, overrides=overrides
+    )
+
+
+def _plan_doc(plan):
+    return {
+        "rows": plan.to_rows(),
+        "splits": [
+            {
+                "ordinal": s.ordinal,
+                "target": s.target,
+                "train_span": s.train_span,
+                "train_indices": list(s.train_indices),
+                "test_indices": list(s.test_indices),
+            }
+            for s in plan.splits
+        ],
+    }
+
+
+def _plan_path(case):
+    if case.endswith("/remainder"):
+        return GOLDEN / case.replace("/remainder", "") / "plan_remainder.json"
+    return GOLDEN / case / "plan.json"
+
+
+@pytest.mark.parametrize("case", PLANS)
+def test_plan_matches_golden(case):
+    plan = _plan(case)
+    assert _plan_doc(plan) == json.loads(_plan_path(case).read_text())
+    for s in plan.splits:
+        assert type(s.train_ids) is tuple and type(s.test_ids) is tuple
+        assert type(s.train_indices) is tuple and type(s.test_indices) is tuple
+        assert type(s.target) is float and type(s.train_span) is float
+
+
+def test_plan_shapes_are_covered():
+    assert {_plan(case).mode for case in PLANS} == set(ChronologyMode)
+    assert builtin_descriptor("xbc").overrides  # the override shape
