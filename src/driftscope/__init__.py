@@ -49,7 +49,6 @@ from .kernels import (
 from .stats import (
     ModelFormula,
     Term,
-    back_transform,
     build_design_matrix,
     predict,
     relative_error,
@@ -71,7 +70,7 @@ __all__ = [
     "BandwidthGrid", "Granularity", "KernelKind",
     "assign_period_indices", "build_grid", "decay_horizon", "kernel_weight",
     "min_bandwidth", "weights_for_target",
-    "ModelFormula", "Term", "back_transform", "build_design_matrix",
+    "ModelFormula", "Term", "build_design_matrix",
     "predict", "relative_error", "sample_variance", "shapiro_wilk",
     "weighted_least_squares",
 ]

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import stats
-from .chronology import Split, SplitPlan, build_split_plan, resolve_levels
+from .chronology import Split, SplitPlan, build_split_plan
 from .kernels import (
     KernelKind,
     build_grid,
@@ -106,24 +106,27 @@ def _relative_errors(model, design, actuals, log_scale: bool):
     return stats.relative_error(predictions, actuals)
 
 
-def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[SweepCell]:
-    """Every cell of one split.  The designs and the uniform fit are built
-    once; each kernel's weights come as one row per value of
+def _plan_design(records, formula):
+    """The design and the untransformed response of ``records``, built
+    once in plan order; every split's designs are row ranges of it."""
+    try:
+        design = stats.build_design_matrix([r.attributes for r in records], formula)
+    except ValueError as exc:
+        raise SweepError(exc) from exc
+    actuals = np.array([r.attributes[formula.response] for r in records], dtype=float)
+    return design, actuals
+
+
+def _split_cells(split: Split, design, actuals, formula, bandwidths) -> list[SweepCell]:
+    """Every cell of one split, on the rows of the plan-ordered ``design``
+    and ``actuals`` that the split selects.  The uniform fit is made once;
+    each kernel's weights come as one row per value of
     ``bandwidths[kind]``, and all rows get one stacked weighted fit."""
     log_scale = formula.response_transform == stats.LOG
-    train_rows = [records_by_id[i].attributes for i in split.train_ids]
-    test_rows = [records_by_id[i].attributes for i in split.test_ids]
-    try:
-        train = stats.build_design_matrix(train_rows, formula)
-        test = (
-            stats.build_design_matrix(test_rows, formula, levels=train.levels)
-            if test_rows
-            else None
-        )
-    except (ValueError, stats.SingularDesignError) as exc:
-        raise SweepError(exc, split=split.ordinal) from exc
-    train_actuals = np.array([r[formula.response] for r in train_rows], dtype=float)
-    test_actuals = np.array([r[formula.response] for r in test_rows], dtype=float)
+    train = design.subset(slice(split.stop))
+    train_actuals = actuals[: split.stop]
+    test = None if split.is_final else design.subset(split.test_rows)
+    test_actuals = actuals[split.test_rows]
 
     def relative_errors(model):
         re_test = (
@@ -138,7 +141,7 @@ def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[Sweep
     first = next(iter(bandwidths))
     try:
         re_train_u, re_test_u = relative_errors(
-            stats.weighted_least_squares(train, np.ones(len(train_rows)))
+            stats.weighted_least_squares(train, np.ones(split.stop))
         )
     except (ValueError, stats.SingularDesignError) as exc:
         raise SweepError(
@@ -149,7 +152,7 @@ def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[Sweep
     for kind, values in bandwidths.items():
         try:
             weights = weights_for_target(
-                split.train_indices, split.target, kind, values
+                split.plan_indices[: split.stop], split.target, kind, values
             )
         except ValueError as exc:
             raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
@@ -186,10 +189,10 @@ def _split_cells(records_by_id, split: Split, formula, bandwidths) -> list[Sweep
     return cells
 
 
-def fit_cell(dataset, split: Split, formula, kind: KernelKind, bandwidth: float) -> SweepCell:
+def fit_cell(split: Split, formula, kind: KernelKind, bandwidth: float) -> SweepCell:
     """Fit the weighted and unweighted models for one grid cell."""
-    records_by_id = {r.id: r for r in dataset.records}
-    return _split_cells(records_by_id, split, formula, {kind: (bandwidth,)})[0]
+    design, actuals = _plan_design(split.plan_records, formula)
+    return _split_cells(split, design, actuals, formula, {kind: (bandwidth,)})[0]
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
@@ -197,24 +200,22 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
 
     Grids are fixed per kernel at the dataset level (the largest elapsed
     span any split must serve decides the finite-support minimum), so
-    every split of one dataset shares a common bandwidth axis.
+    every split of one dataset shares a common bandwidth axis.  The
+    design is built once, before any split runs.
     """
     kernels = tuple(kernels)
     if not kernels:
         raise ValueError("empty kernel set")
-    formula = resolve_levels(
-        dataset.formula, [r.attributes for r in dataset.records]
-    )
     plan = build_split_plan(
         dataset.records,
         dataset.granularity,
         dataset.mode,
-        formula,
+        dataset.formula,
         overrides=dataset.overrides,
     )
-    max_elapsed = max(
-        s.target - min(s.train_indices) for s in plan.splits
-    )
+    # training sets are prefixes of the plan order, which starts at the
+    # oldest period
+    max_elapsed = max(s.target for s in plan.splits) - float(plan.indices[0])
     grids = {}
     for kind in kernels:
         grids[kind] = build_grid(
@@ -225,11 +226,11 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
             step=config.grid_step,
         )
 
-    records_by_id = {r.id: r for r in dataset.records}
+    design, actuals = _plan_design(plan.records, dataset.formula)
     bandwidths = {kind: grids[kind].values for kind in kernels}
     cells = []
     for split in plan.splits:
-        cells.extend(_split_cells(records_by_id, split, formula, bandwidths))
+        cells.extend(_split_cells(split, design, actuals, dataset.formula, bandwidths))
     return SweepResult(
         dataset=dataset.name,
         config=config,

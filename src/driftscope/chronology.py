@@ -8,9 +8,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from enum import Enum
+from itertools import accumulate
+
+import numpy as np
 
 from .kernels import Granularity, assign_period_indices
 from .stats import ModelFormula
@@ -98,25 +102,53 @@ def completion_date(start: date, duration_days: int) -> date:
     return start + timedelta(days=duration_days)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
+    """One split as row positions in its plan's record order: training is
+    the first ``stop`` records, testing the records at ``test_rows``.
+
+    ``plan_records`` and ``plan_indices`` are the plan's sorted records
+    and their period indices, shared by every split of the plan.
+    """
+
     ordinal: int
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    train_indices: tuple[float, ...]
-    test_indices: tuple[float, ...]
+    stop: int
+    test_rows: np.ndarray
     target: float
     train_span: float
+    plan_records: tuple = field(repr=False)
+    plan_indices: np.ndarray = field(repr=False)
+
+    @property
+    def train_ids(self) -> tuple[str, ...]:
+        return tuple(r.id for r in self.plan_records[: self.stop])
+
+    @property
+    def test_ids(self) -> tuple[str, ...]:
+        return tuple(self.plan_records[i].id for i in self.test_rows.tolist())
+
+    @property
+    def train_indices(self) -> tuple[float, ...]:
+        return tuple(self.plan_indices[: self.stop].tolist())
+
+    @property
+    def test_indices(self) -> tuple[float, ...]:
+        return tuple(self.plan_indices[self.test_rows].tolist())
 
     @property
     def is_final(self) -> bool:
-        return not self.test_ids
+        return not self.test_rows.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPlan:
+    """Splits over ``records``, sorted by completion period then id, with
+    ``indices`` holding each record's period index."""
+
     mode: ChronologyMode
     granularity: Granularity
+    records: tuple
+    indices: np.ndarray
     splits: tuple[Split, ...]
 
     def to_rows(self) -> list[dict]:
@@ -153,25 +185,6 @@ def _completion_as_date(record) -> date:
     return date(int(c), 12, 31)
 
 
-def _make_split(ordinal, train, test, index_of, granularity) -> Split:
-    train_idx = tuple(index_of[r.id] for r in train)
-    test_idx = tuple(index_of[r.id] for r in test)
-    target = (
-        min(test_idx)
-        if test_idx
-        else round(max(train_idx) + granularity.increment, 10)
-    )
-    return Split(
-        ordinal=ordinal,
-        train_ids=tuple(r.id for r in train),
-        test_ids=tuple(r.id for r in test),
-        train_indices=train_idx,
-        test_indices=test_idx,
-        target=target,
-        train_span=round(max(train_idx) - min(train_idx), 10),
-    )
-
-
 def build_split_plan(
     records,
     granularity: Granularity,
@@ -181,126 +194,124 @@ def build_split_plan(
 ) -> SplitPlan:
     """Construct the accumulation plan over chronologically sorted records.
 
-    Splits whose test set would hold fewer than two projects (the
-    relative error is undefined on singletons) are merged forward: their
-    period still joins the next training set but yields no evaluation.
-    The final split always trains on everything and carries no test set.
+    Every training set is a prefix of the sorted records.  Splits whose
+    test set would hold fewer than two projects (the relative error is
+    undefined on singletons) are merged forward: their period still joins
+    the next training set but yields no evaluation.  The final split
+    always trains on everything and carries no test set.
     """
-    records = sorted(records, key=lambda r: (_period_key(r, granularity), str(r.id)))
+    records = list(records)
+    keys = [(_period_key(r, granularity), str(r.id)) for r in records]
+    order = sorted(range(len(records)), key=keys.__getitem__)
+    records = tuple(records[i] for i in order)
     if not records:
         raise SplitError("empty dataset")
     formula = resolve_levels(formula, [r.attributes for r in records])
     wmin = well_formed_min(formula)
-    indices = assign_period_indices([r.completion for r in records], granularity)
-    index_of = {r.id: idx for r, idx in zip(records, indices)}
+    indices = np.array(
+        assign_period_indices([r.completion for r in records], granularity)
+    )
+    indices.setflags(write=False)  # shared by every split of the plan
+    periods = [keys[i][0] for i in order]
+    # bounds[g] is the position of the first record of period g; the last
+    # entry is the record count
+    bounds = [i for i, p in enumerate(periods) if i == 0 or p != periods[i - 1]]
+    bounds.append(len(records))
 
     if overrides is not None:
-        splits = _overridden_splits(records, granularity, mode, wmin, index_of, overrides)
-    elif mode is ChronologyMode.REMAINDER_TEST:
-        splits = _remainder_splits(records, granularity, wmin, index_of)
+        stops = _override_stops(overrides, bounds, mode, wmin)
     else:
-        splits = _accumulation_splits(records, granularity, mode, wmin, index_of)
-
-    return SplitPlan(mode=mode, granularity=granularity, splits=tuple(splits))
-
-
-def _grouped(records, granularity):
-    groups: dict[int, list] = {}
-    for r in records:
-        groups.setdefault(_period_key(r, granularity), []).append(r)
-    return [groups[k] for k in sorted(groups)]
-
-
-def _accumulation_splits(records, granularity, mode, wmin, index_of):
-    groups = _grouped(records, granularity)
-    train: list = []
-    gi = 0
-    while gi < len(groups) and len(train) < wmin:
-        train.extend(groups[gi])
-        gi += 1
-    if len(train) < wmin:
-        raise SplitError(
-            f"only {len(train)} records; a well-formed model needs {wmin}"
-        )
+        stops = bounds[_warm_up(bounds, wmin):-1]
+    # last_done[i]: the latest completion among the first i + 1 records
+    last_done = (
+        list(accumulate(map(_completion_as_date, records), max))
+        if mode is ChronologyMode.DATE_FILTERED_TEST
+        else None
+    )
     splits = []
-    ordinal = 1
-    while gi < len(groups):
-        candidates = groups[gi]
-        if mode is ChronologyMode.DATE_FILTERED_TEST:
-            last_done = max(_completion_as_date(r) for r in train)
-            test = [
-                r
-                for r in candidates
-                if r.start is not None and r.start > last_done
-            ]
-        else:
-            test = list(candidates)
-        if len(test) >= 2:
-            splits.append(_make_split(ordinal, train, test, index_of, granularity))
-            ordinal += 1
-        train = train + candidates
-        gi += 1
-    splits.append(_make_split(ordinal, train, [], index_of, granularity))
-    return splits
 
-
-def _remainder_splits(records, granularity, wmin, index_of):
-    groups = _grouped(records, granularity)
-    train: list = []
-    gi = 0
-    while gi < len(groups) and len(train) < wmin:
-        train.extend(groups[gi])
-        gi += 1
-    if len(train) < wmin:
-        raise SplitError(
-            f"only {len(train)} records; a well-formed model needs {wmin}"
+    def add(stop, test_rows):
+        splits.append(
+            _make_split(len(splits) + 1, stop, test_rows, records, indices, granularity)
         )
-    splits = []
-    ordinal = 1
-    while gi < len(groups):
-        remainder = [r for g in groups[gi:] for r in g]
-        if len(remainder) >= 2:
-            splits.append(_make_split(ordinal, train, remainder, index_of, granularity))
-            ordinal += 1
-        train = train + groups[gi]
-        gi += 1
-    splits.append(_make_split(ordinal, train, [], index_of, granularity))
-    return splits
+
+    for stop in stops:
+        test_rows = _test_rows(stop, records, bounds, mode, last_done)
+        if test_rows.size >= 2:
+            add(stop, test_rows)
+    add(len(records), np.arange(0))
+    return SplitPlan(
+        mode=mode,
+        granularity=granularity,
+        records=records,
+        indices=indices,
+        splits=tuple(splits),
+    )
 
 
-def _overridden_splits(records, granularity, mode, wmin, index_of, overrides):
+def _test_rows(stop, records, bounds, mode, last_done) -> np.ndarray:
+    """Positions of the test records after a training prefix of ``stop``
+    records: the rest of the data, or the next completion period, kept
+    under ``DATE_FILTERED_TEST`` only if started after training ended."""
+    if mode is ChronologyMode.REMAINDER_TEST:
+        return np.arange(stop, len(records))
+    end = bounds[bisect_right(bounds, stop)]
+    if last_done is None:
+        return np.arange(stop, end)
+    return np.array(
+        [
+            i
+            for i in range(stop, end)
+            if records[i].start is not None and records[i].start > last_done[stop - 1]
+        ],
+        dtype=np.intp,
+    )
+
+
+def _make_split(ordinal, stop, test_rows, records, indices, granularity) -> Split:
+    test_rows.setflags(write=False)
+    target = (
+        float(indices[test_rows].min())
+        if test_rows.size
+        else round(float(indices[stop - 1]) + granularity.increment, 10)
+    )
+    return Split(
+        ordinal=ordinal,
+        stop=stop,
+        test_rows=test_rows,
+        target=target,
+        train_span=round(float(indices[stop - 1] - indices[0]), 10),
+        plan_records=records,
+        plan_indices=indices,
+    )
+
+
+def _warm_up(bounds, wmin) -> int:
+    """Number of leading periods the first training set takes: the fewest
+    whose records reach ``wmin``."""
+    for g, stop in enumerate(bounds):
+        if stop >= wmin:
+            return g
+    raise SplitError(f"only {bounds[-1]} records; a well-formed model needs {wmin}")
+
+
+def _override_stops(overrides, bounds, mode, wmin) -> list[int]:
+    """Validated training sizes; outside remainder tests each must end a
+    completion period."""
     sizes = list(overrides)
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise SplitError(f"override sizes must be strictly increasing: {sizes}")
-    splits = []
-    ordinal = 1
+    n_records = bounds[-1]
     for n in sizes:
         if n < wmin:
             raise SplitError(
                 f"override training size {n} below well-formed minimum {wmin}"
             )
-        if n >= len(records):
+        if n >= n_records:
             raise SplitError(
                 f"override training size {n} leaves no test records "
-                f"(dataset has {len(records)})"
+                f"(dataset has {n_records})"
             )
-        train = records[:n]
-        rest = records[n:]
-        if mode is ChronologyMode.REMAINDER_TEST:
-            test = rest
-        else:
-            if _period_key(train[-1], granularity) == _period_key(rest[0], granularity):
-                raise SplitError(
-                    f"override size {n} cuts a completion period in half"
-                )
-            next_key = _period_key(rest[0], granularity)
-            test = [r for r in rest if _period_key(r, granularity) == next_key]
-            if mode is ChronologyMode.DATE_FILTERED_TEST:
-                last_done = max(_completion_as_date(r) for r in train)
-                test = [r for r in test if r.start is not None and r.start > last_done]
-        if len(test) < 2:
-            continue
-        splits.append(_make_split(ordinal, train, test, index_of, granularity))
-        ordinal += 1
-    splits.append(_make_split(ordinal, list(records), [], index_of, granularity))
-    return splits
+        if mode is not ChronologyMode.REMAINDER_TEST and n not in bounds:
+            raise SplitError(f"override size {n} cuts a completion period in half")
+    return sizes

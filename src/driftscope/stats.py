@@ -1,6 +1,6 @@
 # Regression machinery: model formulas, design matrices with log
-# transforms and dummy coding, weighted least squares, prediction with
-# back-transformation, and the variance-ratio relative error.
+# transforms and dummy coding, weighted least squares, prediction on the
+# transformed scale, and the variance-ratio relative error.
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "build_design_matrix",
     "weighted_least_squares",
     "predict",
-    "back_transform",
     "relative_error",
     "sample_variance",
 ]
@@ -140,6 +139,16 @@ class DesignMatrix:
     @property
     def n_columns(self) -> int:
         return self.matrix.shape[1]
+
+    def subset(self, rows) -> "DesignMatrix":
+        """The design of the records ``rows`` selects (a slice or an index
+        array), with the same columns."""
+        return DesignMatrix(
+            matrix=self.matrix[rows],
+            response=self.response[rows],
+            labels=self.labels,
+            levels=self.levels,
+        )
 
 
 def _transformed(value, transform: str, column: str) -> float:
@@ -309,11 +318,6 @@ def predict(model: FittedModel, design: DesignMatrix) -> np.ndarray:
             f"design columns {design.labels} do not match model columns {model.labels}"
         )
     return model.coefficients @ design.matrix.T
-
-
-def back_transform(log_predictions) -> np.ndarray:
-    """Undo the natural-log response transform."""
-    return np.exp(np.asarray(log_predictions, dtype=float))
 
 
 def sample_variance(values) -> float:

@@ -1,6 +1,9 @@
 import math
+from datetime import date, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as stn
 
 from driftscope import analysis, stats
 from driftscope.analysis import (
@@ -14,9 +17,16 @@ from driftscope.analysis import (
     stationarity_verdict,
     summarize,
 )
-from driftscope.chronology import ChronologyMode, build_split_plan
-from driftscope.datasets import SynthConfig, synthesize
+from driftscope.chronology import (
+    ChronologyMode,
+    SplitError,
+    build_split_plan,
+    resolve_levels,
+    well_formed_min,
+)
+from driftscope.datasets import ProjectRecord, SynthConfig, synthesize
 from driftscope.kernels import Granularity, KernelKind
+from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
 ALL_KERNELS = (
     KernelKind.GAUSSIAN,
@@ -44,27 +54,21 @@ def _plan(dataset):
 class TestFitCell:
     def test_uniform_kernel_curves_coincide(self, stationary_dataset):
         split = _plan(stationary_dataset).splits[0]
-        cell = fit_cell(
-            stationary_dataset, split, stationary_dataset.formula,
-            KernelKind.UNIFORM, 10.0,
-        )
+        cell = fit_cell(split, stationary_dataset.formula, KernelKind.UNIFORM, 10.0)
         assert cell.re_train_nu == cell.re_train_u
         assert cell.re_test_nu == cell.re_test_u
 
     def test_noiseless_data_gives_zero_res(self):
         ds = synthesize(SynthConfig(seed=3, noise_sd=0.0))
         split = _plan(ds).splits[0]
-        cell = fit_cell(ds, split, ds.formula, KernelKind.GAUSSIAN, 5.0)
+        cell = fit_cell(split, ds.formula, KernelKind.GAUSSIAN, 5.0)
         assert cell.re_train_nu == pytest.approx(0.0, abs=1e-12)
         assert cell.re_test_nu == pytest.approx(0.0, abs=1e-12)
         assert cell.re_train_u == pytest.approx(0.0, abs=1e-12)
 
     def test_all_data_split_has_no_test_res(self, stationary_dataset):
         split = _plan(stationary_dataset).splits[-1]
-        cell = fit_cell(
-            stationary_dataset, split, stationary_dataset.formula,
-            KernelKind.GAUSSIAN, 5.0,
-        )
+        cell = fit_cell(split, stationary_dataset.formula, KernelKind.GAUSSIAN, 5.0)
         assert cell.re_test_nu is None and cell.re_test_u is None
 
 
@@ -161,6 +165,76 @@ class TestRunSweep:
         with pytest.raises(SweepError) as info:
             run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,))
         assert str(info.value) == "[split 1, kernel gaussian, bandwidth 3] singular design"
+
+
+CATEGORICAL = ModelFormula(
+    response="effort",
+    terms=(Term("size", transform=LOG), Term("lang", kind="categorical", reference="a")),
+)
+
+
+@stn.composite
+def _plans(draw):
+    """A split plan in any mode and granularity over records with a
+    numeric and a categorical term, with or without split overrides."""
+    n = draw(stn.integers(6, 40))
+    mode = draw(stn.sampled_from(ChronologyMode))
+    granularity = draw(stn.sampled_from(Granularity))
+    days = draw(stn.lists(stn.integers(0, 2000), min_size=n, max_size=n))
+    langs = draw(stn.lists(stn.sampled_from("abc"), min_size=n, max_size=n))
+    records = [
+        ProjectRecord(
+            id=f"p{i:02d}",
+            completion=date(1990, 1, 1) + timedelta(days=d),
+            start=date(1990, 1, 1) + timedelta(days=d - draw(stn.integers(1, 400))),
+            attributes={
+                "size": draw(stn.floats(1.0, 1e4)),
+                "effort": draw(stn.floats(1.0, 1e5)),
+                "lang": "a" if i == 0 else lang,
+            },
+        )
+        for i, (d, lang) in enumerate(zip(days, langs))
+    ]
+    overrides = None
+    if mode is ChronologyMode.REMAINDER_TEST and draw(stn.booleans()):
+        wmin = well_formed_min(resolve_levels(CATEGORICAL, [r.attributes for r in records]))
+        overrides = sorted(draw(stn.sets(stn.integers(wmin, n - 1), min_size=1, max_size=4)))
+    try:
+        plan = build_split_plan(records, granularity, mode, CATEGORICAL, overrides=overrides)
+    except SplitError:
+        assume(False)
+    return records, plan
+
+
+def _assert_same_design(got, want):
+    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.response, want.response)
+    assert got.labels == want.labels
+    assert got.levels == want.levels
+
+
+class TestPlanDesign:
+    """The sweep builds one design over the plan's records and hands each
+    split row ranges of it."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_plans())
+    def test_split_rows_equal_their_own_design(self, case):
+        records, plan = case
+        by_id = {r.id: r for r in records}
+        formula = resolve_levels(CATEGORICAL, [r.attributes for r in records])
+        design = build_design_matrix([r.attributes for r in plan.records], CATEGORICAL)
+        for split in plan.splits:
+            train = build_design_matrix(
+                [by_id[i].attributes for i in split.train_ids], formula
+            )
+            _assert_same_design(design.subset(slice(split.stop)), train)
+            if split.test_ids:
+                test = build_design_matrix(
+                    [by_id[i].attributes for i in split.test_ids], formula,
+                    levels=train.levels,
+                )
+                _assert_same_design(design.subset(split.test_rows), test)
 
 
 class TestDetectConvergence:

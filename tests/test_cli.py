@@ -116,6 +116,22 @@ class TestSweep:
             "weights must be strictly positive"
         )
 
+    def test_unbuildable_design_exits_3_before_any_split(self, synth_csv, tmp_path, capsys):
+        # The design is built once, before any split runs, so a value the
+        # log transform rejects is reported without split coordinates,
+        # even when only the final all-data split trains on its record.
+        data, _ = synth_csv
+        lines = data.read_text().splitlines()
+        fields = lines[-1].split(",")
+        lines[-1] = ",".join([*fields[:3], "0"])  # the last record's size
+        data.write_text("\n".join(lines) + "\n")
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
+        assert code == 3
+        assert capsys.readouterr().err.strip() == (
+            "driftscope: cannot log-transform nonpositive size=0.0"
+        )
+        assert not out.exists()
+
     def test_custom_grid_honored(self, synth_csv, tmp_path):
         code, out = self._run(
             synth_csv, tmp_path, "--kernels", "epanechnikov", "--grid", "17:100:1"

@@ -1,11 +1,12 @@
 import math
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings, strategies as stn
 
 from driftscope.chronology import ChronologyMode
 from driftscope.datasets import (
+    _DATE_FORMATS,
     BUILTIN_NAMES,
     COCOMO_MODES,
     CocomoMode,
@@ -20,6 +21,7 @@ from driftscope.datasets import (
     synth_descriptor,
     synthesize,
     write_csv,
+    _parse_date,
 )
 from driftscope.kernels import Granularity
 from driftscope.stats import weighted_least_squares, build_design_matrix
@@ -129,6 +131,53 @@ class TestLoadDataset:
         ds = load_dataset(d, csv_text)
         assert ds.records[0].completion == date(1994, 9, 9)
         assert ds.records[1].completion == date(1994, 9, 30)
+
+
+def _strptime_date(text):
+    """The date loop alone, without the ISO fast path: the reference."""
+    text = text.strip()
+    for fmt in _DATE_FORMATS:
+        try:
+            return datetime.strptime(text, fmt).date()
+        except ValueError:
+            continue
+    return None
+
+
+def _date_texts():
+    digits = stn.text("0123456789", min_size=1, max_size=5)
+    some = stn.text(min_size=0, max_size=3)
+    parts = stn.tuples(digits, stn.sampled_from("-/ ٠"), digits, stn.sampled_from("-/"), digits)
+    return stn.one_of(
+        # valid dates, in every format the loader reads
+        stn.builds(
+            lambda d, fmt: d.strftime(fmt),
+            stn.dates(date(1000, 1, 1), date(9999, 12, 31)),
+            stn.sampled_from(_DATE_FORMATS),
+        ),
+        # ISO-shaped text: out-of-range fields, no zero padding, odd separators
+        parts.map("".join),
+        stn.builds(lambda a, t, b: a + t + b, some, stn.dates().map(date.isoformat), some),
+        stn.sampled_from(["2001-02-29", "0000-01-01", "2001-1-5", " 2001-01-05 ",
+                          "2001-01-05\n", "２００１-０１-０５", "٢٠٠١-٠١-٠٥"]),
+    )
+
+
+class TestParseDate:
+    @settings(max_examples=500)
+    @given(_date_texts())
+    def test_matches_the_strptime_loop(self, text):
+        expected = _strptime_date(text)
+        if expected is None:
+            with pytest.raises(DataError, match="unparseable date"):
+                _parse_date(text, "c")
+        else:
+            assert _parse_date(text, "c") == expected
+
+    def test_iso_date(self):
+        assert _parse_date("2003-02-13", "c") == date(2003, 2, 13)
+        with pytest.raises(DataError):
+            _parse_date("2003-02-30", "c")
 
 
 class TestCocomo:

@@ -12,7 +12,6 @@ from driftscope.stats import (
     SingularDesignError,
     Term,
     WeightError,
-    back_transform,
     build_design_matrix,
     predict,
     relative_error,
@@ -300,18 +299,6 @@ class TestPredict:
         assert predictions.shape == (2, 2)
         for row in predictions:
             assert row == pytest.approx([21.0, 41.0])
-
-
-class TestBackTransform:
-    def test_zero_maps_to_one(self):
-        assert back_transform([0.0]) == pytest.approx([1.0])
-
-    def test_inverse_of_log(self):
-        assert back_transform([math.log(152.0)])[0] == pytest.approx(152.0)
-
-    @given(stn.floats(min_value=1e-6, max_value=1e6))
-    def test_round_trip(self, v):
-        assert back_transform([math.log(v)])[0] == pytest.approx(v, rel=1e-12)
 
 
 class TestRelativeError:

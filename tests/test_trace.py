@@ -47,3 +47,8 @@ def test_every_span_is_called(tracer_cls, tmp_path):
     # one uniform fit and one stacked fit per default kernel, per split
     splits = layers["chronology.splits"]
     assert layers["stats.weighted_least_squares.calls"] == splits * 4
+    # one design per sweep, one row per record; splits take row ranges of it
+    assert layers["stats.build_design_matrix.calls"] == 1
+    records = layers["datasets.load_dataset.rows"]
+    assert records == 60
+    assert layers["stats.build_design_matrix.rows"] == records
