@@ -291,13 +291,10 @@ _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y", "%d/%m/%y", "%d-%b-%y", "%d-%b-%Y")
 def _parse_date(text: str, column: str) -> date:
     text = text.strip()
     # Fast path for zero-padded ISO dates, which strptime's first format
-    # would read the same way; anything else goes to the strptime loop.
-    if (
-        len(text) == 10
-        and text[4] == text[7] == "-"
-        and text.isascii()
-        and text.replace("-", "").isdigit()
-    ):
+    # reads the same way.  The shape check keeps out the other forms
+    # fromisoformat takes (20010105, 2001-W01-1); anything else goes to
+    # the strptime loop.
+    if len(text) == 10 and text[4] == text[7] == "-":
         try:
             return date.fromisoformat(text)
         except ValueError:

@@ -226,6 +226,24 @@ class TestDateFilteredTest:
             if s.test_ids:
                 assert set(s.test_ids) <= plain_tests[min(s.test_indices)]
 
+    def test_start_on_last_training_completion_is_excluded(self):
+        # A test project must start strictly after the last training
+        # project completed.
+        records = self._dated(
+            [
+                (1994, 6, 1, 1994, 1, 1),
+                (1994, 8, 1, 1994, 2, 1),
+                (1994, 11, 30, 1994, 3, 1),
+                (1995, 3, 1, 1994, 11, 30),  # starts the day training ends
+                (1995, 5, 1, 1994, 12, 1),
+                (1995, 8, 1, 1995, 1, 10),
+            ]
+        )
+        plan = build_split_plan(
+            records, Granularity.YEARLY, ChronologyMode.DATE_FILTERED_TEST, ONE_TERM
+        )
+        assert plan.splits[0].test_ids == ("d004", "d005")
+
     def test_year_only_completions_end_their_year(self):
         # Integer completion years, as maxwell publishes them, end on 31
         # December: a project tests after a training set that completed

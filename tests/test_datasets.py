@@ -159,7 +159,8 @@ def _date_texts():
         parts.map("".join),
         stn.builds(lambda a, t, b: a + t + b, some, stn.dates().map(date.isoformat), some),
         stn.sampled_from(["2001-02-29", "0000-01-01", "2001-1-5", " 2001-01-05 ",
-                          "2001-01-05\n", "２００１-０１-０５", "٢٠٠١-٠١-٠٥"]),
+                          "2001-01-05\n", "２００１-０１-０５", "٢٠٠١-٠١-٠٥",
+                          "20010105", "2001-W01-1", "2001-01-5 ", "2001-+1-05"]),
     )
 
 
