@@ -26,12 +26,9 @@ from .chronology import (
 from .datasets import (
     Dataset,
     DatasetDescriptor,
-    EffortMultipliers,
     ProjectRecord,
     SynthConfig,
     builtin_descriptor,
-    cocomo_effort,
-    effective_multiplier,
     load_dataset,
     synthesize,
 )
@@ -64,9 +61,8 @@ __all__ = [
     "stationarity_verdict", "summarize",
     "ChronologyMode", "Split", "SplitPlan", "build_split_plan",
     "completion_date", "well_formed_min",
-    "Dataset", "DatasetDescriptor", "EffortMultipliers", "ProjectRecord",
-    "SynthConfig", "builtin_descriptor", "cocomo_effort",
-    "effective_multiplier", "load_dataset", "synthesize",
+    "Dataset", "DatasetDescriptor", "ProjectRecord",
+    "SynthConfig", "builtin_descriptor", "load_dataset", "synthesize",
     "BandwidthGrid", "Granularity", "KernelKind",
     "assign_period_indices", "build_grid", "decay_horizon", "kernel_weight",
     "min_bandwidth", "weights_for_target",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .kernels import (
 __all__ = [
     "AnalysisConfig",
     "SweepCell",
+    "Curve",
     "SweepResult",
     "SweepError",
     "ConvergencePoint",
@@ -84,18 +86,48 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
+class Curve:
+    """One (split, kernel) slice: the weighted relative errors along the
+    kernel's bandwidth grid, and the flat unweighted values they are read
+    against."""
+
+    split: int
+    kernel: KernelKind
+    bandwidths: tuple[float, ...]  # the kernel's grid, shared by every split
+    re_train_nu: list[float]
+    re_test_nu: list[float] | None  # None on the all-data split
+    re_train_u: float
+    re_test_u: float | None
+
+    def cells(self) -> tuple[SweepCell, ...]:
+        re_test_nu = self.re_test_nu
+        if re_test_nu is None:
+            re_test_nu = [None] * len(self.bandwidths)
+        return tuple(
+            SweepCell(
+                self.split, self.kernel, b, train_nu, test_nu,
+                self.re_train_u, self.re_test_u,
+            )
+            for b, train_nu, test_nu in zip(self.bandwidths, self.re_train_nu, re_test_nu)
+        )
+
+
+@dataclass(frozen=True)
 class SweepResult:
     dataset: str
     config: AnalysisConfig
     kernels: tuple[KernelKind, ...]
     grids: dict  # KernelKind -> BandwidthGrid
     plan: SplitPlan
-    cells: tuple[SweepCell, ...]
+    curves: dict  # (split ordinal, KernelKind) -> Curve, split-major
 
-    def curve(self, split: int, kernel: KernelKind) -> list[SweepCell]:
-        return [
-            c for c in self.cells if c.split == split and c.kernel == kernel
-        ]
+    def curve(self, split: int, kernel: KernelKind) -> Curve:
+        return self.curves[split, kernel]
+
+    @property
+    def cells(self) -> tuple[SweepCell, ...]:
+        """One cell per (split, kernel, bandwidth), built on request."""
+        return tuple(cell for curve in self.curves.values() for cell in curve.cells())
 
 
 def _relative_errors(model, design, actuals, log_scale: bool):
@@ -117,10 +149,10 @@ def _plan_design(records, formula):
     return design, actuals
 
 
-def _split_cells(split: Split, design, actuals, formula, bandwidths) -> list[SweepCell]:
-    """Every cell of one split, on the rows of the plan-ordered ``design``
-    and ``actuals`` that the split selects.  The uniform fit is made once;
-    each kernel's weights come as one row per value of
+def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Curve]:
+    """One curve per kernel of one split, on the rows of the plan-ordered
+    ``design`` and ``actuals`` that the split selects.  The uniform fit is
+    made once; each kernel's weights come as one row per value of
     ``bandwidths[kind]``, and all rows get one stacked weighted fit."""
     log_scale = formula.response_transform == stats.LOG
     train = design.subset(slice(split.stop))
@@ -148,7 +180,7 @@ def _split_cells(split: Split, design, actuals, formula, bandwidths) -> list[Swe
             exc, split=split.ordinal, kernel=first, bandwidth=bandwidths[first][0]
         ) from exc
 
-    cells = []
+    curves = []
     for kind, values in bandwidths.items():
         try:
             weights = weights_for_target(
@@ -159,7 +191,7 @@ def _split_cells(split: Split, design, actuals, formula, bandwidths) -> list[Swe
         if kind is KernelKind.UNIFORM:
             # every weight is 1, so the uniform fit is this kernel's fit
             re_train_nu = [re_train_u] * len(values)
-            re_test_nu = [re_test_u] * len(values)
+            re_test_nu = None if re_test_u is None else [re_test_u] * len(values)
         else:
             try:
                 model = stats.weighted_least_squares(train, weights)
@@ -170,29 +202,21 @@ def _split_cells(split: Split, design, actuals, formula, bandwidths) -> list[Swe
                     exc, split=split.ordinal, kernel=kind,
                     bandwidth=values[getattr(exc, "row", 0)],
                 ) from exc
+            # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
             re_train_nu = re_train_nu.tolist()
-            re_test_nu = (
-                [None] * len(values) if re_test_nu is None else re_test_nu.tolist()
-            )
-        cells.extend(
-            SweepCell(
-                split=split.ordinal,
-                kernel=kind,
-                bandwidth=b,
-                re_train_nu=train_nu,
-                re_test_nu=test_nu,
-                re_train_u=re_train_u,
-                re_test_u=re_test_u,
-            )
-            for b, train_nu, test_nu in zip(values, re_train_nu, re_test_nu)
+            if re_test_nu is not None:
+                re_test_nu = re_test_nu.tolist()
+        curves.append(
+            Curve(split.ordinal, kind, values, re_train_nu, re_test_nu, re_train_u, re_test_u)
         )
-    return cells
+    return curves
 
 
 def fit_cell(split: Split, formula, kind: KernelKind, bandwidth: float) -> SweepCell:
     """Fit the weighted and unweighted models for one grid cell."""
     design, actuals = _plan_design(split.plan_records, formula)
-    return _split_cells(split, design, actuals, formula, {kind: (bandwidth,)})[0]
+    (curve,) = _split_curves(split, design, actuals, formula, {kind: (bandwidth,)})
+    return curve.cells()[0]
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
@@ -228,16 +252,17 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
 
     design, actuals = _plan_design(plan.records, dataset.formula)
     bandwidths = {kind: grids[kind].values for kind in kernels}
-    cells = []
+    curves = {}
     for split in plan.splits:
-        cells.extend(_split_cells(split, design, actuals, dataset.formula, bandwidths))
+        for curve in _split_curves(split, design, actuals, dataset.formula, bandwidths):
+            curves[curve.split, curve.kernel] = curve
     return SweepResult(
         dataset=dataset.name,
         config=config,
         kernels=kernels,
         grids=grids,
         plan=plan,
-        cells=tuple(cells),
+        curves=curves,
     )
 
 
@@ -336,20 +361,18 @@ class SweepSummary:
     kernel_agreement: float | None  # None with fewer than 2 weighted kernels
     test_re_range: dict  # split ordinal -> (min, max) over all test REs
 
+    @cached_property
+    def _by_key(self) -> dict:
+        return {(v.split, v.kernel): v for v in self.verdicts}
+
     def verdict(self, split: int, kernel: KernelKind) -> StationarityVerdict:
-        for v in self.verdicts:
-            if v.split == split and v.kernel == kernel:
-                return v
-        raise KeyError((split, kernel))
+        return self._by_key[split, kernel]
 
 
 def summarize(sweep: SweepResult, config: AnalysisConfig | None = None) -> SweepSummary:
     """Per-split, per-kernel verdicts plus cross-kernel agreement and the
     spread of test relative errors."""
     config = config or sweep.config
-    curves: dict = {}
-    for c in sweep.cells:
-        curves.setdefault((c.split, c.kernel), []).append(c)
     weighted = [k for k in sweep.kernels if k is not KernelKind.UNIFORM]
     verdicts = []
     test_re_range = {}
@@ -359,20 +382,16 @@ def summarize(sweep: SweepResult, config: AnalysisConfig | None = None) -> Sweep
         calls = set()
         test_res = []
         for kind in sweep.kernels:
-            curve = curves[split.ordinal, kind]
+            curve = sweep.curves[split.ordinal, kind]
             point = detect_convergence(
-                [(c.bandwidth, c.re_train_nu) for c in curve],
-                curve[0].re_train_u,
-                config.epsilon,
+                zip(curve.bandwidths, curve.re_train_nu), curve.re_train_u, config.epsilon
             )
             verdict = stationarity_verdict(point, kind, span, config, split=split.ordinal)
             verdicts.append(verdict)
             if kind in weighted:
                 calls.add(verdict.classification)
-            test_res += [
-                re for c in curve if c.re_test_nu is not None
-                for re in (c.re_test_nu, c.re_test_u)
-            ]
+            if curve.re_test_nu is not None:
+                test_res += (min(curve.re_test_nu), max(curve.re_test_nu), curve.re_test_u)
         agree += len(calls) == 1
         if test_res:
             test_re_range[split.ordinal] = (min(test_res), max(test_res))

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .analysis import AnalysisConfig, SweepCell, SweepError, run_sweep, summarize
 from .datasets import (
-    COCOMO_MODES,
     BUILTIN_NAMES,
     DataError,
     DatasetDescriptor,
@@ -30,7 +29,7 @@ from .datasets import (
     synthesize,
     write_csv,
 )
-from .kernels import KernelKind, min_bandwidth
+from .kernels import MAX_GRID_VALUES, KernelKind, grid_size, min_bandwidth
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -89,6 +88,11 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"non-numeric grid bounds in {text!r}") from None
+    # counted before any value is made
+    if step > 0 and grid_size(lo, hi, step) > MAX_GRID_VALUES:
+        raise _UsageError(
+            f"grid {text!r} has more than {MAX_GRID_VALUES} bandwidths"
+        )
     return lo, hi, step
 
 
@@ -149,12 +153,6 @@ def cmd_describe(args) -> int:
     for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
         b = min_bandwidth(kind, 16.0, 1.0)
         print(f"             a 16-period span: {kind.value} >= {b:g}")
-    if descriptor.name == "nasa93":
-        print("development modes (effort = a * KLOC^b * prod EM):")
-        for constants in COCOMO_MODES.values():
-            print(
-                f"  {constants.mode.value:<13} a={constants.a:<4g} b={constants.b:g}"
-            )
     return 0
 
 
@@ -169,24 +167,40 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _curves_text(result) -> str:
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CURVE_COLUMNS)
-    for c in result.cells:
-        writer.writerow(
-            [
-                result.dataset,
-                c.split,
-                c.kernel.value,
-                repr(c.bandwidth),
-                repr(c.re_train_nu),
-                "" if c.re_test_nu is None else repr(c.re_test_nu),
-                repr(c.re_train_u),
-                "" if c.re_test_u is None else repr(c.re_test_u),
-            ]
-        )
-    return buf.getvalue()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _curves_text(result) -> str:
+    """curves.csv, written one (split, kernel) block at a time.  The bytes
+    are those of ``csv.writer`` row by row; only the dataset name can need
+    quoting, since int, kernel and float reprs never do."""
+    name = _csv_field(result.dataset)
+    bandwidths = {
+        kind: [repr(b) for b in grid.values] for kind, grid in result.grids.items()
+    }
+    blocks = [",".join(CURVE_COLUMNS) + "\r\n"]
+    for curve in result.curves.values():
+        head = f"{name},{curve.split},{curve.kernel.value},"
+        train_u = repr(curve.re_train_u)
+        if curve.re_test_nu is None:
+            rows = (
+                f"{head}{b},{train_nu!r},,{train_u},\r\n"
+                for b, train_nu in zip(bandwidths[curve.kernel], curve.re_train_nu)
+            )
+        else:
+            test_u = repr(curve.re_test_u)
+            rows = (
+                f"{head}{b},{train_nu!r},{test_nu!r},{train_u},{test_u}\r\n"
+                for b, train_nu, test_nu in zip(
+                    bandwidths[curve.kernel], curve.re_train_nu, curve.re_test_nu
+                )
+            )
+        blocks.append("".join(rows))
+    return "".join(blocks)
 
 
 def read_curves(path) -> list[SweepCell]:
@@ -264,7 +278,7 @@ def cmd_sweep(args) -> int:
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(
         f"{result.dataset}: {len(result.plan.splits)} splits, "
-        f"{len(result.cells)} cells -> {out}"
+        f"{sum(len(c.bandwidths) for c in result.curves.values())} cells -> {out}"
     )
     return 0
 

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from enum import Enum
 
 import numpy as np
 
@@ -26,17 +25,11 @@ __all__ = [
     "ProjectRecord",
     "Dataset",
     "DatasetDescriptor",
-    "CocomoMode",
-    "CocomoModeConstants",
-    "COCOMO_MODES",
-    "EffortMultipliers",
     "SynthConfig",
     "builtin_descriptor",
     "BUILTIN_NAMES",
     "load_dataset",
     "write_csv",
-    "effective_multiplier",
-    "cocomo_effort",
     "synth_descriptor",
     "synthesize",
 ]
@@ -480,75 +473,6 @@ def write_csv(dataset: Dataset, descriptor: DatasetDescriptor, path) -> None:
                 v = r.attributes[col]
                 row[col] = repr(v) if isinstance(v, float) else str(v)
             writer.writerow(row)
-
-
-# --- COCOMO81 --------------------------------------------------------------
-
-
-class CocomoMode(Enum):
-    ORGANIC = "organic"
-    SEMI_DETACHED = "semidetached"
-    EMBEDDED = "embedded"
-
-
-@dataclass(frozen=True)
-class CocomoModeConstants:
-    mode: CocomoMode
-    a: float
-    b: float
-
-
-COCOMO_MODES = {
-    CocomoMode.ORGANIC: CocomoModeConstants(CocomoMode.ORGANIC, 3.2, 1.05),
-    CocomoMode.SEMI_DETACHED: CocomoModeConstants(CocomoMode.SEMI_DETACHED, 3.0, 1.12),
-    CocomoMode.EMBEDDED: CocomoModeConstants(CocomoMode.EMBEDDED, 2.8, 1.20),
-}
-
-
-@dataclass(frozen=True)
-class EffortMultipliers:
-    """The 15 COCOMO81 cost drivers; 1.0 is the nominal (no-adjustment)
-    rating for every driver."""
-
-    acap: float = 1.0
-    pcap: float = 1.0
-    aexp: float = 1.0
-    modp: float = 1.0
-    tool: float = 1.0
-    vexp: float = 1.0
-    lexp: float = 1.0
-    sced: float = 1.0
-    data: float = 1.0
-    turn: float = 1.0
-    virt: float = 1.0
-    stor: float = 1.0
-    time: float = 1.0
-    rely: float = 1.0
-    cplx: float = 1.0
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.acap, self.pcap, self.aexp, self.modp, self.tool,
-            self.vexp, self.lexp, self.sced, self.data, self.turn,
-            self.virt, self.stor, self.time, self.rely, self.cplx,
-        )
-
-
-def effective_multiplier(em: EffortMultipliers) -> float:
-    values = em.as_tuple()
-    if any(v <= 0 for v in values):
-        raise ValueError("effort multipliers must be strictly positive")
-    return math.prod(values)
-
-
-def cocomo_effort(
-    mode: CocomoModeConstants, kloc: float, em: EffortMultipliers
-) -> float:
-    """Nominal person-month effort: a * KLOC^b scaled by the product of
-    the effort multipliers."""
-    if kloc <= 0:
-        raise ValueError(f"kloc must be positive, got {kloc}")
-    return mode.a * kloc**mode.b * effective_multiplier(em)
 
 
 # --- synthetic datasets ----------------------------------------------------

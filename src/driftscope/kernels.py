@@ -22,6 +22,8 @@ __all__ = [
     "KernelKind",
     "BandwidthError",
     "BandwidthGrid",
+    "MAX_GRID_VALUES",
+    "grid_size",
     "assign_period_indices",
     "kernel_weight",
     "weights_for_target",
@@ -170,6 +172,16 @@ def min_bandwidth(
     return candidate
 
 
+MAX_GRID_VALUES = 100_000
+
+
+def grid_size(lo: float, hi: float, step: float) -> float:
+    """Number of values from ``lo`` to ``hi`` at a positive ``step``,
+    counted without making them; ``inf`` for an unbounded grid."""
+    n = (hi - lo) / step + 1e-9
+    return n if math.isinf(n) else math.floor(n) + 1
+
+
 @dataclass(frozen=True)
 class BandwidthGrid:
     """Ascending bandwidth values from lo to hi at a fixed step."""
@@ -186,7 +198,12 @@ class BandwidthGrid:
             raise ValueError(f"grid lower bound must be positive, got {self.lo}")
         if self.lo > self.hi + 1e-9:
             raise ValueError(f"empty grid: lo {self.lo} exceeds hi {self.hi}")
-        n = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
+        n = grid_size(self.lo, self.hi, self.step)
+        if n > MAX_GRID_VALUES:
+            raise BandwidthError(
+                f"grid {self.lo:g}:{self.hi:g}:{self.step:g} has more than "
+                f"{MAX_GRID_VALUES} values"
+            )
         object.__setattr__(
             self,
             "values",

@@ -333,8 +333,8 @@ def test_uniform_training_error_bound_on_non_stationary_splits():
             if verdict.classification is not Classification.NON_STATIONARY:
                 continue
             curve = sweep.curve(verdict.split, KernelKind.GAUSSIAN)
-            best_nu = min(c.re_train_nu for c in curve)
-            uniform = curve[0].re_train_u
+            best_nu = min(curve.re_train_nu)
+            uniform = curve.re_train_u
             assert best_nu >= uniform - verdict.epsilon
             checked += 1
     assert checked > 0

@@ -91,9 +91,35 @@ class TestRunSweep:
     def test_uniform_re_constant_across_bandwidth(self, stationary_sweep):
         for split in stationary_sweep.plan.splits:
             for kind in ALL_KERNELS:
-                curve = stationary_sweep.curve(split.ordinal, kind)
+                curve = stationary_sweep.curve(split.ordinal, kind).cells()
                 values = {c.re_train_u for c in curve}
                 assert max(values) - min(values) <= 1e-12
+
+    def test_curves_split_major_with_python_floats(self, stationary_sweep):
+        plan = stationary_sweep.plan
+        assert list(stationary_sweep.curves) == [
+            (split.ordinal, kind) for split in plan.splits for kind in ALL_KERNELS
+        ]
+        for (ordinal, kind), curve in stationary_sweep.curves.items():
+            assert (curve.split, curve.kernel) == (ordinal, kind)
+            assert curve.bandwidths is stationary_sweep.grids[kind].values
+            final = ordinal == plan.splits[-1].ordinal
+            assert (curve.re_test_nu is None) == (curve.re_test_u is None) == final
+            columns = [curve.re_train_nu] + ([] if final else [curve.re_test_nu])
+            for values in columns:
+                assert len(values) == len(curve.bandwidths)
+                assert all(type(re) is float for re in values)
+            assert stationary_sweep.curve(ordinal, kind) is curve
+        cells = stationary_sweep.cells
+        assert cells == tuple(
+            cell for curve in stationary_sweep.curves.values() for cell in curve.cells()
+        )
+        assert [(c.split, c.kernel, c.bandwidth) for c in cells] == [
+            (split.ordinal, kind, b)
+            for split in plan.splits
+            for kind in ALL_KERNELS
+            for b in stationary_sweep.grids[kind].values
+        ]
 
     def test_deterministic(self, stationary_dataset):
         a = run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,))
@@ -104,7 +130,7 @@ class TestRunSweep:
         self, stationary_sweep
     ):
         for split in stationary_sweep.plan.splits:
-            curve = stationary_sweep.curve(split.ordinal, KernelKind.GAUSSIAN)
+            curve = stationary_sweep.curve(split.ordinal, KernelKind.GAUSSIAN).cells()
             first, last = curve[0], curve[-1]
             assert abs(last.re_train_nu - last.re_train_u) <= (
                 abs(first.re_train_nu - first.re_train_u) + 1e-9
@@ -333,3 +359,22 @@ class TestSummarize:
     def test_kernel_agreement_reported(self, stationary_sweep):
         summary = summarize(stationary_sweep)
         assert 0.0 <= summary.kernel_agreement <= 1.0
+
+    def test_verdict_lookup(self, stationary_sweep):
+        summary = summarize(stationary_sweep)
+        for v in summary.verdicts:
+            assert summary.verdict(v.split, v.kernel) is v
+        with pytest.raises(KeyError):
+            summary.verdict(0, KernelKind.GAUSSIAN)
+        with pytest.raises(KeyError):
+            summary.verdict(1, KernelKind.UNIFORM)
+
+    def test_test_re_range_spans_every_test_re(self, stationary_sweep):
+        summary = summarize(stationary_sweep)
+        by_split = {}
+        for c in stationary_sweep.cells:
+            if c.re_test_nu is not None:
+                by_split.setdefault(c.split, []).extend((c.re_test_nu, c.re_test_u))
+        assert summary.test_re_range == {
+            split: (min(res), max(res)) for split, res in by_split.items()
+        }

@@ -1,11 +1,21 @@
 import csv
 import hashlib
+import io
 import json
 
 import pytest
 
-from driftscope.cli import main, read_curves
-from driftscope.datasets import SynthConfig, synth_descriptor, synthesize, write_csv
+from driftscope.analysis import AnalysisConfig, Curve, SweepResult, run_sweep
+from driftscope.cli import CURVE_COLUMNS, _curves_text, main, read_curves
+from driftscope.datasets import (
+    DatasetDescriptor,
+    SynthConfig,
+    load_dataset,
+    synth_descriptor,
+    synthesize,
+    write_csv,
+)
+from driftscope.kernels import BandwidthGrid, KernelKind
 
 
 @pytest.fixture()
@@ -26,12 +36,6 @@ class TestDescribe:
         out = capsys.readouterr().out
         assert "T08" in out and "T09" in out
         assert "ln(Effort) = ln(Size) + T08 + T09" in out
-
-    def test_nasa93_shows_mode_constants(self, capsys):
-        assert main(["describe", "nasa93"]) == 0
-        out = capsys.readouterr().out
-        assert "a=3.2" in out and "b=1.05" in out
-        assert "embedded" in out
 
     def test_descriptor_file(self, synth_csv, capsys):
         _, desc = synth_csv
@@ -203,6 +207,72 @@ class TestSweep:
         assert code == 3
 
 
+def _reference_curves_text(result) -> str:
+    """curves.csv as one csv.writer row per sweep cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CURVE_COLUMNS)
+    for c in result.cells:
+        writer.writerow(
+            [
+                result.dataset,
+                c.split,
+                c.kernel.value,
+                repr(c.bandwidth),
+                repr(c.re_train_nu),
+                "" if c.re_test_nu is None else repr(c.re_test_nu),
+                repr(c.re_train_u),
+                "" if c.re_test_u is None else repr(c.re_test_u),
+            ]
+        )
+    return buf.getvalue()
+
+
+def _hand_built_result(name: str) -> SweepResult:
+    gaussian, uniform = KernelKind.GAUSSIAN, KernelKind.UNIFORM
+    grids = {
+        gaussian: BandwidthGrid(lo=0.5, hi=2.0, step=0.5),
+        uniform: BandwidthGrid(lo=3.0, hi=3.0, step=1.0),  # one value
+    }
+    g, u = grids[gaussian].values, grids[uniform].values
+    curves = [
+        Curve(1, gaussian, g, [0.1 + 0.2, 1 / 3, 2.5e-17, 12345.678901234567],
+              [1.0, 0.5, 1e-05, 7.0], 0.7, 1e300),
+        Curve(1, uniform, u, [0.7], [1e300], 0.7, 1e300),
+        # the all-data split: empty test fields
+        Curve(2, gaussian, g, [0.25, 0.125, 2.0, 3e-08], None, 0.4, None),
+        Curve(2, uniform, u, [0.4], None, 0.4, None),
+    ]
+    return SweepResult(
+        dataset=name,
+        config=AnalysisConfig(),
+        kernels=(gaussian, uniform),
+        grids=grids,
+        plan=None,
+        curves={(c.split, c.kernel): c for c in curves},
+    )
+
+
+class TestCurvesText:
+    @pytest.mark.parametrize("name", ['a,"b"', "plain", "two\nlines", "", " pad "])
+    def test_bytes_match_a_csv_writer(self, name):
+        result = _hand_built_result(name)
+        assert _curves_text(result) == _reference_curves_text(result)
+
+    def test_bytes_match_a_csv_writer_on_a_sweep(self, synth_csv):
+        data, desc = synth_csv
+        dataset = load_dataset(DatasetDescriptor.from_json(desc.read_text()), str(data))
+        result = run_sweep(
+            dataset, (KernelKind.GAUSSIAN, KernelKind.UNIFORM), AnalysisConfig(grid_step=7.0)
+        )
+        text = _curves_text(result)
+        assert text == _reference_curves_text(result)
+        rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        assert len(rows) == len(result.cells)
+        # every number is a plain float repr, not np.float64(...)
+        assert all(repr(float(field)) == field for row in rows for field in row[3:] if field)
+
+
 class TestPlot:
     def test_writes_svg(self, synth_csv, tmp_path):
         data, desc = synth_csv
@@ -304,3 +374,16 @@ class TestUsage:
             ]
         )
         assert code == 1
+
+    def test_grid_above_ceiling(self, synth_csv, tmp_path, capsys):
+        data, desc = synth_csv
+        out = tmp_path / "out"
+        code = main(
+            [
+                "sweep", "--descriptor", str(desc), "--data", str(data),
+                "--grid", "1:100001:1", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "more than 100000 bandwidths" in capsys.readouterr().err
+        assert not out.exists()

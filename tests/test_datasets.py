@@ -8,15 +8,10 @@ from driftscope.chronology import ChronologyMode
 from driftscope.datasets import (
     _DATE_FORMATS,
     BUILTIN_NAMES,
-    COCOMO_MODES,
-    CocomoMode,
     DataError,
     DatasetDescriptor,
-    EffortMultipliers,
     SynthConfig,
     builtin_descriptor,
-    cocomo_effort,
-    effective_multiplier,
     load_dataset,
     synth_descriptor,
     synthesize,
@@ -179,60 +174,6 @@ class TestParseDate:
         assert _parse_date("2003-02-13", "c") == date(2003, 2, 13)
         with pytest.raises(DataError):
             _parse_date("2003-02-30", "c")
-
-
-class TestCocomo:
-    def test_mode_constants(self):
-        assert COCOMO_MODES[CocomoMode.ORGANIC].a == 3.2
-        assert COCOMO_MODES[CocomoMode.ORGANIC].b == 1.05
-        assert COCOMO_MODES[CocomoMode.SEMI_DETACHED].a == 3.0
-        assert COCOMO_MODES[CocomoMode.SEMI_DETACHED].b == 1.12
-        assert COCOMO_MODES[CocomoMode.EMBEDDED].a == 2.8
-        assert COCOMO_MODES[CocomoMode.EMBEDDED].b == 1.20
-
-    def test_effective_multiplier_nominal(self):
-        assert effective_multiplier(EffortMultipliers()) == 1.0
-
-    def test_effective_multiplier_product(self):
-        em = EffortMultipliers(rely=1.2, cplx=0.5)
-        assert effective_multiplier(em) == pytest.approx(0.6)
-
-    def test_zero_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            effective_multiplier(EffortMultipliers(tool=0.0))
-
-    def test_organic_unit_kloc(self):
-        out = cocomo_effort(COCOMO_MODES[CocomoMode.ORGANIC], 1.0, EffortMultipliers())
-        assert out == pytest.approx(3.2)
-
-    def test_embedded_ten_kloc(self):
-        out = cocomo_effort(COCOMO_MODES[CocomoMode.EMBEDDED], 10.0, EffortMultipliers())
-        assert out == pytest.approx(44.38, abs=0.01)
-
-    def test_semidetached_unit_kloc(self):
-        out = cocomo_effort(COCOMO_MODES[CocomoMode.SEMI_DETACHED], 1.0, EffortMultipliers())
-        assert out == pytest.approx(3.0)
-
-    def test_nonpositive_kloc(self):
-        with pytest.raises(ValueError):
-            cocomo_effort(COCOMO_MODES[CocomoMode.ORGANIC], 0.0, EffortMultipliers())
-
-    def test_kloc_one_returns_a_times_eaf(self):
-        em = EffortMultipliers(acap=0.9, stor=1.3)
-        out = cocomo_effort(COCOMO_MODES[CocomoMode.EMBEDDED], 1.0, em)
-        assert out == pytest.approx(2.8 * effective_multiplier(em))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        kloc=stn.floats(min_value=0.1, max_value=1000),
-        factor=stn.floats(min_value=1.001, max_value=2.0),
-    )
-    def test_strictly_increasing(self, kloc, factor):
-        mode = COCOMO_MODES[CocomoMode.ORGANIC]
-        em = EffortMultipliers()
-        assert cocomo_effort(mode, kloc * factor, em) > cocomo_effort(mode, kloc, em)
-        bumped = EffortMultipliers(cplx=factor)
-        assert cocomo_effort(mode, kloc, bumped) > cocomo_effort(mode, kloc, em)
 
 
 class TestSynthesize:

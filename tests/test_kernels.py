@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, strategies as stn
 
 from driftscope.kernels import (
+    MAX_GRID_VALUES,
     BandwidthError,
     BandwidthGrid,
     Granularity,
@@ -13,6 +14,7 @@ from driftscope.kernels import (
     assign_period_indices,
     build_grid,
     decay_horizon,
+    grid_size,
     kernel_weight,
     min_bandwidth,
     weights_for_target,
@@ -208,6 +210,14 @@ class TestBandwidthGrid:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             BandwidthGrid(lo=5.0, hi=1.0, step=1.0)
+
+    def test_ceiling(self):
+        assert grid_size(1.0, 100000.0, 1.0) == MAX_GRID_VALUES
+        assert len(BandwidthGrid(lo=1.0, hi=100000.0, step=1.0).values) == MAX_GRID_VALUES
+        with pytest.raises(BandwidthError, match="more than 100000"):
+            BandwidthGrid(lo=1.0, hi=100001.0, step=1.0)
+        with pytest.raises(BandwidthError):
+            BandwidthGrid(lo=1.0, hi=math.inf, step=1.0)
 
 
 class TestDecayHorizon:

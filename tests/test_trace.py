@@ -52,3 +52,9 @@ def test_every_span_is_called(tracer_cls, tmp_path):
     records = layers["datasets.load_dataset.rows"]
     assert records == 60
     assert layers["stats.build_design_matrix.rows"] == records
+    # the bench reads cells and verdicts off the returned objects: one cell
+    # per curves.csv data row, one verdict per (split, kernel)
+    with open(tmp_path / "out" / "curves.csv", newline="") as fh:
+        rows = len(fh.read().splitlines()) - 1
+    assert layers["analysis.cells"] == rows > 0
+    assert layers["analysis.verdicts"] == splits * 3
