@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from enum import Enum
 
 import numpy as np
 
@@ -25,6 +26,9 @@ __all__ = [
     "ProjectRecord",
     "Dataset",
     "DatasetDescriptor",
+    "CocomoMode",
+    "CocomoModeConstants",
+    "COCOMO_MODES",
     "SynthConfig",
     "builtin_descriptor",
     "BUILTIN_NAMES",
@@ -473,6 +477,29 @@ def write_csv(dataset: Dataset, descriptor: DatasetDescriptor, path) -> None:
                 v = r.attributes[col]
                 row[col] = repr(v) if isinstance(v, float) else str(v)
             writer.writerow(row)
+
+
+# --- COCOMO81 --------------------------------------------------------------
+
+
+class CocomoMode(Enum):
+    ORGANIC = "organic"
+    SEMI_DETACHED = "semidetached"
+    EMBEDDED = "embedded"
+
+
+@dataclass(frozen=True)
+class CocomoModeConstants:
+    mode: CocomoMode
+    a: float
+    b: float
+
+
+COCOMO_MODES = {
+    CocomoMode.ORGANIC: CocomoModeConstants(CocomoMode.ORGANIC, 3.2, 1.05),
+    CocomoMode.SEMI_DETACHED: CocomoModeConstants(CocomoMode.SEMI_DETACHED, 3.0, 1.12),
+    CocomoMode.EMBEDDED: CocomoModeConstants(CocomoMode.EMBEDDED, 2.8, 1.20),
+}
 
 
 # --- synthetic datasets ----------------------------------------------------

@@ -8,6 +8,8 @@ from driftscope.chronology import ChronologyMode
 from driftscope.datasets import (
     _DATE_FORMATS,
     BUILTIN_NAMES,
+    COCOMO_MODES,
+    CocomoMode,
     DataError,
     DatasetDescriptor,
     SynthConfig,
@@ -174,6 +176,16 @@ class TestParseDate:
         assert _parse_date("2003-02-13", "c") == date(2003, 2, 13)
         with pytest.raises(DataError):
             _parse_date("2003-02-30", "c")
+
+
+class TestCocomo:
+    def test_mode_constants(self):
+        assert COCOMO_MODES[CocomoMode.ORGANIC].a == 3.2
+        assert COCOMO_MODES[CocomoMode.ORGANIC].b == 1.05
+        assert COCOMO_MODES[CocomoMode.SEMI_DETACHED].a == 3.0
+        assert COCOMO_MODES[CocomoMode.SEMI_DETACHED].b == 1.12
+        assert COCOMO_MODES[CocomoMode.EMBEDDED].a == 2.8
+        assert COCOMO_MODES[CocomoMode.EMBEDDED].b == 1.20
 
 
 class TestSynthesize:
