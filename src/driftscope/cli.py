@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .analysis import AnalysisConfig, SweepCell, SweepError, run_sweep, summarize
 from .datasets import (
-    COCOMO_MODES,
     BUILTIN_NAMES,
     DataError,
     DatasetDescriptor,
@@ -154,12 +153,6 @@ def cmd_describe(args) -> int:
     for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
         b = min_bandwidth(kind, 16.0, 1.0)
         print(f"             a 16-period span: {kind.value} >= {b:g}")
-    if descriptor.name == "nasa93":
-        print("development modes (effort = a * KLOC^b * prod EM):")
-        for constants in COCOMO_MODES.values():
-            print(
-                f"  {constants.mode.value:<13} a={constants.a:<4g} b={constants.b:g}"
-            )
     return 0
 
 

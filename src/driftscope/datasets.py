@@ -7,13 +7,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from enum import Enum
 
 import numpy as np
 
@@ -26,9 +26,6 @@ __all__ = [
     "ProjectRecord",
     "Dataset",
     "DatasetDescriptor",
-    "CocomoMode",
-    "CocomoModeConstants",
-    "COCOMO_MODES",
     "SynthConfig",
     "builtin_descriptor",
     "BUILTIN_NAMES",
@@ -315,22 +312,23 @@ def _row_passes(row: dict, filt: dict) -> bool:
     raise DataError(f"unrecognized filter: {filt}")
 
 
+def _text_stream(source):
+    """A context manager giving a text stream over ``source``: a file
+    object as it is (left open), CSV text, or a path to open."""
+    if hasattr(source, "read"):
+        return contextlib.nullcontext(source)
+    if isinstance(source, str) and "\n" in source:
+        return io.StringIO(source)
+    return open(source, newline="", encoding="utf-8")
+
+
 def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     """Parse, filter and validate a CSV into a chronologically sorted
     Dataset.  ``source`` is a path, a file object or CSV text."""
-    if hasattr(source, "read"):
-        reader = csv.DictReader(source)
+    with _text_stream(source) as stream:
+        reader = csv.DictReader(stream)
         rows = list(reader)
-        fieldnames = reader.fieldnames
-    elif isinstance(source, str) and "\n" in source:
-        reader = csv.DictReader(io.StringIO(source))
-        rows = list(reader)
-        fieldnames = reader.fieldnames
-    else:
-        with open(source, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-            fieldnames = reader.fieldnames
+    fieldnames = reader.fieldnames
     if not fieldnames:
         raise DataError("CSV has no header row")
 
@@ -477,29 +475,6 @@ def write_csv(dataset: Dataset, descriptor: DatasetDescriptor, path) -> None:
                 v = r.attributes[col]
                 row[col] = repr(v) if isinstance(v, float) else str(v)
             writer.writerow(row)
-
-
-# --- COCOMO81 --------------------------------------------------------------
-
-
-class CocomoMode(Enum):
-    ORGANIC = "organic"
-    SEMI_DETACHED = "semidetached"
-    EMBEDDED = "embedded"
-
-
-@dataclass(frozen=True)
-class CocomoModeConstants:
-    mode: CocomoMode
-    a: float
-    b: float
-
-
-COCOMO_MODES = {
-    CocomoMode.ORGANIC: CocomoModeConstants(CocomoMode.ORGANIC, 3.2, 1.05),
-    CocomoMode.SEMI_DETACHED: CocomoModeConstants(CocomoMode.SEMI_DETACHED, 3.0, 1.12),
-    CocomoMode.EMBEDDED: CocomoModeConstants(CocomoMode.EMBEDDED, 2.8, 1.20),
-}
 
 
 # --- synthetic datasets ----------------------------------------------------

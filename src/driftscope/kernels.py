@@ -125,17 +125,20 @@ def weights_for_target(
 ) -> np.ndarray:
     """Kernel weights of training records relative to a target period.
 
-    Returns one row per bandwidth and one column per record; the lag of a
-    record is its elapsed periods to the target over the bandwidth.
-    Records of one period share a weight, so the kernel is evaluated once
-    per distinct period.
+    Returns one C-ordered row per bandwidth and one column per record; the
+    lag of a record is its elapsed periods to the target over the
+    bandwidth.  Records of one period share a weight, so the kernel is
+    evaluated once per run of equal indices: once per period for records
+    in chronological order, and correctly for any order.
     """
     b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
     if np.any(b <= 0):
         raise BandwidthError(f"bandwidth must be positive, got {b.min()}")
-    origins, record_period = np.unique(
-        np.asarray(indices, dtype=float), return_inverse=True
-    )
+    indices = np.asarray(indices, dtype=float)
+    starts = np.empty(indices.shape, dtype=bool)
+    starts[:1] = True
+    np.not_equal(indices[1:], indices[:-1], out=starts[1:])
+    origins = indices[starts]
     if np.any(origins > target):
         raise ValueError(
             f"origin period {origins.max()} is newer than target period {target}"
@@ -147,7 +150,8 @@ def weights_for_target(
             f"bandwidth {b.min():g} below support minimum for "
             f"{kind.value} kernel (max elapsed {elapsed.max():g})"
         )
-    return kernel_weight(kind, lags)[:, record_period]
+    run = np.cumsum(starts) - 1
+    return np.take(kernel_weight(kind, lags), run, axis=1)
 
 
 def min_bandwidth(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,12 @@ IDENTITY = "identity"
 # its largest is solved directly.  Passing bounds the singular value
 # ratio of sqrt(W)X above 1e-4, far above lstsq's rank cut-off of
 # max(n, p) * eps (2.2e-13 at a thousand rows), so every row that passes
-# is one lstsq would call full rank.
+# is one lstsq would call full rank.  Since X'WX - min(w) X'X and
+# max(w) X'X - X'WX are positive semidefinite, Weyl's inequality gives
+# lambda_min(X'WX) >= min(w) lambda_min(X'X) and
+# lambda_max(X'WX) <= max(w) lambda_max(X'X): a weight row whose
+# min(w)/max(w) times the eigenvalue ratio of X'X exceeds this share
+# passes without its own eigenvalues.
 GRAM_RATIO_MIN = 1e-8
 
 
@@ -140,15 +146,30 @@ class DesignMatrix:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """One row per record: x_i x_i' flattened, then x_i y_i.  A weight
+        row w gives the Gram matrix and moment X'WX, X'Wy as w @ moments."""
+        x = self.matrix
+        n, p = x.shape
+        moments = np.empty((n, p + 1, p))
+        np.multiply(x[:, :, None], x[:, None, :], out=moments[:, :p])
+        np.multiply(x, self.response[:, None], out=moments[:, p])
+        return moments.reshape(n, p * p + p)
+
     def subset(self, rows) -> "DesignMatrix":
         """The design of the records ``rows`` selects (a slice or an index
-        array), with the same columns."""
-        return DesignMatrix(
+        array), with the same columns.  A slice shares this design's row
+        moments, so the training prefixes of one design build them once."""
+        subset = DesignMatrix(
             matrix=self.matrix[rows],
             response=self.response[rows],
             labels=self.labels,
             levels=self.levels,
         )
+        if isinstance(rows, slice):
+            subset.__dict__["moments"] = self.moments[rows]
+        return subset
 
 
 def _transformed(value, transform: str, column: str) -> float:
@@ -245,24 +266,41 @@ class FittedModel:
         return self.design.response - predict(self, self.design)
 
 
-def _solve(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _direct_rows(gram: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Which rows of the stacked Gram matrices ``gram`` = X'W_bX pass
+    ``GRAM_RATIO_MIN``.  Rows whose weights clear the bound of X'X's
+    eigenvalues pass; the others are decided by their own eigenvalues.
+    The bound is asked to clear the guard twice over, a margin far above
+    the rounding of either eigenvalue computation."""
+    eigenvalues = np.linalg.eigvalsh(x.T @ x)
+    direct = (
+        w.min(axis=1) * eigenvalues[0]
+        > 2 * GRAM_RATIO_MIN * w.max(axis=1) * eigenvalues[-1]
+    )
+    check = np.flatnonzero(~direct)
+    if check.size:
+        eigenvalues = np.linalg.eigvalsh(gram[check])
+        direct[check] = eigenvalues[:, 0] > GRAM_RATIO_MIN * eigenvalues[:, -1]
+    return direct
+
+
+def _solve(design: DesignMatrix, w: np.ndarray) -> np.ndarray:
     """Coefficients minimizing sum_i w_bi (y_i - x_i b)^2 for every row b
     of ``w``, one row per fit.
 
     Every row's Gram matrix X'W_bX and moment X'W_by come from one matrix
-    product of ``w`` with the records' outer products x_i x_i' and x_i y_i.
-    Gram matrices that pass ``GRAM_RATIO_MIN`` are solved directly; the
-    rest by an SVD of sqrt(w_b)X, whose singular values at or below
-    max(n, p) * eps times the largest count as zero, the rule
-    ``np.linalg.lstsq`` applies with ``rcond=None``.
+    product of ``w`` with the design's row moments.  Gram matrices that
+    pass ``GRAM_RATIO_MIN`` are solved directly; the rest by an SVD of
+    sqrt(w_b)X, whose singular values at or below max(n, p) * eps times
+    the largest count as zero, the rule ``np.linalg.lstsq`` applies with
+    ``rcond=None``.
     """
+    x, y = design.matrix, design.response
     n, p = x.shape
-    outer = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
-    moments = w @ np.column_stack((outer, x * y[:, None]))
+    moments = w @ design.moments
     gram = moments[:, : p * p].reshape(-1, p, p)
     xty = moments[:, p * p:]
-    eigenvalues = np.linalg.eigvalsh(gram)
-    direct = eigenvalues[:, 0] > GRAM_RATIO_MIN * eigenvalues[:, -1]
+    direct = _direct_rows(gram, w, x)
     coefficients = np.empty((len(w), p))
     coefficients[direct] = np.linalg.solve(gram[direct], xty[direct, :, None])[..., 0]
     rest = np.flatnonzero(~direct)
@@ -301,7 +339,7 @@ def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
         raise SingularDesignError(
             f"{design.n_rows} rows cannot identify {design.n_columns} coefficients"
         )
-    coefficients = _solve(design.matrix, design.response, rows[:stop])
+    coefficients = _solve(design, rows[:stop])
     if stop < len(rows):
         raise WeightError("weights must be strictly positive", row=stop)
     return FittedModel(
@@ -320,11 +358,21 @@ def predict(model: FittedModel, design: DesignMatrix) -> np.ndarray:
     return model.coefficients @ design.matrix.T
 
 
+def _squared_deviations(v: np.ndarray, out=None):
+    """Sum of squared deviations from the mean along the last axis.  Over
+    n - 1 it is ``np.var(v, axis=-1, ddof=1)`` bit for bit: the same mean,
+    differences, squares and pairwise sum, without np.var's dispatch.
+    The deviations go to ``out``, which may be ``v`` itself."""
+    d = np.subtract(v, v.sum(axis=-1, keepdims=True) / v.shape[-1], out=out)
+    np.square(d, out=d)
+    return d.sum(axis=-1)
+
+
 def sample_variance(values) -> float:
     v = np.asarray(values, dtype=float)
     if v.shape[0] < 2:
         raise ValueError(f"variance needs at least 2 points, got {v.shape[0]}")
-    return float(np.var(v, ddof=1))
+    return float(_squared_deviations(v) / (v.shape[0] - 1))
 
 
 def relative_error(predictions, actuals):
@@ -341,10 +389,6 @@ def relative_error(predictions, actuals):
     denom = sample_variance(a)
     if denom <= 0:
         raise ValueError("actuals have zero variance")
-    # np.var(a - p, axis=-1, ddof=1), in the same order of operations but
-    # with one temporary array
     residuals = a - p
-    residuals -= residuals.mean(axis=-1, keepdims=True)
-    np.square(residuals, out=residuals)
-    ratio = residuals.sum(axis=-1) / (a.shape[0] - 1) / denom
+    ratio = _squared_deviations(residuals, out=residuals) / (a.shape[0] - 1) / denom
     return float(ratio) if ratio.ndim == 0 else ratio

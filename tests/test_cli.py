@@ -37,12 +37,6 @@ class TestDescribe:
         assert "T08" in out and "T09" in out
         assert "ln(Effort) = ln(Size) + T08 + T09" in out
 
-    def test_nasa93_shows_mode_constants(self, capsys):
-        assert main(["describe", "nasa93"]) == 0
-        out = capsys.readouterr().out
-        assert "a=3.2" in out and "b=1.05" in out
-        assert "embedded" in out
-
     def test_descriptor_file(self, synth_csv, capsys):
         _, desc = synth_csv
         assert main(["describe", str(desc)]) == 0

@@ -8,8 +8,6 @@ from driftscope.chronology import ChronologyMode
 from driftscope.datasets import (
     _DATE_FORMATS,
     BUILTIN_NAMES,
-    COCOMO_MODES,
-    CocomoMode,
     DataError,
     DatasetDescriptor,
     SynthConfig,
@@ -86,6 +84,18 @@ class TestLoadDataset:
         ds = load_dataset(self._descriptor(), DESHARNAIS_LIKE_CSV)
         assert len(ds.records) == 4
         assert all(r.id != "3" for r in ds.records)
+
+    def test_every_source_kind_gives_the_same_dataset(self, tmp_path):
+        path = tmp_path / "desharnais.csv"
+        path.write_text(DESHARNAIS_LIKE_CSV, encoding="utf-8")
+        descriptor = self._descriptor()
+        expected = load_dataset(descriptor, DESHARNAIS_LIKE_CSV)
+        assert load_dataset(descriptor, path) == expected
+        assert load_dataset(descriptor, str(path)) == expected
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert load_dataset(descriptor, fh) == expected
+            assert not fh.closed  # the caller's file stays open
+        assert len(expected.records) == 4
 
     def test_expected_rows_mismatch(self):
         with pytest.raises(DataError, match="expected 5 rows"):
@@ -176,16 +186,6 @@ class TestParseDate:
         assert _parse_date("2003-02-13", "c") == date(2003, 2, 13)
         with pytest.raises(DataError):
             _parse_date("2003-02-30", "c")
-
-
-class TestCocomo:
-    def test_mode_constants(self):
-        assert COCOMO_MODES[CocomoMode.ORGANIC].a == 3.2
-        assert COCOMO_MODES[CocomoMode.ORGANIC].b == 1.05
-        assert COCOMO_MODES[CocomoMode.SEMI_DETACHED].a == 3.0
-        assert COCOMO_MODES[CocomoMode.SEMI_DETACHED].b == 1.12
-        assert COCOMO_MODES[CocomoMode.EMBEDDED].a == 2.8
-        assert COCOMO_MODES[CocomoMode.EMBEDDED].b == 1.20
 
 
 class TestSynthesize:

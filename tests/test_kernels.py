@@ -77,8 +77,9 @@ class TestNormalizedLag:
             weights_for_target([1], 2, KernelKind.GAUSSIAN, [0])
 
     def test_rejects_future_origin(self):
-        with pytest.raises(ValueError):
-            weights_for_target([5], 3, KernelKind.GAUSSIAN, [1])
+        for indices in ([5], [1, 1, 5, 2, 2], [5, 1, 2], [1, 2, 2, 5]):
+            with pytest.raises(ValueError, match="newer than target"):
+                weights_for_target(indices, 3, KernelKind.GAUSSIAN, [1, 2])
 
 
 class TestKernelWeight:
@@ -174,6 +175,20 @@ class TestWeightsForTarget:
         for b, row in zip(bandwidths, rows):
             expected = [kernel_weight(kind, (target - i) / b) for i in indices]
             assert row.tolist() == expected
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_c_ordered_and_per_record_for_any_order(self, kind, seed):
+        # chronological runs of equal periods, then the same records shuffled
+        rng = np.random.default_rng(seed)
+        periods = np.repeat(np.arange(1.0, 13.0), rng.integers(1, 6, size=12))
+        target, bandwidths = 13.0, [20.0, 35.5, 90.0]
+        for indices in (periods, rng.permutation(periods)):
+            rows = weights_for_target(indices, target, kind, bandwidths)
+            assert rows.shape == (3, len(indices))
+            assert rows.flags.c_contiguous
+            for b, row in zip(bandwidths, rows):
+                assert row.tolist() == [kernel_weight(kind, (target - i) / b) for i in indices]
 
 
 class TestBandwidthGrid:

@@ -12,6 +12,8 @@ from driftscope.stats import (
     SingularDesignError,
     Term,
     WeightError,
+    _direct_rows,
+    _squared_deviations,
     build_design_matrix,
     predict,
     relative_error,
@@ -92,6 +94,31 @@ class TestDesignMatrix:
             m = weighted_least_squares(d, np.ones(len(rows)))
             fitted[ref] = d.matrix @ m.coefficients
         assert fitted["a"] == pytest.approx(fitted["b"], abs=1e-9)
+
+
+class TestRowMoments:
+    def test_training_prefix_shares_the_design_moments(self):
+        rng = np.random.default_rng(4)
+        d = _design(list(rng.normal(size=12)), list(rng.normal(size=12)))
+        train = d.subset(slice(7))
+        assert np.shares_memory(train.moments, d.moments)
+        by_hand = DesignMatrix(
+            matrix=train.matrix.copy(), response=train.response.copy(),
+            labels=d.labels, levels=d.levels,
+        )
+        assert np.array_equal(train.moments, by_hand.moments)
+
+    def test_moments_are_outer_products_then_cross_moments(self):
+        rng = np.random.default_rng(8)
+        x = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
+        y = rng.normal(size=6)
+        d = DesignMatrix(matrix=x, response=y, labels=("a", "b", "c"), levels={})
+        assert d.moments.shape == (6, 12)
+        for row, xi, yi in zip(d.moments, x, y):
+            assert np.array_equal(row[:9], np.outer(xi, xi).ravel())
+            assert np.array_equal(row[9:], xi * yi)
+        tested = d.subset(np.array([4, 1]))
+        assert np.array_equal(tested.moments, d.moments[[4, 1]])
 
 
 class TestWeightedLeastSquares:
@@ -241,6 +268,69 @@ class TestWeightedLeastSquares:
             error = np.linalg.norm(got - beta) / max(1.0, np.linalg.norm(beta))
             assert error <= 64 * cond**2 * eps
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=stn.integers(min_value=0, max_value=2**32 - 1),
+        collinearity=stn.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+        decades=stn.sampled_from([0, 1, 4, 8, 12]),
+    )
+    def test_bound_keeps_the_eigenvalue_partition(self, seed, collinearity, decades):
+        """The rows sent to the direct solve are exactly those whose own
+        eigenvalues pass ``GRAM_RATIO_MIN``, and the first row an SVD finds
+        singular is the one reported."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(k + 1, 25))
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
+        if collinearity is not None and k >= 2:
+            x[:, -1] = x[:, 1] + collinearity * rng.normal(size=n)
+        w = 10.0 ** rng.uniform(-decades, 0, size=(int(rng.integers(1, 6)), n))
+        w[rng.random(len(w)) < 0.3] = 1.0  # some unweighted rows
+        design = DesignMatrix(
+            matrix=x, response=rng.normal(size=n),
+            labels=tuple(f"x{j}" for j in range(k + 1)), levels={},
+        )
+        p = k + 1
+        gram = (w @ design.moments)[:, : p * p].reshape(-1, p, p)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        reference = eigenvalues[:, 0] > GRAM_RATIO_MIN * eigenvalues[:, -1]
+        assert _direct_rows(gram, w, x).tolist() == reference.tolist()
+        first_singular = None
+        for b in np.flatnonzero(~reference):
+            sv = np.linalg.svd(x * np.sqrt(w[b])[:, None], compute_uv=False)
+            if np.sum(sv > max(n, p) * np.finfo(float).eps * sv[0]) < p:
+                first_singular = int(b)
+                break
+        if first_singular is None:
+            assert weighted_least_squares(design, w).coefficients.shape == (len(w), p)
+        else:
+            with pytest.raises(SingularDesignError) as info:
+                weighted_least_squares(design, w)
+            assert info.value.row == first_singular
+
+    def test_bound_skips_eigenvalues_of_cleared_rows(self, monkeypatch):
+        # Rows within a few decades clear the bound; only the row whose
+        # weights span 30 decades gets its own eigenvalues.
+        d = _design([float(t) for t in range(10)], [0.5 * t + (-1) ** t for t in range(10)])
+        w = np.ones((3, 10))
+        w[1] = np.linspace(0.01, 1.0, 10)
+        w[2] = 10.0 ** -np.arange(10.0, 0.0, -1.0) ** 1.5
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        fit = weighted_least_squares(d, w)
+        assert shapes == [(2, 2), (1, 2, 2)]
+        monkeypatch.undo()
+        for row, coefficients in zip(w, fit.coefficients):
+            sw = np.sqrt(row)
+            beta, *_ = np.linalg.lstsq(d.matrix * sw[:, None], d.response * sw, rcond=None)
+            assert coefficients == pytest.approx(beta, rel=1e-9, abs=1e-12)
+
     def test_fallback_rows_match_lstsq(self):
         # Weight 1 on one record and 1e-12 on the rest: the Gram matrix
         # fails the eigenvalue guard, but sqrt(w)X keeps a singular value
@@ -337,6 +427,28 @@ class TestRelativeError:
     def test_stacked_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             relative_error(np.zeros((2, 3)), [1.0, 2.0])
+
+
+class TestSquaredDeviations:
+    def test_bitwise_equal_to_np_var(self):
+        # 20,000 draws of assorted lengths, offsets and scales
+        rng = np.random.default_rng(2024)
+        for _ in range(20_000):
+            n = int(rng.integers(2, 60))
+            v = rng.normal(rng.normal(0.0, 1e3), 10.0 ** rng.uniform(-6, 6), size=n)
+            assert sample_variance(v) == np.var(v, ddof=1)
+        stacked = rng.normal(size=(4, 3001)) * 1e3 + 7.0
+        assert np.array_equal(_squared_deviations(stacked) / 3000, np.var(stacked, axis=-1, ddof=1))
+
+    def test_relative_error_is_the_np_var_ratio(self):
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            n = int(rng.integers(2, 80))
+            actuals = rng.lognormal(5.0, 1.0, size=n)
+            predictions = actuals * rng.lognormal(0.0, 0.3, size=(3, n))
+            expected = np.var(actuals - predictions, axis=-1, ddof=1) / np.var(actuals, ddof=1)
+            assert np.array_equal(relative_error(predictions, actuals), expected)
+            assert relative_error(predictions[0], actuals) == expected[0]
 
 
 class TestSampleVariance:
