@@ -157,8 +157,12 @@ def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Cu
     log_scale = formula.response_transform == stats.LOG
     train = design.subset(slice(split.stop))
     train_actuals = actuals[: split.stop]
-    test = None if split.is_final else design.subset(split.test_rows)
-    test_actuals = actuals[split.test_rows]
+    rows = split.test_rows
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        # ascending and contiguous: a slice takes views, not copies
+        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    test = None if split.is_final else design.subset(rows)
+    test_actuals = actuals[rows]
 
     def relative_errors(model):
         re_test = (

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .kernels import Granularity, assign_period_indices
+from .kernels import Granularity, period_index, period_key
 from .stats import ModelFormula
 
 __all__ = [
@@ -165,15 +165,6 @@ class SplitPlan:
         ]
 
 
-def _period_key(record, granularity: Granularity):
-    c = record.completion
-    if granularity is Granularity.YEARLY:
-        return c.year if isinstance(c, (date, datetime)) else int(c)
-    if not isinstance(c, (date, datetime)):
-        raise SplitError(f"record {record.id!r} has no monthly completion date")
-    return c.year * 12 + c.month - 1
-
-
 def _completion_as_date(record) -> date:
     """Completion as a date; a year-only completion is read as the last
     day of that year."""
@@ -201,22 +192,30 @@ def build_split_plan(
     always trains on everything and carries no test set.
     """
     records = list(records)
-    keys = [(_period_key(r, granularity), str(r.id)) for r in records]
-    order = sorted(range(len(records)), key=keys.__getitem__)
-    records = tuple(records[i] for i in order)
     if not records:
         raise SplitError("empty dataset")
+    # (period, id, position): ties keep the given order, as a stable sort would
+    keyed = sorted(
+        zip(
+            [period_key(r.completion, granularity) for r in records],
+            [str(r.id) for r in records],
+            range(len(records)),
+        )
+    )
+    records = tuple(records[i] for _, _, i in keyed)
+    periods = [p for p, _, _ in keyed]
     formula = resolve_levels(formula, [r.attributes for r in records])
     wmin = well_formed_min(formula)
-    indices = np.array(
-        assign_period_indices([r.completion for r in records], granularity)
-    )
-    indices.setflags(write=False)  # shared by every split of the plan
-    periods = [keys[i][0] for i in order]
     # bounds[g] is the position of the first record of period g; the last
     # entry is the record count
-    bounds = [i for i, p in enumerate(periods) if i == 0 or p != periods[i - 1]]
+    bounds = [0] + [i for i in range(1, len(periods)) if periods[i] != periods[i - 1]]
     bounds.append(len(records))
+    # one index per period, repeated over its records
+    indices = np.repeat(
+        [period_index(periods[b], periods[0], granularity) for b in bounds[:-1]],
+        np.diff(bounds),
+    )
+    indices.setflags(write=False)  # shared by every split of the plan
 
     if overrides is not None:
         stops = _override_stops(overrides, bounds, mode, wmin)

@@ -301,14 +301,27 @@ def _parse_date(text: str, column: str) -> date:
     raise DataError(f"unparseable date {text!r} in column {column!r}")
 
 
-def _row_passes(row: dict, filt: dict) -> bool:
-    value = row.get(filt["column"], "").strip()
+def _parse_completion(text: str, column: str):
+    """A stripped, non-empty completion value: an int year or a date.
+    ISO-shaped text goes straight to the date parser, since ``int`` can
+    never read it."""
+    if not (len(text) == 10 and text[4] == text[7] == "-"):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return _parse_date(text, column)
+
+
+def _filter_test(filt: dict):
+    """The test a filter applies to a stripped cell value."""
     if "equals" in filt:
-        return value == str(filt["equals"])
+        return str(filt["equals"]).__eq__
     if "exclude" in filt:
-        return value not in {str(v) for v in filt["exclude"]} and value not in MISSING_TOKENS
+        excluded = {str(v) for v in filt["exclude"]} | MISSING_TOKENS
+        return lambda value: value not in excluded
     if filt.get("not_missing"):
-        return value not in MISSING_TOKENS
+        return lambda value: value not in MISSING_TOKENS
     raise DataError(f"unrecognized filter: {filt}")
 
 
@@ -324,131 +337,151 @@ def _text_stream(source):
 
 def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     """Parse, filter and validate a CSV into a chronologically sorted
-    Dataset.  ``source`` is a path, a file object or CSV text."""
-    with _text_stream(source) as stream:
-        reader = csv.DictReader(stream)
-        rows = list(reader)
-    fieldnames = reader.fieldnames
-    if not fieldnames:
-        raise DataError("CSV has no header row")
+    Dataset.  ``source`` is a path, a file object or CSV text.
 
+    Bound columns are read by their position in the header, resolved
+    once; a repeated header name reads its last column.  Blank lines are
+    skipped, and a row too short to hold every bound column is an error.
+    """
     cols = descriptor.columns
-    needed = [cols["id"]]
-    for key in ("completion", "start", "duration"):
-        if cols.get(key):
-            needed.append(cols[key])
     derived_sources = {s for srcs in descriptor.derived_products.values() for s in srcs}
     formula_cols = [
         c
         for c in descriptor.formula.columns
         if c not in descriptor.derived_products
     ]
+    needed = [cols["id"]]
+    for key in ("completion", "start", "duration"):
+        if cols.get(key):
+            needed.append(cols[key])
     needed += formula_cols + sorted(derived_sources)
     for f in descriptor.filters:
         needed.append(f["column"])
-    missing = [c for c in needed if c not in fieldnames]
-    if missing:
-        raise DataError(f"CSV is missing bound columns: {', '.join(missing)}")
-
-    kept = [r for r in rows if all(_row_passes(r, f) for f in descriptor.filters)]
+    with _text_stream(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader, None)
+            if not header:
+                raise DataError("CSV has no header row")
+            at = {name: i for i, name in enumerate(header)}
+            missing = [c for c in needed if c not in at]
+            if missing:
+                raise DataError(f"CSV is missing bound columns: {', '.join(missing)}")
+            id_at = at[cols["id"]]
+            width = 1 + max(at[c] for c in needed)
+            filters = [(at[f["column"]], _filter_test(f)) for f in descriptor.filters]
+            kept = []
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue  # a blank line
+                    line = reader.line_num
+                    rid = row[id_at].strip() if id_at < len(row) else ""
+                    where = f"record {rid!r} (line {line})" if rid else f"line {line}"
+                    raise DataError(
+                        f"{where} has {len(row)} of the header's {len(header)} fields"
+                    )
+                if not filters or all(test(row[i].strip()) for i, test in filters):
+                    kept.append(row)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"line {reader.line_num}: {exc}") from None
     if descriptor.expected_rows is not None and len(kept) != descriptor.expected_rows:
         raise DataError(
             f"{descriptor.name}: expected {descriptor.expected_rows} rows "
             f"after filtering, got {len(kept)}"
         )
 
+    start_col, duration_col, done_col = (
+        cols.get("start"), cols.get("duration"), cols.get("completion")
+    )
+    start_at = at[start_col] if start_col else None
+    duration_at = at[duration_col] if duration_col else None
+    done_at = at[done_col] if done_col else None
+    monthly = descriptor.granularity is Granularity.MONTHLY
     categorical = {
         t.column for t in descriptor.formula.terms if t.kind == "categorical"
     }
-    records = []
+    values = [(col, at[col], col not in categorical) for col in formula_cols]
+    derived = [
+        (name, [at[s] for s in sources])
+        for name, sources in descriptor.derived_products.items()
+    ]
+    keyed = []  # (chronological key, id, record)
     seen_ids = set()
-    for raw in kept:
-        rid = raw[cols["id"]].strip()
+    for row in kept:
+        rid = row[id_at].strip()
         if rid in seen_ids:
             raise DataError(f"duplicate project id {rid!r}")
         seen_ids.add(rid)
 
         start = None
         duration = None
-        if cols.get("start") and raw.get(cols["start"], "").strip():
-            start = _parse_date(raw[cols["start"]], cols["start"])
-        if cols.get("duration") and raw.get(cols["duration"], "").strip():
+        if start_at is not None and row[start_at].strip():
+            start = _parse_date(row[start_at], start_col)
+        if duration_at is not None and row[duration_at].strip():
             try:
-                duration = int(round(float(raw[cols["duration"]])))
-            except ValueError:
+                duration = int(round(float(row[duration_at])))
+            except (ValueError, OverflowError):  # text, nan or inf
                 raise DataError(
-                    f"non-numeric duration {raw[cols['duration']]!r} for {rid!r}"
+                    f"non-numeric duration {row[duration_at]!r} for {rid!r}"
                 ) from None
 
-        if cols.get("completion") and raw.get(cols["completion"], "").strip():
-            text = raw[cols["completion"]].strip()
-            try:
-                completion: object = int(text)
-            except ValueError:
-                completion = _parse_date(text, cols["completion"])
+        text = row[done_at].strip() if done_at is not None else ""
+        if text:
+            completion = _parse_completion(text, done_col)
         elif start is not None and duration is not None:
             completion = completion_date(start, duration)
         else:
             raise DataError(
                 f"record {rid!r} has no completion date and no start+duration"
             )
-        if descriptor.granularity is Granularity.MONTHLY and not isinstance(
-            completion, date
-        ):
+        # year, month, day as the digits of one int; a year-only
+        # completion sorts before every date of its year
+        if isinstance(completion, date):
+            key = completion.year * 10000 + completion.month * 100 + completion.day
+        elif monthly:
             raise DataError(
                 f"record {rid!r}: monthly chronology needs full completion dates"
             )
+        else:
+            key = completion * 10000
 
         attributes: dict = {}
-        for col in formula_cols:
-            value = raw[col].strip()
+        for col, i, numeric in values:
+            value = row[i].strip()
             if value in MISSING_TOKENS:
                 raise DataError(f"missing value in column {col!r} for {rid!r}")
-            if col in categorical:
-                attributes[col] = value
-            else:
+            if numeric:
                 try:
-                    attributes[col] = float(value)
+                    value = float(value)
                 except ValueError:
                     raise DataError(
                         f"non-numeric value {value!r} in column {col!r} for {rid!r}"
                     ) from None
-        for name, sources in descriptor.derived_products.items():
+            attributes[col] = value
+        for name, positions in derived:
             try:
-                factors = [float(raw[s]) for s in sources]
+                factors = [float(row[i]) for i in positions]
             except ValueError:
                 raise DataError(
                     f"non-numeric multiplier for derived column {name!r} in {rid!r}"
                 ) from None
             attributes[name] = math.prod(factors)
 
-        records.append(
-            ProjectRecord(
-                id=rid,
-                completion=completion,
-                attributes=attributes,
-                start=start,
-                duration_days=duration,
-            )
+        keyed.append(
+            (key, rid, ProjectRecord(rid, completion, attributes, start, duration))
         )
-    if not records:
+    if not keyed:
         raise DataError(f"{descriptor.name}: no records left after filtering")
-    records.sort(key=lambda r: (_sort_key(r, descriptor.granularity), r.id))
+    keyed.sort()  # ids are unique, so records are never compared
     return Dataset(
         name=descriptor.name,
         granularity=descriptor.granularity,
         mode=descriptor.chronology,
-        records=tuple(records),
+        records=tuple(record for _, _, record in keyed),
         formula=descriptor.formula,
         overrides=descriptor.overrides,
     )
-
-
-def _sort_key(record: ProjectRecord, granularity: Granularity):
-    c = record.completion
-    if isinstance(c, date):
-        return (c.year, c.month, c.day)
-    return (int(c), 0, 0)
 
 
 def write_csv(dataset: Dataset, descriptor: DatasetDescriptor, path) -> None:

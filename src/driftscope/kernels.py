@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from enum import Enum
 
 import numpy as np
@@ -24,6 +24,8 @@ __all__ = [
     "BandwidthGrid",
     "MAX_GRID_VALUES",
     "grid_size",
+    "period_key",
+    "period_index",
     "assign_period_indices",
     "kernel_weight",
     "weights_for_target",
@@ -59,21 +61,29 @@ class BandwidthError(ValueError):
     """Bandwidth inadmissible for the requested kernel."""
 
 
-def _completion_year(value) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"unparseable completion value: {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, (date, datetime)):
-        return value.year
-    raise ValueError(f"unparseable completion value: {value!r}")
+def period_key(completion, granularity: Granularity) -> int:
+    """The calendar period a completion falls in: its year, or for
+    monthly granularity its absolute month number ``year * 12 + month -
+    1``, so that calendar gaps consume index distance.  Yearly periods
+    take an int year or a date; monthly periods need a date."""
+    if isinstance(completion, date):  # datetime included
+        if granularity is Granularity.YEARLY:
+            return completion.year
+        return completion.year * 12 + completion.month - 1
+    if granularity is Granularity.MONTHLY:
+        raise ValueError(f"monthly granularity needs a full date, got {completion!r}")
+    if isinstance(completion, int) and not isinstance(completion, bool):
+        return completion
+    raise ValueError(f"unparseable completion value: {completion!r}")
 
 
-def _completion_month(value) -> int:
-    # Absolute month number so calendar gaps consume index distance.
-    if isinstance(value, (date, datetime)):
-        return value.year * 12 + (value.month - 1)
-    raise ValueError(f"monthly granularity needs a full date, got {value!r}")
+def period_index(key: int, oldest: int, granularity: Granularity) -> float:
+    """Index of the period ``key`` when ``oldest`` is the first period:
+    1 (yearly) or 0.1 (monthly) for the oldest, one increment further for
+    every later calendar period."""
+    if granularity is Granularity.YEARLY:
+        return float(1 + key - oldest)
+    return round(0.1 * (1 + key - oldest), 10)
 
 
 def assign_period_indices(completions, granularity: Granularity) -> list[float]:
@@ -83,16 +93,12 @@ def assign_period_indices(completions, granularity: Granularity) -> list[float]:
     calendar period is one increment further, whether or not any project
     completed in between.
     """
-    completions = list(completions)
-    if not completions:
+    keys = [period_key(c, granularity) for c in completions]
+    if not keys:
         raise ValueError("no completion dates given")
-    if granularity is Granularity.YEARLY:
-        years = [_completion_year(c) for c in completions]
-        oldest = min(years)
-        return [float(1 + y - oldest) for y in years]
-    months = [_completion_month(c) for c in completions]
-    oldest = min(months)
-    return [round(0.1 * (1 + m - oldest), 10) for m in months]
+    oldest = min(keys)
+    index = {k: period_index(k, oldest, granularity) for k in set(keys)}
+    return [index[k] for k in keys]
 
 
 def kernel_weight(kind: KernelKind, lag):

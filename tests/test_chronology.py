@@ -1,6 +1,7 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, strategies as stn
 
 from driftscope.chronology import (
     ChronologyMode,
@@ -11,7 +12,7 @@ from driftscope.chronology import (
     well_formed_min,
 )
 from driftscope.datasets import ProjectRecord
-from driftscope.kernels import Granularity
+from driftscope.kernels import Granularity, assign_period_indices, period_key
 from driftscope.stats import LOG, ModelFormula, Term
 
 
@@ -333,3 +334,39 @@ class TestTargetPeriod:
         # eight months, 1999-10 .. 2000-05, at indices 0.1 .. 0.8
         assert plan.splits[0].target == min(plan.splits[0].test_indices)
         assert plan.splits[-1].target == 0.9
+
+
+_COMPLETION = {
+    Granularity.YEARLY: stn.one_of(
+        stn.integers(1980, 1990), stn.dates(date(1980, 1, 1), date(1990, 12, 31))
+    ),
+    Granularity.MONTHLY: stn.dates(date(1980, 1, 1), date(1982, 12, 31)),
+}
+
+
+@stn.composite
+def _records(draw):
+    granularity = draw(stn.sampled_from(Granularity))
+    completions = draw(stn.lists(_COMPLETION[granularity], min_size=8, max_size=40))
+    return granularity, [
+        ProjectRecord(
+            id=f"r{draw(stn.integers(0, 99)):02d}-{i}",
+            completion=c,
+            attributes={"size": 10.0 + i, "effort": 100.0 + i},
+        )
+        for i, c in enumerate(completions)
+    ]
+
+
+class TestPlanOrder:
+    @given(_records())
+    def test_records_sorted_by_period_then_id_with_their_indices(self, case):
+        granularity, records = case
+        plan = build_split_plan(
+            records, granularity, ChronologyMode.REMAINDER_TEST, ONE_TERM,
+            overrides=[len(records) - 2],
+        )
+        expected = sorted(records, key=lambda r: (period_key(r.completion, granularity), r.id))
+        assert list(plan.records) == expected
+        reference = assign_period_indices([r.completion for r in expected], granularity)
+        assert [x.hex() for x in plan.indices.tolist()] == [x.hex() for x in reference]

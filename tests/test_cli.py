@@ -59,6 +59,16 @@ class TestValidate:
         truncated.write_text("\n".join(lines[:-2]) + "\n")
         assert main(["validate", "--descriptor", str(desc), "--data", str(truncated)]) == 2
 
+    def test_short_row_is_a_validation_error(self, synth_csv, tmp_path, capsys):
+        data, desc = synth_csv
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]  # drop the row's last field
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--descriptor", str(desc), "--data", str(short)]) == 2
+        rid = lines[3].split(",")[0]
+        assert f"record {rid!r} (line 4) has 3 of the header's 4 fields" in capsys.readouterr().err
+
 
 class TestSweep:
     def _run(self, synth_csv, tmp_path, *extra):

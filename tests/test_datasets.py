@@ -1,5 +1,7 @@
 import math
+import tempfile
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as stn
@@ -8,8 +10,11 @@ from driftscope.chronology import ChronologyMode
 from driftscope.datasets import (
     _DATE_FORMATS,
     BUILTIN_NAMES,
+    MISSING_TOKENS,
     DataError,
+    Dataset,
     DatasetDescriptor,
+    ProjectRecord,
     SynthConfig,
     builtin_descriptor,
     load_dataset,
@@ -19,7 +24,7 @@ from driftscope.datasets import (
     _parse_date,
 )
 from driftscope.kernels import Granularity
-from driftscope.stats import weighted_least_squares, build_design_matrix
+from driftscope.stats import LOG, ModelFormula, Term, weighted_least_squares, build_design_matrix
 
 
 class TestBuiltinDescriptors:
@@ -138,6 +143,188 @@ class TestLoadDataset:
         ds = load_dataset(d, csv_text)
         assert ds.records[0].completion == date(1994, 9, 9)
         assert ds.records[1].completion == date(1994, 9, 30)
+
+
+TABLE_CSV = """id,done,start,days,size,kind,effort,m1,m2,client
+p1,1990,,,10,a,100,1.0,1.1,2
+p2,,1990-01-01,30,20,b,200,0.9,1.0,2
+p3,1991,,,30,a,300,1.2,0.8,7
+"""
+
+
+def _table_descriptor(**kw):
+    fields = dict(
+        name="t",
+        granularity=Granularity.YEARLY,
+        chronology=ChronologyMode.YEAR_ACCUMULATE,
+        columns={"id": "id", "completion": "done", "start": "start", "duration": "days"},
+        formula=ModelFormula(
+            response="effort",
+            terms=(
+                Term("size", transform=LOG),
+                Term("kind", kind="categorical", reference="a"),
+                Term("eaf", transform=LOG),
+            ),
+        ),
+        derived_products={"eaf": ["m1", "m2"]},
+        filters=({"column": "client", "equals": "2"},),
+    )
+    fields.update(kw)
+    return DatasetDescriptor(**fields)
+
+
+# (edit of TABLE_CSV as old -> new, descriptor fields, the whole message)
+LOADER_ERRORS = {
+    "missing bound column": (
+        (",size,", ",sz,"), {}, "CSV is missing bound columns: size"),
+    "missing value": (
+        (",,10,", ",,NA,"), {}, "missing value in column 'size' for 'p1'"),
+    "non-numeric value": (
+        (",,10,", ",,ten,"), {}, "non-numeric value 'ten' in column 'size' for 'p1'"),
+    "non-numeric duration": (
+        (",30,", ",a month,"), {}, "non-numeric duration 'a month' for 'p2'"),
+    "infinite duration": (
+        (",30,", ",inf,"), {}, "non-numeric duration 'inf' for 'p2'"),
+    "field over the csv size limit": (
+        (",,10,", ',,"' + "1" * 200_000 + '",'), {},
+        "line 2: field larger than field limit (131072)"),
+    "non-numeric derived multiplier": (
+        (",1.0,1.1,", ",x,1.1,"), {},
+        "non-numeric multiplier for derived column 'eaf' in 'p1'"),
+    "duplicate id": (
+        ("p2,", "p1,"), {}, "duplicate project id 'p1'"),
+    "unparseable start date": (
+        ("1990-01-01", "1990-13-01"), {},
+        "unparseable date '1990-13-01' in column 'start'"),
+    "unparseable completion": (
+        ("p1,1990,", "p1,199O,"), {}, "unparseable date '199O' in column 'done'"),
+    "no completion": (
+        ("1990-01-01", ""), {},
+        "record 'p2' has no completion date and no start+duration"),
+    "monthly completion without a date": (
+        None,
+        {"granularity": Granularity.MONTHLY, "chronology": ChronologyMode.REMAINDER_TEST},
+        "record 'p1': monthly chronology needs full completion dates"),
+    "expected-row mismatch": (
+        None, {"expected_rows": 3}, "t: expected 3 rows after filtering, got 2"),
+    "short row": (
+        ("p3,1991,,,30,a,300,1.2,0.8,7", "p3,1991,,,30"), {},
+        "record 'p3' (line 4) has 5 of the header's 10 fields"),
+    "short row without an id": (
+        ("p3,1991,,,30,a,300,1.2,0.8,7", ",1991"), {},
+        "line 4 has 2 of the header's 10 fields"),
+    "short row in a filter column": (
+        ("0.8,7\n", "0.8\n"), {},
+        "record 'p3' (line 4) has 9 of the header's 10 fields"),
+    "no header": (
+        (TABLE_CSV, "\n"), {}, "CSV has no header row"),
+    "no records left": (
+        None, {"filters": ({"column": "client", "equals": "9"},)},
+        "t: no records left after filtering"),
+    "unrecognized filter": (
+        None, {"filters": ({"column": "client", "above": 1},)},
+        "unrecognized filter: {'column': 'client', 'above': 1}"),
+}
+
+
+class TestLoaderErrors:
+    def test_table_csv_loads(self):
+        ds = load_dataset(_table_descriptor(), TABLE_CSV)
+        assert [r.id for r in ds.records] == ["p1", "p2"]
+        p1, p2 = ds.records
+        assert p1.completion == 1990
+        assert p1.attributes == {"size": 10.0, "kind": "a", "effort": 100.0, "eaf": 1.0 * 1.1}
+        assert (p2.start, p2.duration_days, p2.completion) == (
+            date(1990, 1, 1), 30, date(1990, 1, 31))
+
+    def test_blank_lines_are_skipped(self):
+        text = TABLE_CSV.replace("\np2,", "\n\n\np2,")
+        assert load_dataset(_table_descriptor(), text) == load_dataset(
+            _table_descriptor(), TABLE_CSV)
+
+    @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
+    def test_message(self, case):
+        edit, fields, message = LOADER_ERRORS[case]
+        text = TABLE_CSV
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(edit[0], edit[1], 1)
+        with pytest.raises(DataError) as exc:
+            load_dataset(_table_descriptor(**fields), text)
+        assert str(exc.value) == message
+
+
+def _reference_order(records):
+    """Records in the loader's order: completion (a year-only completion
+    before every date of its year), then id."""
+    def key(r):
+        c = r.completion
+        return ((c.year, c.month, c.day) if isinstance(c, date) else (c, 0, 0)), r.id
+    return tuple(sorted(records, key=key))
+
+
+_TEXT = stn.text(
+    stn.characters(min_codepoint=32, max_codepoint=0x24F, blacklist_characters="\x7f"),
+    min_size=1, max_size=8,
+).map(str.strip).filter(lambda s: s and s not in MISSING_TOKENS)
+
+
+@stn.composite
+def _datasets(draw):
+    granularity = draw(stn.sampled_from(Granularity))
+    if granularity is Granularity.MONTHLY:
+        completion = stn.dates(date(1990, 1, 1), date(1992, 12, 31))
+    else:  # year-only, full dates, or both in one file
+        completion = draw(stn.sampled_from([
+            stn.integers(1985, 1990),
+            stn.dates(date(1985, 1, 1), date(1990, 12, 31)),
+            stn.one_of(stn.integers(1985, 1990), stn.dates(date(1985, 1, 1), date(1990, 12, 31))),
+        ]))
+    # few periods for many records, so ids collide within a period
+    periods = draw(stn.lists(completion, min_size=1, max_size=3))
+    ids = draw(stn.lists(_TEXT, min_size=1, max_size=12, unique=True))
+    finite = stn.floats(allow_nan=False, width=64)
+    records = tuple(
+        ProjectRecord(
+            id=rid,
+            completion=draw(stn.sampled_from(periods)),
+            attributes={"size": draw(finite), "kind": draw(_TEXT), "effort": draw(finite)},
+        )
+        for rid in ids
+    )
+    descriptor = DatasetDescriptor(
+        name="roundtrip",
+        granularity=granularity,
+        chronology=ChronologyMode.YEAR_ACCUMULATE,
+        columns={"id": "id", "completion": "done"},
+        formula=ModelFormula(
+            response="effort",
+            terms=(Term("size"), Term("kind", kind="categorical", reference="a")),
+        ),
+    )
+    dataset = Dataset(
+        name="roundtrip",
+        granularity=granularity,
+        mode=descriptor.chronology,
+        records=records,
+        formula=descriptor.formula,
+    )
+    return dataset, descriptor
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(_datasets())
+    def test_write_then_load_gives_the_sorted_records(self, case):
+        dataset, descriptor = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            write_csv(dataset, descriptor, path)
+            loaded = load_dataset(descriptor, path)
+        assert loaded.records == _reference_order(dataset.records)
+        assert [type(r.completion) for r in loaded.records] == [
+            type(r.completion) for r in _reference_order(dataset.records)
+        ]
 
 
 def _strptime_date(text):

@@ -1,5 +1,5 @@
 import math
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 import numpy as np
@@ -17,6 +17,7 @@ from driftscope.kernels import (
     grid_size,
     kernel_weight,
     min_bandwidth,
+    period_key,
     weights_for_target,
 )
 
@@ -51,6 +52,54 @@ class TestPeriodIndices:
         perm = [years[i] for i in (2, 0, 3, 1)]
         out_perm = assign_period_indices(perm, Granularity.YEARLY)
         assert out_perm == [out[i] for i in (2, 0, 3, 1)]
+
+
+def _reference_indices(completions, granularity):
+    """The per-record formula: each record's own index from its year or
+    absolute month."""
+    if granularity is Granularity.YEARLY:
+        years = [c.year if isinstance(c, date) else c for c in completions]
+        return [float(1 + y - min(years)) for y in years]
+    months = [c.year * 12 + c.month - 1 for c in completions]
+    return [round(0.1 * (1 + m - min(months)), 10) for m in months]
+
+
+_DATES = stn.dates(date(1900, 1, 1), date(2100, 12, 31))
+_COMPLETIONS = stn.one_of(
+    stn.tuples(stn.just(Granularity.YEARLY), stn.lists(stn.integers(1900, 2100), min_size=1)),
+    stn.tuples(stn.just(Granularity.MONTHLY), stn.lists(_DATES, min_size=1)),
+    stn.tuples(
+        stn.just(Granularity.YEARLY),
+        stn.lists(stn.one_of(stn.integers(1900, 2100), _DATES), min_size=1),
+    ),
+)
+
+
+class TestPeriodKey:
+    def test_keys(self):
+        assert period_key(1999, Granularity.YEARLY) == 1999
+        assert period_key(date(1999, 3, 9), Granularity.YEARLY) == 1999
+        assert period_key(datetime(1999, 3, 9, 12), Granularity.YEARLY) == 1999
+        assert period_key(date(1999, 3, 9), Granularity.MONTHLY) == 1999 * 12 + 2
+        assert period_key(datetime(1999, 1, 1), Granularity.MONTHLY) == 1999 * 12
+
+    @pytest.mark.parametrize("value", [True, 1999.0, "1999", None])
+    def test_yearly_rejects_non_years(self, value):
+        with pytest.raises(ValueError, match="unparseable completion value"):
+            period_key(value, Granularity.YEARLY)
+
+    @pytest.mark.parametrize("value", [1999, True, "1999-01-01", None])
+    def test_monthly_needs_a_date(self, value):
+        with pytest.raises(ValueError, match="needs a full date"):
+            period_key(value, Granularity.MONTHLY)
+
+    @given(_COMPLETIONS)
+    def test_indices_match_the_per_record_formula_bit_for_bit(self, case):
+        granularity, completions = case
+        out = assign_period_indices(completions, granularity)
+        expected = _reference_indices(completions, granularity)
+        assert [type(x) for x in out] == [float] * len(out)
+        assert [x.hex() for x in out] == [x.hex() for x in expected]
 
 
 class TestNormalizedLag:

@@ -58,3 +58,29 @@ def test_every_span_is_called(tracer_cls, tmp_path):
         rows = len(fh.read().splitlines()) - 1
     assert layers["analysis.cells"] == rows > 0
     assert layers["analysis.verdicts"] == splits * 3
+
+
+def test_every_span_is_called_on_a_monthly_remainder_sweep(tracer_cls, tmp_path):
+    """The monthly path: ISO completion dates, month period keys and
+    remainder tests, on the xbc golden input."""
+    Tracer, targets = tracer_cls
+    data = Path(__file__).resolve().parent / "golden" / "xbc_seed1" / "data.csv"
+    with open(data, newline="", encoding="utf-8") as fh:
+        n_records = len(fh.read().splitlines()) - 1
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main([
+            "sweep", "--descriptor", "xbc", "--data", str(data),
+            "--grid", "1:100:9", "--out", str(tmp_path / "out"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.absent == []
+    (layers,) = tracer.rounds()
+    for _, _, span, _ in targets:
+        assert layers[f"{span}.calls"] > 0, span
+    assert layers["datasets.load_dataset.rows"] == n_records == 16
+    assert layers["stats.build_design_matrix.rows"] == n_records
+    assert layers["chronology.test_rows"] > 0
