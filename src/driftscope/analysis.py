@@ -33,7 +33,6 @@ __all__ = [
     "Classification",
     "StationarityVerdict",
     "SweepSummary",
-    "fit_cell",
     "run_sweep",
     "detect_convergence",
     "stationarity_verdict",
@@ -117,7 +116,7 @@ class SweepResult:
     dataset: str
     config: AnalysisConfig
     kernels: tuple[KernelKind, ...]
-    grids: dict  # KernelKind -> BandwidthGrid
+    grids: dict  # KernelKind -> its ascending bandwidths, a tuple
     plan: SplitPlan
     curves: dict  # (split ordinal, KernelKind) -> Curve, split-major
 
@@ -216,13 +215,6 @@ def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Cu
     return curves
 
 
-def fit_cell(split: Split, formula, kind: KernelKind, bandwidth: float) -> SweepCell:
-    """Fit the weighted and unweighted models for one grid cell."""
-    design, actuals = _plan_design(split.plan_records, formula)
-    (curve,) = _split_curves(split, design, actuals, formula, {kind: (bandwidth,)})
-    return curve.cells()[0]
-
-
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
     """Sweep every split x kernel x admissible bandwidth.
 
@@ -244,21 +236,17 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     # training sets are prefixes of the plan order, which starts at the
     # oldest period
     max_elapsed = max(s.target for s in plan.splits) - float(plan.indices[0])
-    grids = {}
-    for kind in kernels:
-        grids[kind] = build_grid(
-            kind,
-            max_elapsed,
-            lo=config.grid_lo,
-            hi=config.grid_hi,
-            step=config.grid_step,
+    grids = {
+        kind: build_grid(
+            kind, max_elapsed, lo=config.grid_lo, hi=config.grid_hi, step=config.grid_step
         )
+        for kind in kernels
+    }
 
     design, actuals = _plan_design(plan.records, dataset.formula)
-    bandwidths = {kind: grids[kind].values for kind in kernels}
     curves = {}
     for split in plan.splits:
-        for curve in _split_curves(split, design, actuals, dataset.formula, bandwidths):
+        for curve in _split_curves(split, design, actuals, dataset.formula, grids):
             curves[curve.split, curve.kernel] = curve
     return SweepResult(
         dataset=dataset.name,
@@ -273,7 +261,6 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
 @dataclass(frozen=True)
 class ConvergencePoint:
     bandwidth: float
-    sustained: bool
     at_grid_minimum: bool
 
 
@@ -300,7 +287,6 @@ def detect_convergence(curve, uniform_re: float, epsilon: float) -> ConvergenceP
         return None
     return ConvergencePoint(
         bandwidth=b_star,
-        sustained=True,
         at_grid_minimum=b_star == curve[0][0],
     )
 
@@ -332,8 +318,8 @@ def stationarity_verdict(
 ) -> StationarityVerdict:
     """Classify one (split, kernel) slice.
 
-    No sustained convergence means the process never looks uniform: non
-    stationary.  Convergence across the whole grid means weighting never
+    No convergence that lasts to the end of the grid means the process
+    never looks uniform: non stationary.  Convergence across the whole grid means weighting never
     mattered: near stationary.  Otherwise the verdict hinges on whether
     the weights at the convergence bandwidth have decayed within the
     training span.

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .kernels import Granularity, period_index, period_key
-from .stats import ModelFormula
+from .stats import ModelFormula, dummy_levels
 
 __all__ = [
     "ChronologyMode",
@@ -40,57 +40,18 @@ class SplitError(ValueError):
     """No admissible split plan for the given data and formula."""
 
 
-def well_formed_min(formula: ModelFormula) -> int:
-    """Minimum training size: two plus the number of explanatory design
-    columns, counting each dummy indicator separately.
-
-    Categorical terms without a declared level set count as a single
-    column; resolve levels from data first for an exact answer.
-    """
+def well_formed_min(formula: ModelFormula, rows) -> int:
+    """Minimum training size over ``rows`` (one mapping per record): two
+    plus the number of explanatory design columns, counting each dummy
+    indicator ``dummy_levels`` gives a categorical term separately."""
+    rows = list(rows)
     n_columns = 0
     for term in formula.terms:
         if term.kind == "numeric":
             n_columns += 1
-        elif term.levels is not None:
-            n_columns += len([l for l in term.levels if l != term.reference])
         else:
-            n_columns += 1
+            n_columns += len(dummy_levels(term, [str(r[term.column]) for r in rows]))
     return 2 + n_columns
-
-
-def resolve_levels(formula: ModelFormula, rows) -> ModelFormula:
-    """Fill in categorical level sets from observed data where they were
-    not declared up front."""
-    rows = list(rows)
-    new_terms = []
-    changed = False
-    for term in formula.terms:
-        if term.kind == "categorical" and term.levels is None:
-            observed = sorted({str(r[term.column]) for r in rows})
-            if term.reference not in observed:
-                raise ValueError(
-                    f"reference level {term.reference!r} absent from "
-                    f"column {term.column!r}"
-                )
-            new_terms.append(
-                type(term)(
-                    column=term.column,
-                    kind=term.kind,
-                    transform=term.transform,
-                    reference=term.reference,
-                    levels=tuple(observed),
-                )
-            )
-            changed = True
-        else:
-            new_terms.append(term)
-    if not changed:
-        return formula
-    return ModelFormula(
-        response=formula.response,
-        terms=tuple(new_terms),
-        response_transform=formula.response_transform,
-    )
 
 
 def completion_date(start: date, duration_days: int) -> date:
@@ -204,8 +165,7 @@ def build_split_plan(
     )
     records = tuple(records[i] for _, _, i in keyed)
     periods = [p for p, _, _ in keyed]
-    formula = resolve_levels(formula, [r.attributes for r in records])
-    wmin = well_formed_min(formula)
+    wmin = well_formed_min(formula, [r.attributes for r in records])
     # bounds[g] is the position of the first record of period g; the last
     # entry is the record count
     bounds = [0] + [i for i in range(1, len(periods)) if periods[i] != periods[i - 1]]

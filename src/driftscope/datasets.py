@@ -12,13 +12,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 
 import numpy as np
 
 from .chronology import ChronologyMode, completion_date
-from .kernels import Granularity, assign_period_indices
+from .kernels import Granularity
 from .stats import IDENTITY, LOG, ModelFormula, Term
 
 __all__ = [
@@ -60,13 +60,15 @@ class Dataset:
     formula: ModelFormula
     overrides: tuple[int, ...] | None = None
 
-    def period_indices(self) -> list[float]:
-        return assign_period_indices(
-            [r.completion for r in self.records], self.granularity
-        )
-
 
 # --- descriptors -----------------------------------------------------------
+
+
+def _json_object(text: str, what: str) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -112,33 +114,38 @@ class DatasetDescriptor:
 
     @staticmethod
     def from_json(text: str) -> "DatasetDescriptor":
-        doc = json.loads(text)
-        f = doc["formula"]
-        formula = ModelFormula(
-            response=f["response"],
-            response_transform=f.get("response_transform", LOG),
-            terms=tuple(
-                Term(
-                    column=t["column"],
-                    kind=t.get("kind", "numeric"),
-                    transform=t.get("transform", IDENTITY),
-                    reference=t.get("reference"),
-                    levels=tuple(t["levels"]) if t.get("levels") else None,
-                )
-                for t in f["terms"]
-            ),
-        )
-        return DatasetDescriptor(
-            name=doc["name"],
-            granularity=Granularity(doc["granularity"]),
-            chronology=ChronologyMode(doc["chronology"]),
-            columns=doc["columns"],
-            formula=formula,
-            filters=tuple(doc.get("filters") or ()),
-            derived_products=doc.get("derived_products") or {},
-            overrides=tuple(doc["overrides"]) if doc.get("overrides") else None,
-            expected_rows=doc.get("expected_rows"),
-        )
+        doc = _json_object(text, "descriptor")
+        try:
+            f = doc["formula"]
+            formula = ModelFormula(
+                response=f["response"],
+                response_transform=f.get("response_transform", LOG),
+                terms=tuple(
+                    Term(
+                        column=t["column"],
+                        kind=t.get("kind", "numeric"),
+                        transform=t.get("transform", IDENTITY),
+                        reference=t.get("reference"),
+                        levels=tuple(t["levels"]) if t.get("levels") else None,
+                    )
+                    for t in f["terms"]
+                ),
+            )
+            return DatasetDescriptor(
+                name=doc["name"],
+                granularity=Granularity(doc["granularity"]),
+                chronology=ChronologyMode(doc["chronology"]),
+                columns=doc["columns"],
+                formula=formula,
+                filters=tuple(doc.get("filters") or ()),
+                derived_products=doc.get("derived_products") or {},
+                overrides=tuple(doc["overrides"]) if doc.get("overrides") else None,
+                expected_rows=doc.get("expected_rows"),
+            )
+        except KeyError as exc:
+            raise DataError(f"descriptor is missing key {exc.args[0]!r}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"bad descriptor: {exc}") from None
 
 
 _EM_COLUMNS = [
@@ -542,7 +549,11 @@ class SynthConfig:
 
     @staticmethod
     def from_json(text: str) -> "SynthConfig":
-        return SynthConfig(**json.loads(text))
+        doc = _json_object(text, "synth config")
+        unknown = sorted(set(doc) - {f.name for f in fields(SynthConfig)})
+        if unknown:
+            raise DataError(f"unknown synth config keys: {', '.join(unknown)}")
+        return SynthConfig(**doc)
 
 
 def synth_descriptor(config: SynthConfig) -> DatasetDescriptor:

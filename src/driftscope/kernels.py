@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 
@@ -21,12 +20,10 @@ __all__ = [
     "Granularity",
     "KernelKind",
     "BandwidthError",
-    "BandwidthGrid",
     "MAX_GRID_VALUES",
     "grid_size",
     "period_key",
     "period_index",
-    "assign_period_indices",
     "kernel_weight",
     "weights_for_target",
     "min_bandwidth",
@@ -58,7 +55,8 @@ class KernelKind(Enum):
 
 
 class BandwidthError(ValueError):
-    """Bandwidth inadmissible for the requested kernel."""
+    """Bandwidth or bandwidth grid inadmissible, in general or for the
+    requested kernel."""
 
 
 def period_key(completion, granularity: Granularity) -> int:
@@ -84,21 +82,6 @@ def period_index(key: int, oldest: int, granularity: Granularity) -> float:
     if granularity is Granularity.YEARLY:
         return float(1 + key - oldest)
     return round(0.1 * (1 + key - oldest), 10)
-
-
-def assign_period_indices(completions, granularity: Granularity) -> list[float]:
-    """Map completion years/dates to period indices.
-
-    The oldest period gets index 1 (yearly) or 0.1 (monthly); every later
-    calendar period is one increment further, whether or not any project
-    completed in between.
-    """
-    keys = [period_key(c, granularity) for c in completions]
-    if not keys:
-        raise ValueError("no completion dates given")
-    oldest = min(keys)
-    index = {k: period_index(k, oldest, granularity) for k in set(keys)}
-    return [index[k] for k in keys]
 
 
 def kernel_weight(kind: KernelKind, lag):
@@ -185,40 +168,23 @@ def min_bandwidth(
 MAX_GRID_VALUES = 100_000
 
 
-def grid_size(lo: float, hi: float, step: float) -> float:
-    """Number of values from ``lo`` to ``hi`` at a positive ``step``,
-    counted without making them; ``inf`` for an unbounded grid."""
-    n = (hi - lo) / step + 1e-9
-    return n if math.isinf(n) else math.floor(n) + 1
-
-
-@dataclass(frozen=True)
-class BandwidthGrid:
-    """Ascending bandwidth values from lo to hi at a fixed step."""
-
-    lo: float
-    hi: float
-    step: float
-    values: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.lo <= 0:
-            raise ValueError(f"grid lower bound must be positive, got {self.lo}")
-        if self.lo > self.hi + 1e-9:
-            raise ValueError(f"empty grid: lo {self.lo} exceeds hi {self.hi}")
-        n = grid_size(self.lo, self.hi, self.step)
-        if n > MAX_GRID_VALUES:
-            raise BandwidthError(
-                f"grid {self.lo:g}:{self.hi:g}:{self.step:g} has more than "
-                f"{MAX_GRID_VALUES} values"
-            )
-        object.__setattr__(
-            self,
-            "values",
-            tuple(round(self.lo + i * self.step, 10) for i in range(n)),
-        )
+def grid_size(lo: float, hi: float, step: float) -> int:
+    """Number of values of the grid ``lo:hi:step``, counted without making
+    them.  A grid must have finite bounds, a positive ``lo`` and ``step``,
+    at least one value and at most ``MAX_GRID_VALUES``."""
+    grid = f"{lo:g}:{hi:g}:{step:g}"
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise BandwidthError(f"grid {grid} has a non-finite bound")
+    if step <= 0:
+        raise BandwidthError(f"grid {grid} needs a positive step")
+    if lo <= 0:
+        raise BandwidthError(f"grid {grid} needs a positive lower bound")
+    n = math.floor((hi - lo) / step + 1e-9) + 1
+    if n < 1:
+        raise BandwidthError(f"grid {grid} is empty: lo exceeds hi")
+    if n > MAX_GRID_VALUES:
+        raise BandwidthError(f"grid {grid} has more than {MAX_GRID_VALUES} bandwidths")
+    return n
 
 
 def build_grid(
@@ -227,17 +193,18 @@ def build_grid(
     lo: float = 1.0,
     hi: float = 100.0,
     step: float = 1.0,
-) -> BandwidthGrid:
-    """Admissible bandwidth grid for a kernel over a known elapsed span."""
-    if lo > hi:
-        raise ValueError(f"lo {lo} exceeds hi {hi}")
+) -> tuple[float, ...]:
+    """Ascending admissible bandwidths for a kernel over a known elapsed
+    span: the values of the grid ``lo:hi:step`` (see ``grid_size``) from
+    the kernel's smallest admissible bandwidth on."""
+    grid_size(lo, hi, step)
     start = max(lo, min_bandwidth(kind, max_elapsed, step, lo=lo))
     if start > hi + 1e-9:
         raise BandwidthError(
             f"empty grid: {kind.value} kernel needs bandwidth >= {start}, "
             f"grid tops out at {hi}"
         )
-    return BandwidthGrid(lo=start, hi=hi, step=step)
+    return tuple(round(start + i * step, 10) for i in range(grid_size(start, hi, step)))
 
 
 def decay_horizon(kind: KernelKind, bandwidth: float, threshold: float) -> float:

@@ -21,6 +21,7 @@ __all__ = [
     "SingularDesignError",
     "WeightError",
     "shapiro_wilk",
+    "dummy_levels",
     "build_design_matrix",
     "weighted_least_squares",
     "predict",
@@ -126,17 +127,11 @@ def shapiro_wilk(sample, alpha: float = 0.05) -> NormalityReport:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Intercept-first design with its transformed response vector.
-
-    ``levels`` records, per categorical column, the non-reference levels
-    in column order; prediction designs must be built with the training
-    levels so unseen categories fail loudly.
-    """
+    """Intercept-first design with its transformed response vector."""
 
     matrix: np.ndarray
     response: np.ndarray
     labels: tuple[str, ...]
-    levels: dict[str, tuple[str, ...]]
 
     @property
     def n_rows(self) -> int:
@@ -165,7 +160,6 @@ class DesignMatrix:
             matrix=self.matrix[rows],
             response=self.response[rows],
             labels=self.labels,
-            levels=self.levels,
         )
         if isinstance(rows, slice):
             subset.__dict__["moments"] = self.moments[rows]
@@ -181,15 +175,33 @@ def _transformed(value, transform: str, column: str) -> float:
     return v
 
 
-def build_design_matrix(
-    rows, formula: ModelFormula, levels: dict[str, tuple[str, ...]] | None = None
-) -> DesignMatrix:
+def dummy_levels(term: Term, values: list[str]) -> tuple[str, ...]:
+    """The non-reference levels of a categorical term, one dummy column
+    each, given its column's values as strings: the declared levels, or
+    else the observed ones, sorted.  Undeclared levels need the reference
+    among the values; declared ones must cover every value."""
+    observed = set(values)
+    if term.levels is None:
+        if term.reference not in observed:
+            raise ValueError(
+                f"reference level {term.reference!r} absent from column {term.column!r}"
+            )
+        return tuple(sorted(observed - {term.reference}))
+    known = {*term.levels, term.reference}
+    if not observed <= known:
+        unseen = next(v for v in values if v not in known)
+        raise ValueError(
+            f"unseen level {unseen!r} in column {term.column!r}; "
+            f"declared levels are {sorted(known)}"
+        )
+    return tuple(l for l in term.levels if l != term.reference)
+
+
+def build_design_matrix(rows, formula: ModelFormula) -> DesignMatrix:
     """Build the design matrix and transformed response for a formula.
 
-    ``rows`` is a sequence of mappings (one per record).  When ``levels``
-    is given it fixes the dummy coding (prediction against a trained
-    model); otherwise levels come from the term declaration or, failing
-    that, from the data.
+    ``rows`` is a sequence of mappings (one per record); each categorical
+    term gets one dummy column per level ``dummy_levels`` gives it.
     """
     rows = list(rows)
     if not rows:
@@ -199,7 +211,6 @@ def build_design_matrix(
             if col not in row or row[col] in (None, ""):
                 raise ValueError(f"missing value for column {col!r}")
 
-    used_levels: dict[str, tuple[str, ...]] = {}
     labels: list[str] = ["intercept"]
     columns: list[np.ndarray] = [np.ones(len(rows))]
 
@@ -214,25 +225,7 @@ def build_design_matrix(
             continue
 
         observed = [str(r[term.column]) for r in rows]
-        if levels is not None and term.column in levels:
-            non_ref = tuple(levels[term.column])
-        elif term.levels is not None:
-            non_ref = tuple(l for l in term.levels if l != term.reference)
-        else:
-            non_ref = tuple(sorted(set(observed) - {term.reference}))
-        if levels is None and term.reference not in observed and term.levels is None:
-            raise ValueError(
-                f"reference level {term.reference!r} absent from column {term.column!r}"
-            )
-        known = set(non_ref) | {term.reference}
-        for v in observed:
-            if v not in known:
-                raise ValueError(
-                    f"unseen level {v!r} in column {term.column!r}; "
-                    f"training levels were {sorted(known)}"
-                )
-        used_levels[term.column] = non_ref
-        for level in non_ref:
+        for level in dummy_levels(term, observed):
             labels.append(f"{term.column}={level}")
             columns.append(np.array([1.0 if v == level else 0.0 for v in observed]))
 
@@ -243,7 +236,6 @@ def build_design_matrix(
         matrix=np.column_stack(columns),
         response=y,
         labels=tuple(labels),
-        levels=used_levels,
     )
 
 

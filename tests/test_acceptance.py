@@ -61,7 +61,7 @@ def _random_design(rng):
     matrix = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
     response = rng.normal(size=n)
     labels = ("intercept",) + tuple(f"x{j}" for j in range(k))
-    return DesignMatrix(matrix=matrix, response=response, labels=labels, levels={})
+    return DesignMatrix(matrix=matrix, response=response, labels=labels)
 
 
 @pytest.mark.criterion(1, "constant-predictor relative error is 1")
@@ -97,7 +97,6 @@ class TestWeightedFitOracles:
                 matrix=np.repeat(design.matrix, counts, axis=0),
                 response=np.repeat(design.response, counts),
                 labels=design.labels,
-                levels={},
             )
             oracle = weighted_least_squares(replicated, np.ones(replicated.n_rows))
             scale = max(1.0, float(np.linalg.norm(oracle.coefficients)))

@@ -12,7 +12,6 @@ from driftscope.analysis import (
     ConvergencePoint,
     SweepError,
     detect_convergence,
-    fit_cell,
     run_sweep,
     stationarity_verdict,
     summarize,
@@ -21,7 +20,6 @@ from driftscope.chronology import (
     ChronologyMode,
     SplitError,
     build_split_plan,
-    resolve_levels,
     well_formed_min,
 )
 from driftscope.datasets import ProjectRecord, SynthConfig, synthesize
@@ -52,24 +50,29 @@ def _plan(dataset):
 
 
 class TestFitCell:
+    """Single cells of ``run_sweep`` curves on one-value grids."""
+
     def test_uniform_kernel_curves_coincide(self, stationary_dataset):
-        split = _plan(stationary_dataset).splits[0]
-        cell = fit_cell(split, stationary_dataset.formula, KernelKind.UNIFORM, 10.0)
-        assert cell.re_train_nu == cell.re_train_u
-        assert cell.re_test_nu == cell.re_test_u
+        config = AnalysisConfig(grid_lo=10.0, grid_hi=10.0)
+        curve = run_sweep(stationary_dataset, (KernelKind.UNIFORM,), config).curve(
+            1, KernelKind.UNIFORM
+        )
+        assert curve.re_train_nu == [curve.re_train_u]
+        assert curve.re_test_nu == [curve.re_test_u]
 
     def test_noiseless_data_gives_zero_res(self):
         ds = synthesize(SynthConfig(seed=3, noise_sd=0.0))
-        split = _plan(ds).splits[0]
-        cell = fit_cell(split, ds.formula, KernelKind.GAUSSIAN, 5.0)
-        assert cell.re_train_nu == pytest.approx(0.0, abs=1e-12)
-        assert cell.re_test_nu == pytest.approx(0.0, abs=1e-12)
-        assert cell.re_train_u == pytest.approx(0.0, abs=1e-12)
+        config = AnalysisConfig(grid_lo=5.0, grid_hi=5.0)
+        curve = run_sweep(ds, (KernelKind.GAUSSIAN,), config).curve(1, KernelKind.GAUSSIAN)
+        assert curve.re_train_nu == [pytest.approx(0.0, abs=1e-12)]
+        assert curve.re_test_nu == [pytest.approx(0.0, abs=1e-12)]
+        assert curve.re_train_u == pytest.approx(0.0, abs=1e-12)
 
     def test_all_data_split_has_no_test_res(self, stationary_dataset):
-        split = _plan(stationary_dataset).splits[-1]
-        cell = fit_cell(split, stationary_dataset.formula, KernelKind.GAUSSIAN, 5.0)
-        assert cell.re_test_nu is None and cell.re_test_u is None
+        config = AnalysisConfig(grid_lo=5.0, grid_hi=5.0)
+        result = run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,), config)
+        curve = result.curve(result.plan.splits[-1].ordinal, KernelKind.GAUSSIAN)
+        assert curve.re_test_nu is None and curve.re_test_u is None
 
 
 class TestRunSweep:
@@ -78,7 +81,7 @@ class TestRunSweep:
         n_splits = len(plan.splits)
         expected = 0
         for kind in ALL_KERNELS:
-            expected += n_splits * len(stationary_sweep.grids[kind].values)
+            expected += n_splits * len(stationary_sweep.grids[kind])
         assert len(stationary_sweep.cells) == expected
 
     def test_finite_support_grids_start_above_span(self, stationary_sweep):
@@ -86,7 +89,7 @@ class TestRunSweep:
             s.target - min(s.train_indices) for s in stationary_sweep.plan.splits
         )
         for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
-            assert stationary_sweep.grids[kind].values[0] > max_elapsed
+            assert stationary_sweep.grids[kind][0] > max_elapsed
 
     def test_uniform_re_constant_across_bandwidth(self, stationary_sweep):
         for split in stationary_sweep.plan.splits:
@@ -102,7 +105,7 @@ class TestRunSweep:
         ]
         for (ordinal, kind), curve in stationary_sweep.curves.items():
             assert (curve.split, curve.kernel) == (ordinal, kind)
-            assert curve.bandwidths is stationary_sweep.grids[kind].values
+            assert curve.bandwidths is stationary_sweep.grids[kind]
             final = ordinal == plan.splits[-1].ordinal
             assert (curve.re_test_nu is None) == (curve.re_test_u is None) == final
             columns = [curve.re_train_nu] + ([] if final else [curve.re_test_nu])
@@ -118,7 +121,7 @@ class TestRunSweep:
             (split.ordinal, kind, b)
             for split in plan.splits
             for kind in ALL_KERNELS
-            for b in stationary_sweep.grids[kind].values
+            for b in stationary_sweep.grids[kind]
         ]
 
     def test_deterministic(self, stationary_dataset):
@@ -223,7 +226,7 @@ def _plans(draw):
     ]
     overrides = None
     if mode is ChronologyMode.REMAINDER_TEST and draw(stn.booleans()):
-        wmin = well_formed_min(resolve_levels(CATEGORICAL, [r.attributes for r in records]))
+        wmin = well_formed_min(CATEGORICAL, [r.attributes for r in records])
         overrides = sorted(draw(stn.sets(stn.integers(wmin, n - 1), min_size=1, max_size=4)))
     try:
         plan = build_split_plan(records, granularity, mode, CATEGORICAL, overrides=overrides)
@@ -236,7 +239,6 @@ def _assert_same_design(got, want):
     assert np.array_equal(got.matrix, want.matrix)
     assert np.array_equal(got.response, want.response)
     assert got.labels == want.labels
-    assert got.levels == want.levels
 
 
 class TestPlanDesign:
@@ -248,7 +250,15 @@ class TestPlanDesign:
     def test_split_rows_equal_their_own_design(self, case):
         records, plan = case
         by_id = {r.id: r for r in records}
-        formula = resolve_levels(CATEGORICAL, [r.attributes for r in records])
+        # the dataset-wide levels, declared, code every row range alike
+        levels = tuple(sorted({r.attributes["lang"] for r in records}))
+        formula = ModelFormula(
+            response=CATEGORICAL.response,
+            terms=(
+                CATEGORICAL.terms[0],
+                Term("lang", kind="categorical", reference="a", levels=levels),
+            ),
+        )
         design = build_design_matrix([r.attributes for r in plan.records], CATEGORICAL)
         for split in plan.splits:
             train = build_design_matrix(
@@ -257,8 +267,7 @@ class TestPlanDesign:
             _assert_same_design(design.subset(slice(split.stop)), train)
             if split.test_ids:
                 test = build_design_matrix(
-                    [by_id[i].attributes for i in split.test_ids], formula,
-                    levels=train.levels,
+                    [by_id[i].attributes for i in split.test_ids], formula
                 )
                 _assert_same_design(design.subset(split.test_rows), test)
 
@@ -268,7 +277,7 @@ class TestDetectConvergence:
         curve = [(b, 0.5) for b in range(1, 11)]
         point = detect_convergence(curve, 0.5, 0.05)
         assert point.bandwidth == 1
-        assert point.at_grid_minimum and point.sustained
+        assert point.at_grid_minimum
 
     def test_never_within_tolerance(self):
         curve = [(b, 2.0) for b in range(1, 11)]
@@ -300,30 +309,30 @@ class TestStationarityVerdict:
         assert v.horizon is None
 
     def test_horizon_beyond_span_is_non_stationary(self):
-        point = ConvergencePoint(bandwidth=5.0, sustained=True, at_grid_minimum=False)
+        point = ConvergencePoint(bandwidth=5.0, at_grid_minimum=False)
         v = stationarity_verdict(point, KernelKind.GAUSSIAN, 7.0, self._config())
         assert v.classification is Classification.NON_STATIONARY
         assert v.horizon == pytest.approx(15.17, abs=0.01)
 
     def test_full_grid_convergence_is_near_stationary(self):
-        point = ConvergencePoint(bandwidth=1.0, sustained=True, at_grid_minimum=True)
+        point = ConvergencePoint(bandwidth=1.0, at_grid_minimum=True)
         v = stationarity_verdict(point, KernelKind.GAUSSIAN, 7.0, self._config())
         assert v.classification is Classification.NEAR_STATIONARY
 
     def test_attainable_horizon_is_stationary(self):
-        point = ConvergencePoint(bandwidth=2.0, sustained=True, at_grid_minimum=False)
+        point = ConvergencePoint(bandwidth=2.0, at_grid_minimum=False)
         v = stationarity_verdict(point, KernelKind.GAUSSIAN, 16.0, self._config())
         assert v.horizon < 16.0
         assert v.classification is Classification.STATIONARY
 
     def test_large_bandwidth_on_short_span(self):
-        point = ConvergencePoint(bandwidth=18.0, sustained=True, at_grid_minimum=False)
+        point = ConvergencePoint(bandwidth=18.0, at_grid_minimum=False)
         v = stationarity_verdict(point, KernelKind.GAUSSIAN, 16.0, self._config())
         assert v.horizon == pytest.approx(18 * math.sqrt(-2 * math.log(0.01)), rel=1e-9)
         assert v.classification is Classification.NON_STATIONARY
 
     def test_decreasing_theta_never_promotes_to_stationary(self):
-        point = ConvergencePoint(bandwidth=6.0, sustained=True, at_grid_minimum=False)
+        point = ConvergencePoint(bandwidth=6.0, at_grid_minimum=False)
         for span in (5.0, 10.0, 20.0, 40.0):
             coarse = stationarity_verdict(
                 point, KernelKind.GAUSSIAN, span, AnalysisConfig(theta=0.05)

@@ -8,12 +8,11 @@ from driftscope.chronology import (
     SplitError,
     build_split_plan,
     completion_date,
-    resolve_levels,
     well_formed_min,
 )
 from driftscope.datasets import ProjectRecord
-from driftscope.kernels import Granularity, assign_period_indices, period_key
-from driftscope.stats import LOG, ModelFormula, Term
+from driftscope.kernels import Granularity, period_key
+from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
 
 def _formula(*terms):
@@ -59,24 +58,57 @@ def _monthly(n=16, start=(1999, 10)):
     return records
 
 
+@stn.composite
+def _categorical_rows(draw):
+    """Rows of a numeric and a categorical column, and a formula whose
+    categorical term may declare its levels; the reference level may be
+    absent from the rows, and declared levels may miss some values."""
+    values = draw(stn.lists(stn.sampled_from("abcd"), min_size=1, max_size=12))
+    reference = draw(stn.sampled_from("abcd"))
+    levels = draw(stn.none() | stn.lists(stn.sampled_from("abcde"), unique=True).map(tuple))
+    rows = [{"effort": 1.0 + i, "size": 2.0 + i, "lang": v} for i, v in enumerate(values)]
+    formula = _formula(
+        Term("size", transform=LOG),
+        Term("lang", kind="categorical", reference=reference, levels=levels),
+    )
+    return formula, rows
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestWellFormedMin:
     def test_single_numeric_term(self):
-        assert well_formed_min(ONE_TERM) == 3
+        assert well_formed_min(ONE_TERM, []) == 3
 
     def test_three_numeric_terms(self):
-        assert well_formed_min(_formula(Term("a"), Term("b"), Term("c"))) == 5
+        assert well_formed_min(_formula(Term("a"), Term("b"), Term("c")), []) == 5
 
     def test_dummy_columns_count_separately(self):
         f = _formula(
             Term("size", transform=LOG),
             Term("lang", kind="categorical", reference="1", levels=("1", "2", "3")),
         )
-        assert well_formed_min(f) == 5
+        assert well_formed_min(f, [{"lang": "2"}]) == 5
 
     def test_undeclared_levels_resolved_from_data(self):
         f = _formula(Term("lang", kind="categorical", reference="1"))
         rows = [{"lang": "1"}, {"lang": "2"}, {"lang": "3"}, {"lang": "1"}]
-        assert well_formed_min(resolve_levels(f, rows)) == 4
+        assert well_formed_min(f, rows) == 4
+
+    @given(_categorical_rows())
+    def test_counts_the_design_columns(self, case):
+        formula, rows = case
+        wmin = _outcome(well_formed_min, formula, rows)
+        design = _outcome(build_design_matrix, rows, formula)
+        if isinstance(design, str):
+            assert wmin == design  # the same error from both
+        else:
+            assert wmin == 1 + design.n_columns
 
 
 class TestCompletionDate:
@@ -95,7 +127,7 @@ class TestCompletionDate:
 
 
 def _check_invariants(plan, records, formula):
-    wmin = well_formed_min(formula)
+    wmin = well_formed_min(formula, [r.attributes for r in records])
     all_ids = {r.id for r in records}
     prev_train = None
     for split in plan.splits:
@@ -358,6 +390,15 @@ def _records(draw):
     ]
 
 
+def _per_record_indices(completions, granularity):
+    """Each record's own period index, from its year or absolute month."""
+    if granularity is Granularity.YEARLY:
+        years = [c.year if isinstance(c, date) else c for c in completions]
+        return [float(1 + y - min(years)) for y in years]
+    months = [c.year * 12 + c.month - 1 for c in completions]
+    return [round(0.1 * (1 + m - min(months)), 10) for m in months]
+
+
 class TestPlanOrder:
     @given(_records())
     def test_records_sorted_by_period_then_id_with_their_indices(self, case):
@@ -368,5 +409,6 @@ class TestPlanOrder:
         )
         expected = sorted(records, key=lambda r: (period_key(r.completion, granularity), r.id))
         assert list(plan.records) == expected
-        reference = assign_period_indices([r.completion for r in expected], granularity)
-        assert [x.hex() for x in plan.indices.tolist()] == [x.hex() for x in reference]
+        assert [x.hex() for x in plan.indices.tolist()] == [
+            x.hex() for x in _per_record_indices([r.completion for r in expected], granularity)
+        ]

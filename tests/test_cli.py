@@ -15,7 +15,7 @@ from driftscope.datasets import (
     synthesize,
     write_csv,
 )
-from driftscope.kernels import BandwidthGrid, KernelKind
+from driftscope.kernels import KernelKind
 
 
 @pytest.fixture()
@@ -44,6 +44,25 @@ class TestDescribe:
 
     def test_unknown_descriptor(self, capsys):
         assert main(["describe", "isbsg"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d.pop("formula"), "'formula'"),
+            (lambda d: d["formula"]["terms"][0].pop("column"), "'column'"),
+            (lambda d: d.update(granularity="weekly"), "'weekly'"),
+            (lambda d: d["formula"]["terms"][0].update(kind="ordinal"), "'ordinal'"),
+            (lambda d: d.update(formula=["effort"]), "bad descriptor"),
+        ],
+        ids=["no-formula", "term-without-column", "weekly", "term-kind", "formula-list"],
+    )
+    def test_malformed_descriptor_is_a_validation_error(self, tmp_path, capsys, edit, named):
+        doc = json.loads(synth_descriptor(SynthConfig()).to_json())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["describe", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestValidate:
@@ -240,11 +259,7 @@ def _reference_curves_text(result) -> str:
 
 def _hand_built_result(name: str) -> SweepResult:
     gaussian, uniform = KernelKind.GAUSSIAN, KernelKind.UNIFORM
-    grids = {
-        gaussian: BandwidthGrid(lo=0.5, hi=2.0, step=0.5),
-        uniform: BandwidthGrid(lo=3.0, hi=3.0, step=1.0),  # one value
-    }
-    g, u = grids[gaussian].values, grids[uniform].values
+    g, u = (0.5, 1.0, 1.5, 2.0), (3.0,)  # the uniform grid has one value
     curves = [
         Curve(1, gaussian, g, [0.1 + 0.2, 1 / 3, 2.5e-17, 12345.678901234567],
               [1.0, 0.5, 1e-05, 7.0], 0.7, 1e300),
@@ -257,7 +272,7 @@ def _hand_built_result(name: str) -> SweepResult:
         dataset=name,
         config=AnalysisConfig(),
         kernels=(gaussian, uniform),
-        grids=grids,
+        grids={gaussian: g, uniform: u},
         plan=None,
         curves={(c.split, c.kernel): c for c in curves},
     )
@@ -362,6 +377,19 @@ class TestSynth:
         assert desc.exists()
         assert main(["validate", "--descriptor", str(desc), "--data", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "config,named",
+        [({"bogus": 1, "seed": 2, "zeta": 0}, "bogus, zeta"), ([1, 2], "JSON object")],
+        ids=["unknown-keys", "list"],
+    )
+    def test_malformed_config_is_a_validation_error(self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_projects": 4, "n_periods": 2}))
@@ -384,6 +412,32 @@ class TestUsage:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "option,value,named",
+        [
+            ("--grid", "1:10:0", "positive step"),
+            ("--grid", "0:10:1", "positive lower bound"),
+            ("--grid", "10:1:1", "empty"),
+            ("--grid", "nan:10:1", "non-finite"),
+            ("--grid", "1:inf:1", "non-finite"),
+            ("--epsilon", "2", "got 2.0"),
+            ("--theta", "0", "got 0.0"),
+        ],
+    )
+    def test_bad_sweep_parameter(self, synth_csv, tmp_path, capsys, option, value, named):
+        data, desc = synth_csv
+        out = tmp_path / "out"
+        code = main(
+            [
+                "sweep", "--descriptor", str(desc), "--data", str(data),
+                option, value, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err and (option != "--grid" or value in err)
+        assert not out.exists()
 
     def test_grid_above_ceiling(self, synth_csv, tmp_path, capsys):
         data, desc = synth_csv

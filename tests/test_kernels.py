@@ -8,50 +8,19 @@ from hypothesis import given, strategies as stn
 from driftscope.kernels import (
     MAX_GRID_VALUES,
     BandwidthError,
-    BandwidthGrid,
     Granularity,
     KernelKind,
-    assign_period_indices,
     build_grid,
     decay_horizon,
     grid_size,
     kernel_weight,
     min_bandwidth,
+    period_index,
     period_key,
     weights_for_target,
 )
 
 NON_UNIFORM = [KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]
-
-
-class TestPeriodIndices:
-    def test_yearly_with_gap(self):
-        assert assign_period_indices([1971, 1972, 1974], Granularity.YEARLY) == [1, 2, 4]
-
-    def test_same_year_same_index(self):
-        assert assign_period_indices([1999, 1999], Granularity.YEARLY) == [1, 1]
-
-    def test_monthly_with_gap(self):
-        dates = [date(1999, 10, 15), date(1999, 11, 1), date(2000, 1, 31)]
-        assert assign_period_indices(dates, Granularity.MONTHLY) == [0.1, 0.2, 0.4]
-
-    def test_yearly_accepts_dates(self):
-        assert assign_period_indices([date(1980, 6, 1), 1982], Granularity.YEARLY) == [1, 3]
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            assign_period_indices([], Granularity.YEARLY)
-
-    def test_monthly_requires_dates(self):
-        with pytest.raises(ValueError):
-            assign_period_indices([1999], Granularity.MONTHLY)
-
-    def test_permutation_invariance(self):
-        years = [1985, 1983, 1990, 1983]
-        out = assign_period_indices(years, Granularity.YEARLY)
-        perm = [years[i] for i in (2, 0, 3, 1)]
-        out_perm = assign_period_indices(perm, Granularity.YEARLY)
-        assert out_perm == [out[i] for i in (2, 0, 3, 1)]
 
 
 def _reference_indices(completions, granularity):
@@ -96,7 +65,8 @@ class TestPeriodKey:
     @given(_COMPLETIONS)
     def test_indices_match_the_per_record_formula_bit_for_bit(self, case):
         granularity, completions = case
-        out = assign_period_indices(completions, granularity)
+        keys = [period_key(c, granularity) for c in completions]
+        out = [period_index(k, min(keys), granularity) for k in keys]
         expected = _reference_indices(completions, granularity)
         assert [type(x) for x in out] == [float] * len(out)
         assert [x.hex() for x in out] == [x.hex() for x in expected]
@@ -256,32 +226,35 @@ class TestBandwidthGrid:
 
     def test_gaussian_grid_default(self):
         grid = build_grid(KernelKind.GAUSSIAN, 16)
-        assert grid.values == tuple(float(b) for b in range(1, 101))
+        assert grid == tuple(float(b) for b in range(1, 101))
 
     def test_epanechnikov_grid_starts_above_span(self):
         grid = build_grid(KernelKind.EPANECHNIKOV, 16)
-        assert grid.values[0] == 17
-        assert grid.values[-1] == 100
+        assert grid[0] == 17
+        assert grid[-1] == 100
 
     def test_empty_grid(self):
         with pytest.raises(BandwidthError):
             build_grid(KernelKind.TRIANGULAR, 120)
 
     def test_grid_values_ascending(self):
-        grid = BandwidthGrid(lo=2.0, hi=3.0, step=0.25)
-        assert grid.values == (2.0, 2.25, 2.5, 2.75, 3.0)
+        grid = build_grid(KernelKind.GAUSSIAN, 16, lo=2.0, hi=3.0, step=0.25)
+        assert grid == (2.0, 2.25, 2.5, 2.75, 3.0)
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            BandwidthGrid(lo=5.0, hi=1.0, step=1.0)
+        bad = [(5.0, 1.0, 1.0), (0.0, 10.0, 1.0), (1.0, 10.0, 0.0), (math.nan, 10.0, 1.0)]
+        for lo, hi, step in bad:
+            for kind in (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR):
+                with pytest.raises(BandwidthError):
+                    build_grid(kind, 4, lo=lo, hi=hi, step=step)
 
     def test_ceiling(self):
         assert grid_size(1.0, 100000.0, 1.0) == MAX_GRID_VALUES
-        assert len(BandwidthGrid(lo=1.0, hi=100000.0, step=1.0).values) == MAX_GRID_VALUES
+        assert len(build_grid(KernelKind.GAUSSIAN, 16, hi=100000.0)) == MAX_GRID_VALUES
         with pytest.raises(BandwidthError, match="more than 100000"):
-            BandwidthGrid(lo=1.0, hi=100001.0, step=1.0)
+            build_grid(KernelKind.GAUSSIAN, 16, hi=100001.0)
         with pytest.raises(BandwidthError):
-            BandwidthGrid(lo=1.0, hi=math.inf, step=1.0)
+            build_grid(KernelKind.GAUSSIAN, 16, hi=math.inf)
 
 
 class TestDecayHorizon:

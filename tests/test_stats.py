@@ -68,14 +68,16 @@ class TestDesignMatrix:
     def test_unseen_level_at_prediction(self):
         formula = ModelFormula(
             response="y",
-            terms=(Term("t", kind="categorical", reference="a"),),
+            terms=(Term("t", kind="categorical", reference="a", levels=("a", "b")),),
             response_transform="identity",
         )
         train = build_design_matrix(
             [{"y": 1, "t": "a"}, {"y": 2, "t": "b"}], formula
         )
-        with pytest.raises(ValueError, match="unseen level"):
-            build_design_matrix([{"y": 3, "t": "c"}], formula, levels=train.levels)
+        test = build_design_matrix([{"y": 3, "t": "b"}], formula)
+        assert test.labels == train.labels == ("intercept", "t=b")
+        with pytest.raises(ValueError, match="unseen level 'c'"):
+            build_design_matrix([{"y": 3, "t": "c"}], formula)
 
     def test_reference_recode_leaves_fit_unchanged(self):
         rng = np.random.default_rng(7)
@@ -104,7 +106,7 @@ class TestRowMoments:
         assert np.shares_memory(train.moments, d.moments)
         by_hand = DesignMatrix(
             matrix=train.matrix.copy(), response=train.response.copy(),
-            labels=d.labels, levels=d.levels,
+            labels=d.labels,
         )
         assert np.array_equal(train.moments, by_hand.moments)
 
@@ -112,7 +114,7 @@ class TestRowMoments:
         rng = np.random.default_rng(8)
         x = np.column_stack([np.ones(6), rng.normal(size=(6, 2))])
         y = rng.normal(size=6)
-        d = DesignMatrix(matrix=x, response=y, labels=("a", "b", "c"), levels={})
+        d = DesignMatrix(matrix=x, response=y, labels=("a", "b", "c"))
         assert d.moments.shape == (6, 12)
         for row, xi, yi in zip(d.moments, x, y):
             assert np.array_equal(row[:9], np.outer(xi, xi).ravel())
@@ -248,7 +250,7 @@ class TestWeightedLeastSquares:
         y = rng.normal(size=n)
         w = 10.0 ** rng.uniform(-decades, 0, size=(int(rng.integers(1, 6)), n))
         design = DesignMatrix(
-            matrix=x, response=y, labels=tuple(f"x{j}" for j in range(k + 1)), levels={}
+            matrix=x, response=y, labels=tuple(f"x{j}" for j in range(k + 1))
         )
         expected, first_singular = [], None
         for b, row in enumerate(w):
@@ -288,7 +290,7 @@ class TestWeightedLeastSquares:
         w[rng.random(len(w)) < 0.3] = 1.0  # some unweighted rows
         design = DesignMatrix(
             matrix=x, response=rng.normal(size=n),
-            labels=tuple(f"x{j}" for j in range(k + 1)), levels={},
+            labels=tuple(f"x{j}" for j in range(k + 1)),
         )
         p = k + 1
         gram = (w @ design.moments)[:, : p * p].reshape(-1, p, p)
