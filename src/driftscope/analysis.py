@@ -115,8 +115,7 @@ class Curve:
 class SweepResult:
     dataset: str
     config: AnalysisConfig
-    kernels: tuple[KernelKind, ...]
-    grids: dict  # KernelKind -> its ascending bandwidths, a tuple
+    grids: dict  # KernelKind -> its ascending bandwidths, a tuple, in run order
     plan: SplitPlan
     curves: dict  # (split ordinal, KernelKind) -> Curve, split-major
 
@@ -220,18 +219,17 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
 
     Grids are fixed per kernel at the dataset level (the largest elapsed
     span any split must serve decides the finite-support minimum), so
-    every split of one dataset shares a common bandwidth axis.  The
-    design is built once, before any split runs.
+    every split of one dataset shares a common bandwidth axis; a kernel
+    given twice runs once.  The design is built once, before any split
+    runs.
     """
     kernels = tuple(kernels)
     if not kernels:
         raise ValueError("empty kernel set")
+    descriptor = dataset.descriptor
     plan = build_split_plan(
-        dataset.records,
-        dataset.granularity,
-        dataset.mode,
-        dataset.formula,
-        overrides=dataset.overrides,
+        dataset.records, descriptor.granularity, descriptor.chronology,
+        descriptor.formula, overrides=descriptor.overrides,
     )
     # training sets are prefixes of the plan order, which starts at the
     # oldest period
@@ -243,15 +241,14 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
         for kind in kernels
     }
 
-    design, actuals = _plan_design(plan.records, dataset.formula)
+    design, actuals = _plan_design(plan.records, descriptor.formula)
     curves = {}
     for split in plan.splits:
-        for curve in _split_curves(split, design, actuals, dataset.formula, grids):
+        for curve in _split_curves(split, design, actuals, descriptor.formula, grids):
             curves[curve.split, curve.kernel] = curve
     return SweepResult(
-        dataset=dataset.name,
+        dataset=descriptor.name,
         config=config,
-        kernels=kernels,
         grids=grids,
         plan=plan,
         curves=curves,
@@ -346,7 +343,6 @@ def stationarity_verdict(
 
 @dataclass(frozen=True)
 class SweepSummary:
-    dataset: str
     verdicts: tuple[StationarityVerdict, ...]
     kernel_agreement: float | None  # None with fewer than 2 weighted kernels
     test_re_range: dict  # split ordinal -> (min, max) over all test REs
@@ -359,11 +355,11 @@ class SweepSummary:
         return self._by_key[split, kernel]
 
 
-def summarize(sweep: SweepResult, config: AnalysisConfig | None = None) -> SweepSummary:
+def summarize(sweep: SweepResult) -> SweepSummary:
     """Per-split, per-kernel verdicts plus cross-kernel agreement and the
-    spread of test relative errors."""
-    config = config or sweep.config
-    weighted = [k for k in sweep.kernels if k is not KernelKind.UNIFORM]
+    spread of test relative errors, read at the sweep's own config."""
+    config = sweep.config
+    weighted = [k for k in sweep.grids if k is not KernelKind.UNIFORM]
     verdicts = []
     test_re_range = {}
     agree = 0
@@ -371,7 +367,7 @@ def summarize(sweep: SweepResult, config: AnalysisConfig | None = None) -> Sweep
         span = max(split.train_span, sweep.plan.granularity.increment)
         calls = set()
         test_res = []
-        for kind in sweep.kernels:
+        for kind in sweep.grids:
             curve = sweep.curves[split.ordinal, kind]
             point = detect_convergence(
                 zip(curve.bandwidths, curve.re_train_nu), curve.re_train_u, config.epsilon
@@ -389,7 +385,6 @@ def summarize(sweep: SweepResult, config: AnalysisConfig | None = None) -> Sweep
     if len(weighted) >= 2:
         agreement = agree / len(sweep.plan.splits)
     return SweepSummary(
-        dataset=sweep.dataset,
         verdicts=tuple(verdicts),
         kernel_agreement=agreement,
         test_re_range=test_re_range,

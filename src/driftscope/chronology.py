@@ -144,7 +144,8 @@ def build_split_plan(
     formula: ModelFormula,
     overrides=None,
 ) -> SplitPlan:
-    """Construct the accumulation plan over chronologically sorted records.
+    """Construct the accumulation plan, ordering ``records`` (in any
+    order) by completion period, then id.
 
     Every training set is a prefix of the sorted records.  Splits whose
     test set would hold fewer than two projects (the relative error is

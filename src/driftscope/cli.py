@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -25,11 +26,10 @@ from .datasets import (
     SynthConfig,
     builtin_descriptor,
     load_dataset,
-    synth_descriptor,
     synthesize,
     write_csv,
 )
-from .kernels import KernelKind, grid_size, min_bandwidth
+from .kernels import Granularity, KernelKind, grid_size, min_bandwidth, period_key
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -69,12 +69,15 @@ def _parse_kernels(text: str) -> tuple[KernelKind, ...]:
         if not part:
             continue
         try:
-            kinds.append(KernelKind(part))
+            kind = KernelKind(part)
         except ValueError:
             raise _UsageError(
                 f"unknown kernel {part!r}; choose from "
                 + ", ".join(k.value for k in KernelKind)
             ) from None
+        if kind in kinds:
+            raise _UsageError(f"kernel {part!r} given twice")
+        kinds.append(kind)
     if not kinds:
         raise _UsageError("no kernels given")
     return tuple(kinds)
@@ -109,7 +112,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _manifest(descriptor: DatasetDescriptor, config: AnalysisConfig, kernels, input_bytes: bytes) -> dict:
+def _manifest(descriptor: DatasetDescriptor, result, input_bytes: bytes) -> dict:
+    config = result.config
     return {
         "tool": "driftscope",
         "version": __version__,
@@ -119,7 +123,8 @@ def _manifest(descriptor: DatasetDescriptor, config: AnalysisConfig, kernels, in
             "epsilon": config.epsilon,
             "theta": config.theta,
             "grid": f"{config.grid_lo:g}:{config.grid_hi:g}:{config.grid_step:g}",
-            "kernels": [k.value for k in kernels],
+            "kernels": [k.value for k in result.grids],
+            "overrides": list(descriptor.overrides) if descriptor.overrides else None,
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -155,11 +160,11 @@ def cmd_describe(args) -> int:
 def cmd_validate(args) -> int:
     descriptor = _resolve_descriptor(args.descriptor)
     dataset = load_dataset(descriptor, args.data)
-    completions = [r.completion for r in dataset.records]
-    print(
-        f"{dataset.name}: {len(dataset.records)} records, "
-        f"{completions[0]} .. {completions[-1]}"
-    )
+    keys = [period_key(r.completion, descriptor.granularity) for r in dataset.records]
+    first, last = min(keys), max(keys)
+    if descriptor.granularity is Granularity.MONTHLY:  # absolute month numbers
+        first, last = (f"{k // 12}-{k % 12 + 1:02d}" for k in (first, last))
+    print(f"{descriptor.name}: {len(dataset.records)} records, {first} .. {last}")
     return 0
 
 
@@ -207,17 +212,20 @@ def read_curves(path) -> list[SweepCell]:
             raise DataError(f"unexpected curve columns: {reader.fieldnames}")
         cells = []
         for row in reader:
-            cells.append(
-                SweepCell(
-                    split=int(row["split"]),
-                    kernel=KernelKind(row["kernel"]),
-                    bandwidth=float(row["bandwidth"]),
-                    re_train_nu=float(row["re_train_nu"]),
-                    re_test_nu=float(row["re_test_nu"]) if row["re_test_nu"] else None,
-                    re_train_u=float(row["re_train_u"]),
-                    re_test_u=float(row["re_test_u"]) if row["re_test_u"] else None,
+            try:
+                cells.append(
+                    SweepCell(
+                        split=int(row["split"]),
+                        kernel=KernelKind(row["kernel"]),
+                        bandwidth=float(row["bandwidth"]),
+                        re_train_nu=float(row["re_train_nu"]),
+                        re_test_nu=float(row["re_test_nu"]) if row["re_test_nu"] else None,
+                        re_train_u=float(row["re_train_u"]),
+                        re_test_u=float(row["re_test_u"]) if row["re_test_u"] else None,
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:  # a bad field, or a short row's None
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
     return cells
 
 
@@ -228,8 +236,7 @@ def cmd_sweep(args) -> int:
             overrides = tuple(int(p) for p in args.overrides.split(","))
         except ValueError:
             raise _UsageError(f"bad overrides {args.overrides!r}") from None
-    else:
-        overrides = descriptor.overrides
+        descriptor = dataclasses.replace(descriptor, overrides=overrides)
     lo, hi, step = _parse_grid(args.grid)
     try:
         config = AnalysisConfig(
@@ -243,17 +250,8 @@ def cmd_sweep(args) -> int:
     input_bytes = Path(args.data).read_bytes()
     text = io.StringIO(input_bytes.decode("utf-8"), newline="")
     dataset = load_dataset(descriptor, text)
-    if overrides != descriptor.overrides:
-        dataset = type(dataset)(
-            name=dataset.name,
-            granularity=dataset.granularity,
-            mode=dataset.mode,
-            records=dataset.records,
-            formula=dataset.formula,
-            overrides=overrides,
-        )
     result = run_sweep(dataset, kernels, config)
-    summary = summarize(result, config)
+    summary = summarize(result)
 
     out = Path(args.out)
     _atomic_write(out / "curves.csv", _curves_text(result))
@@ -273,7 +271,7 @@ def cmd_sweep(args) -> int:
         "verdicts": verdicts,
     }
     _atomic_write(out / "verdicts.json", json.dumps(doc, indent=2) + "\n")
-    manifest = _manifest(descriptor, config, kernels, input_bytes)
+    manifest = _manifest(descriptor, result, input_bytes)
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(
         f"{result.dataset}: {len(result.plan.splits)} splits, "
@@ -388,12 +386,11 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         config = SynthConfig(**{**config.__dict__, "seed": args.seed})
     dataset = synthesize(config)
-    descriptor = synth_descriptor(config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(dataset, descriptor, out)
+    write_csv(dataset, out)
     descriptor_path = out.with_suffix(".descriptor.json")
-    _atomic_write(descriptor_path, descriptor.to_json() + "\n")
+    _atomic_write(descriptor_path, dataset.descriptor.to_json() + "\n")
     print(f"wrote {out} and {descriptor_path} ({len(dataset.records)} records)")
     return 0
 

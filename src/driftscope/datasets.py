@@ -48,17 +48,15 @@ class ProjectRecord:
     completion: object  # int year or datetime.date
     attributes: dict
     start: date | None = None
-    duration_days: int | None = None
 
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
-    granularity: Granularity
-    mode: ChronologyMode
+    """A descriptor's records, in the order its CSV held them; the split
+    plan decides their chronological order."""
+
+    descriptor: DatasetDescriptor
     records: tuple[ProjectRecord, ...]
-    formula: ModelFormula
-    overrides: tuple[int, ...] | None = None
 
 
 # --- descriptors -----------------------------------------------------------
@@ -343,8 +341,8 @@ def _text_stream(source):
 
 
 def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
-    """Parse, filter and validate a CSV into a chronologically sorted
-    Dataset.  ``source`` is a path, a file object or CSV text.
+    """Parse, filter and validate a CSV into a Dataset, keeping the rows
+    in file order.  ``source`` is a path, a file object or CSV text.
 
     Bound columns are read by their position in the header, resolved
     once; a repeated header name reads its last column.  Blank lines are
@@ -413,7 +411,7 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
         (name, [at[s] for s in sources])
         for name, sources in descriptor.derived_products.items()
     ]
-    keyed = []  # (chronological key, id, record)
+    records = []
     seen_ids = set()
     for row in kept:
         rid = row[id_at].strip()
@@ -442,16 +440,10 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
             raise DataError(
                 f"record {rid!r} has no completion date and no start+duration"
             )
-        # year, month, day as the digits of one int; a year-only
-        # completion sorts before every date of its year
-        if isinstance(completion, date):
-            key = completion.year * 10000 + completion.month * 100 + completion.day
-        elif monthly:
+        if monthly and not isinstance(completion, date):
             raise DataError(
                 f"record {rid!r}: monthly chronology needs full completion dates"
             )
-        else:
-            key = completion * 10000
 
         attributes: dict = {}
         for col, i, numeric in values:
@@ -475,24 +467,15 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
                 ) from None
             attributes[name] = math.prod(factors)
 
-        keyed.append(
-            (key, rid, ProjectRecord(rid, completion, attributes, start, duration))
-        )
-    if not keyed:
+        records.append(ProjectRecord(rid, completion, attributes, start))
+    if not records:
         raise DataError(f"{descriptor.name}: no records left after filtering")
-    keyed.sort()  # ids are unique, so records are never compared
-    return Dataset(
-        name=descriptor.name,
-        granularity=descriptor.granularity,
-        mode=descriptor.chronology,
-        records=tuple(record for _, _, record in keyed),
-        formula=descriptor.formula,
-        overrides=descriptor.overrides,
-    )
+    return Dataset(descriptor, tuple(records))
 
 
-def write_csv(dataset: Dataset, descriptor: DatasetDescriptor, path) -> None:
-    """Serialize a dataset back to the descriptor's CSV schema."""
+def write_csv(dataset: Dataset, path) -> None:
+    """Serialize a dataset back to its descriptor's CSV schema."""
+    descriptor = dataset.descriptor
     cols = descriptor.columns
     formula_cols = [
         c for c in descriptor.formula.columns if c not in descriptor.derived_products
@@ -537,6 +520,8 @@ class SynthConfig:
     size_hi: float = 1000.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.noise_sd < 0:
             raise ValueError(f"negative noise sd: {self.noise_sd}")
         if self.n_periods < 2:
@@ -550,9 +535,16 @@ class SynthConfig:
     @staticmethod
     def from_json(text: str) -> "SynthConfig":
         doc = _json_object(text, "synth config")
-        unknown = sorted(set(doc) - {f.name for f in fields(SynthConfig)})
+        types = {f.name: f.type for f in fields(SynthConfig)}  # "int" or "float"
+        unknown = sorted(set(doc) - set(types))
         if unknown:
             raise DataError(f"unknown synth config keys: {', '.join(unknown)}")
+        for key, value in doc.items():
+            allowed = int if types[key] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise DataError(
+                    f"synth config key {key!r} must be {types[key]}, got {value!r}"
+                )
         return SynthConfig(**doc)
 
 
@@ -610,11 +602,4 @@ def synthesize(config: SynthConfig) -> Dataset:
                 attributes={"size": float(size), "effort": effort},
             )
         )
-    return Dataset(
-        name="synthetic",
-        granularity=Granularity.YEARLY,
-        mode=ChronologyMode.YEAR_ACCUMULATE,
-        records=tuple(records),
-        formula=descriptor.formula,
-        overrides=None,
-    )
+    return Dataset(descriptor, tuple(records))

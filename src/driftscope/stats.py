@@ -26,7 +26,6 @@ __all__ = [
     "weighted_least_squares",
     "predict",
     "relative_error",
-    "sample_variance",
 ]
 
 LOG = "log"
@@ -360,13 +359,6 @@ def _squared_deviations(v: np.ndarray, out=None):
     return d.sum(axis=-1)
 
 
-def sample_variance(values) -> float:
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] < 2:
-        raise ValueError(f"variance needs at least 2 points, got {v.shape[0]}")
-    return float(_squared_deviations(v) / (v.shape[0] - 1))
-
-
 def relative_error(predictions, actuals):
     """Variance of residuals over variance of the actuals: a float, or one
     value per row of stacked predictions.
@@ -378,9 +370,12 @@ def relative_error(predictions, actuals):
     a = np.asarray(actuals, dtype=float)
     if p.shape[-1:] != a.shape:
         raise ValueError(f"length mismatch: {p.shape[-1]} vs {a.shape[0]}")
-    denom = sample_variance(a)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError(f"variance needs at least 2 points, got {n}")
+    denom = _squared_deviations(a) / (n - 1)
     if denom <= 0:
         raise ValueError("actuals have zero variance")
     residuals = a - p
-    ratio = _squared_deviations(residuals, out=residuals) / (a.shape[0] - 1) / denom
+    ratio = _squared_deviations(residuals, out=residuals) / (n - 1) / denom
     return float(ratio) if ratio.ndim == 0 else ratio

@@ -22,7 +22,7 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import ProjectRecord, SynthConfig, synthesize
+from driftscope.datasets import Dataset, ProjectRecord, SynthConfig, synthesize
 from driftscope.kernels import Granularity, KernelKind
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
@@ -44,9 +44,8 @@ def stationary_sweep(stationary_dataset):
 
 
 def _plan(dataset):
-    return build_split_plan(
-        dataset.records, dataset.granularity, dataset.mode, dataset.formula
-    )
+    d = dataset.descriptor
+    return build_split_plan(dataset.records, d.granularity, d.chronology, d.formula)
 
 
 class TestFitCell:
@@ -156,6 +155,14 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(stationary_dataset, ())
 
+    def test_repeated_kernel_runs_once(self, stationary_dataset):
+        gaussian = KernelKind.GAUSSIAN
+        sweep = run_sweep(stationary_dataset, (gaussian, gaussian), AnalysisConfig(grid_step=9.0))
+        assert list(sweep.grids) == [gaussian]
+        summary = summarize(sweep)
+        assert summary.kernel_agreement is None
+        assert [v.split for v in summary.verdicts] == [s.ordinal for s in sweep.plan.splits]
+
     def test_failed_cell_reports_coordinates(self):
         # two records per period is too few once the formula needs 3 rows
         ds = synthesize(SynthConfig(seed=8, n_projects=6, n_periods=3, noise_sd=0.0))
@@ -163,10 +170,7 @@ class TestRunSweep:
             type(r)(id=r.id, completion=r.completion, attributes={**r.attributes, "size": 100.0})
             for r in ds.records
         )
-        broken = type(ds)(
-            name=ds.name, granularity=ds.granularity, mode=ds.mode,
-            records=records, formula=ds.formula,
-        )
+        broken = Dataset(ds.descriptor, records)
         with pytest.raises(SweepError, match="split"):
             run_sweep(broken, (KernelKind.GAUSSIAN,))
 

@@ -2,14 +2,17 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from driftscope.analysis import AnalysisConfig, Curve, SweepResult, run_sweep
 from driftscope.cli import CURVE_COLUMNS, _curves_text, main, read_curves
 from driftscope.datasets import (
+    DataError,
     DatasetDescriptor,
     SynthConfig,
+    builtin_descriptor,
     load_dataset,
     synth_descriptor,
     synthesize,
@@ -17,16 +20,17 @@ from driftscope.datasets import (
 )
 from driftscope.kernels import KernelKind
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 @pytest.fixture()
 def synth_csv(tmp_path):
     config = SynthConfig(seed=21, n_projects=60, n_periods=6)
     dataset = synthesize(config)
-    descriptor = synth_descriptor(config)
     data = tmp_path / "synth.csv"
     desc = tmp_path / "synth.descriptor.json"
-    write_csv(dataset, descriptor, data)
-    desc.write_text(descriptor.to_json())
+    write_csv(dataset, data)
+    desc.write_text(dataset.descriptor.to_json())
     return data, desc
 
 
@@ -87,6 +91,19 @@ class TestValidate:
         assert main(["validate", "--descriptor", str(desc), "--data", str(short)]) == 2
         rid = lines[3].split(",")[0]
         assert f"record {rid!r} (line 4) has 3 of the header's 4 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,period_line",
+        [
+            ("maxwell", "maxwell: 62 records, 1985 .. 1993"),  # year-only
+            ("kitchenham", "kitchenham: 105 records, 1994 .. 1999"),  # dated, yearly
+            ("xbc", "xbc: 16 records, 2003-02 .. 2005-09"),  # dated, monthly
+        ],
+    )
+    def test_prints_first_and_last_period(self, capsys, name, period_line):
+        data = GOLDEN / f"{name}_seed1" / "data.csv"
+        assert main(["validate", "--descriptor", name, "--data", str(data)]) == 0
+        assert capsys.readouterr().out == period_line + "\n"
 
 
 class TestSweep:
@@ -214,6 +231,32 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["input_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
+    def test_manifest_without_overrides(self, synth_csv, tmp_path):
+        _, desc = synth_csv
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["overrides"] is None
+        assert manifest["config"]["kernels"] == ["gaussian"]
+        expected = DatasetDescriptor.from_json(desc.read_text()).to_json()
+        assert manifest["descriptor_digest"] == hashlib.sha256(expected.encode()).hexdigest()
+
+    def test_manifest_records_the_overrides_that_ran(self, tmp_path):
+        data = GOLDEN / "xbc_seed1" / "data.csv"
+        manifests = []
+        for extra in ((), ("--overrides", "7,10")):
+            out = tmp_path / f"out{len(extra)}"
+            assert main([
+                "sweep", "--descriptor", "xbc", "--data", str(data), "--kernels", "gaussian",
+                "--grid", "1:100:99", "--out", str(out), *extra,
+            ]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        builtin, given = manifests
+        assert builtin["config"]["overrides"] == [7, 10, 12, 13, 14]
+        assert given["config"]["overrides"] == [7, 10]
+        digest = hashlib.sha256(builtin_descriptor("xbc").to_json().encode()).hexdigest()
+        assert builtin["descriptor_digest"] == digest != given["descriptor_digest"]
+
     def test_unknown_kernel_is_usage_error(self, synth_csv, tmp_path):
         code, _ = self._run(synth_csv, tmp_path, "--kernels", "cauchy")
         assert code == 1
@@ -271,7 +314,6 @@ def _hand_built_result(name: str) -> SweepResult:
     return SweepResult(
         dataset=name,
         config=AnalysisConfig(),
-        kernels=(gaussian, uniform),
         grids={gaussian: g, uniform: u},
         plan=None,
         curves={(c.split, c.kernel): c for c in curves},
@@ -361,6 +403,34 @@ class TestPlot:
         assert code == 2
 
 
+class TestReadCurves:
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda row: row.replace(",0.5,", ",abc,", 1), "'abc'"),
+            (lambda row: row.replace("gaussian", "cosine"), "'cosine' is not a valid"),
+            (lambda row: row.rsplit(",", 3)[0], "line 2"),  # a short row
+        ],
+        ids=["non-numeric", "unknown-kernel", "short-row"],
+    )
+    def test_malformed_row_is_a_validation_error(self, tmp_path, capsys, edit, named):
+        lines = _curves_text(_hand_built_result("d")).split("\r\n")
+        lines[1] = edit(lines[1])
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\r\n".join(lines), newline="")
+        with pytest.raises(DataError, match="line 2"):
+            read_curves(curves)
+        svg = tmp_path / "x.svg"
+        code = main([
+            "plot", "--curves", str(curves), "--split", "1", "--kernel", "gaussian",
+            "--out", str(svg),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{curves}, line 2: " in err and named in err
+        assert not svg.exists()
+
+
 class TestSynth:
     def test_same_seed_same_digest(self, tmp_path):
         digests = []
@@ -389,6 +459,34 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,code,named",
+        [
+            ({"n_projects": "abc"}, 2, "synth config key 'n_projects' must be int, got 'abc'"),
+            ({"n_projects": 100.5}, 2, "synth config key 'n_projects' must be int, got 100.5"),
+            ({"n_periods": True}, 2, "synth config key 'n_periods' must be int, got True"),
+            ({"noise_sd": "0.1"}, 2, "synth config key 'noise_sd' must be float, got '0.1'"),
+            ({"slope": False}, 2, "synth config key 'slope' must be float, got False"),
+            ({"seed": None}, 2, "synth config key 'seed' must be int, got None"),
+            ({"seed": -1}, 3, "seed must be non-negative, got -1"),
+        ],
+        ids=["str-int", "float-int", "bool-int", "str-float", "bool-float", "null", "negative-seed"],
+    )
+    def test_mistyped_config(self, tmp_path, capsys, config, code, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == code
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_is_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"slope": 2, "noise_sd": 0}))
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert SynthConfig.from_json(cfg.read_text()) == SynthConfig(slope=2.0, noise_sd=0.0)
 
     def test_infeasible_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -423,6 +521,7 @@ class TestUsage:
             ("--grid", "1:inf:1", "non-finite"),
             ("--epsilon", "2", "got 2.0"),
             ("--theta", "0", "got 0.0"),
+            ("--kernels", "gaussian,triangular,Gaussian", "kernel 'gaussian' given twice"),
         ],
     )
     def test_bad_sweep_parameter(self, synth_csv, tmp_path, capsys, option, value, named):

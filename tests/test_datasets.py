@@ -234,8 +234,7 @@ class TestLoaderErrors:
         p1, p2 = ds.records
         assert p1.completion == 1990
         assert p1.attributes == {"size": 10.0, "kind": "a", "effort": 100.0, "eaf": 1.0 * 1.1}
-        assert (p2.start, p2.duration_days, p2.completion) == (
-            date(1990, 1, 1), 30, date(1990, 1, 31))
+        assert (p2.start, p2.completion) == (date(1990, 1, 1), date(1990, 1, 31))
 
     def test_blank_lines_are_skipped(self):
         text = TABLE_CSV.replace("\np2,", "\n\n\np2,")
@@ -252,15 +251,6 @@ class TestLoaderErrors:
         with pytest.raises(DataError) as exc:
             load_dataset(_table_descriptor(**fields), text)
         assert str(exc.value) == message
-
-
-def _reference_order(records):
-    """Records in the loader's order: completion (a year-only completion
-    before every date of its year), then id."""
-    def key(r):
-        c = r.completion
-        return ((c.year, c.month, c.day) if isinstance(c, date) else (c, 0, 0)), r.id
-    return tuple(sorted(records, key=key))
 
 
 _TEXT = stn.text(
@@ -302,28 +292,21 @@ def _datasets(draw):
             terms=(Term("size"), Term("kind", kind="categorical", reference="a")),
         ),
     )
-    dataset = Dataset(
-        name="roundtrip",
-        granularity=granularity,
-        mode=descriptor.chronology,
-        records=records,
-        formula=descriptor.formula,
-    )
-    return dataset, descriptor
+    return Dataset(descriptor, records)
 
 
 class TestCsvRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(_datasets())
-    def test_write_then_load_gives_the_sorted_records(self, case):
-        dataset, descriptor = case
+    def test_write_then_load_gives_the_sorted_records(self, dataset):
+        """The loader keeps the written order; only the split plan sorts."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
-            write_csv(dataset, descriptor, path)
-            loaded = load_dataset(descriptor, path)
-        assert loaded.records == _reference_order(dataset.records)
+            write_csv(dataset, path)
+            loaded = load_dataset(dataset.descriptor, path)
+        assert loaded == dataset
         assert [type(r.completion) for r in loaded.records] == [
-            type(r.completion) for r in _reference_order(dataset.records)
+            type(r.completion) for r in dataset.records
         ]
 
 
@@ -388,7 +371,7 @@ class TestSynthesize:
         config = SynthConfig(seed=4, noise_sd=0.0, intercept=1.5, slope=0.8)
         ds = synthesize(config)
         rows = [r.attributes for r in ds.records]
-        design = build_design_matrix(rows, ds.formula)
+        design = build_design_matrix(rows, ds.descriptor.formula)
         model = weighted_least_squares(design, [1.0] * len(rows))
         assert model.coefficients == pytest.approx([1.5, 0.8], abs=1e-9)
 
@@ -403,15 +386,10 @@ class TestSynthesize:
     def test_round_trips_through_csv(self, tmp_path):
         config = SynthConfig(seed=12)
         ds = synthesize(config)
-        descriptor = synth_descriptor(config)
+        assert ds.descriptor == synth_descriptor(config)
         path = tmp_path / "synth.csv"
-        write_csv(ds, descriptor, path)
-        reloaded = load_dataset(descriptor, str(path))
-        assert [r.id for r in reloaded.records] == [r.id for r in ds.records]
-        for a, b in zip(reloaded.records, ds.records):
-            assert a.completion == b.completion
-            assert a.attributes["size"] == b.attributes["size"]
-            assert a.attributes["effort"] == b.attributes["effort"]
+        write_csv(ds, path)
+        assert load_dataset(ds.descriptor, str(path)) == ds
 
     def test_config_json_round_trip(self):
         config = SynthConfig(seed=5, intercept_drift=0.25)

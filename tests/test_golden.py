@@ -51,6 +51,7 @@ became row ranges of one design, and must not change:
 import csv
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,25 @@ def test_shape_verdicts_match_golden(shape_sweep):
     _assert_verdicts_match(*shape_sweep)
 
 
+def test_row_order_does_not_matter(shape_sweep, tmp_path):
+    """A seeded shuffle of the data rows gives the same bytes: the split
+    plan alone orders the records."""
+    golden, out = shape_sweep
+    header, *rows = (golden / "data.csv").read_text(encoding="utf-8").splitlines()
+    in_file_order = list(rows)
+    random.Random(golden.name).shuffle(rows)
+    assert rows != in_file_order
+    shuffled = tmp_path / "data.csv"
+    shuffled.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    again = tmp_path / "out"
+    assert main([
+        "sweep", "--descriptor", golden.name.split("_")[0], "--data", str(shuffled),
+        "--grid", "1:100:9", "--out", str(again),
+    ]) == 0
+    for name in ("curves.csv", "verdicts.json"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_drifting_fixture_covers_both_verdicts():
     doc = json.loads((GOLDEN / "synth_seed7_drift" / "verdicts.json").read_text())
     calls = {v["classification"] for v in doc["verdicts"].values()}
@@ -157,9 +177,10 @@ def _plan(case):
     else:
         name = case.split("_")[0]
         ds = load_dataset(builtin_descriptor(name), GOLDEN / f"{name}_seed1" / "data.csv")
-    overrides = None if case.endswith("/remainder") else ds.overrides
+    d = ds.descriptor
+    overrides = None if case.endswith("/remainder") else d.overrides
     return build_split_plan(
-        ds.records, ds.granularity, ds.mode, ds.formula, overrides=overrides
+        ds.records, d.granularity, d.chronology, d.formula, overrides=overrides
     )
 
 
