@@ -136,15 +136,17 @@ def _relative_errors(model, design, actuals, log_scale: bool):
     return stats.relative_error(predictions, actuals)
 
 
-def _plan_design(records, formula):
-    """The design and the untransformed response of ``records``, built
-    once in plan order; every split's designs are row ranges of it."""
+def _plan_design(dataset, order):
+    """The design and the untransformed response of the dataset's records
+    in plan ``order``, built once; every split's designs are row ranges
+    of it."""
+    formula = dataset.descriptor.formula
+    columns = {c: dataset.attributes[c][order] for c in formula.columns}
     try:
-        design = stats.build_design_matrix([r.attributes for r in records], formula)
+        design = stats.build_design_matrix(columns, formula)
     except ValueError as exc:
         raise SweepError(exc) from exc
-    actuals = np.array([r.attributes[formula.response] for r in records], dtype=float)
-    return design, actuals
+    return design, columns[formula.response]
 
 
 def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Curve]:
@@ -227,10 +229,7 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     if not kernels:
         raise ValueError("empty kernel set")
     descriptor = dataset.descriptor
-    plan = build_split_plan(
-        dataset.records, descriptor.granularity, descriptor.chronology,
-        descriptor.formula, overrides=descriptor.overrides,
-    )
+    plan = build_split_plan(dataset)
     # training sets are prefixes of the plan order, which starts at the
     # oldest period
     max_elapsed = max(s.target for s in plan.splits) - float(plan.indices[0])
@@ -241,7 +240,7 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
         for kind in kernels
     }
 
-    design, actuals = _plan_design(plan.records, descriptor.formula)
+    design, actuals = _plan_design(dataset, plan.order)
     curves = {}
     for split in plan.splits:
         for curve in _split_curves(split, design, actuals, descriptor.formula, grids):

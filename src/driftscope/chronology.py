@@ -12,11 +12,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
-from .kernels import Granularity, period_index, period_key
+from .kernels import Granularity, period_index
 from .stats import ModelFormula, dummy_levels
 
 __all__ = [
@@ -40,17 +39,17 @@ class SplitError(ValueError):
     """No admissible split plan for the given data and formula."""
 
 
-def well_formed_min(formula: ModelFormula, rows) -> int:
-    """Minimum training size over ``rows`` (one mapping per record): two
-    plus the number of explanatory design columns, counting each dummy
+def well_formed_min(formula: ModelFormula, columns) -> int:
+    """Minimum training size over records whose categorical terms' values
+    ``columns`` holds (a column name to a sequence of strings): two plus
+    the number of explanatory design columns, counting each dummy
     indicator ``dummy_levels`` gives a categorical term separately."""
-    rows = list(rows)
     n_columns = 0
     for term in formula.terms:
         if term.kind == "numeric":
             n_columns += 1
         else:
-            n_columns += len(dummy_levels(term, [str(r[term.column]) for r in rows]))
+            n_columns += len(dummy_levels(term, columns[term.column]))
     return 2 + n_columns
 
 
@@ -68,7 +67,7 @@ class Split:
     """One split as row positions in its plan's record order: training is
     the first ``stop`` records, testing the records at ``test_rows``.
 
-    ``plan_records`` and ``plan_indices`` are the plan's sorted records
+    ``plan_ids`` and ``plan_indices`` are the plan's sorted record ids
     and their period indices, shared by every split of the plan.
     """
 
@@ -77,16 +76,16 @@ class Split:
     test_rows: np.ndarray
     target: float
     train_span: float
-    plan_records: tuple = field(repr=False)
+    plan_ids: np.ndarray = field(repr=False)
     plan_indices: np.ndarray = field(repr=False)
 
     @property
     def train_ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.plan_records[: self.stop])
+        return tuple(self.plan_ids[: self.stop])
 
     @property
     def test_ids(self) -> tuple[str, ...]:
-        return tuple(self.plan_records[i].id for i in self.test_rows.tolist())
+        return tuple(self.plan_ids[self.test_rows])
 
     @property
     def train_indices(self) -> tuple[float, ...]:
@@ -103,12 +102,13 @@ class Split:
 
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
-    """Splits over ``records``, sorted by completion period then id, with
-    ``indices`` holding each record's period index."""
+    """Splits over a dataset's records sorted by completion period then
+    id: ``order`` holds their dataset rows and ``indices`` their period
+    indices."""
 
     mode: ChronologyMode
     granularity: Granularity
-    records: tuple
+    order: np.ndarray
     indices: np.ndarray
     splits: tuple[Split, ...]
 
@@ -126,26 +126,19 @@ class SplitPlan:
         ]
 
 
-def _completion_as_date(record) -> date:
-    """Completion as a date; a year-only completion is read as the last
-    day of that year."""
-    c = record.completion
-    if isinstance(c, datetime):
-        return c.date()
-    if isinstance(c, date):
-        return c
-    return date(int(c), 12, 31)
+def _year_ends(years: np.ndarray) -> np.ndarray:
+    """The last day of each year, the date a year-only completion is read
+    as, within the years ``datetime.date`` holds."""
+    outside = (years < 1) | (years > 9999)
+    if outside.any():
+        raise ValueError(f"year {years[outside][0]} is out of range")
+    return (years.astype(np.int64) - 1969).astype("datetime64[Y]").astype("datetime64[D]") - 1
 
 
-def build_split_plan(
-    records,
-    granularity: Granularity,
-    mode: ChronologyMode,
-    formula: ModelFormula,
-    overrides=None,
-) -> SplitPlan:
-    """Construct the accumulation plan, ordering ``records`` (in any
-    order) by completion period, then id.
+def build_split_plan(dataset) -> SplitPlan:
+    """Construct the accumulation plan of a ``Dataset`` (its records in
+    any order) under its descriptor's granularity, chronology, formula
+    and overrides, ordering the records by completion period, then id.
 
     Every training set is a prefix of the sorted records.  Splits whose
     test set would hold fewer than two projects (the relative error is
@@ -153,82 +146,77 @@ def build_split_plan(
     the next training set but yields no evaluation.  The final split
     always trains on everything and carries no test set.
     """
-    records = list(records)
-    if not records:
+    descriptor = dataset.descriptor
+    granularity, mode = descriptor.granularity, descriptor.chronology
+    n = len(dataset.ids)
+    if not n:
         raise SplitError("empty dataset")
-    # (period, id, position): ties keep the given order, as a stable sort would
-    keyed = sorted(
-        zip(
-            [period_key(r.completion, granularity) for r in records],
-            [str(r.id) for r in records],
-            range(len(records)),
-        )
+    # np.lexsort is stable: records with equal keys and ids keep their order
+    order = np.lexsort((dataset.ids, dataset.keys))
+    keys, ids = dataset.keys[order], dataset.ids[order]
+    categorical = [t.column for t in descriptor.formula.terms if t.kind == "categorical"]
+    wmin = well_formed_min(
+        descriptor.formula, {c: dataset.attributes[c][order] for c in categorical}
     )
-    records = tuple(records[i] for _, _, i in keyed)
-    periods = [p for p, _, _ in keyed]
-    wmin = well_formed_min(formula, [r.attributes for r in records])
     # bounds[g] is the position of the first record of period g; the last
     # entry is the record count
-    bounds = [0] + [i for i in range(1, len(periods)) if periods[i] != periods[i - 1]]
-    bounds.append(len(records))
+    bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), n]
+    periods = keys[bounds[:-1]].tolist()
     # one index per period, repeated over its records
     indices = np.repeat(
-        [period_index(periods[b], periods[0], granularity) for b in bounds[:-1]],
-        np.diff(bounds),
+        [period_index(k, periods[0], granularity) for k in periods], np.diff(bounds)
     )
     indices.setflags(write=False)  # shared by every split of the plan
+    ids.setflags(write=False)
 
-    if overrides is not None:
-        stops = _override_stops(overrides, bounds, mode, wmin)
+    if descriptor.overrides is not None:
+        stops = _override_stops(descriptor.overrides, bounds, mode, wmin)
     else:
         stops = bounds[_warm_up(bounds, wmin):-1]
-    # last_done[i]: the latest completion among the first i + 1 records
-    last_done = (
-        list(accumulate(map(_completion_as_date, records), max))
-        if mode is ChronologyMode.DATE_FILTERED_TEST
-        else None
-    )
+    start = last_done = None
+    if mode is ChronologyMode.DATE_FILTERED_TEST:
+        # last_done[i]: the latest completion among the first i + 1 records
+        done = dataset.done[order]
+        year_only = np.isnat(done)
+        done[year_only] = _year_ends(keys[year_only])
+        last_done = np.maximum.accumulate(done)
+        start = dataset.start[order]
     splits = []
 
     def add(stop, test_rows):
         splits.append(
-            _make_split(len(splits) + 1, stop, test_rows, records, indices, granularity)
+            _make_split(len(splits) + 1, stop, test_rows, ids, indices, granularity)
         )
 
     for stop in stops:
-        test_rows = _test_rows(stop, records, bounds, mode, last_done)
+        test_rows = _test_rows(stop, n, bounds, mode, start, last_done)
         if test_rows.size >= 2:
             add(stop, test_rows)
-    add(len(records), np.arange(0))
+    add(n, np.arange(0))
     return SplitPlan(
         mode=mode,
         granularity=granularity,
-        records=records,
+        order=order,
         indices=indices,
         splits=tuple(splits),
     )
 
 
-def _test_rows(stop, records, bounds, mode, last_done) -> np.ndarray:
+def _test_rows(stop, n, bounds, mode, start, last_done) -> np.ndarray:
     """Positions of the test records after a training prefix of ``stop``
-    records: the rest of the data, or the next completion period, kept
-    under ``DATE_FILTERED_TEST`` only if started after training ended."""
+    of the ``n`` records: the rest of the data, or the next completion
+    period, kept under ``DATE_FILTERED_TEST`` only if started after
+    training ended (a record without a start never is)."""
     if mode is ChronologyMode.REMAINDER_TEST:
-        return np.arange(stop, len(records))
+        return np.arange(stop, n)
     end = bounds[bisect_right(bounds, stop)]
+    rows = np.arange(stop, end)
     if last_done is None:
-        return np.arange(stop, end)
-    return np.array(
-        [
-            i
-            for i in range(stop, end)
-            if records[i].start is not None and records[i].start > last_done[stop - 1]
-        ],
-        dtype=np.intp,
-    )
+        return rows
+    return rows[start[stop:end] > last_done[stop - 1]]
 
 
-def _make_split(ordinal, stop, test_rows, records, indices, granularity) -> Split:
+def _make_split(ordinal, stop, test_rows, ids, indices, granularity) -> Split:
     test_rows.setflags(write=False)
     target = (
         float(indices[test_rows].min())
@@ -241,7 +229,7 @@ def _make_split(ordinal, stop, test_rows, records, indices, granularity) -> Spli
         test_rows=test_rows,
         target=target,
         train_span=round(float(indices[stop - 1] - indices[0]), 10),
-        plan_records=records,
+        plan_ids=ids,
         plan_indices=indices,
     )
 

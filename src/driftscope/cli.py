@@ -29,7 +29,7 @@ from .datasets import (
     synthesize,
     write_csv,
 )
-from .kernels import Granularity, KernelKind, grid_size, min_bandwidth, period_key
+from .kernels import Granularity, KernelKind, grid_size, min_bandwidth
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -160,8 +160,7 @@ def cmd_describe(args) -> int:
 def cmd_validate(args) -> int:
     descriptor = _resolve_descriptor(args.descriptor)
     dataset = load_dataset(descriptor, args.data)
-    keys = [period_key(r.completion, descriptor.granularity) for r in dataset.records]
-    first, last = min(keys), max(keys)
+    first, last = int(dataset.keys.min()), int(dataset.keys.max())
     if descriptor.granularity is Granularity.MONTHLY:  # absolute month numbers
         first, last = (f"{k // 12}-{k % 12 + 1:02d}" for k in (first, last))
     print(f"{descriptor.name}: {len(dataset.records)} records, {first} .. {last}")
@@ -212,6 +211,12 @@ def read_curves(path) -> list[SweepCell]:
             raise DataError(f"unexpected curve columns: {reader.fieldnames}")
         cells = []
         for row in reader:
+            if None in row:  # DictReader's key for fields past the header's
+                raise DataError(
+                    f"{path}, line {reader.line_num}: "
+                    f"{len(CURVE_COLUMNS) + len(row[None])} fields, the header has "
+                    f"{len(CURVE_COLUMNS)}"
+                )
             try:
                 cells.append(
                     SweepCell(

@@ -12,13 +12,15 @@ import csv
 import io
 import json
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 
 import numpy as np
 
 from .chronology import ChronologyMode, completion_date
-from .kernels import Granularity
+from .kernels import Granularity, period_key
 from .stats import IDENTITY, LOG, ModelFormula, Term
 
 __all__ = [
@@ -50,13 +52,95 @@ class ProjectRecord:
     start: date | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A descriptor's records, in the order its CSV held them; the split
-    plan decides their chronological order."""
+    """A descriptor's records as columns, in the order its CSV held them;
+    the split plan decides their chronological order.
+
+    Row i of every array is record i: ``ids`` holds its id (a str),
+    ``keys`` its completion period (``kernels.period_key``), ``done`` its
+    completion day (NaT for a year-only completion) and ``start`` its
+    start day (NaT if none).  ``attributes`` holds one float64 array per
+    numeric or derived attribute and one str array per categorical one.
+    """
 
     descriptor: DatasetDescriptor
-    records: tuple[ProjectRecord, ...]
+    ids: np.ndarray
+    keys: np.ndarray
+    done: np.ndarray
+    start: np.ndarray
+    attributes: dict
+
+    @property
+    def records(self) -> "_Records":
+        """The rows as ``ProjectRecord``s, each built on request."""
+        return _Records(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        same_records = tuple(self.records) == tuple(other.records)
+        return self.descriptor == other.descriptor and same_records
+
+    @classmethod
+    def from_records(cls, descriptor: DatasetDescriptor, records) -> "Dataset":
+        """The dataset of ``records``, taking their attributes as the first
+        one names them; a categorical term's attribute holds strings."""
+        records = tuple(records)
+        categorical = {
+            t.column for t in descriptor.formula.terms if t.kind == "categorical"
+        }
+        names = records[0].attributes if records else ()
+        return cls(
+            descriptor,
+            ids=np.array([r.id for r in records], dtype=object),
+            keys=_int_array(
+                [period_key(r.completion, descriptor.granularity) for r in records]
+            ),
+            done=np.array(
+                [r.completion if isinstance(r.completion, date) else None for r in records],
+                dtype="datetime64[D]",
+            ),
+            start=np.array([r.start for r in records], dtype="datetime64[D]"),
+            attributes={
+                name: np.array(
+                    [r.attributes[name] for r in records],
+                    dtype=object if name in categorical else float,
+                )
+                for name in names
+            },
+        )
+
+
+class _Records(Sequence):
+    """A dataset's rows as ``ProjectRecord``s, built one at a time."""
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset.ids)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return tuple(self[j] for j in i)
+        d = self._dataset
+        done, start = d.done[i], d.start[i]
+        return ProjectRecord(
+            id=d.ids[i],
+            completion=int(d.keys[i]) if np.isnat(done) else done.item(),
+            attributes={name: values.item(i) for name, values in d.attributes.items()},
+            start=None if np.isnat(start) else start.item(),
+        )
+
+
+def _int_array(values) -> np.ndarray:
+    """Python ints as int64, or as objects if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 # --- descriptors -----------------------------------------------------------
@@ -340,6 +424,136 @@ def _text_stream(source):
     return open(source, newline="", encoding="utf-8")
 
 
+_NAT = np.datetime64("NaT", "D")
+# The first and last days ``datetime.date`` can hold.
+_FIRST_DAY = np.datetime64("0001-01-01")
+_LAST_DAY = np.datetime64("9999-12-31")
+_ISO_DATES = re.compile(r"(?:\d{4}-\d\d-\d\d)*", re.ASCII)
+
+
+def _convert(whole, each, n: int, errors: list):
+    """A column converted by ``whole()`` in one pass or, where that gives
+    None, value by value by ``each(i)``, which raises the error a
+    record-by-record reading raises for record i.  The first such error
+    joins ``errors`` as (i, error), and the values from i on are None."""
+    values = whole()
+    if values is not None:
+        return values
+    values = [None] * n
+    for i in range(n):
+        try:
+            values[i] = each(i)
+        except ValueError as exc:  # DataError included
+            errors.append((i, exc))
+            break
+    return values
+
+
+def _iso_days(texts) -> np.ndarray | None:
+    """Stripped texts as datetime64 days, blank ones NaT, if every other
+    text is a zero-padded ISO date that ``date.fromisoformat`` reads; else
+    None.  numpy reads the same dates plus year 0, which is checked for."""
+    dated = list(filter(None, texts))
+    if not dated:
+        return np.full(len(texts), _NAT)
+    if set(map(len, dated)) <= {10} and _ISO_DATES.fullmatch("".join(dated)):
+        try:
+            days = np.array(texts, dtype="datetime64[D]")
+        except ValueError:  # a month or day out of range
+            return None
+        if not (days < _FIRST_DAY).any():
+            return days
+    return None
+
+
+def _finite_floats(texts) -> np.ndarray | None:
+    """Texts as floats, each read as ``float`` reads it, or None if one is
+    not a finite number."""
+    try:
+        values = np.array(texts, dtype=float)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _whole_days(texts) -> np.ndarray | None:
+    """Stripped durations as whole days, rounded half to even as ``round``
+    rounds, NaN where blank; None if a non-blank one is not finite."""
+    values = _finite_floats(list(filter(None, texts)))
+    if values is None:
+        return None
+    days = np.full(len(texts), np.nan)
+    days[np.array(list(map(bool, texts)), dtype=bool)] = np.rint(values)
+    return days
+
+
+def _whole_completions(texts):
+    """Stripped completion texts as (days, years) when all are ISO dates
+    or blank, or all are ints; else None."""
+    days = _iso_days(texts)
+    if days is not None:
+        return days, None
+    try:
+        return np.full(len(texts), _NAT), _int_array(list(map(int, texts)))
+    except ValueError:
+        return None
+
+
+def _finite_product(factors, n: int) -> np.ndarray | None:
+    """The product of ``n`` rows of factor columns taken left to right,
+    rounded at each step as ``math.prod`` rounds; None if a factor is not
+    a number or a product is not finite."""
+    product = np.ones(n)
+    for texts in factors:
+        values = _finite_floats(texts)
+        if values is None:
+            return None
+        with np.errstate(over="ignore"):  # checked below
+            product *= values
+    return product if np.isfinite(product).all() else None
+
+
+def _whole_attribute(texts, numeric: bool):
+    """A formula column's stripped texts as finite floats for a numeric
+    column, as they are for a categorical one; None if a value is
+    missing, not a number or not finite."""
+    if numeric:  # every missing token fails float()
+        return _finite_floats(texts)
+    return texts if MISSING_TOKENS.isdisjoint(texts) else None
+
+
+def _attribute(text: str, column: str, numeric: bool, rid: str):
+    """One stripped formula value, checked as a record-by-record reading
+    checks it: a finite float for a numeric column, else the text."""
+    if text in MISSING_TOKENS:
+        raise DataError(f"missing value in column {column!r} for {rid!r}")
+    if not numeric:
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(
+            f"non-numeric value {text!r} in column {column!r} for {rid!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {text!r} in column {column!r} for {rid!r}")
+    return value
+
+
+def _product(name: str, factors, rid: str) -> float:
+    """One derived value from its raw factor texts, checked as a
+    record-by-record reading checks it."""
+    try:
+        value = math.prod([float(f) for f in factors])
+    except ValueError:
+        raise DataError(
+            f"non-numeric multiplier for derived column {name!r} in {rid!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite product for derived column {name!r} in {rid!r}")
+    return value
+
+
 def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     """Parse, filter and validate a CSV into a Dataset, keeping the rows
     in file order.  ``source`` is a path, a file object or CSV text.
@@ -347,6 +561,8 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     Bound columns are read by their position in the header, resolved
     once; a repeated header name reads its last column.  Blank lines are
     skipped, and a row too short to hold every bound column is an error.
+    Each column is converted in one pass; invalid input raises the error
+    a record-by-record reading would raise first.
     """
     cols = descriptor.columns
     derived_sources = {s for srcs in descriptor.derived_products.values() for s in srcs}
@@ -395,82 +611,137 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
             f"{descriptor.name}: expected {descriptor.expected_rows} rows "
             f"after filtering, got {len(kept)}"
         )
+    if not kept:
+        raise DataError(f"{descriptor.name}: no records left after filtering")
 
-    start_col, duration_col, done_col = (
-        cols.get("start"), cols.get("duration"), cols.get("completion")
+    # One tuple of raw texts per CSV column, converted column by column in
+    # the order one record's checks run: id, start, duration, completion,
+    # formula columns, derived columns.
+    n = len(kept)
+    texts = list(zip(*kept))
+    errors: list = []
+
+    def raw(column):
+        return texts[at[column]] if column else ("",) * n
+
+    def stripped(column):
+        return list(map(str.strip, texts[at[column]])) if column else [""] * n
+
+    ids = stripped(cols["id"])
+    seen = set()
+
+    def new_id(i):
+        if ids[i] in seen:
+            raise DataError(f"duplicate project id {ids[i]!r}")
+        seen.add(ids[i])
+
+    _convert(lambda: ids if len(set(ids)) == n else None, new_id, n, errors)
+
+    start_col = cols.get("start")
+    start_texts = stripped(start_col)
+    start = np.asarray(_convert(
+        lambda: _iso_days(start_texts),
+        lambda i: _parse_date(start_texts[i], start_col) if start_texts[i] else None,
+        n, errors,
+    ), dtype="datetime64[D]")
+
+    duration_col = cols.get("duration")
+    duration_raw, duration_texts = raw(duration_col), stripped(duration_col)
+
+    def duration(i):
+        if not duration_texts[i]:
+            return None
+        try:
+            return round(float(duration_raw[i]))
+        except (ValueError, OverflowError):  # text, nan or inf
+            raise DataError(
+                f"non-numeric duration {duration_raw[i]!r} for {ids[i]!r}"
+            ) from None
+
+    duration = np.asarray(
+        _convert(lambda: _whole_days(duration_texts), duration, n, errors), dtype=float
     )
-    start_at = at[start_col] if start_col else None
-    duration_at = at[duration_col] if duration_col else None
-    done_at = at[done_col] if done_col else None
+
+    done_col = cols.get("completion")
+    done_texts = stripped(done_col)
+    parsed = _convert(
+        lambda: _whole_completions(done_texts),
+        lambda i: _parse_completion(done_texts[i], done_col) if done_texts[i] else None,
+        n, errors,
+    )
+    if isinstance(parsed, tuple):
+        days, years = parsed
+    else:  # read value by value: dates, years and blanks
+        days = np.array([v if isinstance(v, date) else None for v in parsed], dtype="datetime64[D]")
+        years = _int_array([v if isinstance(v, int) else 0 for v in parsed])
+    dated = np.array(list(map(bool, done_texts)), dtype=bool)
+
+    def derive_all():
+        blank = ~dated
+        begun, offsets = start[blank], duration[blank]
+        if np.isnat(begun).any() or not (
+            (offsets >= 0) & (offsets <= (_LAST_DAY - begun).astype(float))
+        ).all():
+            return None
+        derived = days.copy()
+        derived[blank] = begun + offsets.astype(np.int64)
+        return derived
+
+    def derive(i):  # a blank completion is its start plus its duration
+        if dated[i]:
+            return days[i]
+        if np.isnat(start[i]) or np.isnan(duration[i]):
+            raise DataError(f"record {ids[i]!r} has no completion date and no start+duration")
+        try:
+            return completion_date(start[i].item(), int(duration[i]))
+        except OverflowError:
+            raise DataError(f"record {ids[i]!r} completes after {_LAST_DAY}") from None
+
+    days = np.asarray(_convert(derive_all, derive, n, errors), dtype="datetime64[D]")
+    year_only = dated & np.isnat(days)
     monthly = descriptor.granularity is Granularity.MONTHLY
+    if monthly and year_only.any():
+        i = int(np.argmax(year_only))
+        errors.append((i, DataError(
+            f"record {ids[i]!r}: monthly chronology needs full completion dates"
+        )))
+
     categorical = {
         t.column for t in descriptor.formula.terms if t.kind == "categorical"
     }
-    values = [(col, at[col], col not in categorical) for col in formula_cols]
-    derived = [
-        (name, [at[s] for s in sources])
-        for name, sources in descriptor.derived_products.items()
-    ]
-    records = []
-    seen_ids = set()
-    for row in kept:
-        rid = row[id_at].strip()
-        if rid in seen_ids:
-            raise DataError(f"duplicate project id {rid!r}")
-        seen_ids.add(rid)
+    attributes = {}
+    for col in formula_cols:
+        values = stripped(col)
+        numeric = col not in categorical
+        attributes[col] = np.asarray(_convert(
+            lambda: _whole_attribute(values, numeric),
+            lambda i: _attribute(values[i], col, numeric, ids[i]),
+            n, errors,
+        ), dtype=float if numeric else object)
+    for name, sources in descriptor.derived_products.items():
+        factors = [raw(s) for s in sources]
+        attributes[name] = np.asarray(_convert(
+            lambda: _finite_product(factors, n),
+            lambda i: _product(name, [f[i] for f in factors], ids[i]),
+            n, errors,
+        ), dtype=float)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]  # the first of the earliest row's
 
-        start = None
-        duration = None
-        if start_at is not None and row[start_at].strip():
-            start = _parse_date(row[start_at], start_col)
-        if duration_at is not None and row[duration_at].strip():
-            try:
-                duration = int(round(float(row[duration_at])))
-            except (ValueError, OverflowError):  # text, nan or inf
-                raise DataError(
-                    f"non-numeric duration {row[duration_at]!r} for {rid!r}"
-                ) from None
-
-        text = row[done_at].strip() if done_at is not None else ""
-        if text:
-            completion = _parse_completion(text, done_col)
-        elif start is not None and duration is not None:
-            completion = completion_date(start, duration)
-        else:
-            raise DataError(
-                f"record {rid!r} has no completion date and no start+duration"
-            )
-        if monthly and not isinstance(completion, date):
-            raise DataError(
-                f"record {rid!r}: monthly chronology needs full completion dates"
-            )
-
-        attributes: dict = {}
-        for col, i, numeric in values:
-            value = row[i].strip()
-            if value in MISSING_TOKENS:
-                raise DataError(f"missing value in column {col!r} for {rid!r}")
-            if numeric:
-                try:
-                    value = float(value)
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {value!r} in column {col!r} for {rid!r}"
-                    ) from None
-            attributes[col] = value
-        for name, positions in derived:
-            try:
-                factors = [float(row[i]) for i in positions]
-            except ValueError:
-                raise DataError(
-                    f"non-numeric multiplier for derived column {name!r} in {rid!r}"
-                ) from None
-            attributes[name] = math.prod(factors)
-
-        records.append(ProjectRecord(rid, completion, attributes, start))
-    if not records:
-        raise DataError(f"{descriptor.name}: no records left after filtering")
-    return Dataset(descriptor, tuple(records))
+    if monthly:  # absolute month numbers, as kernels.period_key counts them
+        keys = days.astype("datetime64[M]").astype(np.int64) + 1970 * 12
+    else:
+        keys = days.astype("datetime64[Y]").astype(np.int64) + 1970
+        if years is not None:
+            keys = np.where(year_only, years, keys)
+    return Dataset(
+        descriptor,
+        ids=np.array(ids, dtype=object),
+        keys=keys,
+        done=days,
+        start=start,
+        attributes=attributes,
+    )
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -602,4 +873,4 @@ def synthesize(config: SynthConfig) -> Dataset:
                 attributes={"size": float(size), "effort": effort},
             )
         )
-    return Dataset(descriptor, tuple(records))
+    return Dataset.from_records(descriptor, records)

@@ -165,16 +165,22 @@ class DesignMatrix:
         return subset
 
 
-def _transformed(value, transform: str, column: str) -> float:
-    v = float(value)
-    if transform == LOG:
-        if v <= 0:
-            raise ValueError(f"cannot log-transform nonpositive {column}={v}")
-        return math.log(v)
-    return v
+def _transformed(values, transform: str, column: str) -> np.ndarray:
+    """A numeric column as floats, log-scaled if ``transform`` asks.  The
+    logs are ``math.log``'s, whose last bits ``np.log`` does not always
+    match."""
+    values = np.asarray(values, dtype=float)
+    if transform != LOG:
+        return values
+    nonpositive = np.flatnonzero(values <= 0)
+    if nonpositive.size:
+        raise ValueError(
+            f"cannot log-transform nonpositive {column}={values[nonpositive[0]].item()}"
+        )
+    return np.fromiter(map(math.log, values.tolist()), float, values.size)
 
 
-def dummy_levels(term: Term, values: list[str]) -> tuple[str, ...]:
+def dummy_levels(term: Term, values) -> tuple[str, ...]:
     """The non-reference levels of a categorical term, one dummy column
     each, given its column's values as strings: the declared levels, or
     else the observed ones, sorted.  Undeclared levels need the reference
@@ -196,43 +202,39 @@ def dummy_levels(term: Term, values: list[str]) -> tuple[str, ...]:
     return tuple(l for l in term.levels if l != term.reference)
 
 
-def build_design_matrix(rows, formula: ModelFormula) -> DesignMatrix:
+def build_design_matrix(columns, formula: ModelFormula) -> DesignMatrix:
     """Build the design matrix and transformed response for a formula.
 
-    ``rows`` is a sequence of mappings (one per record); each categorical
-    term gets one dummy column per level ``dummy_levels`` gives it.
+    ``columns`` maps each column of the formula to its values, one per
+    record: numbers, or strings for a categorical term, which gets one
+    dummy column per level ``dummy_levels`` gives it.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no records to build a design from")
     for col in formula.columns:
-        for row in rows:
-            if col not in row or row[col] in (None, ""):
-                raise ValueError(f"missing value for column {col!r}")
+        if col not in columns:
+            raise ValueError(f"missing value for column {col!r}")
+    n = len(columns[formula.response])
+    if not n:
+        raise ValueError("no records to build a design from")
 
     labels: list[str] = ["intercept"]
-    columns: list[np.ndarray] = [np.ones(len(rows))]
+    matrix: list[np.ndarray] = [np.ones(n)]
 
     for term in formula.terms:
         if term.kind == "numeric":
             labels.append(
                 f"ln({term.column})" if term.transform == LOG else term.column
             )
-            columns.append(
-                np.array([_transformed(r[term.column], term.transform, term.column) for r in rows])
-            )
+            matrix.append(_transformed(columns[term.column], term.transform, term.column))
             continue
 
-        observed = [str(r[term.column]) for r in rows]
+        observed = np.asarray(columns[term.column], dtype=object)
         for level in dummy_levels(term, observed):
             labels.append(f"{term.column}={level}")
-            columns.append(np.array([1.0 if v == level else 0.0 for v in observed]))
+            matrix.append((observed == level).astype(float))
 
-    y = np.array(
-        [_transformed(r[formula.response], formula.response_transform, formula.response) for r in rows]
-    )
+    y = _transformed(columns[formula.response], formula.response_transform, formula.response)
     return DesignMatrix(
-        matrix=np.column_stack(columns),
+        matrix=np.column_stack(matrix),
         response=y,
         labels=tuple(labels),
     )

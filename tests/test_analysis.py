@@ -22,7 +22,7 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import Dataset, ProjectRecord, SynthConfig, synthesize
+from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord, SynthConfig, synthesize
 from driftscope.kernels import Granularity, KernelKind
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
@@ -43,9 +43,9 @@ def stationary_sweep(stationary_dataset):
     return run_sweep(stationary_dataset, ALL_KERNELS, AnalysisConfig())
 
 
-def _plan(dataset):
-    d = dataset.descriptor
-    return build_split_plan(dataset.records, d.granularity, d.chronology, d.formula)
+def _columns(records):
+    """The records' attributes, one list per attribute."""
+    return {name: [r.attributes[name] for r in records] for name in records[0].attributes}
 
 
 class TestFitCell:
@@ -170,7 +170,7 @@ class TestRunSweep:
             type(r)(id=r.id, completion=r.completion, attributes={**r.attributes, "size": 100.0})
             for r in ds.records
         )
-        broken = Dataset(ds.descriptor, records)
+        broken = Dataset.from_records(ds.descriptor, records)
         with pytest.raises(SweepError, match="split"):
             run_sweep(broken, (KernelKind.GAUSSIAN,))
 
@@ -230,10 +230,14 @@ def _plans(draw):
     ]
     overrides = None
     if mode is ChronologyMode.REMAINDER_TEST and draw(stn.booleans()):
-        wmin = well_formed_min(CATEGORICAL, [r.attributes for r in records])
-        overrides = sorted(draw(stn.sets(stn.integers(wmin, n - 1), min_size=1, max_size=4)))
+        wmin = well_formed_min(CATEGORICAL, _columns(records))
+        overrides = tuple(sorted(draw(stn.sets(stn.integers(wmin, n - 1), min_size=1, max_size=4))))
+    descriptor = DatasetDescriptor(
+        name="plans", granularity=granularity, chronology=mode, columns={"id": "id"},
+        formula=CATEGORICAL, overrides=overrides,
+    )
     try:
-        plan = build_split_plan(records, granularity, mode, CATEGORICAL, overrides=overrides)
+        plan = build_split_plan(Dataset.from_records(descriptor, records))
     except SplitError:
         assume(False)
     return records, plan
@@ -263,15 +267,15 @@ class TestPlanDesign:
                 Term("lang", kind="categorical", reference="a", levels=levels),
             ),
         )
-        design = build_design_matrix([r.attributes for r in plan.records], CATEGORICAL)
+        design = build_design_matrix(_columns([records[i] for i in plan.order]), CATEGORICAL)
         for split in plan.splits:
             train = build_design_matrix(
-                [by_id[i].attributes for i in split.train_ids], formula
+                _columns([by_id[i] for i in split.train_ids]), formula
             )
             _assert_same_design(design.subset(slice(split.stop)), train)
             if split.test_ids:
                 test = build_design_matrix(
-                    [by_id[i].attributes for i in split.test_ids], formula
+                    _columns([by_id[i] for i in split.test_ids]), formula
                 )
                 _assert_same_design(design.subset(split.test_rows), test)
 

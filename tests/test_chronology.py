@@ -10,13 +10,27 @@ from driftscope.chronology import (
     completion_date,
     well_formed_min,
 )
-from driftscope.datasets import ProjectRecord
+from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord
 from driftscope.kernels import Granularity, period_key
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
 
 def _formula(*terms):
     return ModelFormula(response="effort", terms=terms)
+
+
+def _plan(records, granularity, mode, formula, overrides=None):
+    """The split plan of ``records`` under a descriptor of that shape."""
+    descriptor = DatasetDescriptor(
+        name="t", granularity=granularity, chronology=mode, columns={"id": "id"},
+        formula=formula, overrides=None if overrides is None else tuple(overrides),
+    )
+    return build_split_plan(Dataset.from_records(descriptor, records))
+
+
+def _columns(records):
+    """The records' attributes, one list per attribute."""
+    return {name: [r.attributes[name] for r in records] for name in records[0].attributes}
 
 
 ONE_TERM = _formula(Term("size", transform=LOG))
@@ -60,18 +74,19 @@ def _monthly(n=16, start=(1999, 10)):
 
 @stn.composite
 def _categorical_rows(draw):
-    """Rows of a numeric and a categorical column, and a formula whose
+    """Columns, a numeric and a categorical one, and a formula whose
     categorical term may declare its levels; the reference level may be
-    absent from the rows, and declared levels may miss some values."""
+    absent from the values, and declared levels may miss some of them."""
     values = draw(stn.lists(stn.sampled_from("abcd"), min_size=1, max_size=12))
     reference = draw(stn.sampled_from("abcd"))
     levels = draw(stn.none() | stn.lists(stn.sampled_from("abcde"), unique=True).map(tuple))
-    rows = [{"effort": 1.0 + i, "size": 2.0 + i, "lang": v} for i, v in enumerate(values)]
+    n = len(values)
+    columns = {"effort": [1.0 + i for i in range(n)], "size": [2.0 + i for i in range(n)], "lang": values}
     formula = _formula(
         Term("size", transform=LOG),
         Term("lang", kind="categorical", reference=reference, levels=levels),
     )
-    return formula, rows
+    return formula, columns
 
 
 def _outcome(f, *args):
@@ -83,28 +98,27 @@ def _outcome(f, *args):
 
 class TestWellFormedMin:
     def test_single_numeric_term(self):
-        assert well_formed_min(ONE_TERM, []) == 3
+        assert well_formed_min(ONE_TERM, {}) == 3
 
     def test_three_numeric_terms(self):
-        assert well_formed_min(_formula(Term("a"), Term("b"), Term("c")), []) == 5
+        assert well_formed_min(_formula(Term("a"), Term("b"), Term("c")), {}) == 5
 
     def test_dummy_columns_count_separately(self):
         f = _formula(
             Term("size", transform=LOG),
             Term("lang", kind="categorical", reference="1", levels=("1", "2", "3")),
         )
-        assert well_formed_min(f, [{"lang": "2"}]) == 5
+        assert well_formed_min(f, {"lang": ["2"]}) == 5
 
     def test_undeclared_levels_resolved_from_data(self):
         f = _formula(Term("lang", kind="categorical", reference="1"))
-        rows = [{"lang": "1"}, {"lang": "2"}, {"lang": "3"}, {"lang": "1"}]
-        assert well_formed_min(f, rows) == 4
+        assert well_formed_min(f, {"lang": ["1", "2", "3", "1"]}) == 4
 
     @given(_categorical_rows())
     def test_counts_the_design_columns(self, case):
-        formula, rows = case
-        wmin = _outcome(well_formed_min, formula, rows)
-        design = _outcome(build_design_matrix, rows, formula)
+        formula, columns = case
+        wmin = _outcome(well_formed_min, formula, columns)
+        design = _outcome(build_design_matrix, columns, formula)
         if isinstance(design, str):
             assert wmin == design  # the same error from both
         else:
@@ -127,7 +141,7 @@ class TestCompletionDate:
 
 
 def _check_invariants(plan, records, formula):
-    wmin = well_formed_min(formula, [r.attributes for r in records])
+    wmin = well_formed_min(formula, _columns(records))
     all_ids = {r.id for r in records}
     prev_train = None
     for split in plan.splits:
@@ -149,7 +163,7 @@ def _check_invariants(plan, records, formula):
 class TestYearAccumulate:
     def test_basic_plan(self):
         records = _yearly([(1979, 3), (1980, 4), (1982, 2), (1983, 5)])
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
         _check_invariants(plan, records, ONE_TERM)
@@ -162,14 +176,14 @@ class TestYearAccumulate:
     def test_first_training_accumulates_to_minimum(self):
         f = _formula(Term("a"), Term("b"), Term("c"))  # needs 5
         records = _yearly([(1990, 2), (1991, 2), (1992, 3), (1993, 2)])
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, f
         )
         assert len(plan.splits[0].train_ids) == 7  # 1990+1991 too small, add 1992
 
     def test_singleton_test_year_merges_forward(self):
         records = _yearly([(1990, 4), (1991, 1), (1992, 3)])
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
         # 1991 has one project: no evaluation, but it joins later training
@@ -179,7 +193,7 @@ class TestYearAccumulate:
 
     def test_too_few_records(self):
         with pytest.raises(SplitError):
-            build_split_plan(
+            _plan(
                 _yearly([(1990, 2)]),
                 Granularity.YEARLY,
                 ChronologyMode.YEAR_ACCUMULATE,
@@ -188,10 +202,10 @@ class TestYearAccumulate:
 
     def test_deterministic_serialization(self):
         records = _yearly([(1979, 3), (1980, 4), (1982, 2), (1983, 5)])
-        a = build_split_plan(
+        a = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
-        b = build_split_plan(
+        b = _plan(
             list(reversed(records)),
             Granularity.YEARLY,
             ChronologyMode.YEAR_ACCUMULATE,
@@ -229,7 +243,7 @@ class TestDateFilteredTest:
                 (1996, 6, 1, 1995, 10, 1),
             ]
         )
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.DATE_FILTERED_TEST, ONE_TERM
         )
         first = plan.splits[0]
@@ -248,10 +262,10 @@ class TestDateFilteredTest:
                 (1996, 6, 1, 1995, 10, 1),
             ]
         )
-        filtered = build_split_plan(
+        filtered = _plan(
             records, Granularity.YEARLY, ChronologyMode.DATE_FILTERED_TEST, ONE_TERM
         )
-        plain = build_split_plan(
+        plain = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
         plain_tests = {min(s.test_indices): set(s.test_ids) for s in plain.splits if s.test_ids}
@@ -272,7 +286,7 @@ class TestDateFilteredTest:
                 (1995, 8, 1, 1995, 1, 10),
             ]
         )
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.DATE_FILTERED_TEST, ONE_TERM
         )
         assert plan.splits[0].test_ids == ("d004", "d005")
@@ -295,7 +309,7 @@ class TestDateFilteredTest:
             )
             for i, (year, sy, sm) in enumerate(spec)
         ]
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.DATE_FILTERED_TEST, ONE_TERM
         )
         assert plan.splits[0].train_ids == ("y000", "y001", "y002")
@@ -307,7 +321,7 @@ class TestRemainderTest:
     def test_overrides_produce_expected_splits(self):
         records = _monthly()
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
-        plan = build_split_plan(
+        plan = _plan(
             records,
             Granularity.MONTHLY,
             ChronologyMode.REMAINDER_TEST,
@@ -322,7 +336,7 @@ class TestRemainderTest:
     def test_without_overrides_each_split_is_well_formed(self):
         records = _monthly()
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.MONTHLY, ChronologyMode.REMAINDER_TEST, f
         )
         _check_invariants(plan, records, f)
@@ -334,7 +348,7 @@ class TestRemainderTest:
         records = _monthly()
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
         with pytest.raises(SplitError):
-            build_split_plan(
+            _plan(
                 records,
                 Granularity.MONTHLY,
                 ChronologyMode.REMAINDER_TEST,
@@ -346,21 +360,21 @@ class TestRemainderTest:
 class TestTargetPeriod:
     def test_test_bearing_split(self):
         records = _yearly([(1990, 4), (1992, 3)])
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
         assert plan.splits[0].target == 3.0
 
     def test_all_data_split_is_one_increment_past(self):
         records = _yearly([(1990, 4), (1992, 3)])
-        plan = build_split_plan(
+        plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
         assert plan.splits[-1].target == 4.0
 
     def test_monthly_increment(self):
         f = ModelFormula(response="total_effort", terms=(Term("org_effort", transform=LOG),))
-        plan = build_split_plan(
+        plan = _plan(
             _monthly(), Granularity.MONTHLY, ChronologyMode.REMAINDER_TEST, f
         )
         # eight months, 1999-10 .. 2000-05, at indices 0.1 .. 0.8
@@ -403,12 +417,13 @@ class TestPlanOrder:
     @given(_records())
     def test_records_sorted_by_period_then_id_with_their_indices(self, case):
         granularity, records = case
-        plan = build_split_plan(
+        plan = _plan(
             records, granularity, ChronologyMode.REMAINDER_TEST, ONE_TERM,
             overrides=[len(records) - 2],
         )
         expected = sorted(records, key=lambda r: (period_key(r.completion, granularity), r.id))
-        assert list(plan.records) == expected
+        assert [records[i] for i in plan.order] == expected
+        assert plan.splits[-1].train_ids == tuple(r.id for r in expected)
         assert [x.hex() for x in plan.indices.tolist()] == [
             x.hex() for x in _per_record_indices([r.completion for r in expected], granularity)
         ]

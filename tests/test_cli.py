@@ -182,6 +182,38 @@ class TestSweep:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_is_a_validation_error(self, synth_csv, tmp_path, capsys, value):
+        data, _ = synth_csv
+        lines = data.read_text().splitlines()
+        fields = lines[3].split(",")
+        lines[3] = ",".join([*fields[:2], value, fields[3]])  # the record's effort
+        data.write_text("\n".join(lines) + "\n")
+        code, out = self._run(synth_csv, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"driftscope: non-finite value {value!r} in column 'effort' for {fields[0]!r}"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "factors", [("inf",), ("nan",), ("1e200", "1e200")], ids=["inf", "nan", "overflow"]
+    )
+    def test_non_finite_eaf_is_a_validation_error(self, tmp_path, capsys, factors):
+        header, *rows = (GOLDEN / "nasa93_seed1" / "data.csv").read_text().splitlines()
+        at = header.split(",").index("rely")
+        fields = rows[5].split(",")
+        fields[at:at + len(factors)] = factors
+        rows[5] = ",".join(fields)
+        data = tmp_path / "nasa93.csv"
+        data.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--descriptor", "nasa93", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"driftscope: non-finite product for derived column 'eaf' in {fields[0]!r}"
+        )
+        assert not out.exists()
+
     def test_custom_grid_honored(self, synth_csv, tmp_path):
         code, out = self._run(
             synth_csv, tmp_path, "--kernels", "epanechnikov", "--grid", "17:100:1"
@@ -410,8 +442,9 @@ class TestReadCurves:
             (lambda row: row.replace(",0.5,", ",abc,", 1), "'abc'"),
             (lambda row: row.replace("gaussian", "cosine"), "'cosine' is not a valid"),
             (lambda row: row.rsplit(",", 3)[0], "line 2"),  # a short row
+            (lambda row: row + ",EXTRA", "9 fields, the header has 8"),
         ],
-        ids=["non-numeric", "unknown-kernel", "short-row"],
+        ids=["non-numeric", "unknown-kernel", "short-row", "extra-field"],
     )
     def test_malformed_row_is_a_validation_error(self, tmp_path, capsys, edit, named):
         lines = _curves_text(_hand_built_result("d")).split("\r\n")

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tempfile
 from datetime import date, datetime
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as stn
 
-from driftscope.chronology import ChronologyMode
+from driftscope.chronology import ChronologyMode, build_split_plan, completion_date
+from driftscope.cli import main
 from driftscope.datasets import (
     _DATE_FORMATS,
     BUILTIN_NAMES,
@@ -21,9 +24,13 @@ from driftscope.datasets import (
     synth_descriptor,
     synthesize,
     write_csv,
+    _finite_floats,
+    _iso_days,
+    _parse_completion,
     _parse_date,
+    _whole_completions,
 )
-from driftscope.kernels import Granularity
+from driftscope.kernels import Granularity, period_key
 from driftscope.stats import LOG, ModelFormula, Term, weighted_least_squares, build_design_matrix
 
 
@@ -185,6 +192,10 @@ LOADER_ERRORS = {
         (",30,", ",a month,"), {}, "non-numeric duration 'a month' for 'p2'"),
     "infinite duration": (
         (",30,", ",inf,"), {}, "non-numeric duration 'inf' for 'p2'"),
+    "completion past the last date": (
+        (",30,", ",3e6,"), {}, "record 'p2' completes after 9999-12-31"),
+    "non-finite value": (
+        (",,10,", ",,1e400,"), {}, "non-finite value '1e400' in column 'size' for 'p1'"),
     "field over the csv size limit": (
         (",,10,", ',,"' + "1" * 200_000 + '",'), {},
         "line 2: field larger than field limit (131072)"),
@@ -236,6 +247,16 @@ class TestLoaderErrors:
         assert p1.attributes == {"size": 10.0, "kind": "a", "effort": 100.0, "eaf": 1.0 * 1.1}
         assert (p2.start, p2.completion) == (date(1990, 1, 1), date(1990, 1, 31))
 
+    def test_records_view(self):
+        ds = load_dataset(_table_descriptor(), TABLE_CSV)
+        records = ds.records
+        assert len(records) == 2
+        assert records[-1] == records[1] and records[:1] == (records[0],)
+        with pytest.raises(IndexError):
+            records[2]
+        again = Dataset.from_records(ds.descriptor, records)
+        assert again == ds and again.keys.tolist() == ds.keys.tolist()
+
     def test_blank_lines_are_skipped(self):
         text = TABLE_CSV.replace("\np2,", "\n\n\np2,")
         assert load_dataset(_table_descriptor(), text) == load_dataset(
@@ -251,6 +272,258 @@ class TestLoaderErrors:
         with pytest.raises(DataError) as exc:
             load_dataset(_table_descriptor(**fields), text)
         assert str(exc.value) == message
+
+
+def _read_record_by_record(descriptor, rows):
+    """The records of ``rows`` (dicts of TABLE_CSV's columns), read one
+    record at a time by the per-value parsers, or the error that reading
+    raises first.  A completion past the last date is a DataError here,
+    where ``completion_date`` raises OverflowError."""
+    seen = set()
+    records = []
+    for row in rows:
+        rid = row["id"].strip()
+        try:
+            if rid in seen:
+                raise DataError(f"duplicate project id {rid!r}")
+            seen.add(rid)
+            start = _parse_date(row["start"], "start") if row["start"].strip() else None
+            duration = None
+            if row["days"].strip():
+                try:
+                    duration = int(round(float(row["days"])))
+                except (ValueError, OverflowError):
+                    raise DataError(f"non-numeric duration {row['days']!r} for {rid!r}") from None
+            text = row["done"].strip()
+            if text:
+                completion = _parse_completion(text, "done")
+            elif start is not None and duration is not None:
+                try:
+                    completion = completion_date(start, duration)
+                except OverflowError:
+                    raise DataError(f"record {rid!r} completes after 9999-12-31") from None
+            else:
+                raise DataError(f"record {rid!r} has no completion date and no start+duration")
+            if descriptor.granularity is Granularity.MONTHLY and not isinstance(completion, date):
+                raise DataError(f"record {rid!r}: monthly chronology needs full completion dates")
+            attributes = {}
+            for col in ("effort", "size", "kind"):
+                value = row[col].strip()
+                if value in MISSING_TOKENS:
+                    raise DataError(f"missing value in column {col!r} for {rid!r}")
+                if col != "kind":
+                    try:
+                        value = float(value)
+                    except ValueError:
+                        raise DataError(
+                            f"non-numeric value {value!r} in column {col!r} for {rid!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"non-finite value {row[col].strip()!r} in column {col!r} for {rid!r}"
+                        )
+                attributes[col] = value
+            try:
+                eaf = math.prod([float(row["m1"]), float(row["m2"])])
+            except ValueError:
+                raise DataError(
+                    f"non-numeric multiplier for derived column 'eaf' in {rid!r}"
+                ) from None
+            if not math.isfinite(eaf):
+                raise DataError(f"non-finite product for derived column 'eaf' in {rid!r}")
+            attributes["eaf"] = eaf
+        except ValueError as exc:  # DataError, or completion_date's negative duration
+            return exc
+        records.append(ProjectRecord(rid, completion, attributes, start))
+    return tuple(records)
+
+
+def _cells(*fixed):
+    return stn.one_of(stn.sampled_from(fixed), stn.text(max_size=4))
+
+
+_NUMBER_TEXTS = _cells(
+    "1", "2.5", " 7 ", "+5", "-3", "1_994", "1__2", "١٢", "１２", "0x10", "1e5", "1e400",
+    "-1e400", "nan", "inf", "-inf", "Infinity", "NA", "?", "", "ten", "1e", "1e-320", "12\x00",
+)
+_DATE_TEXTS = _cells(
+    "", "1999", "2001", "85", "1_994", "+1994", " 1994 ", "١٩٩٤", "199O", "2001-03-04",
+    "2001-02-29", "2000-02-29", "0000-01-01", "9999-12-31", "2001-1-5", " 2001-03-04 ",
+    "２００１-０１-０５", "+001-01-01", "-001-01-01", "04/03/2001", "04/03/01", "04-Mar-01",
+    "12345678901234567890", "NaT", "2001-W01-1", "20010304",
+)
+# ISO-shaped texts, most of them dates numpy reads
+_ISO_LIKE = stn.one_of(
+    stn.just(""),
+    stn.dates().map(date.isoformat),
+    stn.sampled_from(["0000-01-01", "2001-02-29", "2001-00-10", "٢٠٠١-٠١-٠٥", "２００１-０１-０５",
+                      "+001-01-01", "-001-01-01", "2001-1-05 ", "NaT", "2001-01-0x"]),
+    stn.text("0123456789-+٠ T", min_size=10, max_size=10),
+)
+# Cell texts for each TABLE_CSV column, hostile ones included
+_TABLE_CELLS = {
+    "id": _cells("a", "b", "c", "a\x00", " a", "b "),
+    "done": _DATE_TEXTS,
+    "start": _DATE_TEXTS,
+    "days": _cells("", "30", "30.5", "0.5", "-0.4", "-5", "1e12", "3e6", " 12 ", "nan", "x"),
+    "size": _NUMBER_TEXTS,
+    "kind": _cells("a", "b", "", "NA", " a "),
+    "effort": _NUMBER_TEXTS,
+    "m1": _NUMBER_TEXTS,
+    "m2": _cells("1.1", "0.9", "1e200", "1e308", "inf", "x", ""),
+}
+_DAYS = stn.dates(date(1990, 1, 1), date(1995, 12, 31))
+
+
+@stn.composite
+def _table_rows(draw):
+    """Valid TABLE_CSV rows with up to three cells replaced by any text
+    of their column, so most examples test one conversion at a time."""
+    ids = draw(stn.lists(
+        stn.sampled_from(["a", "b", "c", "d", "e", "a\x00", " f", "g "]),
+        min_size=1, max_size=6, unique_by=str.strip,
+    ))
+    rows = [
+        {
+            "id": rid,
+            "done": draw(stn.one_of(
+                _DAYS.map(date.isoformat), stn.integers(1990, 1995).map(str), stn.just(""),
+            )),
+            "start": draw(stn.one_of(
+                stn.just(""), _DAYS.map(date.isoformat),
+                _DAYS.map(lambda d: d.strftime("%d/%m/%Y")),
+            )),
+            "days": draw(stn.one_of(stn.just(""), stn.integers(0, 400).map(str))),
+            "size": repr(draw(stn.floats(0.1, 1e6))),
+            "kind": draw(stn.sampled_from("ab")),
+            "effort": repr(draw(stn.floats(0.1, 1e6))),
+            "m1": repr(draw(stn.floats(0.5, 2.0))),
+            "m2": repr(draw(stn.floats(0.5, 2.0))),
+        }
+        for rid in ids
+    ]
+    for _ in range(draw(stn.integers(0, 3))):
+        column = draw(stn.sampled_from(sorted(_TABLE_CELLS)))
+        draw(stn.sampled_from(rows))[column] = draw(_TABLE_CELLS[column])
+    return rows
+
+
+class TestColumnarConversions:
+    """Whole-column conversions accept and reject exactly what the
+    per-value parsers do, record by record, with the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_table_rows(), stn.sampled_from(Granularity))
+    def test_match_the_record_by_record_reading(self, rows, granularity):
+        descriptor = _table_descriptor(filters=(), granularity=granularity)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(_TABLE_CELLS)
+        for row in rows:
+            writer.writerow([row[c] for c in _TABLE_CELLS])
+        expected = _read_record_by_record(descriptor, rows)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as exc:
+                load_dataset(descriptor, io.StringIO(buf.getvalue(), newline=""))
+            assert str(exc.value) == str(expected)
+        else:
+            ds = load_dataset(descriptor, io.StringIO(buf.getvalue(), newline=""))
+            assert tuple(ds.records) == expected
+            assert ds.keys.tolist() == [period_key(r.completion, granularity) for r in expected]
+
+    @settings(max_examples=300)
+    @given(stn.lists(_ISO_LIKE, min_size=1, max_size=4))
+    def test_iso_days_read_what_parse_date_reads(self, texts):
+        days = _iso_days(texts)
+        if days is not None:
+            assert days.tolist() == [_parse_date(t, "c") if t else None for t in texts]
+
+    @settings(max_examples=300)
+    @given(stn.lists(_NUMBER_TEXTS.map(str.strip), min_size=1, max_size=4))
+    def test_finite_floats_read_what_float_reads(self, texts):
+        def finite(text):
+            try:
+                return math.isfinite(float(text))
+            except ValueError:
+                return False
+
+        values = _finite_floats(texts)
+        if all(map(finite, texts)):
+            assert [v.hex() for v in values.tolist()] == [float(t).hex() for t in texts]
+        else:
+            assert values is None
+
+    @settings(max_examples=300)
+    @given(stn.lists(_DATE_TEXTS.map(str.strip), min_size=1, max_size=4))
+    def test_year_columns_read_what_int_reads(self, texts):
+        parsed = _whole_completions(texts)
+        if parsed is not None and parsed[1] is not None:
+            assert parsed[1].tolist() == [int(t) for t in texts]
+
+
+def _edited_synth_csv(tmp_path, edits):
+    """A synth CSV (id,year,effort,size) with ``edits``, a map from a
+    data row's index to its new fields, and its descriptor path."""
+    dataset = synthesize(SynthConfig(seed=3, n_projects=40, n_periods=4))
+    data = tmp_path / "synth.csv"
+    write_csv(dataset, data)
+    descriptor = tmp_path / "synth.descriptor.json"
+    descriptor.write_text(dataset.descriptor.to_json())
+    header, *rows = data.read_text().splitlines()
+    for i, fields in edits.items():
+        rows[i] = ",".join(fields(rows[i].split(",")))
+    data.write_text("\n".join([header, *rows]) + "\n")
+    return data, descriptor
+
+
+class TestConversionEdges:
+    """Inputs where numpy alone reads differently from the per-value
+    parsers, pinned to what those parsers do."""
+
+    def test_year_zero_is_an_unparseable_date(self, tmp_path, capsys):
+        # numpy reads 0000-01-01; date.fromisoformat does not
+        data, desc = _edited_synth_csv(tmp_path, {0: lambda f: [f[0], "0000-01-01", *f[2:]]})
+        assert main(["validate", "--descriptor", str(desc), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == (
+            "driftscope: unparseable date '0000-01-01' in column 'year'\n"
+        )
+
+    def test_twenty_digit_year_is_a_year(self, tmp_path, capsys):
+        # int() reads it; an int64 conversion would overflow.  Its span
+        # leaves the finite-support kernels no bandwidth.
+        year = "12345678901234567890"
+        data, desc = _edited_synth_csv(tmp_path, {0: lambda f: [f[0], year, *f[2:]]})
+        ds = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data)
+        assert ds.records[0].completion == int(year)
+        out = tmp_path / "out"
+        assert main(["sweep", "--descriptor", str(desc), "--data", str(data), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "driftscope: empty grid: epanechnikov kernel needs bandwidth >= 1.23456789"
+        )
+        assert not out.exists()
+
+    def test_ids_differing_by_a_trailing_nul_are_distinct(self, tmp_path):
+        # a numpy str array would read "p0001\x00" as "p0001"
+        data, desc = _edited_synth_csv(tmp_path, {
+            0: lambda f: ["p0001\x00", *f[1:]],
+            1: lambda f: ["p0001", *f[1:]],
+        })
+        ds = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data)
+        assert [r.id for r in ds.records[:2]] == ["p0001\x00", "p0001"]
+        plan = build_split_plan(ds)
+        assert plan.splits[-1].train_ids[:2] == ("p0001", "p0001\x00")  # one period
+
+    def test_values_both_readings_accept(self, tmp_path):
+        data, desc = _edited_synth_csv(tmp_path, {
+            0: lambda f: [f[0], "2_000", " +1_5.5 ", f[3]],
+            1: lambda f: [f[0], "+2000", "١٢", " ７ "],
+            2: lambda f: [f[0], " 2001 ", "1e2", "+0.5"],
+        })
+        ds = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data)
+        got = [(r.completion, r.attributes["effort"]) for r in ds.records[:3]]
+        assert got == [(2000, 15.5), (2000, 12.0), (2001, 100.0)]
+        assert ds.records[1].attributes["size"] == 7.0
+        assert ds.keys[:3].tolist() == [2000, 2000, 2001]
 
 
 _TEXT = stn.text(
@@ -273,7 +546,7 @@ def _datasets(draw):
     # few periods for many records, so ids collide within a period
     periods = draw(stn.lists(completion, min_size=1, max_size=3))
     ids = draw(stn.lists(_TEXT, min_size=1, max_size=12, unique=True))
-    finite = stn.floats(allow_nan=False, width=64)
+    finite = stn.floats(allow_nan=False, allow_infinity=False, width=64)
     records = tuple(
         ProjectRecord(
             id=rid,
@@ -292,7 +565,7 @@ def _datasets(draw):
             terms=(Term("size"), Term("kind", kind="categorical", reference="a")),
         ),
     )
-    return Dataset(descriptor, records)
+    return Dataset.from_records(descriptor, records)
 
 
 class TestCsvRoundTrip:
@@ -308,6 +581,9 @@ class TestCsvRoundTrip:
         assert [type(r.completion) for r in loaded.records] == [
             type(r.completion) for r in dataset.records
         ]
+        # the loader's columnar period keys are period_key's
+        g = dataset.descriptor.granularity
+        assert loaded.keys.tolist() == [period_key(r.completion, g) for r in dataset.records]
 
 
 def _strptime_date(text):
@@ -370,9 +646,8 @@ class TestSynthesize:
     def test_noiseless_process_is_exactly_recoverable(self):
         config = SynthConfig(seed=4, noise_sd=0.0, intercept=1.5, slope=0.8)
         ds = synthesize(config)
-        rows = [r.attributes for r in ds.records]
-        design = build_design_matrix(rows, ds.descriptor.formula)
-        model = weighted_least_squares(design, [1.0] * len(rows))
+        design = build_design_matrix(ds.attributes, ds.descriptor.formula)
+        model = weighted_least_squares(design, [1.0] * len(ds.records))
         assert model.coefficients == pytest.approx([1.5, 0.8], abs=1e-9)
 
     def test_every_period_populated(self):

@@ -49,6 +49,7 @@ became row ranges of one design, and must not change:
 """
 
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -177,11 +178,11 @@ def _plan(case):
     else:
         name = case.split("_")[0]
         ds = load_dataset(builtin_descriptor(name), GOLDEN / f"{name}_seed1" / "data.csv")
-    d = ds.descriptor
-    overrides = None if case.endswith("/remainder") else d.overrides
-    return build_split_plan(
-        ds.records, d.granularity, d.chronology, d.formula, overrides=overrides
-    )
+    if case.endswith("/remainder"):
+        ds = dataclasses.replace(
+            ds, descriptor=dataclasses.replace(ds.descriptor, overrides=None)
+        )
+    return build_split_plan(ds)
 
 
 def _plan_doc(plan):

@@ -21,8 +21,8 @@ from driftscope.stats import (
 )
 
 
-def _line_rows(xs, ys):
-    return [{"x": x, "y": y} for x, y in zip(xs, ys)]
+def _line_columns(xs, ys):
+    return {"x": list(xs), "y": list(ys)}
 
 
 LINE = ModelFormula(
@@ -31,7 +31,7 @@ LINE = ModelFormula(
 
 
 def _design(xs, ys):
-    return build_design_matrix(_line_rows(xs, ys), LINE)
+    return build_design_matrix(_line_columns(xs, ys), LINE)
 
 
 class TestDesignMatrix:
@@ -43,12 +43,8 @@ class TestDesignMatrix:
                 Term("lang", kind="categorical", reference="1"),
             ),
         )
-        rows = [
-            {"effort": 100, "size": 10, "lang": "1"},
-            {"effort": 150, "size": 20, "lang": "2"},
-            {"effort": 120, "size": 15, "lang": "3"},
-        ]
-        d = build_design_matrix(rows, formula)
+        columns = {"effort": [100, 150, 120], "size": [10, 20, 15], "lang": ["1", "2", "3"]}
+        d = build_design_matrix(columns, formula)
         assert d.labels == ("intercept", "ln(size)", "lang=2", "lang=3")
         # reference-level record has all-zero indicators
         assert list(d.matrix[0][2:]) == [0.0, 0.0]
@@ -58,11 +54,11 @@ class TestDesignMatrix:
     def test_log_of_nonpositive_value(self):
         formula = ModelFormula(response="y", terms=(Term("x", transform=LOG),))
         with pytest.raises(ValueError, match="log"):
-            build_design_matrix([{"y": 1.0, "x": 0.0}], formula)
+            build_design_matrix({"y": [1.0], "x": [0.0]}, formula)
 
     def test_missing_value(self):
         with pytest.raises(ValueError, match="missing"):
-            build_design_matrix([{"y": 1.0}], LINE)
+            build_design_matrix({"y": [1.0]}, LINE)
 
     def test_unseen_level_at_prediction(self):
         formula = ModelFormula(
@@ -70,20 +66,16 @@ class TestDesignMatrix:
             terms=(Term("t", kind="categorical", reference="a", levels=("a", "b")),),
             response_transform="identity",
         )
-        train = build_design_matrix(
-            [{"y": 1, "t": "a"}, {"y": 2, "t": "b"}], formula
-        )
-        test = build_design_matrix([{"y": 3, "t": "b"}], formula)
+        train = build_design_matrix({"y": [1, 2], "t": ["a", "b"]}, formula)
+        test = build_design_matrix({"y": [3], "t": ["b"]}, formula)
         assert test.labels == train.labels == ("intercept", "t=b")
         with pytest.raises(ValueError, match="unseen level 'c'"):
-            build_design_matrix([{"y": 3, "t": "c"}], formula)
+            build_design_matrix({"y": [3], "t": ["c"]}, formula)
 
     def test_reference_recode_leaves_fit_unchanged(self):
         rng = np.random.default_rng(7)
-        rows = [
-            {"y": float(rng.normal()), "x": float(rng.normal()), "t": t}
-            for t in ["a", "b", "c", "a", "b", "c", "a", "b", "c", "a"]
-        ]
+        levels = ["a", "b", "c", "a", "b", "c", "a", "b", "c", "a"]
+        columns = {"y": rng.normal(size=10), "x": rng.normal(size=10), "t": levels}
         fitted = {}
         for ref in ("a", "b"):
             formula = ModelFormula(
@@ -91,8 +83,8 @@ class TestDesignMatrix:
                 terms=(Term("x"), Term("t", kind="categorical", reference=ref)),
                 response_transform="identity",
             )
-            d = build_design_matrix(rows, formula)
-            m = weighted_least_squares(d, np.ones(len(rows)))
+            d = build_design_matrix(columns, formula)
+            m = weighted_least_squares(d, np.ones(len(levels)))
             fitted[ref] = d.matrix @ m.coefficients
         assert fitted["a"] == pytest.approx(fitted["b"], abs=1e-9)
 
@@ -143,7 +135,7 @@ class TestWeightedLeastSquares:
 
     def test_single_column_gives_weighted_mean(self):
         formula = ModelFormula(response="y", terms=(), response_transform="identity")
-        d = build_design_matrix([{"y": 1.0}, {"y": 4.0}], formula)
+        d = build_design_matrix({"y": [1.0, 4.0]}, formula)
         m = weighted_least_squares(d, [3.0, 1.0])
         assert m.coefficients[0] == pytest.approx((3 * 1 + 1 * 4) / 4)
 
@@ -186,13 +178,12 @@ class TestWeightedLeastSquares:
                 assert objective(beta) >= best
 
     def test_singular_design(self):
-        rows = [{"y": 1.0, "x": 2.0, "x2": 4.0}, {"y": 2.0, "x": 3.0, "x2": 6.0},
-                {"y": 3.0, "x": 4.0, "x2": 8.0}]
+        columns = {"y": [1.0, 2.0, 3.0], "x": [2.0, 3.0, 4.0], "x2": [4.0, 6.0, 8.0]}
         formula = ModelFormula(
             response="y", terms=(Term("x"), Term("x2")), response_transform="identity"
         )
         with pytest.raises(SingularDesignError):
-            weighted_least_squares(build_design_matrix(rows, formula), [1, 1, 1])
+            weighted_least_squares(build_design_matrix(columns, formula), [1, 1, 1])
 
     def test_underdetermined(self):
         with pytest.raises(SingularDesignError):
@@ -367,7 +358,7 @@ class TestWeightedLeastSquares:
 class TestPredict:
     def test_intercept_only(self):
         formula = ModelFormula(response="y", terms=(), response_transform="identity")
-        d = build_design_matrix([{"y": 5.0}, {"y": 7.0}], formula)
+        d = build_design_matrix({"y": [5.0, 7.0]}, formula)
         m = weighted_least_squares(d, [1.0, 1.0])
         assert list(predict(m, d)) == pytest.approx([6.0, 6.0])
 
@@ -379,7 +370,7 @@ class TestPredict:
     def test_label_mismatch(self):
         m = weighted_least_squares(_design([0, 1, 2], [1, 3, 5]), [1, 1, 1])
         formula = ModelFormula(response="y", terms=(Term("z"),), response_transform="identity")
-        other = build_design_matrix([{"y": 1.0, "z": 1.0}], formula)
+        other = build_design_matrix({"y": [1.0], "z": [1.0]}, formula)
         with pytest.raises(ValueError, match="match"):
             predict(m, other)
 
