@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
 from enum import Enum
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "SplitPlan",
     "SplitError",
     "well_formed_min",
-    "completion_date",
     "build_split_plan",
 ]
 
@@ -51,15 +49,6 @@ def well_formed_min(formula: ModelFormula, columns) -> int:
         else:
             n_columns += len(dummy_levels(term, columns[term.column]))
     return 2 + n_columns
-
-
-def completion_date(start: date, duration_days: int) -> date:
-    """Project completion: start advanced by its duration in days."""
-    if duration_days < 0:
-        raise ValueError(f"negative duration: {duration_days}")
-    if isinstance(start, datetime):
-        start = start.date()
-    return start + timedelta(days=duration_days)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +116,9 @@ class SplitPlan:
 
 
 def _year_ends(years: np.ndarray) -> np.ndarray:
-    """The last day of each year, the date a year-only completion is read
-    as, within the years ``datetime.date`` holds."""
-    outside = (years < 1) | (years > 9999)
-    if outside.any():
-        raise ValueError(f"year {years[outside][0]} is out of range")
-    return (years.astype(np.int64) - 1969).astype("datetime64[Y]").astype("datetime64[D]") - 1
+    """The last day of each year (in 1..9999), the date a year-only
+    completion is read as."""
+    return (years - 1969).astype("datetime64[Y]").astype("datetime64[D]") - 1
 
 
 def build_split_plan(dataset) -> SplitPlan:

@@ -163,7 +163,7 @@ def cmd_validate(args) -> int:
     first, last = int(dataset.keys.min()), int(dataset.keys.max())
     if descriptor.granularity is Granularity.MONTHLY:  # absolute month numbers
         first, last = (f"{k // 12}-{k % 12 + 1:02d}" for k in (first, last))
-    print(f"{descriptor.name}: {len(dataset.records)} records, {first} .. {last}")
+    print(f"{descriptor.name}: {len(dataset.ids)} records, {first} .. {last}")
     return 0
 
 
@@ -396,7 +396,7 @@ def cmd_synth(args) -> int:
     write_csv(dataset, out)
     descriptor_path = out.with_suffix(".descriptor.json")
     _atomic_write(descriptor_path, dataset.descriptor.to_json() + "\n")
-    print(f"wrote {out} and {descriptor_path} ({len(dataset.records)} records)")
+    print(f"wrote {out} and {descriptor_path} ({len(dataset.ids)} records)")
     return 0
 
 

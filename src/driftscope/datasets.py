@@ -19,8 +19,8 @@ from datetime import date, datetime
 
 import numpy as np
 
-from .chronology import ChronologyMode, completion_date
-from .kernels import Granularity, period_key
+from .chronology import ChronologyMode
+from .kernels import Granularity, period_keys
 from .stats import IDENTITY, LOG, ModelFormula, Term
 
 __all__ = [
@@ -58,7 +58,7 @@ class Dataset:
     the split plan decides their chronological order.
 
     Row i of every array is record i: ``ids`` holds its id (a str),
-    ``keys`` its completion period (``kernels.period_key``), ``done`` its
+    ``keys`` its completion period (``kernels.period_keys``), ``done`` its
     completion day (NaT for a year-only completion) and ``start`` its
     start day (NaT if none).  ``attributes`` holds one float64 array per
     numeric or derived attribute and one str array per categorical one.
@@ -79,28 +79,40 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        same_records = tuple(self.records) == tuple(other.records)
-        return self.descriptor == other.descriptor and same_records
+        return (
+            self.descriptor == other.descriptor
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.done, other.done, equal_nan=True)
+            and np.array_equal(self.start, other.start, equal_nan=True)
+            and self.attributes.keys() == other.attributes.keys()
+            and all(np.array_equal(v, other.attributes[k]) for k, v in self.attributes.items())
+        )
 
     @classmethod
     def from_records(cls, descriptor: DatasetDescriptor, records) -> "Dataset":
         """The dataset of ``records``, taking their attributes as the first
-        one names them; a categorical term's attribute holds strings."""
+        one names them; a categorical term's attribute holds strings.  A
+        completion is a date, or an int year in 1..9999 if not monthly."""
         records = tuple(records)
+        for r in records:
+            c = r.completion
+            year = isinstance(c, int) and not isinstance(c, bool) and 1 <= c <= 9999
+            if not (year or isinstance(c, date)):
+                raise DataError(f"record {r.id!r}: completion {c!r} is neither a date nor a year in 1..9999")
+        ids = np.array([r.id for r in records], dtype=object)
+        done, years = _completion_columns([r.completion for r in records])
+        if dateless := _dateless(done, ids, descriptor.granularity):
+            raise dateless[1]
         categorical = {
             t.column for t in descriptor.formula.terms if t.kind == "categorical"
         }
         names = records[0].attributes if records else ()
         return cls(
             descriptor,
-            ids=np.array([r.id for r in records], dtype=object),
-            keys=_int_array(
-                [period_key(r.completion, descriptor.granularity) for r in records]
-            ),
-            done=np.array(
-                [r.completion if isinstance(r.completion, date) else None for r in records],
-                dtype="datetime64[D]",
-            ),
+            ids=ids,
+            keys=period_keys(done, years, descriptor.granularity),
+            done=done,
             start=np.array([r.start for r in records], dtype="datetime64[D]"),
             attributes={
                 name: np.array(
@@ -135,12 +147,23 @@ class _Records(Sequence):
         )
 
 
-def _int_array(values) -> np.ndarray:
-    """Python ints as int64, or as objects if one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+def _completion_columns(values) -> tuple[np.ndarray, np.ndarray]:
+    """Completions, each a date, an int year or None (blank), as (days,
+    years): datetime64 days, NaT where there is no date, and int64
+    years, 0 where there is no year."""
+    days = np.array([v if isinstance(v, date) else None for v in values], dtype="datetime64[D]")
+    years = np.array([v if isinstance(v, int) else 0 for v in values], dtype=np.int64)
+    return days, years
+
+
+def _dateless(days: np.ndarray, ids, granularity: Granularity):
+    """(row, error) for the first record without a completion day under
+    monthly granularity, which needs one; None if there is none."""
+    dateless = np.isnat(days)
+    if granularity is Granularity.MONTHLY and dateless.any():
+        i = int(np.argmax(dateless))
+        return i, DataError(f"record {ids[i]!r}: monthly chronology needs full completion dates")
+    return None
 
 
 # --- descriptors -----------------------------------------------------------
@@ -390,15 +413,18 @@ def _parse_date(text: str, column: str) -> date:
     raise DataError(f"unparseable date {text!r} in column {column!r}")
 
 
-def _parse_completion(text: str, column: str):
-    """A stripped, non-empty completion value: an int year or a date.
-    ISO-shaped text goes straight to the date parser, since ``int`` can
-    never read it."""
+def _parse_completion(text: str, column: str, rid: str):
+    """A stripped, non-empty completion value of record ``rid``: an int
+    year in 1..9999, the years a date holds, or a date.  ISO-shaped text
+    goes straight to the date parser, since ``int`` can never read it."""
     if not (len(text) == 10 and text[4] == text[7] == "-"):
         try:
-            return int(text)
+            year = int(text)
         except ValueError:
-            pass
+            return _parse_date(text, column)
+        if not 1 <= year <= 9999:
+            raise DataError(f"completion year {text!r} for {rid!r} is outside 1..9999")
+        return year
     return _parse_date(text, column)
 
 
@@ -489,14 +515,17 @@ def _whole_days(texts) -> np.ndarray | None:
 
 def _whole_completions(texts):
     """Stripped completion texts as (days, years) when all are ISO dates
-    or blank, or all are ints; else None."""
+    or blank (years None), or all are years in 1..9999; else None."""
     days = _iso_days(texts)
     if days is not None:
         return days, None
     try:
-        return np.full(len(texts), _NAT), _int_array(list(map(int, texts)))
+        years = list(map(int, texts))
     except ValueError:
         return None
+    if not (1 <= min(years) and max(years) <= 9999):
+        return None
+    return np.full(len(texts), _NAT), np.array(years, dtype=np.int64)
 
 
 def _finite_product(factors, n: int) -> np.ndarray | None:
@@ -552,6 +581,27 @@ def _product(name: str, factors, rid: str) -> float:
     if not math.isfinite(value):
         raise DataError(f"non-finite product for derived column {name!r} in {rid!r}")
     return value
+
+
+def _derive_completions(days, blank, start, duration, duration_raw, ids, errors) -> None:
+    """Fill ``days`` at each ``blank`` row with its start plus its
+    duration.  The first row that cannot be derived joins ``errors`` as
+    (row, error): one without a start or a duration, with a negative
+    duration, or completing after the last day ``datetime.date`` holds."""
+    missing = blank & (np.isnat(start) | np.isnan(duration))
+    negative = blank & ~missing & (duration < 0)
+    # a NaT start casts to the smallest int64, and missing covers it
+    late = blank & ~missing & ~negative & (duration > (_LAST_DAY - start).astype(np.int64))
+    bad = missing | negative | late
+    if bad.any():
+        i = int(np.argmax(bad))
+        errors.append((i, DataError(
+            f"record {ids[i]!r} has no completion date and no start+duration" if missing[i]
+            else f"negative duration {duration_raw[i]!r} for {ids[i]!r}" if negative[i]
+            else f"record {ids[i]!r} completes after {_LAST_DAY}"
+        )))
+    fill = blank & ~bad
+    days[fill] = start[fill] + duration[fill].astype(np.int64)
 
 
 def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
@@ -666,45 +716,14 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     done_texts = stripped(done_col)
     parsed = _convert(
         lambda: _whole_completions(done_texts),
-        lambda i: _parse_completion(done_texts[i], done_col) if done_texts[i] else None,
+        lambda i: _parse_completion(done_texts[i], done_col, ids[i]) if done_texts[i] else None,
         n, errors,
     )
-    if isinstance(parsed, tuple):
-        days, years = parsed
-    else:  # read value by value: dates, years and blanks
-        days = np.array([v if isinstance(v, date) else None for v in parsed], dtype="datetime64[D]")
-        years = _int_array([v if isinstance(v, int) else 0 for v in parsed])
-    dated = np.array(list(map(bool, done_texts)), dtype=bool)
-
-    def derive_all():
-        blank = ~dated
-        begun, offsets = start[blank], duration[blank]
-        if np.isnat(begun).any() or not (
-            (offsets >= 0) & (offsets <= (_LAST_DAY - begun).astype(float))
-        ).all():
-            return None
-        derived = days.copy()
-        derived[blank] = begun + offsets.astype(np.int64)
-        return derived
-
-    def derive(i):  # a blank completion is its start plus its duration
-        if dated[i]:
-            return days[i]
-        if np.isnat(start[i]) or np.isnan(duration[i]):
-            raise DataError(f"record {ids[i]!r} has no completion date and no start+duration")
-        try:
-            return completion_date(start[i].item(), int(duration[i]))
-        except OverflowError:
-            raise DataError(f"record {ids[i]!r} completes after {_LAST_DAY}") from None
-
-    days = np.asarray(_convert(derive_all, derive, n, errors), dtype="datetime64[D]")
-    year_only = dated & np.isnat(days)
-    monthly = descriptor.granularity is Granularity.MONTHLY
-    if monthly and year_only.any():
-        i = int(np.argmax(year_only))
-        errors.append((i, DataError(
-            f"record {ids[i]!r}: monthly chronology needs full completion dates"
-        )))
+    days, years = parsed if isinstance(parsed, tuple) else _completion_columns(parsed)
+    blank = np.array([not t for t in done_texts], dtype=bool)
+    _derive_completions(days, blank, start, duration, duration_raw, ids, errors)
+    if dateless := _dateless(days, ids, descriptor.granularity):
+        errors.append(dateless)
 
     categorical = {
         t.column for t in descriptor.formula.terms if t.kind == "categorical"
@@ -728,16 +747,10 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     if errors:
         raise min(errors, key=lambda e: e[0])[1]  # the first of the earliest row's
 
-    if monthly:  # absolute month numbers, as kernels.period_key counts them
-        keys = days.astype("datetime64[M]").astype(np.int64) + 1970 * 12
-    else:
-        keys = days.astype("datetime64[Y]").astype(np.int64) + 1970
-        if years is not None:
-            keys = np.where(year_only, years, keys)
     return Dataset(
         descriptor,
         ids=np.array(ids, dtype=object),
-        keys=keys,
+        keys=period_keys(days, years, descriptor.granularity),
         done=days,
         start=start,
         attributes=attributes,
@@ -745,30 +758,27 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Serialize a dataset back to its descriptor's CSV schema."""
+    """Serialize a dataset back to its descriptor's CSV schema: a date as
+    ISO text, a year-only completion as its year, a value as ``str``
+    writes it."""
     descriptor = dataset.descriptor
     cols = descriptor.columns
     formula_cols = [
         c for c in descriptor.formula.columns if c not in descriptor.derived_products
     ]
-    fieldnames = [cols["id"]]
+    header, columns = [cols["id"]], [dataset.ids]
     if cols.get("completion"):
-        fieldnames.append(cols["completion"])
-    fieldnames += formula_cols
+        year_only = np.isnat(dataset.done)
+        texts = np.datetime_as_string(dataset.done).astype(object)
+        texts[year_only] = dataset.keys[year_only].astype(str)
+        header.append(cols["completion"])
+        columns.append(texts)
+    header += formula_cols
+    columns += [map(str, dataset.attributes[c].tolist()) for c in formula_cols]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for r in dataset.records:
-            row = {cols["id"]: r.id}
-            if cols.get("completion"):
-                c = r.completion
-                row[cols["completion"]] = (
-                    c.isoformat() if isinstance(c, date) else str(c)
-                )
-            for col in formula_cols:
-                v = r.attributes[col]
-                row[col] = repr(v) if isinstance(v, float) else str(v)
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 # --- synthetic datasets ----------------------------------------------------
@@ -846,11 +856,10 @@ def synthesize(config: SynthConfig) -> Dataset:
         )
     rng = np.random.default_rng(config.seed)
     # Every period gets at least one project; the rest land at random.
-    periods = list(range(config.n_periods))
-    periods += list(
-        rng.integers(0, config.n_periods, config.n_projects - config.n_periods)
-    )
-    periods.sort()
+    periods = np.sort(np.concatenate([
+        np.arange(config.n_periods),
+        rng.integers(0, config.n_periods, config.n_projects - config.n_periods),
+    ]))
     sizes = np.exp(
         rng.uniform(
             math.log(config.size_lo), math.log(config.size_hi), config.n_projects
@@ -861,16 +870,22 @@ def synthesize(config: SynthConfig) -> Dataset:
         if config.noise_sd > 0
         else np.zeros(config.n_projects)
     )
-    records = []
-    for i, (p, size, eps) in enumerate(zip(periods, sizes, noise)):
-        b0 = config.intercept + p * config.intercept_drift
-        b1 = config.slope + p * config.slope_drift
-        effort = math.exp(b0 + b1 * math.log(size) + eps)
-        records.append(
-            ProjectRecord(
-                id=f"p{i:04d}",
-                completion=2000 + int(p),
-                attributes={"size": float(size), "effort": effort},
-            )
+    # Python floats per record, summed as b0 + b1 * ln(size) + noise: the
+    # golden fixtures hold these bits
+    effort = [
+        math.exp(
+            config.intercept + p * config.intercept_drift
+            + (config.slope + p * config.slope_drift) * math.log(size)
+            + eps
         )
-    return Dataset.from_records(descriptor, records)
+        for p, size, eps in zip(periods.tolist(), sizes.tolist(), noise.tolist())
+    ]
+    done = np.full(config.n_projects, _NAT)
+    return Dataset(
+        descriptor,
+        ids=np.array([f"p{i:04d}" for i in range(config.n_projects)], dtype=object),
+        keys=period_keys(done, 2000 + periods, descriptor.granularity),
+        done=done,
+        start=done.copy(),
+        attributes={"size": sizes, "effort": np.array(effort)},
+    )

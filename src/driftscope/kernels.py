@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import math
-from datetime import date
 from enum import Enum
 
 import numpy as np
@@ -22,7 +21,7 @@ __all__ = [
     "BandwidthError",
     "MAX_GRID_VALUES",
     "grid_size",
-    "period_key",
+    "period_keys",
     "period_index",
     "kernel_weight",
     "weights_for_target",
@@ -59,20 +58,17 @@ class BandwidthError(ValueError):
     requested kernel."""
 
 
-def period_key(completion, granularity: Granularity) -> int:
-    """The calendar period a completion falls in: its year, or for
+def period_keys(done: np.ndarray, years, granularity: Granularity) -> np.ndarray:
+    """The calendar period of each completion as int64: its year, or for
     monthly granularity its absolute month number ``year * 12 + month -
-    1``, so that calendar gaps consume index distance.  Yearly periods
-    take an int year or a date; monthly periods need a date."""
-    if isinstance(completion, date):  # datetime included
-        if granularity is Granularity.YEARLY:
-            return completion.year
-        return completion.year * 12 + completion.month - 1
+    1``, so that calendar gaps consume index distance.  ``done`` holds
+    completion days (datetime64[D]), NaT where a completion is known
+    only by its year, which ``years`` then holds (None if there is
+    none).  Monthly periods need every completion's day."""
     if granularity is Granularity.MONTHLY:
-        raise ValueError(f"monthly granularity needs a full date, got {completion!r}")
-    if isinstance(completion, int) and not isinstance(completion, bool):
-        return completion
-    raise ValueError(f"unparseable completion value: {completion!r}")
+        return done.astype("datetime64[M]").astype(np.int64) + 1970 * 12
+    keys = done.astype("datetime64[Y]").astype(np.int64) + 1970
+    return keys if years is None else np.where(np.isnat(done), years, keys)
 
 
 def period_index(key: int, oldest: int, granularity: Granularity) -> float:

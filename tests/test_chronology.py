@@ -7,11 +7,10 @@ from driftscope.chronology import (
     ChronologyMode,
     SplitError,
     build_split_plan,
-    completion_date,
     well_formed_min,
 )
 from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord
-from driftscope.kernels import Granularity, period_key
+from driftscope.kernels import Granularity
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
 
@@ -123,21 +122,6 @@ class TestWellFormedMin:
             assert wmin == design  # the same error from both
         else:
             assert wmin == 1 + design.n_columns
-
-
-class TestCompletionDate:
-    def test_zero_duration(self):
-        assert completion_date(date(1994, 1, 1), 0) == date(1994, 1, 1)
-
-    def test_year_rollover(self):
-        assert completion_date(date(1994, 12, 31), 1) == date(1995, 1, 1)
-
-    def test_leap_year(self):
-        assert completion_date(date(1996, 2, 28), 1) == date(1996, 2, 29)
-
-    def test_negative_duration(self):
-        with pytest.raises(ValueError):
-            completion_date(date(1994, 1, 1), -1)
 
 
 def _check_invariants(plan, records, formula):
@@ -404,13 +388,21 @@ def _records(draw):
     ]
 
 
+def _per_record_key(completion, granularity):
+    """A record's own period: its year, or its absolute month."""
+    if not isinstance(completion, date):
+        return completion
+    if granularity is Granularity.YEARLY:
+        return completion.year
+    return completion.year * 12 + completion.month - 1
+
+
 def _per_record_indices(completions, granularity):
     """Each record's own period index, from its year or absolute month."""
+    keys = [_per_record_key(c, granularity) for c in completions]
     if granularity is Granularity.YEARLY:
-        years = [c.year if isinstance(c, date) else c for c in completions]
-        return [float(1 + y - min(years)) for y in years]
-    months = [c.year * 12 + c.month - 1 for c in completions]
-    return [round(0.1 * (1 + m - min(months)), 10) for m in months]
+        return [float(1 + k - min(keys)) for k in keys]
+    return [round(0.1 * (1 + k - min(keys)), 10) for k in keys]
 
 
 class TestPlanOrder:
@@ -421,7 +413,7 @@ class TestPlanOrder:
             records, granularity, ChronologyMode.REMAINDER_TEST, ONE_TERM,
             overrides=[len(records) - 2],
         )
-        expected = sorted(records, key=lambda r: (period_key(r.completion, granularity), r.id))
+        expected = sorted(records, key=lambda r: (_per_record_key(r.completion, granularity), r.id))
         assert [records[i] for i in plan.order] == expected
         assert plan.splits[-1].train_ids == tuple(r.id for r in expected)
         assert [x.hex() for x in plan.indices.tolist()] == [

@@ -2,13 +2,13 @@ import csv
 import io
 import math
 import tempfile
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as stn
 
-from driftscope.chronology import ChronologyMode, build_split_plan, completion_date
+from driftscope.chronology import ChronologyMode, build_split_plan
 from driftscope.cli import main
 from driftscope.datasets import (
     _DATE_FORMATS,
@@ -30,7 +30,7 @@ from driftscope.datasets import (
     _parse_date,
     _whole_completions,
 )
-from driftscope.kernels import Granularity, period_key
+from driftscope.kernels import Granularity
 from driftscope.stats import LOG, ModelFormula, Term, weighted_least_squares, build_design_matrix
 
 
@@ -133,11 +133,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="non-numeric"):
             load_dataset(self._descriptor(), bad)
 
-    def test_completion_from_start_plus_duration(self):
+    @pytest.mark.parametrize("start, days, completion", [
+        ("1994-06-01", "100", date(1994, 9, 9)),
+        ("1994-01-01", "0", date(1994, 1, 1)),
+        ("31/12/1994", "1", date(1995, 1, 1)),
+        ("28/02/1996", "1", date(1996, 2, 29)),
+        ("1994-01-01", "-1", "negative duration '-1' for '1'"),
+    ], ids=["iso start", "zero duration", "year rollover", "leap day", "negative duration"])
+    def test_completion_from_start_plus_duration(self, start, days, completion):
         csv_text = (
             "Project,Actual.start.date,Actual.duration,"
             "Adjusted.function.points,Project.type,Actual.effort,Client.code\n"
-            "1,1994-06-01,100,120,D,900,2\n"
+            f"1,{start},{days},120,D,900,2\n"
             "2,1994-08-01,60,80,P,500,2\n"
             "3,1995-01-15,30,60,D,400,6\n"
         )
@@ -147,8 +154,13 @@ class TestLoadDataset:
             columns=d.columns, formula=d.formula, filters=d.filters,
             expected_rows=2,
         )
+        if isinstance(completion, str):  # an input error naming the record
+            with pytest.raises(DataError) as exc:
+                load_dataset(d, csv_text)
+            assert str(exc.value) == completion
+            return
         ds = load_dataset(d, csv_text)
-        assert ds.records[0].completion == date(1994, 9, 9)
+        assert ds.records[0].completion == completion
         assert ds.records[1].completion == date(1994, 9, 30)
 
 
@@ -192,6 +204,10 @@ LOADER_ERRORS = {
         (",30,", ",a month,"), {}, "non-numeric duration 'a month' for 'p2'"),
     "infinite duration": (
         (",30,", ",inf,"), {}, "non-numeric duration 'inf' for 'p2'"),
+    "negative duration": (
+        (",30,", ",-5,"), {}, "negative duration '-5' for 'p2'"),
+    "completion year out of range": (
+        ("p1,1990,", "p1,0,"), {}, "completion year '0' for 'p1' is outside 1..9999"),
     "completion past the last date": (
         (",30,", ",3e6,"), {}, "record 'p2' completes after 9999-12-31"),
     "non-finite value": (
@@ -277,8 +293,7 @@ class TestLoaderErrors:
 def _read_record_by_record(descriptor, rows):
     """The records of ``rows`` (dicts of TABLE_CSV's columns), read one
     record at a time by the per-value parsers, or the error that reading
-    raises first.  A completion past the last date is a DataError here,
-    where ``completion_date`` raises OverflowError."""
+    raises first."""
     seen = set()
     records = []
     for row in rows:
@@ -296,14 +311,16 @@ def _read_record_by_record(descriptor, rows):
                     raise DataError(f"non-numeric duration {row['days']!r} for {rid!r}") from None
             text = row["done"].strip()
             if text:
-                completion = _parse_completion(text, "done")
-            elif start is not None and duration is not None:
+                completion = _parse_completion(text, "done", rid)
+            elif start is None or duration is None:
+                raise DataError(f"record {rid!r} has no completion date and no start+duration")
+            elif duration < 0:
+                raise DataError(f"negative duration {row['days']!r} for {rid!r}")
+            else:
                 try:
-                    completion = completion_date(start, duration)
+                    completion = start + timedelta(days=duration)
                 except OverflowError:
                     raise DataError(f"record {rid!r} completes after 9999-12-31") from None
-            else:
-                raise DataError(f"record {rid!r} has no completion date and no start+duration")
             if descriptor.granularity is Granularity.MONTHLY and not isinstance(completion, date):
                 raise DataError(f"record {rid!r}: monthly chronology needs full completion dates")
             attributes = {}
@@ -332,10 +349,20 @@ def _read_record_by_record(descriptor, rows):
             if not math.isfinite(eaf):
                 raise DataError(f"non-finite product for derived column 'eaf' in {rid!r}")
             attributes["eaf"] = eaf
-        except ValueError as exc:  # DataError, or completion_date's negative duration
+        except DataError as exc:
             return exc
         records.append(ProjectRecord(rid, completion, attributes, start))
     return tuple(records)
+
+
+def _key(completion, granularity):
+    """A completion's period by the per-record formula: its year, or its
+    absolute month."""
+    if not isinstance(completion, date):
+        return completion
+    if granularity is Granularity.YEARLY:
+        return completion.year
+    return completion.year * 12 + completion.month - 1
 
 
 def _cells(*fixed):
@@ -350,7 +377,7 @@ _DATE_TEXTS = _cells(
     "", "1999", "2001", "85", "1_994", "+1994", " 1994 ", "١٩٩٤", "199O", "2001-03-04",
     "2001-02-29", "2000-02-29", "0000-01-01", "9999-12-31", "2001-1-5", " 2001-03-04 ",
     "２００１-０１-０５", "+001-01-01", "-001-01-01", "04/03/2001", "04/03/01", "04-Mar-01",
-    "12345678901234567890", "NaT", "2001-W01-1", "20010304",
+    "12345678901234567890", "NaT", "2001-W01-1", "20010304", "0", "-1994", "9999", "10000",
 )
 # ISO-shaped texts, most of them dates numpy reads
 _ISO_LIKE = stn.one_of(
@@ -429,7 +456,7 @@ class TestColumnarConversions:
         else:
             ds = load_dataset(descriptor, io.StringIO(buf.getvalue(), newline=""))
             assert tuple(ds.records) == expected
-            assert ds.keys.tolist() == [period_key(r.completion, granularity) for r in expected]
+            assert ds.keys.tolist() == [_key(r.completion, granularity) for r in expected]
 
     @settings(max_examples=300)
     @given(stn.lists(_ISO_LIKE, min_size=1, max_size=4))
@@ -459,6 +486,7 @@ class TestColumnarConversions:
         parsed = _whole_completions(texts)
         if parsed is not None and parsed[1] is not None:
             assert parsed[1].tolist() == [int(t) for t in texts]
+            assert all(1 <= y <= 9999 for y in parsed[1].tolist())  # the years a date holds
 
 
 def _edited_synth_csv(tmp_path, edits):
@@ -489,16 +517,13 @@ class TestConversionEdges:
         )
 
     def test_twenty_digit_year_is_a_year(self, tmp_path, capsys):
-        # int() reads it; an int64 conversion would overflow.  Its span
-        # leaves the finite-support kernels no bandwidth.
+        # int() reads it; it is a year no date holds, refused at load
         year = "12345678901234567890"
         data, desc = _edited_synth_csv(tmp_path, {0: lambda f: [f[0], year, *f[2:]]})
-        ds = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data)
-        assert ds.records[0].completion == int(year)
         out = tmp_path / "out"
-        assert main(["sweep", "--descriptor", str(desc), "--data", str(data), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith(
-            "driftscope: empty grid: epanechnikov kernel needs bandwidth >= 1.23456789"
+        assert main(["sweep", "--descriptor", str(desc), "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"driftscope: completion year {year!r} for 'p0000' is outside 1..9999\n"
         )
         assert not out.exists()
 
@@ -581,9 +606,9 @@ class TestCsvRoundTrip:
         assert [type(r.completion) for r in loaded.records] == [
             type(r.completion) for r in dataset.records
         ]
-        # the loader's columnar period keys are period_key's
+        # the loader's columnar period keys are the per-record formula's
         g = dataset.descriptor.granularity
-        assert loaded.keys.tolist() == [period_key(r.completion, g) for r in dataset.records]
+        assert loaded.keys.tolist() == [_key(r.completion, g) for r in dataset.records]
 
 
 def _strptime_date(text):

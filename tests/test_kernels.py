@@ -5,6 +5,8 @@ import pytest
 import numpy as np
 from hypothesis import given, strategies as stn
 
+from driftscope.chronology import ChronologyMode
+from driftscope.datasets import DataError, Dataset, DatasetDescriptor, ProjectRecord
 from driftscope.kernels import (
     MAX_GRID_VALUES,
     BandwidthError,
@@ -16,9 +18,10 @@ from driftscope.kernels import (
     kernel_weight,
     min_bandwidth,
     period_index,
-    period_key,
+    period_keys,
     weights_for_target,
 )
+from driftscope.stats import ModelFormula
 
 NON_UNIFORM = [KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]
 
@@ -44,28 +47,53 @@ _COMPLETIONS = stn.one_of(
 )
 
 
-class TestPeriodKey:
-    def test_keys(self):
-        assert period_key(1999, Granularity.YEARLY) == 1999
-        assert period_key(date(1999, 3, 9), Granularity.YEARLY) == 1999
-        assert period_key(datetime(1999, 3, 9, 12), Granularity.YEARLY) == 1999
-        assert period_key(date(1999, 3, 9), Granularity.MONTHLY) == 1999 * 12 + 2
-        assert period_key(datetime(1999, 1, 1), Granularity.MONTHLY) == 1999 * 12
+def _columns(completions):
+    """Completions (int years or dates) as ``period_keys``' (done, years)."""
+    done = np.array([c if isinstance(c, date) else None for c in completions], dtype="datetime64[D]")
+    years = np.array([0 if isinstance(c, date) else c for c in completions], dtype=np.int64)
+    return done, years
 
-    @pytest.mark.parametrize("value", [True, 1999.0, "1999", None])
+
+def _from_records(completions, granularity):
+    """A dataset of one record per completion, or the error it raises."""
+    descriptor = DatasetDescriptor(
+        name="t", granularity=granularity, chronology=ChronologyMode.YEAR_ACCUMULATE,
+        columns={"id": "id"}, formula=ModelFormula(response="effort", terms=()),
+    )
+    records = [ProjectRecord(f"r{i}", c, {"effort": 1.0}) for i, c in enumerate(completions)]
+    return Dataset.from_records(descriptor, records)
+
+
+class TestPeriodKey:
+    """``period_keys`` on completion columns, and ``Dataset.from_records``,
+    where Python completion values become those columns."""
+
+    def test_keys(self):
+        done, years = _columns([1999, date(1999, 3, 9), date(1999, 1, 1)])
+        assert period_keys(done, years, Granularity.YEARLY).tolist() == [1999] * 3
+        assert period_keys(done[1:], None, Granularity.MONTHLY).tolist() == [
+            1999 * 12 + 2, 1999 * 12,
+        ]
+        ds = _from_records([1999, datetime(1999, 3, 9, 12)], Granularity.YEARLY)
+        assert ds.keys.tolist() == [1999, 1999]
+        ds = _from_records([datetime(1999, 1, 1), date(1999, 3, 9)], Granularity.MONTHLY)
+        assert ds.keys.tolist() == [1999 * 12, 1999 * 12 + 2]
+
+    @pytest.mark.parametrize("value", [True, 1999.0, "1999", None, 0, 10000])
     def test_yearly_rejects_non_years(self, value):
-        with pytest.raises(ValueError, match="unparseable completion value"):
-            period_key(value, Granularity.YEARLY)
+        with pytest.raises(DataError, match="is neither a date nor a year in 1..9999"):
+            _from_records([1999, value], Granularity.YEARLY)
 
     @pytest.mark.parametrize("value", [1999, True, "1999-01-01", None])
     def test_monthly_needs_a_date(self, value):
-        with pytest.raises(ValueError, match="needs a full date"):
-            period_key(value, Granularity.MONTHLY)
+        # a year is refused as year-only, anything else as no completion
+        with pytest.raises(DataError, match="record 'r1': .*date"):
+            _from_records([date(1999, 1, 1), value], Granularity.MONTHLY)
 
     @given(_COMPLETIONS)
     def test_indices_match_the_per_record_formula_bit_for_bit(self, case):
         granularity, completions = case
-        keys = [period_key(c, granularity) for c in completions]
+        keys = period_keys(*_columns(completions), granularity).tolist()
         out = [period_index(k, min(keys), granularity) for k in keys]
         expected = _reference_indices(completions, granularity)
         assert [type(x) for x in out] == [float] * len(out)
