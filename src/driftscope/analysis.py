@@ -129,11 +129,12 @@ class SweepResult:
 
 
 def _relative_errors(model, design, actuals, log_scale: bool):
-    """Relative error of each fit of ``model`` on ``design``'s records."""
+    """Relative error of each fit of ``model`` on ``design``'s records;
+    the predictions array becomes the residuals in place."""
     predictions = stats.predict(model, design)
     if log_scale:
         np.exp(predictions, out=predictions)
-    return stats.relative_error(predictions, actuals)
+    return stats.relative_error(predictions, actuals, overwrite=True)
 
 
 def _plan_design(dataset, order):
@@ -151,9 +152,16 @@ def _plan_design(dataset, order):
 
 def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Curve]:
     """One curve per kernel of one split, on the rows of the plan-ordered
-    ``design`` and ``actuals`` that the split selects.  The uniform fit is
-    made once; each kernel's weights come as one row per value of
-    ``bandwidths[kind]``, and all rows get one stacked weighted fit."""
+    ``design`` and ``actuals`` that the split selects.
+
+    All fits of the split are one stacked weighted fit: row 0 is the
+    uniform fit, then come each weighted kernel's rows, one per value of
+    ``bandwidths[kind]``, in kernel order; the uniform kernel reads row 0.
+    Records of one period share a weight, so the weights hold one column
+    per run of equal period indices in the training prefix.  A failing
+    row is reported at its (kernel, bandwidth); row 0 at the first
+    kernel's first bandwidth, the first cell that needs it.
+    """
     log_scale = formula.response_transform == stats.LOG
     train = design.subset(slice(split.stop))
     train_actuals = actuals[: split.stop]
@@ -163,57 +171,55 @@ def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Cu
         rows = slice(int(rows[0]), int(rows[-1]) + 1)
     test = None if split.is_final else design.subset(rows)
     test_actuals = actuals[rows]
+    indices = split.plan_indices[: split.stop]
+    starts = np.flatnonzero(np.concatenate(([True], indices[1:] != indices[:-1])))
+    origins = indices[starts]
 
-    def relative_errors(model):
-        re_test = (
-            _relative_errors(model, test, test_actuals, log_scale)
-            if test is not None
-            else None
-        )
-        return _relative_errors(model, train, train_actuals, log_scale), re_test
-
-    # The uniform fit serves every cell; a failure there is reported at
-    # the split's first cell, the first one that needs it.
-    first = next(iter(bandwidths))
-    try:
-        re_train_u, re_test_u = relative_errors(
-            stats.weighted_least_squares(train, np.ones(split.stop))
-        )
-    except (ValueError, stats.SingularDesignError) as exc:
-        raise SweepError(
-            exc, split=split.ordinal, kernel=first, bandwidth=bandwidths[first][0]
-        ) from exc
-
-    curves = []
+    blocks = [np.ones((1, starts.size))]
+    offsets = {}  # kernel -> its first stacked row
     for kind, values in bandwidths.items():
         try:
-            weights = weights_for_target(
-                split.plan_indices[: split.stop], split.target, kind, values
-            )
+            weights = weights_for_target(origins, split.target, kind, values)
         except ValueError as exc:
             raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
         if kind is KernelKind.UNIFORM:
-            # every weight is 1, so the uniform fit is this kernel's fit
-            re_train_nu = [re_train_u] * len(values)
-            re_test_nu = None if re_test_u is None else [re_test_u] * len(values)
+            offsets[kind] = 0
         else:
-            try:
-                model = stats.weighted_least_squares(train, weights)
-                del weights  # free the bandwidths x records array before predicting
-                re_train_nu, re_test_nu = relative_errors(model)
-            except (ValueError, stats.SingularDesignError) as exc:
-                raise SweepError(
-                    exc, split=split.ordinal, kernel=kind,
-                    bandwidth=values[getattr(exc, "row", 0)],
-                ) from exc
-            # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
-            re_train_nu = re_train_nu.tolist()
-            if re_test_nu is not None:
-                re_test_nu = re_test_nu.tolist()
-        curves.append(
-            Curve(split.ordinal, kind, values, re_train_nu, re_test_nu, re_train_u, re_test_u)
+            offsets[kind] = sum(map(len, blocks))
+            blocks.append(weights)
+
+    try:
+        model = stats.weighted_least_squares(train, np.concatenate(blocks), starts)
+        # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
+        re_train = _relative_errors(model, train, train_actuals, log_scale).tolist()
+        re_test = (
+            None if test is None
+            else _relative_errors(model, test, test_actuals, log_scale).tolist()
         )
-    return curves
+    except (ValueError, stats.SingularDesignError) as exc:
+        row = getattr(exc, "row", 0)
+        kind, i = next(iter(bandwidths)), 0
+        for k, first in offsets.items():
+            if 0 < first <= row:
+                kind, i = k, row - first
+        raise SweepError(
+            exc, split=split.ordinal, kernel=kind, bandwidth=bandwidths[kind][i]
+        ) from exc
+
+    def along(res, kind):
+        """The kernel's rows of the per-row ``res``, row 0 repeated for
+        the uniform kernel."""
+        n, first = len(bandwidths[kind]), offsets[kind]
+        return [res[0]] * n if kind is KernelKind.UNIFORM else res[first : first + n]
+
+    return [
+        Curve(
+            split.ordinal, kind, values,
+            along(re_train, kind), None if re_test is None else along(re_test, kind),
+            re_train[0], None if re_test is None else re_test[0],
+        )
+        for kind, values in bandwidths.items()
+    ]
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:

@@ -802,13 +802,24 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.noise_sd < 0:
-            raise ValueError(f"negative noise sd: {self.noise_sd}")
+            raise DataError(f"negative noise sd: {self.noise_sd}")
         if self.n_periods < 2:
-            raise ValueError("need at least 2 periods")
+            raise DataError("need at least 2 periods")
+        minimum = 2 * (2 + len(synth_descriptor(self).formula.terms))
+        if self.n_projects < minimum:
+            raise DataError(
+                f"need at least {minimum} projects for a usable plan, "
+                f"got {self.n_projects}"
+            )
+        if self.n_periods > self.n_projects:
+            raise DataError(
+                f"n_periods {self.n_periods} exceeds n_projects {self.n_projects}: "
+                "every period needs a project"
+            )
         if not (0 < self.size_lo < self.size_hi):
-            raise ValueError("need 0 < size_lo < size_hi")
+            raise DataError("need 0 < size_lo < size_hi")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2)
@@ -848,12 +859,6 @@ def synthesize(config: SynthConfig) -> Dataset:
     """Deterministically generate a drifting (or stationary) log-linear
     effort dataset: ln(effort) = b0(p) + b1(p) * ln(size) + noise."""
     descriptor = synth_descriptor(config)
-    minimum = 2 * (2 + len(descriptor.formula.terms))
-    if config.n_projects < minimum:
-        raise ValueError(
-            f"need at least {minimum} projects for a usable plan, "
-            f"got {config.n_projects}"
-        )
     rng = np.random.default_rng(config.seed)
     # Every period gets at least one project; the rest land at random.
     periods = np.sort(np.concatenate([

@@ -106,24 +106,20 @@ def kernel_weight(kind: KernelKind, lag):
 
 
 def weights_for_target(
-    indices, target: float, kind: KernelKind, bandwidths
+    origins, target: float, kind: KernelKind, bandwidths
 ) -> np.ndarray:
-    """Kernel weights of training records relative to a target period.
+    """Kernel weights relative to a target period.
 
-    Returns one C-ordered row per bandwidth and one column per record; the
-    lag of a record is its elapsed periods to the target over the
-    bandwidth.  Records of one period share a weight, so the kernel is
-    evaluated once per run of equal indices: once per period for records
-    in chronological order, and correctly for any order.
+    Returns one C-ordered row per bandwidth and one column per origin
+    period index in ``origins``: that of a record, or the one shared by a
+    run of records of one period, so that the kernel is evaluated once
+    per run.  The lag of an origin is its elapsed periods to the target
+    over the bandwidth.
     """
     b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
     if np.any(b <= 0):
         raise BandwidthError(f"bandwidth must be positive, got {b.min()}")
-    indices = np.asarray(indices, dtype=float)
-    starts = np.empty(indices.shape, dtype=bool)
-    starts[:1] = True
-    np.not_equal(indices[1:], indices[:-1], out=starts[1:])
-    origins = indices[starts]
+    origins = np.asarray(origins, dtype=float)
     if np.any(origins > target):
         raise ValueError(
             f"origin period {origins.max()} is newer than target period {target}"
@@ -135,8 +131,7 @@ def weights_for_target(
             f"bandwidth {b.min():g} below support minimum for "
             f"{kind.value} kernel (max elapsed {elapsed.max():g})"
         )
-    run = np.cumsum(starts) - 1
-    return np.take(kernel_weight(kind, lags), run, axis=1)
+    return kernel_weight(kind, lags)
 
 
 def min_bandwidth(

@@ -277,20 +277,22 @@ def _direct_rows(gram: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return direct
 
 
-def _solve(design: DesignMatrix, w: np.ndarray) -> np.ndarray:
+def _solve(design: DesignMatrix, w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Coefficients minimizing sum_i w_bi (y_i - x_i b)^2 for every row b
-    of ``w``, one row per fit.
+    of ``w``, one row per fit, where column j of ``w`` is the weight of
+    every design row of run j: rows ``starts[j]`` up to the next start.
 
     Every row's Gram matrix X'W_bX and moment X'W_by come from one matrix
-    product of ``w`` with the design's row moments.  Gram matrices that
-    pass ``GRAM_RATIO_MIN`` are solved directly; the rest by an SVD of
-    sqrt(w_b)X, whose singular values at or below max(n, p) * eps times
-    the largest count as zero, the rule ``np.linalg.lstsq`` applies with
+    product of ``w`` with the design's row moments summed per run.  Gram
+    matrices that pass ``GRAM_RATIO_MIN`` are solved directly; the rest
+    by an SVD of sqrt(w_b)X, its weights expanded to one per design row,
+    whose singular values at or below max(n, p) * eps times the largest
+    count as zero, the rule ``np.linalg.lstsq`` applies with
     ``rcond=None``.
     """
     x, y = design.matrix, design.response
     n, p = x.shape
-    moments = w @ design.moments
+    moments = w @ np.add.reduceat(design.moments, starts)
     gram = moments[:, : p * p].reshape(-1, p, p)
     xty = moments[:, p * p:]
     direct = _direct_rows(gram, w, x)
@@ -298,7 +300,7 @@ def _solve(design: DesignMatrix, w: np.ndarray) -> np.ndarray:
     coefficients[direct] = np.linalg.solve(gram[direct], xty[direct, :, None])[..., 0]
     rest = np.flatnonzero(~direct)
     if rest.size:
-        sw = np.sqrt(w[rest])
+        sw = np.sqrt(np.repeat(w[rest], np.diff(starts, append=n), axis=1))
         u, sv, vt = np.linalg.svd(x * sw[:, :, None], full_matrices=False)
         rank = np.sum(sv > max(n, p) * np.finfo(float).eps * sv[:, :1], axis=1)
         singular = rest[rank < p]
@@ -309,21 +311,31 @@ def _solve(design: DesignMatrix, w: np.ndarray) -> np.ndarray:
     return coefficients
 
 
-def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
+def weighted_least_squares(design: DesignMatrix, weights, starts=None) -> FittedModel:
     """Minimize the weighted sum of squared transformed-scale residuals.
 
     ``weights`` holds one weight per design row, or one such row per fit;
     stacked weights give one row of coefficients per fit, all solved in
-    one pass (see ``_solve``).  A design is singular exactly when
-    ``np.linalg.lstsq`` on sqrt(w)X finds its rank below the number of
-    columns.  Errors name the first failing row of stacked weights.
+    one pass (see ``_solve``).  With ``starts``, the first rows of runs of
+    consecutive design rows, ascending from 0, ``weights`` holds one
+    weight per run instead, shared by the run's rows.  A design is
+    singular exactly when ``np.linalg.lstsq`` on sqrt(w)X finds its rank
+    below the number of columns.  Errors name the first failing row of
+    stacked weights.
     """
     w = np.asarray(weights, dtype=float)
     rows = np.atleast_2d(w)
-    if rows.shape[1] != design.n_rows:
-        raise ValueError(
-            f"{rows.shape[1]} weights for {design.n_rows} design rows"
-        )
+    n = design.n_rows
+    if starts is None:
+        starts, width = np.arange(n), f"{n} design rows"
+    else:
+        starts = np.asarray(starts, dtype=np.intp)
+        steps = np.diff(starts, append=n)
+        if starts.ndim != 1 or starts[:1].tolist() != [0] or np.any(steps <= 0):
+            raise ValueError(f"run starts must ascend from 0 to below {n}")
+        width = f"{starts.size} runs of design rows"
+    if rows.shape[1] != starts.size:
+        raise ValueError(f"{rows.shape[1]} weights for {width}")
     nonpositive = np.flatnonzero(np.any(rows <= 0, axis=1))
     stop = int(nonpositive[0]) if nonpositive.size else len(rows)
     if stop == 0:
@@ -332,7 +344,7 @@ def weighted_least_squares(design: DesignMatrix, weights) -> FittedModel:
         raise SingularDesignError(
             f"{design.n_rows} rows cannot identify {design.n_columns} coefficients"
         )
-    coefficients = _solve(design, rows[:stop])
+    coefficients = _solve(design, rows[:stop], starts)
     if stop < len(rows):
         raise WeightError("weights must be strictly positive", row=stop)
     return FittedModel(
@@ -361,12 +373,15 @@ def _squared_deviations(v: np.ndarray, out=None):
     return d.sum(axis=-1)
 
 
-def relative_error(predictions, actuals):
+def relative_error(predictions, actuals, overwrite: bool = False):
     """Variance of residuals over variance of the actuals: a float, or one
     value per row of stacked predictions.
 
     A value of 1 is the constant-predictor benchmark; values near zero
-    indicate accurate predictions.
+    indicate accurate predictions.  With ``overwrite``, a float64
+    ``predictions`` array holds the residuals and their squares in
+    place, and its values are lost, instead of a second array of its
+    size being made beside it.
     """
     p = np.asarray(predictions, dtype=float)
     a = np.asarray(actuals, dtype=float)
@@ -378,6 +393,6 @@ def relative_error(predictions, actuals):
     denom = _squared_deviations(a) / (n - 1)
     if denom <= 0:
         raise ValueError("actuals have zero variance")
-    residuals = a - p
+    residuals = np.subtract(a, p, out=p if overwrite else None)
     ratio = _squared_deviations(residuals, out=residuals) / (n - 1) / denom
     return float(ratio) if ratio.ndim == 0 else ratio

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -142,14 +143,16 @@ class TestRunSweep:
         calls = []
         wls = stats.weighted_least_squares
 
-        def counted(design, weights):
-            calls.append(1)
-            return wls(design, weights)
+        def counted(*args):
+            calls.append(len(args[1]))
+            return wls(*args)
 
         monkeypatch.setattr(stats, "weighted_least_squares", counted)
         sweep = run_sweep(stationary_dataset, ALL_KERNELS)
-        # one uniform fit and one stacked fit per kernel, per split
-        assert len(calls) == len(sweep.plan.splits) * (len(ALL_KERNELS) + 1)
+        # one stacked fit per split: the uniform row, then every kernel's
+        # bandwidth rows
+        rows = 1 + sum(len(sweep.grids[kind]) for kind in ALL_KERNELS)
+        assert calls == [rows] * len(sweep.plan.splits)
 
     def test_empty_kernel_set(self, stationary_dataset):
         with pytest.raises(ValueError):
@@ -184,20 +187,88 @@ class TestRunSweep:
             "[split 39, kernel gaussian, bandwidth 1] weights must be strictly positive"
         )
 
-    def test_singular_row_reports_its_bandwidth(self, stationary_dataset, monkeypatch):
+    @staticmethod
+    def _plant_singular_rows(monkeypatch, planted, rows):
+        """Patch the sweep's weights so that rows ``rows`` of kernel
+        ``planted`` weigh the oldest period alone, numerically."""
         weights_for_target = analysis.weights_for_target
 
-        def degenerate(indices, target, kind, bandwidths):
-            weights = weights_for_target(indices, target, kind, bandwidths)
-            for row in (2, 4):  # weight on one record only, numerically
-                weights[row] = 1e-40
-                weights[row, 0] = 1.0
+        def degenerate(origins, target, kind, bandwidths):
+            weights = weights_for_target(origins, target, kind, bandwidths)
+            if kind is planted:
+                for row in rows:
+                    weights[row] = 1e-40
+                    weights[row, 0] = 1.0
             return weights
 
         monkeypatch.setattr(analysis, "weights_for_target", degenerate)
+
+    @pytest.fixture(scope="class")
+    def lone_oldest(self, stationary_dataset):
+        """The stationary dataset with one record left in its oldest period,
+        so that weight on that period alone leaves a singular design."""
+        records = stationary_dataset.records
+        oldest = min(r.completion for r in records)
+        kept = min(r.id for r in records if r.completion == oldest)
+        moved = tuple(
+            replace(r, completion=oldest + 1) if r.completion == oldest and r.id != kept else r
+            for r in records
+        )
+        return Dataset.from_records(stationary_dataset.descriptor, moved)
+
+    def test_singular_row_reports_its_bandwidth(self, lone_oldest, monkeypatch):
+        self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2, 4))
         with pytest.raises(SweepError) as info:
-            run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,))
+            run_sweep(lone_oldest, (KernelKind.GAUSSIAN,))
         assert str(info.value) == "[split 1, kernel gaussian, bandwidth 3] singular design"
+
+    def test_singular_row_in_second_kernel_names_it(self, lone_oldest, monkeypatch):
+        config = AnalysisConfig(grid_step=3.0)
+        grid = run_sweep(lone_oldest, (KernelKind.TRIANGULAR,), config).grids[
+            KernelKind.TRIANGULAR
+        ]
+        self._plant_singular_rows(monkeypatch, KernelKind.TRIANGULAR, (1, 3))
+        kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR)
+        with pytest.raises(SweepError) as info:
+            run_sweep(lone_oldest, kernels, config)
+        assert (info.value.split, info.value.kernel) == (1, KernelKind.TRIANGULAR)
+        assert info.value.bandwidth == grid[1]
+        assert str(info.value) == (
+            f"[split 1, kernel triangular, bandwidth {grid[1]:g}] singular design"
+        )
+
+    def test_failing_uniform_fit_names_first_kernel_first_bandwidth(self, stationary_dataset):
+        # one size for every record: the intercept and ln(size) coincide,
+        # so the uniform row is the first singular one
+        sizes = np.full(len(stationary_dataset.ids), 100.0)
+        broken = replace(
+            stationary_dataset, attributes={**stationary_dataset.attributes, "size": sizes}
+        )
+        config = AnalysisConfig(grid_step=3.0)
+        kernels = (KernelKind.EPANECHNIKOV, KernelKind.GAUSSIAN)
+        first = run_sweep(stationary_dataset, kernels[:1], config).grids[kernels[0]][0]
+        with pytest.raises(SweepError) as info:
+            run_sweep(broken, kernels, config)
+        assert str(info.value) == (
+            f"[split 1, kernel epanechnikov, bandwidth {first:g}] singular design"
+        )
+
+    def test_uniform_kernel_reads_the_uniform_row(self, stationary_dataset):
+        kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR)
+        sweep = run_sweep(stationary_dataset, kernels, AnalysisConfig(grid_step=7.0))
+        for split in sweep.plan.splits:
+            uniform = sweep.curve(split.ordinal, KernelKind.UNIFORM)
+            n = len(uniform.bandwidths)
+            assert uniform.re_train_nu == [uniform.re_train_u] * n
+            if split.is_final:
+                assert uniform.re_test_nu is None
+            else:
+                assert uniform.re_test_nu == [uniform.re_test_u] * n
+            for kind in kernels:
+                curve = sweep.curve(split.ordinal, kind)
+                assert (curve.re_train_u, curve.re_test_u) == (
+                    uniform.re_train_u, uniform.re_test_u
+                )
 
 
 CATEGORICAL = ModelFormula(

@@ -502,7 +502,7 @@ class TestSynth:
             ({"noise_sd": "0.1"}, 2, "synth config key 'noise_sd' must be float, got '0.1'"),
             ({"slope": False}, 2, "synth config key 'slope' must be float, got False"),
             ({"seed": None}, 2, "synth config key 'seed' must be int, got None"),
-            ({"seed": -1}, 3, "seed must be non-negative, got -1"),
+            ({"seed": -1}, 2, "seed must be non-negative, got -1"),
         ],
         ids=["str-int", "float-int", "bool-int", "str-float", "bool-float", "null", "negative-seed"],
     )
@@ -527,7 +527,24 @@ class TestSynth:
         code = main(
             ["synth", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
         )
-        assert code == 3
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"n_projects": 8, "n_periods": 10}, "n_periods 10 exceeds n_projects 8"),
+            ({"n_periods": 1}, "need at least 2 periods"),
+            ({"noise_sd": -0.5}, "negative noise sd: -0.5"),
+            ({"size_lo": 50, "size_hi": 5}, "need 0 < size_lo < size_hi"),
+        ],
+    )
+    def test_out_of_range_config_is_an_input_error(self, tmp_path, capsys, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

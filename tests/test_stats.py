@@ -354,6 +354,35 @@ class TestWeightedLeastSquares:
             weighted_least_squares(d, [good, zero, singular])
         assert info.value.row == 1
 
+    def test_run_weights_equal_their_expansion(self):
+        # one weight per run of rows against the same weights per row;
+        # the row spanning 30 decades goes to the SVD path
+        rng = np.random.default_rng(12)
+        d = _design(list(rng.normal(size=14)), list(rng.normal(size=14)))
+        starts = np.array([0, 1, 4, 5, 9, 13])
+        w = rng.uniform(0.1, 1.0, size=(3, 6))
+        w[2] = 10.0 ** -np.arange(30.0, 0.0, -5.0)
+        per_row = np.repeat(w, np.diff(starts, append=14), axis=1)
+        runs = weighted_least_squares(d, w, starts).coefficients
+        for got, want in zip(runs, weighted_least_squares(d, per_row).coefficients):
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        singular = np.full(6, 1e-40)
+        singular[0] = 1.0  # the one record of run 0, numerically
+        with pytest.raises(SingularDesignError) as info:
+            weighted_least_squares(d, [w[0], singular], starts)
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("starts", [[1, 4], [0, 4, 4], [0, 6], [[0, 2]], []])
+    def test_rejects_bad_run_starts(self, starts):
+        d = _design([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.0, 2.0, 1.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="run starts"):
+            weighted_least_squares(d, np.ones(max(len(starts), 1)), starts)
+
+    def test_run_weight_count_must_match(self):
+        d = _design([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="3 weights for 2 runs"):
+            weighted_least_squares(d, np.ones(3), [0, 2])
+
 
 class TestPredict:
     def test_intercept_only(self):
@@ -419,6 +448,16 @@ class TestRelativeError:
     def test_stacked_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             relative_error(np.zeros((2, 3)), [1.0, 2.0])
+
+    def test_overwrite_uses_predictions_as_scratch(self):
+        rng = np.random.default_rng(4)
+        actuals = rng.normal(size=6)
+        predictions = rng.normal(size=(2, 6))
+        kept = predictions.copy()
+        expected = relative_error(predictions, actuals)
+        assert np.array_equal(predictions, kept)  # the caller's array untouched
+        assert np.array_equal(relative_error(predictions, actuals, overwrite=True), expected)
+        assert not np.array_equal(predictions, kept)
 
 
 class TestSquaredDeviations:

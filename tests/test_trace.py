@@ -44,9 +44,9 @@ def test_every_span_is_called(tracer_cls, tmp_path):
     (layers,) = tracer.rounds()
     for _, _, span, _ in targets:
         assert layers[f"{span}.calls"] > 0, span
-    # one uniform fit and one stacked fit per default kernel, per split
+    # one stacked fit per split: the uniform row and every kernel's rows
     splits = layers["chronology.splits"]
-    assert layers["stats.weighted_least_squares.calls"] == splits * 4
+    assert layers["stats.weighted_least_squares.calls"] == splits
     # one design per sweep, one row per record; splits take row ranges of it
     assert layers["stats.build_design_matrix.calls"] == 1
     records = layers["datasets.load_dataset.rows"]
