@@ -5,6 +5,14 @@
 # weighted training curve onto the flat unweighted line, combined with
 # the kernel's weight-decay horizon at the convergence bandwidth, yields
 # the per-split verdict.
+#
+# Every training set is a prefix of one plan-ordered design, so the fits
+# of a whole plan share one table of runs (records of one period, cut
+# again at every split's stop) and their per-run moment sums.  Whole
+# splits are solved together, up to BATCH_ROWS fits per weighted least
+# squares call; prediction and relative errors stay per split.  Errors
+# come out in plan order, at the (split, kernel, bandwidth) of the first
+# failing cell, as one split at a time would give them.
 
 from __future__ import annotations
 
@@ -38,6 +46,15 @@ __all__ = [
     "stationarity_verdict",
     "summarize",
 ]
+
+# Fit rows per weighted_least_squares call: whole splits are batched up
+# to this many rows (a split with more is a batch of its own).  A batch's
+# weights, Gram matrices and coefficients grow with its rows while its
+# dispatch cost does not.  On the benchmark's nasa93-shaped sweep (about
+# 4500 fit rows), one uncapped batch raised the whole sweep's peak
+# tracemalloc allocation from 1.34 to 3.66 MB; with 1024-row batches it
+# stays at 1.34 MB, that of solving one split at a time.
+BATCH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -150,60 +167,112 @@ def _plan_design(dataset, order):
     return design, columns[formula.response]
 
 
-def _split_curves(split: Split, design, actuals, formula, bandwidths) -> list[Curve]:
-    """One curve per kernel of one split, on the rows of the plan-ordered
-    ``design`` and ``actuals`` that the split selects.
+def _batch_fits(batch, w, runs, design, starts, bandwidths, offsets):
+    """Yield (split, model) for each split of ``batch``, all solved in
+    one stacked weighted fit.  ``w`` holds each split's rows in turn,
+    zero past its own ``runs`` count of run columns.  A failing row is
+    reported at its split and (kernel, bandwidth), found through
+    ``offsets``; a split's row 0 at the first kernel's first bandwidth,
+    the first cell that needs it.  The splits before it are yielded
+    first, so that their own failures come first."""
+    if not batch:
+        return
+    width = len(w) // len(batch)
+    try:
+        model = stats.weighted_least_squares(
+            design.subset(slice(batch[-1].stop)),
+            w[:, : runs[-1]],
+            starts[: runs[-1]],
+            np.repeat(runs, width),
+        )
+    except (ValueError, stats.SingularDesignError) as exc:
+        i, row = divmod(getattr(exc, "row", 0), width)
+        yield from _batch_fits(
+            batch[:i], w[: i * width], runs[:i], design, starts, bandwidths, offsets
+        )
+        kind, j = next(iter(bandwidths)), 0
+        for k, first in offsets.items():
+            if 0 < first <= row:
+                kind, j = k, row - first
+        raise SweepError(
+            exc, split=batch[i].ordinal, kernel=kind, bandwidth=bandwidths[kind][j]
+        ) from exc
+    for i, split in enumerate(batch):
+        coefficients = model.coefficients[i * width : (i + 1) * width]
+        yield split, stats.FittedModel(coefficients, design.subset(slice(split.stop)))
 
-    All fits of the split are one stacked weighted fit: row 0 is the
-    uniform fit, then come each weighted kernel's rows, one per value of
-    ``bandwidths[kind]``, in kernel order; the uniform kernel reads row 0.
-    Records of one period share a weight, so the weights hold one column
-    per run of equal period indices in the training prefix.  A failing
-    row is reported at its (kernel, bandwidth); row 0 at the first
-    kernel's first bandwidth, the first cell that needs it.
+
+def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
+    """Yield (split, model) for every split of ``plan`` in order: the
+    split's stacked weighted fit on its training prefix of the
+    plan-ordered ``design``.
+
+    Row 0 of each split's fit is the uniform fit, then come each
+    weighted kernel's rows, one per value of ``bandwidths[kind]``,
+    starting at row ``offsets[kind]``.  Records of one period share a
+    weight, so weights are given per run of records: the runs start at
+    the plan's period bounds and at every split's stop, which makes each
+    training prefix a whole number of runs, an override that cuts a
+    period included.  Whole splits are solved together, up to
+    ``BATCH_ROWS`` rows per ``weighted_least_squares`` call.  Failures
+    keep the plan order: when a split's weights or fit fail, the splits
+    before it are yielded first.
     """
+    indices, splits = plan.indices, plan.splits
+    # np.sort and a mask, not np.union1d or np.unique: those import
+    # numpy.ma, which stays resident (about 1 MB)
+    starts = np.sort(np.concatenate((
+        [0], np.flatnonzero(indices[1:] != indices[:-1]) + 1, [s.stop for s in splits[:-1]]
+    ))).astype(np.intp)
+    starts = starts[np.diff(starts, prepend=-1) != 0]
+    origins = indices[starts]
+    runs = np.searchsorted(starts, [s.stop for s in splits])
+    width = 1 + sum(len(v) for k, v in bandwidths.items() if k is not KernelKind.UNIFORM)
+    size = max(1, BATCH_ROWS // width)
+    for first in range(0, len(splits), size):
+        batch, batch_runs = splits[first : first + size], runs[first : first + size]
+        w = np.zeros((len(batch) * width, batch_runs[-1]))
+        for i, (split, r) in enumerate(zip(batch, batch_runs)):
+            block = w[i * width : (i + 1) * width, :r]
+            block[0] = 1.0
+            for kind, values in bandwidths.items():
+                try:
+                    weights = weights_for_target(origins[:r], split.target, kind, values)
+                except ValueError as exc:
+                    yield from _batch_fits(
+                        batch[:i], w[: i * width], batch_runs[:i],
+                        design, starts, bandwidths, offsets,
+                    )
+                    raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
+                if kind is not KernelKind.UNIFORM:
+                    block[offsets[kind] : offsets[kind] + len(values)] = weights
+        yield from _batch_fits(batch, w, batch_runs, design, starts, bandwidths, offsets)
+
+
+def _split_curves(split: Split, model, design, actuals, formula, bandwidths, offsets) -> list[Curve]:
+    """One curve per kernel of one split from its stacked fit ``model``
+    (see ``_split_fits``), on the rows of the plan-ordered ``design`` and
+    ``actuals`` that the split selects; the uniform kernel reads row 0.
+    A failing relative error is reported at the first kernel's first
+    bandwidth."""
     log_scale = formula.response_transform == stats.LOG
-    train = design.subset(slice(split.stop))
-    train_actuals = actuals[: split.stop]
     rows = split.test_rows
     if rows.size and rows[-1] - rows[0] + 1 == rows.size:
         # ascending and contiguous: a slice takes views, not copies
         rows = slice(int(rows[0]), int(rows[-1]) + 1)
-    test = None if split.is_final else design.subset(rows)
-    test_actuals = actuals[rows]
-    indices = split.plan_indices[: split.stop]
-    starts = np.flatnonzero(np.concatenate(([True], indices[1:] != indices[:-1])))
-    origins = indices[starts]
-
-    blocks = [np.ones((1, starts.size))]
-    offsets = {}  # kernel -> its first stacked row
-    for kind, values in bandwidths.items():
-        try:
-            weights = weights_for_target(origins, split.target, kind, values)
-        except ValueError as exc:
-            raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
-        if kind is KernelKind.UNIFORM:
-            offsets[kind] = 0
-        else:
-            offsets[kind] = sum(map(len, blocks))
-            blocks.append(weights)
-
     try:
-        model = stats.weighted_least_squares(train, np.concatenate(blocks), starts)
         # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
-        re_train = _relative_errors(model, train, train_actuals, log_scale).tolist()
+        re_train = _relative_errors(
+            model, model.design, actuals[: split.stop], log_scale
+        ).tolist()
         re_test = (
-            None if test is None
-            else _relative_errors(model, test, test_actuals, log_scale).tolist()
+            None if split.is_final
+            else _relative_errors(model, design.subset(rows), actuals[rows], log_scale).tolist()
         )
-    except (ValueError, stats.SingularDesignError) as exc:
-        row = getattr(exc, "row", 0)
-        kind, i = next(iter(bandwidths)), 0
-        for k, first in offsets.items():
-            if 0 < first <= row:
-                kind, i = k, row - first
+    except ValueError as exc:
+        kind = next(iter(bandwidths))
         raise SweepError(
-            exc, split=split.ordinal, kernel=kind, bandwidth=bandwidths[kind][i]
+            exc, split=split.ordinal, kernel=kind, bandwidth=bandwidths[kind][0]
         ) from exc
 
     def along(res, kind):
@@ -245,11 +314,19 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
         )
         for kind in kernels
     }
+    offsets, rows = {}, 1  # kernel -> its first row in a split's stacked fit
+    for kind, values in grids.items():
+        if kind is KernelKind.UNIFORM:
+            offsets[kind] = 0
+        else:
+            offsets[kind], rows = rows, rows + len(values)
 
     design, actuals = _plan_design(dataset, plan.order)
     curves = {}
-    for split in plan.splits:
-        for curve in _split_curves(split, design, actuals, descriptor.formula, grids):
+    for split, model in _split_fits(plan, design, grids, offsets):
+        for curve in _split_curves(
+            split, model, design, actuals, descriptor.formula, grids, offsets
+        ):
             curves[curve.split, curve.kernel] = curve
     return SweepResult(
         dataset=descriptor.name,

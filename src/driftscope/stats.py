@@ -35,12 +35,16 @@ IDENTITY = "identity"
 # its largest is solved directly.  Passing bounds the singular value
 # ratio of sqrt(W)X above 1e-4, far above lstsq's rank cut-off of
 # max(n, p) * eps (2.2e-13 at a thousand rows), so every row that passes
-# is one lstsq would call full rank.  Since X'WX - min(w) X'X and
-# max(w) X'X - X'WX are positive semidefinite, Weyl's inequality gives
+# is one lstsq would call full rank.  Here X is a fit's own training
+# rows (the prefix of the design it is fitted on) and w its weights on
+# them.  Since X'WX - min(w) X'X and max(w) X'X - X'WX are positive
+# semidefinite, Weyl's inequality gives
 # lambda_min(X'WX) >= min(w) lambda_min(X'X) and
 # lambda_max(X'WX) <= max(w) lambda_max(X'X): a weight row whose
-# min(w)/max(w) times the eigenvalue ratio of X'X exceeds this share
-# passes without its own eigenvalues.
+# min(w)/max(w) times the eigenvalue ratio of its prefix's X'X exceeds
+# this share passes without its own eigenvalues.  Fits on many prefixes
+# of one design take each prefix's X'X as a partial sum of per-run
+# moment sums, not from a pass over the design.
 GRAM_RATIO_MIN = 1e-8
 
 
@@ -261,15 +265,20 @@ class FittedModel:
 
 def _direct_rows(gram: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Which rows of the stacked Gram matrices ``gram`` = X'W_bX pass
-    ``GRAM_RATIO_MIN``.  Rows whose weights clear the bound of X'X's
-    eigenvalues pass; the others are decided by their own eigenvalues.
-    The bound is asked to clear the guard twice over, a margin far above
-    the rounding of either eigenvalue computation."""
-    eigenvalues = np.linalg.eigvalsh(x.T @ x)
-    direct = (
-        w.min(axis=1) * eigenvalues[0]
-        > 2 * GRAM_RATIO_MIN * w.max(axis=1) * eigenvalues[-1]
-    )
+    ``GRAM_RATIO_MIN``, every row fitted on all rows of the design ``x``
+    (see ``_bounded_rows``)."""
+    return _bounded_rows(gram, w.min(axis=1), w.max(axis=1), np.linalg.eigvalsh(x.T @ x))
+
+
+def _bounded_rows(gram, w_min, w_max, eigenvalues) -> np.ndarray:
+    """Which rows of the stacked Gram matrices ``gram`` pass
+    ``GRAM_RATIO_MIN``, given each row's smallest and largest weight and
+    the ascending eigenvalues of the X'X of its training rows: one set
+    for every row, or one per row.  Rows whose weights clear the bound of
+    X'X's eigenvalues pass; the others are decided by their own
+    eigenvalues.  The bound is asked to clear the guard twice over, a
+    margin far above the rounding of either eigenvalue computation."""
+    direct = w_min * eigenvalues[..., 0] > 2 * GRAM_RATIO_MIN * w_max * eigenvalues[..., -1]
     check = np.flatnonzero(~direct)
     if check.size:
         eigenvalues = np.linalg.eigvalsh(gram[check])
@@ -277,55 +286,87 @@ def _direct_rows(gram: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return direct
 
 
-def _solve(design: DesignMatrix, w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _solve(design: DesignMatrix, w: np.ndarray, starts: np.ndarray, runs=None) -> np.ndarray:
     """Coefficients minimizing sum_i w_bi (y_i - x_i b)^2 for every row b
     of ``w``, one row per fit, where column j of ``w`` is the weight of
     every design row of run j: rows ``starts[j]`` up to the next start.
+    With ``runs``, row b fits on its first ``runs[b]`` runs only, and its
+    weights past them are zero.
 
-    Every row's Gram matrix X'W_bX and moment X'W_by come from one matrix
-    product of ``w`` with the design's row moments summed per run.  Gram
-    matrices that pass ``GRAM_RATIO_MIN`` are solved directly; the rest
-    by an SVD of sqrt(w_b)X, its weights expanded to one per design row,
-    whose singular values at or below max(n, p) * eps times the largest
-    count as zero, the rule ``np.linalg.lstsq`` applies with
+    The design's row moments are summed once per run, and every row's
+    Gram matrix X'W_bX and moment X'W_by come from one matrix product of
+    ``w`` with those sums.  Gram matrices that pass ``GRAM_RATIO_MIN``
+    are solved directly, in one batched solve.  The bound is taken
+    against each row's own X'X: ``x.T @ x`` when every row fits on the
+    whole design, else a partial sum of the runs' x x' sums, taken from
+    one cumulative sum, with one batched eigenvalue call over the
+    distinct prefixes.  The other rows are solved by an SVD of
+    sqrt(w_b)X over their own training rows, weights expanded to one per
+    design row, whose singular values at or below max(n, p) * eps times
+    the largest count as zero, the rule ``np.linalg.lstsq`` applies with
     ``rcond=None``.
     """
     x, y = design.matrix, design.response
     n, p = x.shape
-    moments = w @ np.add.reduceat(design.moments, starts)
+    sums = np.add.reduceat(design.moments, starts)
+    moments = w @ sums
     gram = moments[:, : p * p].reshape(-1, p, p)
     xty = moments[:, p * p:]
-    direct = _direct_rows(gram, w, x)
+    if runs is None:
+        direct = _direct_rows(gram, w, x)
+        ends = np.full(len(w), n)
+    else:
+        # sorted distinct prefixes, by a mask rather than np.unique, which
+        # imports numpy.ma
+        prefixes = np.sort(runs)
+        prefixes = prefixes[np.diff(prefixes, prepend=0) != 0]
+        xtx = np.cumsum(sums[:, : p * p], axis=0)[prefixes - 1].reshape(-1, p, p)
+        eigenvalues = np.linalg.eigvalsh(xtx)[np.searchsorted(prefixes, runs)]
+        inside = np.arange(len(starts)) < runs[:, None]
+        w_min = np.min(w, axis=1, where=inside, initial=np.inf)
+        direct = _bounded_rows(gram, w_min, w.max(axis=1), eigenvalues)
+        ends = np.append(starts, n)[runs]
     coefficients = np.empty((len(w), p))
     coefficients[direct] = np.linalg.solve(gram[direct], xty[direct, :, None])[..., 0]
     rest = np.flatnonzero(~direct)
-    if rest.size:
-        sw = np.sqrt(np.repeat(w[rest], np.diff(starts, append=n), axis=1))
-        u, sv, vt = np.linalg.svd(x * sw[:, :, None], full_matrices=False)
-        rank = np.sum(sv > max(n, p) * np.finfo(float).eps * sv[:, :1], axis=1)
-        singular = rest[rank < p]
+    # rows on one prefix share an SVD batch; the batches go in row order,
+    # so the first singular row found is the first of all
+    for group in np.split(rest, np.flatnonzero(np.diff(ends[rest])) + 1):
+        if not group.size:
+            continue
+        m = int(ends[group[0]])
+        r = int(np.searchsorted(starts, m))
+        sw = np.sqrt(np.repeat(w[group, :r], np.diff(starts[:r], append=m), axis=1))
+        u, sv, vt = np.linalg.svd(x[:m] * sw[:, :, None], full_matrices=False)
+        rank = np.sum(sv > max(m, p) * np.finfo(float).eps * sv[:, :1], axis=1)
+        singular = group[rank < p]
         if singular.size:
             raise SingularDesignError("singular design", row=int(singular[0]))
-        z = np.einsum("knp,kn->kp", u, y * sw) / sv
-        coefficients[rest] = np.einsum("kpq,kp->kq", vt, z)
+        z = np.einsum("knp,kn->kp", u, y[:m] * sw) / sv
+        coefficients[group] = np.einsum("kpq,kp->kq", vt, z)
     return coefficients
 
 
-def weighted_least_squares(design: DesignMatrix, weights, starts=None) -> FittedModel:
+def weighted_least_squares(design: DesignMatrix, weights, starts=None, runs=None) -> FittedModel:
     """Minimize the weighted sum of squared transformed-scale residuals.
 
     ``weights`` holds one weight per design row, or one such row per fit;
     stacked weights give one row of coefficients per fit, all solved in
     one pass (see ``_solve``).  With ``starts``, the first rows of runs of
     consecutive design rows, ascending from 0, ``weights`` holds one
-    weight per run instead, shared by the run's rows.  A design is
-    singular exactly when ``np.linalg.lstsq`` on sqrt(w)X finds its rank
-    below the number of columns.  Errors name the first failing row of
-    stacked weights.
+    weight per run instead, shared by the run's rows.  With ``runs``, one
+    count per fit, fit b uses only the first ``runs[b]`` runs (or design
+    rows, without ``starts``): it is fitted on that prefix of the design,
+    and its weights past it must be 0; the model's ``design`` is still
+    the whole design.  By default every fit uses the whole design.  A design is singular exactly when
+    ``np.linalg.lstsq`` on sqrt(w)X finds its rank below the number of
+    columns.  Errors name the first failing row of stacked weights: the
+    rows before it are solved first, so a singular row is reported
+    before a later row's nonpositive weight or too short prefix.
     """
     w = np.asarray(weights, dtype=float)
     rows = np.atleast_2d(w)
-    n = design.n_rows
+    n, p = design.n_rows, design.n_columns
     if starts is None:
         starts, width = np.arange(n), f"{n} design rows"
     else:
@@ -336,17 +377,32 @@ def weighted_least_squares(design: DesignMatrix, weights, starts=None) -> Fitted
         width = f"{starts.size} runs of design rows"
     if rows.shape[1] != starts.size:
         raise ValueError(f"{rows.shape[1]} weights for {width}")
-    nonpositive = np.flatnonzero(np.any(rows <= 0, axis=1))
-    stop = int(nonpositive[0]) if nonpositive.size else len(rows)
-    if stop == 0:
-        raise WeightError("weights must be strictly positive")
-    if design.n_rows < design.n_columns:
-        raise SingularDesignError(
-            f"{design.n_rows} rows cannot identify {design.n_columns} coefficients"
-        )
-    coefficients = _solve(design, rows[:stop], starts)
-    if stop < len(rows):
+    inside = True
+    ends = np.full(len(rows), n)
+    if runs is not None:
+        runs = np.asarray(runs, dtype=np.intp)
+        if runs.shape != (len(rows),) or np.any(runs < 1) or np.any(runs > starts.size):
+            raise ValueError(
+                f"runs must give each of {len(rows)} fits a count in 1..{starts.size}"
+            )
+        inside = np.arange(starts.size) < runs[:, None]
+        if np.any(rows != 0, where=~inside):
+            raise ValueError("weights past a fit's runs must be 0")
+        ends = np.append(starts, n)[runs]
+
+    def first(failing):
+        return int(failing[0]) if failing.size else len(rows)
+
+    nonpositive = first(np.flatnonzero(np.any(rows <= 0, axis=1, where=inside)))
+    short = first(np.flatnonzero(ends < p))
+    stop = min(nonpositive, short)
+    coefficients = np.empty((0, p))
+    if stop:
+        coefficients = _solve(design, rows[:stop], starts, None if runs is None else runs[:stop])
+    if nonpositive < len(rows) and nonpositive <= short:
         raise WeightError("weights must be strictly positive", row=stop)
+    if stop < len(rows):
+        raise SingularDesignError(f"{ends[stop]} rows cannot identify {p} coefficients", row=stop)
     return FittedModel(
         coefficients=coefficients[0] if w.ndim == 1 else coefficients,
         design=design,

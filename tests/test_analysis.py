@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as stn
+from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as stn
 
 from driftscope import analysis, stats
 from driftscope.analysis import (
@@ -26,6 +30,8 @@ from driftscope.chronology import (
 from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord, SynthConfig, synthesize
 from driftscope.kernels import Granularity, KernelKind
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
+
+from test_oracle import _datasets
 
 ALL_KERNELS = (
     KernelKind.GAUSSIAN,
@@ -144,15 +150,24 @@ class TestRunSweep:
         wls = stats.weighted_least_squares
 
         def counted(*args):
-            calls.append(len(args[1]))
+            calls.append((len(args[1]), args[3].tolist()))
             return wls(*args)
 
         monkeypatch.setattr(stats, "weighted_least_squares", counted)
         sweep = run_sweep(stationary_dataset, ALL_KERNELS)
-        # one stacked fit per split: the uniform row, then every kernel's
-        # bandwidth rows
+        # one stacked fit per batch of whole splits, up to BATCH_ROWS rows:
+        # each split's uniform row, then every kernel's bandwidth rows, all
+        # on the split's own runs
         rows = 1 + sum(len(sweep.grids[kind]) for kind in ALL_KERNELS)
-        assert calls == [rows] * len(sweep.plan.splits)
+        splits = sweep.plan.splits
+        assert (rows, len(splits), analysis.BATCH_ROWS // rows) == (285, 8, 3)
+        assert [n for n, _ in calls] == [3 * rows, 3 * rows, 2 * rows]
+        indices = splits[0].plan_indices
+        runs = [
+            r for s in splits
+            for r in [1 + np.count_nonzero(np.diff(indices[: s.stop]))] * rows
+        ]
+        assert [r for _, batch in calls for r in batch] == runs
 
     def test_empty_kernel_set(self, stationary_dataset):
         with pytest.raises(ValueError):
@@ -188,14 +203,15 @@ class TestRunSweep:
         )
 
     @staticmethod
-    def _plant_singular_rows(monkeypatch, planted, rows):
+    def _plant_singular_rows(monkeypatch, planted, rows, target=None):
         """Patch the sweep's weights so that rows ``rows`` of kernel
-        ``planted`` weigh the oldest period alone, numerically."""
+        ``planted`` weigh the oldest period alone, numerically: in every
+        split, or only in the split whose target period is ``target``."""
         weights_for_target = analysis.weights_for_target
 
-        def degenerate(origins, target, kind, bandwidths):
-            weights = weights_for_target(origins, target, kind, bandwidths)
-            if kind is planted:
+        def degenerate(origins, split_target, kind, bandwidths):
+            weights = weights_for_target(origins, split_target, kind, bandwidths)
+            if kind is planted and target in (None, split_target):
                 for row in rows:
                     weights[row] = 1e-40
                     weights[row, 0] = 1.0
@@ -235,6 +251,81 @@ class TestRunSweep:
         assert info.value.bandwidth == grid[1]
         assert str(info.value) == (
             f"[split 1, kernel triangular, bandwidth {grid[1]:g}] singular design"
+        )
+
+    @pytest.mark.parametrize("failure", ["underflow", "out of support"])
+    def test_singular_row_wins_over_a_later_split_of_its_batch(
+        self, lone_oldest, monkeypatch, failure
+    ):
+        kernels = (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR)
+        plan = build_split_plan(lone_oldest)
+        second, third = plan.splits[1].target, plan.splits[2].target
+        sweep = run_sweep(lone_oldest, kernels)
+        rows = 1 + sum(map(len, sweep.grids.values()))
+        assert analysis.BATCH_ROWS // rows >= 3  # splits 1-3 share a batch
+        weights_for_target = analysis.weights_for_target
+
+        def failing(origins, target, kind, bandwidths):
+            if target != third or kind is not KernelKind.TRIANGULAR:
+                return weights_for_target(origins, target, kind, bandwidths)
+            if failure == "out of support":
+                # lags past the triangular kernel's support: BandwidthError
+                return weights_for_target(origins, target, kind, [1e-3 * b for b in bandwidths])
+            weights = weights_for_target(origins, target, kind, bandwidths)
+            weights[0, 0] = 0.0  # as an underflowing weight
+            return weights
+
+        monkeypatch.setattr(analysis, "weights_for_target", failing)
+        with pytest.raises(SweepError) as info:
+            run_sweep(lone_oldest, kernels)
+        assert (info.value.split, info.value.kernel) == (3, KernelKind.TRIANGULAR)
+        self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2,), target=second)
+        with pytest.raises(SweepError) as info:
+            run_sweep(lone_oldest, kernels)
+        assert str(info.value) == "[split 2, kernel gaussian, bandwidth 3] singular design"
+
+    def test_earlier_relative_error_wins_over_a_later_fit_of_its_batch(
+        self, lone_oldest, monkeypatch
+    ):
+        # split 1's test records share one effort, so its test relative
+        # error is undefined; split 2 of the same batch has a singular row
+        plan = build_split_plan(lone_oldest)
+        effort = lone_oldest.attributes["effort"].copy()
+        effort[plan.order[plan.splits[0].test_rows]] = 100.0
+        flat = replace(lone_oldest, attributes={**lone_oldest.attributes, "effort": effort})
+        self._plant_singular_rows(
+            monkeypatch, KernelKind.GAUSSIAN, (2,), target=plan.splits[1].target
+        )
+        with pytest.raises(SweepError) as info:
+            run_sweep(flat, (KernelKind.GAUSSIAN,))
+        assert str(info.value) == (
+            "[split 1, kernel gaussian, bandwidth 1] actuals have zero variance"
+        )
+
+    def test_singular_uniform_row_of_a_later_split_names_its_first_cell(
+        self, lone_oldest, monkeypatch
+    ):
+        kernels = (KernelKind.EPANECHNIKOV, KernelKind.GAUSSIAN)
+        config = AnalysisConfig(grid_step=3.0)
+        sweep = run_sweep(lone_oldest, kernels, config)
+        rows = 1 + sum(map(len, sweep.grids.values()))
+        wls = stats.weighted_least_squares
+
+        def planted(design, w, starts, runs):
+            # the uniform row of the batch's second split, split 2, weighs
+            # the oldest period alone, numerically
+            if len(w) > rows:
+                w = w.copy()
+                w[rows, : runs[rows]] = 1e-40
+                w[rows, 0] = 1.0
+            return wls(design, w, starts, runs)
+
+        monkeypatch.setattr(stats, "weighted_least_squares", planted)
+        with pytest.raises(SweepError) as info:
+            run_sweep(lone_oldest, kernels, config)
+        first = sweep.grids[KernelKind.EPANECHNIKOV][0]
+        assert str(info.value) == (
+            f"[split 2, kernel epanechnikov, bandwidth {first:g}] singular design"
         )
 
     def test_failing_uniform_fit_names_first_kernel_first_bandwidth(self, stationary_dataset):
@@ -349,6 +440,91 @@ class TestPlanDesign:
                     _columns([by_id[i] for i in split.test_ids]), formula
                 )
                 _assert_same_design(design.subset(split.test_rows), test)
+
+
+class TestBatchedFits:
+    """Whole splits are solved together in batches of stacked fit rows;
+    each split's coefficients equal a fit of its own."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(
+        dataset=_datasets(),
+        kernels=stn.lists(stn.sampled_from(KernelKind), min_size=1, max_size=4, unique=True),
+        # in period units: a step of 1 or 0.5 gives batches of a few
+        # splits, 0.25 one split each when three kernels are weighted
+        step=stn.sampled_from([4.0, 1.0, 0.5, 0.25]),
+    )
+    # eight splits of 285 rows: batches of three, three and two splits
+    @example(dataset=synthesize(SynthConfig(seed=3)), kernels=list(ALL_KERNELS), step=1.0)
+    def test_batched_coefficients_equal_direct_fits(self, dataset, kernels, step):
+        unit = dataset.descriptor.granularity.increment
+        config = AnalysisConfig(grid_lo=unit, grid_hi=100 * unit, grid_step=step * unit)
+        fits = []
+        split_curves = analysis._split_curves
+
+        def recorded(split, model, *args):
+            fits.append((split, model))
+            return split_curves(split, model, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_split_curves", recorded)
+            try:
+                sweep = run_sweep(dataset, kernels, config)
+            except SplitError:
+                assume(False)
+        plan = sweep.plan
+        assert [split for split, _ in fits] == list(plan.splits)
+        rows = 1 + sum(len(v) for k, v in sweep.grids.items() if k is not KernelKind.UNIFORM)
+        per_batch = max(1, analysis.BATCH_ROWS // rows)
+        if 1 < per_batch < len(plan.splits):
+            event("a batch boundary mid-plan")
+        if dataset.descriptor.overrides and not set(dataset.descriptor.overrides) <= set(
+            np.flatnonzero(np.diff(plan.indices)) + 1
+        ):
+            event("an override cuts a period")
+        design, _ = analysis._plan_design(dataset, plan.order)
+        for split, model in fits:
+            train = design.subset(slice(split.stop))
+            indices = plan.indices[: split.stop]
+            starts = np.flatnonzero(np.concatenate(([True], indices[1:] != indices[:-1])))
+            weights = [np.ones((1, starts.size))] + [
+                analysis.weights_for_target(indices[starts], split.target, kind, values)
+                for kind, values in sweep.grids.items()
+                if kind is not KernelKind.UNIFORM
+            ]
+            want = stats.weighted_least_squares(train, np.concatenate(weights), starts)
+            error = np.linalg.norm(model.coefficients - want.coefficients, axis=1)
+            assert np.all(error <= 1e-12 * np.linalg.norm(want.coefficients, axis=1))
+            _assert_same_design(model.design, train)
+
+
+def test_sweep_leaves_numpy_ma_unimported(tmp_path):
+    # np.union1d, np.unique and np.isin import numpy.ma on first use; the
+    # import stays resident, about 1 MB, so the sweep builds its run table
+    # without them.
+    src = Path(analysis.__file__).resolve().parents[1]
+    script = f"""
+import sys
+from driftscope import cli
+print("numpy.ma" in sys.modules)
+out = {str(tmp_path)!r}
+assert cli.main(["synth", "--seed", "4", "--out", out + "/synth.csv"]) == 0
+assert cli.main(["sweep", "--descriptor", out + "/synth.descriptor.json",
+                 "--data", out + "/synth.csv", "--out", out + "/sweep"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    at_import, after_sweep = done.stdout.split()[-2:]
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after_sweep == "False"
 
 
 class TestDetectConvergence:

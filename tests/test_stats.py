@@ -384,6 +384,58 @@ class TestWeightedLeastSquares:
             weighted_least_squares(d, np.ones(3), [0, 2])
 
 
+    def test_runs_fit_each_row_on_its_prefix(self):
+        # rows on prefixes of 1, 3 and 6 runs of one design, zero past
+        # them, against fits on those prefixes alone; the 30-decade row
+        # goes to the SVD path
+        rng = np.random.default_rng(13)
+        d = _design(list(rng.normal(size=14)), list(rng.normal(size=14)))
+        starts = np.array([0, 3, 4, 7, 9, 13])
+        runs = np.array([6, 3, 1, 3, 6])
+        w = rng.uniform(0.1, 1.0, size=(5, 6))
+        w[3, :3] = 10.0 ** -np.arange(30.0, 0.0, -10.0)
+        w[np.arange(6) >= runs[:, None]] = 0.0
+        fit = weighted_least_squares(d, w, starts, runs).coefficients
+        ends = np.append(starts, 14)[runs]
+        for row, r, m, got in zip(w, runs, ends, fit):
+            want = weighted_least_squares(d.subset(slice(m)), row[:r], starts[:r])
+            assert got == pytest.approx(want.coefficients, rel=1e-12, abs=1e-14)
+
+    def test_runs_errors_name_the_first_failing_row(self):
+        d = _design([float(t) for t in range(6)], [0.3, 1.1, 2.4, 2.9, 4.2, 5.0])
+        good = np.ones(6)
+        singular = np.full(6, 1e-40)  # weight on one record only, numerically
+        singular[0] = 1.0
+        padded = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # positive where read
+        one = np.eye(6)[0]
+        zero = padded.copy()
+        zero[1] = 0.0
+        # a singular row wins over a later short prefix and a later zero weight
+        with pytest.raises(SingularDesignError, match="singular design") as info:
+            weighted_least_squares(d, [good, singular, one, zero], runs=[6, 6, 1, 3])
+        assert info.value.row == 1
+        with pytest.raises(SingularDesignError, match="1 rows cannot identify 2") as info:
+            weighted_least_squares(d, [padded, one, zero], runs=[3, 1, 3])
+        assert info.value.row == 1
+        with pytest.raises(WeightError) as info:
+            weighted_least_squares(d, [padded, zero, one], runs=[3, 3, 1])
+        assert info.value.row == 1
+        # only weights inside a row's prefix must be positive
+        assert weighted_least_squares(d, [padded, padded], runs=[3, 3]).coefficients.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "runs, message",
+        [([1, 2], "runs must give"), ([0, 6, 6], "runs must give"), ([3, 7, 6], "runs must give"),
+         ([2, 6, 6], "past a fit's runs must be 0")],
+    )
+    def test_rejects_bad_runs(self, runs, message):
+        d = _design([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.0, 2.0, 1.0, 3.0, 2.0])
+        w = np.ones((3, 6))
+        w[0, 3:] = 0.0
+        with pytest.raises(ValueError, match=message):
+            weighted_least_squares(d, w, runs=runs)
+
+
 class TestPredict:
     def test_intercept_only(self):
         formula = ModelFormula(response="y", terms=(), response_transform="identity")
