@@ -10,9 +10,10 @@
 # of a whole plan share one table of runs (records of one period, cut
 # again at every split's stop) and their per-run moment sums.  Whole
 # splits are solved together, up to BATCH_ROWS fits per weighted least
-# squares call; prediction and relative errors stay per split.  Errors
-# come out in plan order, at the (split, kernel, bandwidth) of the first
-# failing cell, as one split at a time would give them.
+# squares call on the whole design and run table; prediction and
+# relative errors stay per split.  Errors come out in plan order, at the
+# (split, kernel, bandwidth) of the first failing cell, as one split at a
+# time would give them.
 
 from __future__ import annotations
 
@@ -167,41 +168,6 @@ def _plan_design(dataset, order):
     return design, columns[formula.response]
 
 
-def _batch_fits(batch, w, runs, design, starts, bandwidths, offsets):
-    """Yield (split, model) for each split of ``batch``, all solved in
-    one stacked weighted fit.  ``w`` holds each split's rows in turn,
-    zero past its own ``runs`` count of run columns.  A failing row is
-    reported at its split and (kernel, bandwidth), found through
-    ``offsets``; a split's row 0 at the first kernel's first bandwidth,
-    the first cell that needs it.  The splits before it are yielded
-    first, so that their own failures come first."""
-    if not batch:
-        return
-    width = len(w) // len(batch)
-    try:
-        model = stats.weighted_least_squares(
-            design.subset(slice(batch[-1].stop)),
-            w[:, : runs[-1]],
-            starts[: runs[-1]],
-            np.repeat(runs, width),
-        )
-    except (ValueError, stats.SingularDesignError) as exc:
-        i, row = divmod(getattr(exc, "row", 0), width)
-        yield from _batch_fits(
-            batch[:i], w[: i * width], runs[:i], design, starts, bandwidths, offsets
-        )
-        kind, j = next(iter(bandwidths)), 0
-        for k, first in offsets.items():
-            if 0 < first <= row:
-                kind, j = k, row - first
-        raise SweepError(
-            exc, split=batch[i].ordinal, kernel=kind, bandwidth=bandwidths[kind][j]
-        ) from exc
-    for i, split in enumerate(batch):
-        coefficients = model.coefficients[i * width : (i + 1) * width]
-        yield split, stats.FittedModel(coefficients, design.subset(slice(split.stop)))
-
-
 def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
     """Yield (split, model) for every split of ``plan`` in order: the
     split's stacked weighted fit on its training prefix of the
@@ -214,9 +180,15 @@ def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
     the plan's period bounds and at every split's stop, which makes each
     training prefix a whole number of runs, an override that cuts a
     period included.  Whole splits are solved together, up to
-    ``BATCH_ROWS`` rows per ``weighted_least_squares`` call.  Failures
-    keep the plan order: when a split's weights or fit fail, the splits
-    before it are yielded first.
+    ``BATCH_ROWS`` rows per ``weighted_least_squares`` call, each on the
+    whole design and run table, every split's rows zero past its own
+    runs.
+
+    A batch is cut at its first failing split, whether its weights or
+    its fit failed: the splits before the cut are solved and yielded,
+    then that split's error is raised.  A failing fit row is reported at
+    its (kernel, bandwidth), found through ``offsets``; a split's row 0
+    at the first kernel's first bandwidth, the first cell that needs it.
     """
     indices, splits = plan.indices, plan.splits
     # np.sort and a mask, not np.union1d or np.unique: those import
@@ -231,22 +203,40 @@ def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
     size = max(1, BATCH_ROWS // width)
     for first in range(0, len(splits), size):
         batch, batch_runs = splits[first : first + size], runs[first : first + size]
-        w = np.zeros((len(batch) * width, batch_runs[-1]))
+        w = np.zeros((len(batch) * width, starts.size))
+        cut, failure = len(batch), None
         for i, (split, r) in enumerate(zip(batch, batch_runs)):
             block = w[i * width : (i + 1) * width, :r]
             block[0] = 1.0
-            for kind, values in bandwidths.items():
-                try:
+            try:
+                for kind, values in bandwidths.items():
                     weights = weights_for_target(origins[:r], split.target, kind, values)
-                except ValueError as exc:
-                    yield from _batch_fits(
-                        batch[:i], w[: i * width], batch_runs[:i],
-                        design, starts, bandwidths, offsets,
-                    )
-                    raise SweepError(exc, split=split.ordinal, kernel=kind) from exc
-                if kind is not KernelKind.UNIFORM:
-                    block[offsets[kind] : offsets[kind] + len(values)] = weights
-        yield from _batch_fits(batch, w, batch_runs, design, starts, bandwidths, offsets)
+                    if kind is not KernelKind.UNIFORM:
+                        block[offsets[kind] : offsets[kind] + len(values)] = weights
+            except ValueError as exc:
+                cut, failure = i, (exc, {"split": split.ordinal, "kernel": kind})
+                break
+        while cut:
+            try:
+                model = stats.weighted_least_squares(
+                    design, w[: cut * width], starts, np.repeat(batch_runs[:cut], width)
+                )
+                break
+            except (ValueError, stats.SingularDesignError) as exc:
+                cut, row = divmod(getattr(exc, "row", 0), width)
+                kind, j = next(iter(bandwidths)), 0
+                for k, offset in offsets.items():
+                    if 0 < offset <= row:
+                        kind, j = k, row - offset
+                failure = exc, {
+                    "split": batch[cut].ordinal, "kernel": kind, "bandwidth": bandwidths[kind][j]
+                }
+        for i, split in enumerate(batch[:cut]):
+            coefficients = model.coefficients[i * width : (i + 1) * width]
+            yield split, stats.FittedModel(coefficients, design.subset(slice(split.stop)))
+        if failure:
+            exc, coordinates = failure
+            raise SweepError(exc, **coordinates) from exc
 
 
 def _split_curves(split: Split, model, design, actuals, formula, bandwidths, offsets) -> list[Curve]:

@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"driftscope: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, json.JSONDecodeError, UnicodeError) as exc:
         print(f"driftscope: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SweepError, ValueError, RuntimeError) as exc:

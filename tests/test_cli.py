@@ -547,6 +547,59 @@ class TestSynth:
         assert not out.exists()
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error (exit 2), though
+    ``UnicodeDecodeError`` is a ``ValueError``, which a computation
+    failure raises."""
+
+    @pytest.fixture()
+    def latin1_csv(self, synth_csv, tmp_path):
+        data, desc = synth_csv
+        lines = data.read_bytes().split(b"\n")
+        lines[1] = b"\xe9" + lines[1]  # "é" in Latin-1
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"\n".join(lines))
+        return bad, desc
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_data_file(self, latin1_csv, tmp_path, capsys, command):
+        data, desc = latin1_csv
+        out = tmp_path / "out"
+        argv = [command, "--descriptor", str(desc), "--data", str(data)]
+        assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
+        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_descriptor_file(self, synth_csv, tmp_path, capsys):
+        _, desc = synth_csv
+        bad = tmp_path / "bad.descriptor.json"
+        bad.write_bytes(b"\xff" + desc.read_bytes())
+        assert main(["describe", str(bad)]) == 2
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_curves_file(self, synth_csv, tmp_path, capsys):
+        data, desc = synth_csv
+        out = tmp_path / "out"
+        assert main(["sweep", "--descriptor", str(desc), "--data", str(data),
+                     "--kernels", "gaussian", "--grid", "1:5:1", "--out", str(out)]) == 0
+        curves = out / "curves.csv"
+        curves.write_bytes(curves.read_bytes().replace(b"gaussian", b"gau\xdfian", 1))
+        svg = tmp_path / "split1.svg"
+        code = main(["plot", "--curves", str(curves), "--split", "1",
+                     "--kernel", "gaussian", "--out", str(svg)])
+        assert code == 2
+        assert "can't decode byte 0xdf" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_synth_config(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"seed": 1, "name": "caf\xe9"}')
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 1

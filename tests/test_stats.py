@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
+from driftscope import stats
 from driftscope.stats import (
     GRAM_RATIO_MIN,
     LOG,
@@ -12,7 +13,7 @@ from driftscope.stats import (
     SingularDesignError,
     Term,
     WeightError,
-    _direct_rows,
+    _bounded_rows,
     _squared_deviations,
     build_design_matrix,
     predict,
@@ -90,11 +91,10 @@ class TestDesignMatrix:
 
 
 class TestRowMoments:
-    def test_training_prefix_shares_the_design_moments(self):
+    def test_training_prefix_moments_are_its_own(self):
         rng = np.random.default_rng(4)
         d = _design(list(rng.normal(size=12)), list(rng.normal(size=12)))
         train = d.subset(slice(7))
-        assert np.shares_memory(train.moments, d.moments)
         by_hand = DesignMatrix(
             matrix=train.matrix.copy(), response=train.response.copy(),
             labels=d.labels,
@@ -267,38 +267,72 @@ class TestWeightedLeastSquares:
         decades=stn.sampled_from([0, 1, 4, 8, 12]),
     )
     def test_bound_keeps_the_eigenvalue_partition(self, seed, collinearity, decades):
-        """The rows sent to the direct solve are exactly those whose own
-        eigenvalues pass ``GRAM_RATIO_MIN``, and the first row an SVD finds
-        singular is the one reported."""
+        """Over a random run table and a random prefix of runs per row, the
+        rows sent to the direct solve are exactly those whose own X'WX,
+        over their own training rows, passes ``GRAM_RATIO_MIN``, and the
+        first row an SVD finds singular is the one reported."""
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 4))
         n = int(rng.integers(k + 1, 25))
+        p = k + 1
         x = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
         if collinearity is not None and k >= 2:
             x[:, -1] = x[:, 1] + collinearity * rng.normal(size=n)
-        w = 10.0 ** rng.uniform(-decades, 0, size=(int(rng.integers(1, 6)), n))
+        # runs start at row 0 and at a random share of the other rows,
+        # all of them at times: one run per design row
+        starts = np.flatnonzero(
+            np.concatenate(([True], rng.random(n - 1) < rng.choice([0.3, 0.7, 1.0])))
+        )
+        ends = np.append(starts, n)
+        # prefixes long enough to identify p coefficients
+        runs = rng.choice(np.flatnonzero(ends >= p), size=int(rng.integers(1, 6)))
+        w = 10.0 ** rng.uniform(-decades, 0, size=(len(runs), starts.size))
         w[rng.random(len(w)) < 0.3] = 1.0  # some unweighted rows
+        inside = np.arange(starts.size) < runs[:, None]
+        w[~inside] = 0.0
         design = DesignMatrix(
             matrix=x, response=rng.normal(size=n),
-            labels=tuple(f"x{j}" for j in range(k + 1)),
+            labels=tuple(f"x{j}" for j in range(p)),
         )
-        p = k + 1
-        gram = (w @ design.moments)[:, : p * p].reshape(-1, p, p)
+        per_row = np.repeat(w, np.diff(ends), axis=1)
+        gram = np.stack([
+            x[:m].T @ (row[:m, None] * x[:m]) for row, m in zip(per_row, ends[runs])
+        ])
         eigenvalues = np.linalg.eigvalsh(gram)
         reference = eigenvalues[:, 0] > GRAM_RATIO_MIN * eigenvalues[:, -1]
-        assert _direct_rows(gram, w, x).tolist() == reference.tolist()
+        xtx = np.linalg.eigvalsh(np.stack([x[:m].T @ x[:m] for m in ends[runs]]))
+        w_min = np.min(w, axis=1, where=inside, initial=np.inf)
+        direct = _bounded_rows(gram, w_min, w.max(axis=1), xtx)
+        assert direct.tolist() == reference.tolist()
+
+        # the fit's own partition, on its own Gram matrices: per-run sums
+        # weighted by w, zero past each row's runs
+        gram = (w @ np.add.reduceat(design.moments, starts))[:, : p * p].reshape(-1, p, p)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        reference = eigenvalues[:, 0] > GRAM_RATIO_MIN * eigenvalues[:, -1]
         first_singular = None
         for b in np.flatnonzero(~reference):
-            sv = np.linalg.svd(x * np.sqrt(w[b])[:, None], compute_uv=False)
-            if np.sum(sv > max(n, p) * np.finfo(float).eps * sv[0]) < p:
+            m = ends[runs[b]]
+            sv = np.linalg.svd(x[:m] * np.sqrt(per_row[b, :m])[:, None], compute_uv=False)
+            if np.sum(sv > max(m, p) * np.finfo(float).eps * sv[0]) < p:
                 first_singular = int(b)
                 break
-        if first_singular is None:
-            assert weighted_least_squares(design, w).coefficients.shape == (len(w), p)
-        else:
-            with pytest.raises(SingularDesignError) as info:
-                weighted_least_squares(design, w)
-            assert info.value.row == first_singular
+        partitions = []
+
+        def spy(*args):
+            partitions.append(_bounded_rows(*args))
+            return partitions[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_bounded_rows", spy)
+            if first_singular is None:
+                fit = weighted_least_squares(design, w, starts, runs)
+                assert fit.coefficients.shape == (len(w), p)
+            else:
+                with pytest.raises(SingularDesignError) as info:
+                    weighted_least_squares(design, w, starts, runs)
+                assert info.value.row == first_singular
+        assert [d.tolist() for d in partitions] == [reference.tolist()]
 
     def test_bound_skips_eigenvalues_of_cleared_rows(self, monkeypatch):
         # Rows within a few decades clear the bound; only the row whose
@@ -316,7 +350,9 @@ class TestWeightedLeastSquares:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         fit = weighted_least_squares(d, w)
-        assert shapes == [(2, 2), (1, 2, 2)]
+        # one call over the design's one prefix, then one over the
+        # uncleared row
+        assert shapes == [(1, 2, 2), (1, 2, 2)]
         monkeypatch.undo()
         for row, coefficients in zip(w, fit.coefficients):
             sw = np.sqrt(row)
