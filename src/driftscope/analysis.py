@@ -137,9 +137,6 @@ class SweepResult:
     plan: SplitPlan
     curves: dict  # (split ordinal, KernelKind) -> Curve, split-major
 
-    def curve(self, split: int, kernel: KernelKind) -> Curve:
-        return self.curves[split, kernel]
-
     @property
     def cells(self) -> tuple[SweepCell, ...]:
         """One cell per (split, kernel, bandwidth), built on request."""

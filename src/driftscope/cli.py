@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analysis import AnalysisConfig, SweepCell, SweepError, run_sweep, summarize
+from .analysis import AnalysisConfig, Curve, SweepError, run_sweep, summarize
 from .datasets import (
     BUILTIN_NAMES,
     DataError,
@@ -50,6 +50,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _read_text(path) -> str:
+    """Input file ``path`` as UTF-8 text; undecodable bytes are an input
+    error naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _resolve_descriptor(name_or_path: str) -> DatasetDescriptor:
     if name_or_path.lower() in BUILTIN_NAMES:
         return builtin_descriptor(name_or_path)
@@ -59,7 +68,7 @@ def _resolve_descriptor(name_or_path: str) -> DatasetDescriptor:
             f"{name_or_path!r} is neither a built-in descriptor "
             f"({', '.join(BUILTIN_NAMES)}) nor a descriptor file"
         )
-    return DatasetDescriptor.from_json(path.read_text(encoding="utf-8"))
+    return DatasetDescriptor.from_json(_read_text(path))
 
 
 def _parse_kernels(text: str) -> tuple[KernelKind, ...]:
@@ -112,13 +121,14 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _manifest(descriptor: DatasetDescriptor, result, input_bytes: bytes) -> dict:
+def _manifest(descriptor: DatasetDescriptor, result, text: str) -> dict:
     config = result.config
     return {
         "tool": "driftscope",
         "version": __version__,
         "descriptor_digest": _digest(descriptor.to_json().encode()),
-        "input_digest": _digest(input_bytes),
+        # strict UTF-8 decoding is one-to-one: these are the file's bytes
+        "input_digest": _digest(text.encode("utf-8")),
         "config": {
             "epsilon": config.epsilon,
             "theta": config.theta,
@@ -159,7 +169,7 @@ def cmd_describe(args) -> int:
 
 def cmd_validate(args) -> int:
     descriptor = _resolve_descriptor(args.descriptor)
-    dataset = load_dataset(descriptor, args.data)
+    dataset = load_dataset(descriptor, io.StringIO(_read_text(args.data), newline=""))
     first, last = int(dataset.keys.min()), int(dataset.keys.max())
     if descriptor.granularity is Granularity.MONTHLY:  # absolute month numbers
         first, last = (f"{k // 12}-{k % 12 + 1:02d}" for k in (first, last))
@@ -203,35 +213,42 @@ def _curves_text(result) -> str:
     return "".join(blocks)
 
 
-def read_curves(path) -> list[SweepCell]:
-    """Parse a curves.csv back into sweep cells (exact round trip)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CURVE_COLUMNS:
-            raise DataError(f"unexpected curve columns: {reader.fieldnames}")
-        cells = []
-        for row in reader:
-            if None in row:  # DictReader's key for fields past the header's
-                raise DataError(
-                    f"{path}, line {reader.line_num}: "
-                    f"{len(CURVE_COLUMNS) + len(row[None])} fields, the header has "
-                    f"{len(CURVE_COLUMNS)}"
-                )
-            try:
-                cells.append(
-                    SweepCell(
-                        split=int(row["split"]),
-                        kernel=KernelKind(row["kernel"]),
-                        bandwidth=float(row["bandwidth"]),
-                        re_train_nu=float(row["re_train_nu"]),
-                        re_test_nu=float(row["re_test_nu"]) if row["re_test_nu"] else None,
-                        re_train_u=float(row["re_train_u"]),
-                        re_test_u=float(row["re_test_u"]) if row["re_test_u"] else None,
-                    )
-                )
-            except (TypeError, ValueError) as exc:  # a bad field, or a short row's None
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-    return cells
+def read_curves(path) -> dict:
+    """Parse a curves.csv back into its curves, keyed (split, kernel) as
+    ``SweepResult.curves`` is (exact round trip).  A curve's rows must
+    agree on its unweighted values, so on whether it has test fields."""
+    rows = csv.reader(io.StringIO(_read_text(path), newline=""))
+    if (header := next(rows, None)) != CURVE_COLUMNS:
+        raise DataError(f"unexpected curve columns: {header}")
+    blocks = {}  # (split, kernel) -> unweighted texts and values, weighted points
+    for fields in filter(None, rows):  # blank lines skipped
+        where = f"{path}, line {rows.line_num}"
+        if len(fields) != len(CURVE_COLUMNS):
+            raise DataError(f"{where}: {len(fields)} fields, the header has {len(CURVE_COLUMNS)}")
+        _, split, kernel, bandwidth, train_nu, test_nu, train_u, test_u = fields
+        try:
+            key = int(split), KernelKind(kernel)
+            point = float(bandwidth), float(train_nu), float(test_nu) if test_nu else None
+            flat = float(train_u), float(test_u) if test_u else None
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
+        if bool(test_nu) != bool(test_u):
+            raise DataError(f"{where}: re_test_nu and re_test_u must both be given or both be empty")
+        texts, _, points = blocks.setdefault(key, ((train_u, test_u), flat, []))
+        if texts != (train_u, test_u):
+            raise DataError(
+                f"{where}: re_train_u and re_test_u differ from those of the first row "
+                f"of split {split}, kernel {kernel}"
+            )
+        points.append(point)
+    curves = {}
+    for (split, kernel), (_, (train_u, test_u), points) in blocks.items():
+        bandwidths, train_nu, test_nu = zip(*points)
+        curves[split, kernel] = Curve(
+            split, kernel, bandwidths, list(train_nu),
+            None if test_u is None else list(test_nu), train_u, test_u,
+        )
+    return curves
 
 
 def cmd_sweep(args) -> int:
@@ -251,10 +268,9 @@ def cmd_sweep(args) -> int:
         raise _UsageError(exc) from None
     kernels = _parse_kernels(args.kernels)
 
-    # one read: the manifest's digest describes the very bytes analyzed
-    input_bytes = Path(args.data).read_bytes()
-    text = io.StringIO(input_bytes.decode("utf-8"), newline="")
-    dataset = load_dataset(descriptor, text)
+    # one read: the manifest's digest describes the very text analyzed
+    text = _read_text(args.data)
+    dataset = load_dataset(descriptor, io.StringIO(text, newline=""))
     result = run_sweep(dataset, kernels, config)
     summary = summarize(result)
 
@@ -276,7 +292,7 @@ def cmd_sweep(args) -> int:
         "verdicts": verdicts,
     }
     _atomic_write(out / "verdicts.json", json.dumps(doc, indent=2) + "\n")
-    manifest = _manifest(descriptor, result, input_bytes)
+    manifest = _manifest(descriptor, result, text)
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(
         f"{result.dataset}: {len(result.plan.splits)} splits, "
@@ -293,13 +309,13 @@ _PALETTE = {
 }
 
 
-def _svg_chart(series: dict, title: str) -> str:
-    """Minimal static SVG: relative error against bandwidth."""
+def _svg_chart(bandwidths, series: dict, title: str) -> str:
+    """Minimal static SVG: each series' relative errors against
+    ``bandwidths``."""
     width, height = 640, 420
     left, right, top, bottom = 60, 20, 40, 50
-    xs = sorted({x for pts in series.values() for x, _ in pts})
-    ys = [y for pts in series.values() for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
+    ys = [y for values in series.values() for y in values]
+    x_lo, x_hi = min(bandwidths), max(bandwidths)
     y_lo, y_hi = 0.0, max(ys) * 1.05 or 1.0
     if x_hi == x_lo:
         x_hi = x_lo + 1
@@ -338,9 +354,9 @@ def _svg_chart(series: dict, title: str) -> str:
             f'font-family="sans-serif" font-size="10">{xv:g}</text>'
         )
     legend_y = top
-    for label, pts in series.items():
+    for label, values in series.items():
         color = _PALETTE[label]
-        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in sorted(pts))
+        coords = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in sorted(zip(bandwidths, values)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'
@@ -360,34 +376,26 @@ def _svg_chart(series: dict, title: str) -> str:
 
 
 def cmd_plot(args) -> int:
-    cells = read_curves(args.curves)
+    curves = read_curves(args.curves)
     try:
         kind = KernelKind(args.kernel.lower())
     except ValueError:
         raise _UsageError(f"unknown kernel {args.kernel!r}") from None
-    slice_ = [c for c in cells if c.split == args.split and c.kernel == kind]
-    if not slice_:
-        raise DataError(
-            f"no rows for split {args.split}, kernel {kind.value} in {args.curves}"
-        )
-    series = {
-        "train": [(c.bandwidth, c.re_train_nu) for c in slice_],
-        "train global": [(c.bandwidth, c.re_train_u) for c in slice_],
-    }
-    if slice_[0].re_test_nu is not None:
-        series["test"] = [(c.bandwidth, c.re_test_nu) for c in slice_]
-        series["test global"] = [(c.bandwidth, c.re_test_u) for c in slice_]
+    curve = curves.get((args.split, kind))
+    if curve is None:
+        raise DataError(f"no rows for split {args.split}, kernel {kind.value} in {args.curves}")
+    n = len(curve.bandwidths)
+    series = {"train": curve.re_train_nu, "train global": [curve.re_train_u] * n}
+    if curve.re_test_nu is not None:
+        series |= {"test": curve.re_test_nu, "test global": [curve.re_test_u] * n}
     title = f"split {args.split}, {kind.value} kernel"
-    _atomic_write(Path(args.out), _svg_chart(series, title))
+    _atomic_write(Path(args.out), _svg_chart(curve.bandwidths, series, title))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        config = SynthConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        config = SynthConfig()
+    config = SynthConfig.from_json(_read_text(args.config)) if args.config else SynthConfig()
     if args.seed is not None:
         config = SynthConfig(**{**config.__dict__, "seed": args.seed})
     dataset = synthesize(config)

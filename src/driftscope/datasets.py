@@ -89,40 +89,6 @@ class Dataset:
             and all(np.array_equal(v, other.attributes[k]) for k, v in self.attributes.items())
         )
 
-    @classmethod
-    def from_records(cls, descriptor: DatasetDescriptor, records) -> "Dataset":
-        """The dataset of ``records``, taking their attributes as the first
-        one names them; a categorical term's attribute holds strings.  A
-        completion is a date, or an int year in 1..9999 if not monthly."""
-        records = tuple(records)
-        for r in records:
-            c = r.completion
-            year = isinstance(c, int) and not isinstance(c, bool) and 1 <= c <= 9999
-            if not (year or isinstance(c, date)):
-                raise DataError(f"record {r.id!r}: completion {c!r} is neither a date nor a year in 1..9999")
-        ids = np.array([r.id for r in records], dtype=object)
-        done, years = _completion_columns([r.completion for r in records])
-        if dateless := _dateless(done, ids, descriptor.granularity):
-            raise dateless[1]
-        categorical = {
-            t.column for t in descriptor.formula.terms if t.kind == "categorical"
-        }
-        names = records[0].attributes if records else ()
-        return cls(
-            descriptor,
-            ids=ids,
-            keys=period_keys(done, years, descriptor.granularity),
-            done=done,
-            start=np.array([r.start for r in records], dtype="datetime64[D]"),
-            attributes={
-                name: np.array(
-                    [r.attributes[name] for r in records],
-                    dtype=object if name in categorical else float,
-                )
-                for name in names
-            },
-        )
-
 
 class _Records(Sequence):
     """A dataset's rows as ``ProjectRecord``s, built one at a time."""
@@ -145,25 +111,6 @@ class _Records(Sequence):
             attributes={name: values.item(i) for name, values in d.attributes.items()},
             start=None if np.isnat(start) else start.item(),
         )
-
-
-def _completion_columns(values) -> tuple[np.ndarray, np.ndarray]:
-    """Completions, each a date, an int year or None (blank), as (days,
-    years): datetime64 days, NaT where there is no date, and int64
-    years, 0 where there is no year."""
-    days = np.array([v if isinstance(v, date) else None for v in values], dtype="datetime64[D]")
-    years = np.array([v if isinstance(v, int) else 0 for v in values], dtype=np.int64)
-    return days, years
-
-
-def _dateless(days: np.ndarray, ids, granularity: Granularity):
-    """(row, error) for the first record without a completion day under
-    monthly granularity, which needs one; None if there is none."""
-    dateless = np.isnat(days)
-    if granularity is Granularity.MONTHLY and dateless.any():
-        i = int(np.argmax(dateless))
-        return i, DataError(f"record {ids[i]!r}: monthly chronology needs full completion dates")
-    return None
 
 
 # --- descriptors -----------------------------------------------------------
@@ -219,38 +166,77 @@ class DatasetDescriptor:
 
     @staticmethod
     def from_json(text: str) -> "DatasetDescriptor":
+        """The descriptor a JSON object gives.  Each field must have its
+        JSON type; an optional one may also be null or absent."""
         doc = _json_object(text, "descriptor")
         try:
-            f = doc["formula"]
-            formula = ModelFormula(
-                response=f["response"],
-                response_transform=f.get("response_transform", LOG),
-                terms=tuple(
-                    Term(
-                        column=t["column"],
-                        kind=t.get("kind", "numeric"),
-                        transform=t.get("transform", IDENTITY),
-                        reference=t.get("reference"),
-                        levels=tuple(t["levels"]) if t.get("levels") else None,
-                    )
-                    for t in f["terms"]
-                ),
-            )
+            columns = _field(doc, "columns", "an object")
+            for key in ("id", *columns):
+                _field(columns, key, "a string", where="columns.")
+            filters = _field(doc, "filters", "a list of objects", [])
+            for i, filt in enumerate(filters):
+                _field(filt, "column", "a string", where=f"filters[{i}].")
+                _field(filt, "exclude", "a list", None, f"filters[{i}].")
+            derived = _field(doc, "derived_products", "an object", {})
+            for name in derived:
+                _field(derived, name, "a list of strings", where="derived_products.")
+            f = _field(doc, "formula", "an object")
+            terms = []
+            for i, t in enumerate(_field(f, "terms", "a list of objects", where="formula.")):
+                w = f"formula.terms[{i}]."
+                terms.append(Term(
+                    column=_field(t, "column", "a string", where=w),
+                    kind=_field(t, "kind", "a string", "numeric", w),
+                    transform=_field(t, "transform", "a string", IDENTITY, w),
+                    reference=_field(t, "reference", "a string", None, w),
+                    levels=tuple(_field(t, "levels", "a list of strings", (), w)) or None,
+                ))
             return DatasetDescriptor(
-                name=doc["name"],
-                granularity=Granularity(doc["granularity"]),
-                chronology=ChronologyMode(doc["chronology"]),
-                columns=doc["columns"],
-                formula=formula,
-                filters=tuple(doc.get("filters") or ()),
-                derived_products=doc.get("derived_products") or {},
-                overrides=tuple(doc["overrides"]) if doc.get("overrides") else None,
-                expected_rows=doc.get("expected_rows"),
+                name=_field(doc, "name", "a string"),
+                granularity=Granularity(_field(doc, "granularity", "a string")),
+                chronology=ChronologyMode(_field(doc, "chronology", "a string")),
+                columns=columns,
+                formula=ModelFormula(
+                    response=_field(f, "response", "a string", where="formula."),
+                    response_transform=_field(f, "response_transform", "a string", LOG, "formula."),
+                    terms=tuple(terms),
+                ),
+                filters=tuple(filters),
+                derived_products=derived,
+                overrides=tuple(_field(doc, "overrides", "a list of integers", ())) or None,
+                expected_rows=_field(doc, "expected_rows", "an integer", None),
             )
-        except KeyError as exc:
-            raise DataError(f"descriptor is missing key {exc.args[0]!r}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except DataError:
+            raise
+        except ValueError as exc:  # an unknown value, such as a granularity
             raise DataError(f"bad descriptor: {exc}") from None
+
+
+# The JSON type a descriptor field may have, by its name in errors; JSON
+# reads a number with a fraction as a float, and true as a bool
+_JSON_TYPES = {
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "an object": lambda v: type(v) is dict,
+    "a list": lambda v: type(v) is list,
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "a list of objects": lambda v: type(v) is list and all(type(x) is dict for x in v),
+}
+
+
+def _field(doc: dict, key: str, kind: str, default=..., where: str = ""):
+    """``doc[key]``, named ``where + key`` in errors, if it has the JSON
+    type ``kind``, a ``_JSON_TYPES`` name; ``default`` if it is null or
+    absent and has one (``...`` marks a required key)."""
+    value = doc.get(key)
+    if value is None and default is not ...:
+        return default
+    if key not in doc:
+        raise DataError(f"descriptor is missing key {key!r}")
+    if not _JSON_TYPES[kind](value):
+        raise DataError(f"descriptor key {where + key!r} must be {kind}, got {value!r}")
+    return value
 
 
 _EM_COLUMNS = [
@@ -719,11 +705,20 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
         lambda i: _parse_completion(done_texts[i], done_col, ids[i]) if done_texts[i] else None,
         n, errors,
     )
-    days, years = parsed if isinstance(parsed, tuple) else _completion_columns(parsed)
+    if not isinstance(parsed, tuple):  # dates, int years and None (blank)
+        parsed = (
+            np.array([v if isinstance(v, date) else None for v in parsed], dtype="datetime64[D]"),
+            np.array([v if isinstance(v, int) else 0 for v in parsed], dtype=np.int64),
+        )
+    days, years = parsed
     blank = np.array([not t for t in done_texts], dtype=bool)
     _derive_completions(days, blank, start, duration, duration_raw, ids, errors)
-    if dateless := _dateless(days, ids, descriptor.granularity):
-        errors.append(dateless)
+    dateless = np.isnat(days)
+    if descriptor.granularity is Granularity.MONTHLY and dateless.any():
+        i = int(np.argmax(dateless))
+        errors.append((i, DataError(
+            f"record {ids[i]!r}: monthly chronology needs full completion dates"
+        )))
 
     categorical = {
         t.column for t in descriptor.formula.terms if t.kind == "categorical"
@@ -831,12 +826,9 @@ class SynthConfig:
         unknown = sorted(set(doc) - set(types))
         if unknown:
             raise DataError(f"unknown synth config keys: {', '.join(unknown)}")
-        for key, value in doc.items():
-            allowed = int if types[key] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise DataError(
-                    f"synth config key {key!r} must be {types[key]}, got {value!r}"
-                )
+        for key, value in doc.items():  # JSON's true is a bool, not an int
+            if type(value) not in ((int,) if types[key] == "int" else (int, float)):
+                raise DataError(f"synth config key {key!r} must be {types[key]}, got {value!r}")
         return SynthConfig(**doc)
 
 

@@ -331,7 +331,7 @@ def test_uniform_training_error_bound_on_non_stationary_splits():
         for verdict in summary.verdicts:
             if verdict.classification is not Classification.NON_STATIONARY:
                 continue
-            curve = sweep.curve(verdict.split, KernelKind.GAUSSIAN)
+            curve = sweep.curves[verdict.split, KernelKind.GAUSSIAN]
             best_nu = min(curve.re_train_nu)
             uniform = curve.re_train_u
             assert best_nu >= uniform - verdict.epsilon

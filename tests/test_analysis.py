@@ -27,10 +27,11 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord, SynthConfig, synthesize
+from driftscope.datasets import SynthConfig, synthesize
 from driftscope.kernels import Granularity, KernelKind
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
+from test_chronology import _load
 from test_oracle import _datasets
 
 ALL_KERNELS = (
@@ -50,26 +51,20 @@ def stationary_sweep(stationary_dataset):
     return run_sweep(stationary_dataset, ALL_KERNELS, AnalysisConfig())
 
 
-def _columns(records):
-    """The records' attributes, one list per attribute."""
-    return {name: [r.attributes[name] for r in records] for name in records[0].attributes}
-
-
 class TestFitCell:
     """Single cells of ``run_sweep`` curves on one-value grids."""
 
     def test_uniform_kernel_curves_coincide(self, stationary_dataset):
         config = AnalysisConfig(grid_lo=10.0, grid_hi=10.0)
-        curve = run_sweep(stationary_dataset, (KernelKind.UNIFORM,), config).curve(
-            1, KernelKind.UNIFORM
-        )
+        sweep = run_sweep(stationary_dataset, (KernelKind.UNIFORM,), config)
+        curve = sweep.curves[1, KernelKind.UNIFORM]
         assert curve.re_train_nu == [curve.re_train_u]
         assert curve.re_test_nu == [curve.re_test_u]
 
     def test_noiseless_data_gives_zero_res(self):
         ds = synthesize(SynthConfig(seed=3, noise_sd=0.0))
         config = AnalysisConfig(grid_lo=5.0, grid_hi=5.0)
-        curve = run_sweep(ds, (KernelKind.GAUSSIAN,), config).curve(1, KernelKind.GAUSSIAN)
+        curve = run_sweep(ds, (KernelKind.GAUSSIAN,), config).curves[1, KernelKind.GAUSSIAN]
         assert curve.re_train_nu == [pytest.approx(0.0, abs=1e-12)]
         assert curve.re_test_nu == [pytest.approx(0.0, abs=1e-12)]
         assert curve.re_train_u == pytest.approx(0.0, abs=1e-12)
@@ -77,7 +72,7 @@ class TestFitCell:
     def test_all_data_split_has_no_test_res(self, stationary_dataset):
         config = AnalysisConfig(grid_lo=5.0, grid_hi=5.0)
         result = run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,), config)
-        curve = result.curve(result.plan.splits[-1].ordinal, KernelKind.GAUSSIAN)
+        curve = result.curves[result.plan.splits[-1].ordinal, KernelKind.GAUSSIAN]
         assert curve.re_test_nu is None and curve.re_test_u is None
 
 
@@ -100,7 +95,7 @@ class TestRunSweep:
     def test_uniform_re_constant_across_bandwidth(self, stationary_sweep):
         for split in stationary_sweep.plan.splits:
             for kind in ALL_KERNELS:
-                curve = stationary_sweep.curve(split.ordinal, kind).cells()
+                curve = stationary_sweep.curves[split.ordinal, kind].cells()
                 values = {c.re_train_u for c in curve}
                 assert max(values) - min(values) <= 1e-12
 
@@ -118,7 +113,6 @@ class TestRunSweep:
             for values in columns:
                 assert len(values) == len(curve.bandwidths)
                 assert all(type(re) is float for re in values)
-            assert stationary_sweep.curve(ordinal, kind) is curve
         cells = stationary_sweep.cells
         assert cells == tuple(
             cell for curve in stationary_sweep.curves.values() for cell in curve.cells()
@@ -139,7 +133,7 @@ class TestRunSweep:
         self, stationary_sweep
     ):
         for split in stationary_sweep.plan.splits:
-            curve = stationary_sweep.curve(split.ordinal, KernelKind.GAUSSIAN).cells()
+            curve = stationary_sweep.curves[split.ordinal, KernelKind.GAUSSIAN].cells()
             first, last = curve[0], curve[-1]
             assert abs(last.re_train_nu - last.re_train_u) <= (
                 abs(first.re_train_nu - first.re_train_u) + 1e-9
@@ -184,11 +178,7 @@ class TestRunSweep:
     def test_failed_cell_reports_coordinates(self):
         # two records per period is too few once the formula needs 3 rows
         ds = synthesize(SynthConfig(seed=8, n_projects=6, n_periods=3, noise_sd=0.0))
-        records = tuple(
-            type(r)(id=r.id, completion=r.completion, attributes={**r.attributes, "size": 100.0})
-            for r in ds.records
-        )
-        broken = Dataset.from_records(ds.descriptor, records)
+        broken = replace(ds, attributes={**ds.attributes, "size": np.full(len(ds.ids), 100.0)})
         with pytest.raises(SweepError, match="split"):
             run_sweep(broken, (KernelKind.GAUSSIAN,))
 
@@ -223,14 +213,10 @@ class TestRunSweep:
     def lone_oldest(self, stationary_dataset):
         """The stationary dataset with one record left in its oldest period,
         so that weight on that period alone leaves a singular design."""
-        records = stationary_dataset.records
-        oldest = min(r.completion for r in records)
-        kept = min(r.id for r in records if r.completion == oldest)
-        moved = tuple(
-            replace(r, completion=oldest + 1) if r.completion == oldest and r.id != kept else r
-            for r in records
-        )
-        return Dataset.from_records(stationary_dataset.descriptor, moved)
+        ds = stationary_dataset
+        oldest = ds.keys == ds.keys.min()  # year-only completions: keys are years
+        moved = oldest & (ds.ids != min(ds.ids[oldest]))
+        return replace(ds, keys=np.where(moved, ds.keys + 1, ds.keys))
 
     def test_singular_row_reports_its_bandwidth(self, lone_oldest, monkeypatch):
         self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2, 4))
@@ -348,7 +334,7 @@ class TestRunSweep:
         kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR)
         sweep = run_sweep(stationary_dataset, kernels, AnalysisConfig(grid_step=7.0))
         for split in sweep.plan.splits:
-            uniform = sweep.curve(split.ordinal, KernelKind.UNIFORM)
+            uniform = sweep.curves[split.ordinal, KernelKind.UNIFORM]
             n = len(uniform.bandwidths)
             assert uniform.re_train_nu == [uniform.re_train_u] * n
             if split.is_final:
@@ -356,7 +342,7 @@ class TestRunSweep:
             else:
                 assert uniform.re_test_nu == [uniform.re_test_u] * n
             for kind in kernels:
-                curve = sweep.curve(split.ordinal, kind)
+                curve = sweep.curves[split.ordinal, kind]
                 assert (curve.re_train_u, curve.re_test_u) == (
                     uniform.re_train_u, uniform.re_test_u
                 )
@@ -377,32 +363,28 @@ def _plans(draw):
     granularity = draw(stn.sampled_from(Granularity))
     days = draw(stn.lists(stn.integers(0, 2000), min_size=n, max_size=n))
     langs = draw(stn.lists(stn.sampled_from("abc"), min_size=n, max_size=n))
-    records = [
-        ProjectRecord(
-            id=f"p{i:02d}",
-            completion=date(1990, 1, 1) + timedelta(days=d),
-            start=date(1990, 1, 1) + timedelta(days=d - draw(stn.integers(1, 400))),
-            attributes={
-                "size": draw(stn.floats(1.0, 1e4)),
-                "effort": draw(stn.floats(1.0, 1e5)),
-                "lang": "a" if i == 0 else lang,
-            },
-        )
+    langs[0] = "a"
+    rows = [
+        {
+            "id": f"p{i:02d}",
+            "done": date(1990, 1, 1) + timedelta(days=d),
+            "start": date(1990, 1, 1) + timedelta(days=d - draw(stn.integers(1, 400))),
+            "size": draw(stn.floats(1.0, 1e4)),
+            "effort": draw(stn.floats(1.0, 1e5)),
+            "lang": lang,
+        }
         for i, (d, lang) in enumerate(zip(days, langs))
     ]
     overrides = None
     if mode is ChronologyMode.REMAINDER_TEST and draw(stn.booleans()):
-        wmin = well_formed_min(CATEGORICAL, _columns(records))
+        wmin = well_formed_min(CATEGORICAL, {"lang": langs})
         overrides = tuple(sorted(draw(stn.sets(stn.integers(wmin, n - 1), min_size=1, max_size=4))))
-    descriptor = DatasetDescriptor(
-        name="plans", granularity=granularity, chronology=mode, columns={"id": "id"},
-        formula=CATEGORICAL, overrides=overrides,
-    )
+    dataset = _load(rows, granularity, mode, CATEGORICAL, overrides)
     try:
-        plan = build_split_plan(Dataset.from_records(descriptor, records))
+        plan = build_split_plan(dataset)
     except SplitError:
         assume(False)
-    return records, plan
+    return dataset, plan
 
 
 def _assert_same_design(got, want):
@@ -418,10 +400,14 @@ class TestPlanDesign:
     @settings(max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
     @given(_plans())
     def test_split_rows_equal_their_own_design(self, case):
-        records, plan = case
-        by_id = {r.id: r for r in records}
+        dataset, plan = case
+        row = {rid: i for i, rid in enumerate(dataset.ids)}
+
+        def columns(rows):
+            return {c: dataset.attributes[c][rows] for c in CATEGORICAL.columns}
+
         # the dataset-wide levels, declared, code every row range alike
-        levels = tuple(sorted({r.attributes["lang"] for r in records}))
+        levels = tuple(sorted(set(dataset.attributes["lang"])))
         formula = ModelFormula(
             response=CATEGORICAL.response,
             terms=(
@@ -429,16 +415,12 @@ class TestPlanDesign:
                 Term("lang", kind="categorical", reference="a", levels=levels),
             ),
         )
-        design = build_design_matrix(_columns([records[i] for i in plan.order]), CATEGORICAL)
+        design = build_design_matrix(columns(plan.order), CATEGORICAL)
         for split in plan.splits:
-            train = build_design_matrix(
-                _columns([by_id[i] for i in split.train_ids]), formula
-            )
+            train = build_design_matrix(columns([row[i] for i in split.train_ids]), formula)
             _assert_same_design(design.subset(slice(split.stop)), train)
             if split.test_ids:
-                test = build_design_matrix(
-                    _columns([by_id[i] for i in split.test_ids]), formula
-                )
+                test = build_design_matrix(columns([row[i] for i in split.test_ids]), formula)
                 _assert_same_design(design.subset(split.test_rows), test)
 
 

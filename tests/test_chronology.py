@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import date
 
 import pytest
@@ -9,7 +11,7 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord
+from driftscope.datasets import DatasetDescriptor, load_dataset
 from driftscope.kernels import Granularity
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
@@ -18,18 +20,28 @@ def _formula(*terms):
     return ModelFormula(response="effort", terms=terms)
 
 
-def _plan(records, granularity, mode, formula, overrides=None):
-    """The split plan of ``records`` under a descriptor of that shape."""
+def _load(rows, granularity, mode, formula, overrides=None):
+    """The dataset of ``rows`` as a user loads it, from CSV text under a
+    descriptor of that shape.  Each row is a dict of an id, a completion
+    ``done`` (a date or an int year), a ``start`` date if the first row
+    has one, and its attributes, with the same keys in every row."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    columns = {"id": "id", "completion": "done"}
+    if "start" in rows[0]:
+        columns["start"] = "start"
     descriptor = DatasetDescriptor(
-        name="t", granularity=granularity, chronology=mode, columns={"id": "id"},
+        name="t", granularity=granularity, chronology=mode, columns=columns,
         formula=formula, overrides=None if overrides is None else tuple(overrides),
     )
-    return build_split_plan(Dataset.from_records(descriptor, records))
+    return load_dataset(descriptor, text.getvalue())
 
 
-def _columns(records):
-    """The records' attributes, one list per attribute."""
-    return {name: [r.attributes[name] for r in records] for name in records[0].attributes}
+def _plan(rows, granularity, mode, formula, overrides=None):
+    """The split plan of ``rows`` (see ``_load``)."""
+    return build_split_plan(_load(rows, granularity, mode, formula, overrides))
 
 
 ONE_TERM = _formula(Term("size", transform=LOG))
@@ -37,19 +49,11 @@ ONE_TERM = _formula(Term("size", transform=LOG))
 
 def _yearly(spec):
     """spec: list of (year, n_projects)."""
-    records = []
-    i = 0
-    for year, n in spec:
-        for _ in range(n):
-            records.append(
-                ProjectRecord(
-                    id=f"r{i:03d}",
-                    completion=year,
-                    attributes={"size": 10.0 + i, "effort": 100.0 + i},
-                )
-            )
-            i += 1
-    return records
+    years = [year for year, n in spec for _ in range(n)]
+    return [
+        {"id": f"r{i:03d}", "done": year, "size": 10.0 + i, "effort": 100.0 + i}
+        for i, year in enumerate(years)
+    ]
 
 
 def _monthly(n=16, start=(1999, 10)):
@@ -57,13 +61,12 @@ def _monthly(n=16, start=(1999, 10)):
     records = []
     y, m = start
     for i in range(n):
-        records.append(
-            ProjectRecord(
-                id=f"m{i:02d}",
-                completion=date(y, m, 1 + (i % 27)),
-                attributes={"org_effort": 50.0 + i, "total_effort": 60.0 + i},
-            )
-        )
+        records.append({
+            "id": f"m{i:02d}",
+            "done": date(y, m, 1 + (i % 27)),
+            "org_effort": 50.0 + i,
+            "total_effort": 60.0 + i,
+        })
         if i % 2:
             m += 1
             if m > 12:
@@ -125,8 +128,8 @@ class TestWellFormedMin:
 
 
 def _check_invariants(plan, records, formula):
-    wmin = well_formed_min(formula, _columns(records))
-    all_ids = {r.id for r in records}
+    wmin = well_formed_min(formula, {c: [r[c] for r in records] for c in formula.columns})
+    all_ids = {r["id"] for r in records}
     prev_train = None
     for split in plan.splits:
         train = set(split.train_ids)
@@ -159,7 +162,10 @@ class TestYearAccumulate:
 
     def test_first_training_accumulates_to_minimum(self):
         f = _formula(Term("a"), Term("b"), Term("c"))  # needs 5
-        records = _yearly([(1990, 2), (1991, 2), (1992, 3), (1993, 2)])
+        records = [
+            {**r, "a": 1.0, "b": 2.0, "c": 3.0}
+            for r in _yearly([(1990, 2), (1991, 2), (1992, 3), (1993, 2)])
+        ]
         plan = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, f
         )
@@ -173,7 +179,7 @@ class TestYearAccumulate:
         # 1991 has one project: no evaluation, but it joins later training
         assert len(plan.splits) == 2
         assert len(plan.splits[0].train_ids) == 5
-        assert set(plan.splits[0].test_ids) == {r.id for r in records if r.completion == 1992}
+        assert set(plan.splits[0].test_ids) == {r["id"] for r in records if r["done"] == 1992}
 
     def test_too_few_records(self):
         with pytest.raises(SplitError):
@@ -201,17 +207,13 @@ class TestYearAccumulate:
 class TestDateFilteredTest:
     def _dated(self, spec):
         """spec: (year, month, day, start_year, start_month, start_day)."""
-        records = []
-        for i, (y, m, d, sy, sm, sd) in enumerate(spec):
-            records.append(
-                ProjectRecord(
-                    id=f"d{i:03d}",
-                    completion=date(y, m, d),
-                    start=date(sy, sm, sd),
-                    attributes={"size": 20.0 + i, "effort": 300.0 + i},
-                )
-            )
-        return records
+        return [
+            {
+                "id": f"d{i:03d}", "done": date(y, m, d), "start": date(sy, sm, sd),
+                "size": 20.0 + i, "effort": 300.0 + i,
+            }
+            for i, (y, m, d, sy, sm, sd) in enumerate(spec)
+        ]
 
     def test_test_set_filtered_by_start_date(self):
         records = self._dated(
@@ -285,12 +287,10 @@ class TestDateFilteredTest:
             (1996, 1995, 6), (1996, 1996, 4), (1996, 1996, 5),
         ]
         records = [
-            ProjectRecord(
-                id=f"y{i:03d}",
-                completion=year,
-                start=date(sy, sm, 1),
-                attributes={"size": 20.0 + i, "effort": 300.0 + i},
-            )
+            {
+                "id": f"y{i:03d}", "done": year, "start": date(sy, sm, 1),
+                "size": 20.0 + i, "effort": 300.0 + i,
+            }
             for i, (year, sy, sm) in enumerate(spec)
         ]
         plan = _plan(
@@ -315,7 +315,7 @@ class TestRemainderTest:
         sizes = [len(s.train_ids) for s in plan.splits]
         assert sizes == [7, 10, 12, 13, 14, 16]
         for s in plan.splits[:-1]:
-            assert set(s.train_ids) | set(s.test_ids) == {r.id for r in records}
+            assert set(s.train_ids) | set(s.test_ids) == {r["id"] for r in records}
 
     def test_without_overrides_each_split_is_well_formed(self):
         records = _monthly()
@@ -326,7 +326,7 @@ class TestRemainderTest:
         _check_invariants(plan, records, f)
         for s in plan.splits[:-1]:
             # remainder = everything not in training
-            assert set(s.train_ids) | set(s.test_ids) == {r.id for r in records}
+            assert set(s.train_ids) | set(s.test_ids) == {r["id"] for r in records}
 
     def test_override_below_minimum_rejected(self):
         records = _monthly()
@@ -379,11 +379,10 @@ def _records(draw):
     granularity = draw(stn.sampled_from(Granularity))
     completions = draw(stn.lists(_COMPLETION[granularity], min_size=8, max_size=40))
     return granularity, [
-        ProjectRecord(
-            id=f"r{draw(stn.integers(0, 99)):02d}-{i}",
-            completion=c,
-            attributes={"size": 10.0 + i, "effort": 100.0 + i},
-        )
+        {
+            "id": f"r{draw(stn.integers(0, 99)):02d}-{i}", "done": c,
+            "size": 10.0 + i, "effort": 100.0 + i,
+        }
         for i, c in enumerate(completions)
     ]
 
@@ -413,9 +412,11 @@ class TestPlanOrder:
             records, granularity, ChronologyMode.REMAINDER_TEST, ONE_TERM,
             overrides=[len(records) - 2],
         )
-        expected = sorted(records, key=lambda r: (_per_record_key(r.completion, granularity), r.id))
+        expected = sorted(
+            records, key=lambda r: (_per_record_key(r["done"], granularity), r["id"])
+        )
         assert [records[i] for i in plan.order] == expected
-        assert plan.splits[-1].train_ids == tuple(r.id for r in expected)
+        assert plan.splits[-1].train_ids == tuple(r["id"] for r in expected)
         assert [x.hex() for x in plan.indices.tolist()] == [
-            x.hex() for x in _per_record_indices([r.completion for r in expected], granularity)
+            x.hex() for x in _per_record_indices([r["done"] for r in expected], granularity)
         ]

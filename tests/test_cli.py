@@ -56,7 +56,7 @@ class TestDescribe:
             (lambda d: d["formula"]["terms"][0].pop("column"), "'column'"),
             (lambda d: d.update(granularity="weekly"), "'weekly'"),
             (lambda d: d["formula"]["terms"][0].update(kind="ordinal"), "'ordinal'"),
-            (lambda d: d.update(formula=["effort"]), "bad descriptor"),
+            (lambda d: d.update(formula=["effort"]), "descriptor key 'formula' must be an object"),
         ],
         ids=["no-formula", "term-without-column", "weekly", "term-kind", "formula-list"],
     )
@@ -67,6 +67,94 @@ class TestDescribe:
         path.write_text(json.dumps(doc))
         assert main(["describe", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+
+def _set(*path_and_value):
+    """An edit of a descriptor document: the value at a path of keys."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+
+    return edit
+
+
+# (edit of the synth descriptor, the whole message)
+MISTYPED_DESCRIPTOR = {
+    "fractional-override": (
+        _set("overrides", [30.5, 60]),
+        "descriptor key 'overrides' must be a list of integers, got [30.5, 60]"),
+    "string-overrides": (
+        _set("overrides", ["30", "60"]),
+        "descriptor key 'overrides' must be a list of integers, got ['30', '60']"),
+    "bool-override": (
+        _set("overrides", [True, 60]),
+        "descriptor key 'overrides' must be a list of integers, got [True, 60]"),
+    "string-expected-rows": (
+        _set("expected_rows", "60"),
+        "descriptor key 'expected_rows' must be an integer, got '60'"),
+    "columns-list": (
+        _set("columns", ["id"]), "descriptor key 'columns' must be an object, got ['id']"),
+    "null-column": (
+        _set("columns", "id", None), "descriptor key 'columns.id' must be a string, got None"),
+    "no-id-column": (
+        _set("columns", {"completion": "year"}), "descriptor is missing key 'id'"),
+    "filters-object": (
+        _set("filters", {"column": "size"}),
+        "descriptor key 'filters' must be a list of objects, got {'column': 'size'}"),
+    "filters-of-strings": (
+        _set("filters", ["x"]), "descriptor key 'filters' must be a list of objects, got ['x']"),
+    "filter-exclude-number": (
+        _set("filters", [{"column": "size", "exclude": 5}]),
+        "descriptor key 'filters[0].exclude' must be a list, got 5"),
+    "filter-without-column": (
+        _set("filters", [{"equals": "2"}]), "descriptor is missing key 'column'"),
+    "derived-number": (
+        _set("derived_products", {"x": 5}),
+        "descriptor key 'derived_products.x' must be a list of strings, got 5"),
+    "numeric-response": (
+        _set("formula", "response", 5), "descriptor key 'formula.response' must be a string, got 5"),
+    "terms-object": (
+        _set("formula", "terms", {"column": "size"}),
+        "descriptor key 'formula.terms' must be a list of objects, got {'column': 'size'}"),
+    "string-levels": (
+        _set("formula", "terms", 0, "levels", "abc"),
+        "descriptor key 'formula.terms[0].levels' must be a list of strings, got 'abc'"),
+    "numeric-reference": (
+        _set("formula", "terms", 0, "reference", 1),
+        "descriptor key 'formula.terms[0].reference' must be a string, got 1"),
+    "null-name": (_set("name", None), "descriptor key 'name' must be a string, got None"),
+}
+
+
+class TestDescriptorFieldTypes:
+    @pytest.mark.parametrize("case", sorted(MISTYPED_DESCRIPTOR))
+    def test_mistyped_field_names_its_key(self, synth_csv, tmp_path, capsys, case):
+        edit, message = MISTYPED_DESCRIPTOR[case]
+        data, desc = synth_csv
+        doc = json.loads(desc.read_text())
+        edit(doc)
+        desc.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["sweep", "--descriptor", str(desc), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"driftscope: {message}\n"
+        assert not out.exists()
+
+    def test_a_null_optional_field_is_an_absent_one(self, synth_csv):
+        _, desc = synth_csv
+        doc = json.loads(desc.read_text())
+        doc.update(filters=None, derived_products=None, overrides=None, expected_rows=None)
+        doc["formula"]["response_transform"] = None
+        doc["formula"]["terms"][0].update(kind=None, transform=None, reference=None, levels=None)
+        null = json.dumps(doc)
+        absent = json.dumps(json.loads(
+            null, object_hook=lambda d: {k: v for k, v in d.items() if v is not None}
+        ))
+        assert "null" not in absent
+        assert DatasetDescriptor.from_json(null) == DatasetDescriptor.from_json(absent)
 
 
 class TestValidate:
@@ -136,20 +224,23 @@ class TestSweep:
         from driftscope.datasets import load_dataset, DatasetDescriptor
         from driftscope.kernels import KernelKind
 
-        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian,uniform")
         assert code == 0
-        cells = read_curves(out / "curves.csv")
+        curves = read_curves(out / "curves.csv")
         data, desc = synth_csv
         descriptor = DatasetDescriptor.from_json(desc.read_text())
-        result = run_sweep(load_dataset(descriptor, str(data)), (KernelKind.GAUSSIAN,))
-        assert tuple(cells) == result.cells
+        kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM)
+        result = run_sweep(load_dataset(descriptor, str(data)), kernels)
+        assert curves == result.curves
+        assert list(curves) == list(result.curves)  # in the file's order
 
     def test_uniform_kernel_rows_coincide(self, synth_csv, tmp_path):
         code, out = self._run(synth_csv, tmp_path, "--kernels", "uniform")
         assert code == 0
-        for cell in read_curves(out / "curves.csv"):
-            assert cell.re_train_nu == cell.re_train_u
-            assert cell.re_test_nu == cell.re_test_u
+        for curve in read_curves(out / "curves.csv").values():
+            n = len(curve.bandwidths)
+            assert curve.re_train_nu == [curve.re_train_u] * n
+            assert curve.re_test_nu in (None, [curve.re_test_u] * n)
 
     def test_failed_cell_exits_3_with_coordinates(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -219,17 +310,17 @@ class TestSweep:
             synth_csv, tmp_path, "--kernels", "epanechnikov", "--grid", "17:100:1"
         )
         assert code == 0
-        bandwidths = {c.bandwidth for c in read_curves(out / "curves.csv")}
+        bandwidths = {b for c in read_curves(out / "curves.csv").values() for b in c.bandwidths}
         assert min(bandwidths) == 17 and max(bandwidths) == 100
 
     def test_all_data_split_has_empty_test_fields(self, synth_csv, tmp_path):
         code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
-        cells = read_curves(out / "curves.csv")
-        final = max(c.split for c in cells)
+        curves = read_curves(out / "curves.csv")
+        final = max(split for split, _ in curves)
         assert all(
             c.re_test_nu is None and c.re_test_u is None
-            for c in cells
-            if c.split == final
+            for (split, _), c in curves.items()
+            if split == final
         )
 
     def test_verdicts_keyed_by_split_and_kernel(self, synth_csv, tmp_path):
@@ -404,8 +495,7 @@ class TestPlot:
                 "--kernels", "gaussian", "--out", str(out),
             ]
         )
-        cells = read_curves(out / "curves.csv")
-        final = max(c.split for c in cells)
+        final = max(split for split, _ in read_curves(out / "curves.csv"))
         svg = tmp_path / "final.svg"
         main(
             [
@@ -462,6 +552,42 @@ class TestReadCurves:
         err = capsys.readouterr().err
         assert f"{curves}, line 2: " in err and named in err
         assert not svg.exists()
+
+
+    @pytest.mark.parametrize(
+        "line,edit,message",
+        [
+            (2, lambda f: f[:5] + ["", *f[6:]],
+             "re_test_nu and re_test_u must both be given or both be empty"),
+            (3, lambda f: f[:6] + ["0.8", f[7]],
+             "re_train_u and re_test_u differ from those of the first row of split 1, "
+             "kernel gaussian"),
+            (3, lambda f: f[:5] + ["", f[6], ""],
+             "re_train_u and re_test_u differ from those of the first row of split 1, "
+             "kernel gaussian"),
+        ],
+        ids=["one-test-field", "train-u-differs", "test-fields-dropped"],
+    )
+    def test_rows_of_one_curve_must_agree(self, tmp_path, capsys, line, edit, message):
+        lines = _curves_text(_hand_built_result("d")).split("\r\n")
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\r\n".join(lines), newline="")
+        with pytest.raises(DataError) as exc:
+            read_curves(curves)
+        assert str(exc.value) == f"{curves}, line {line}: {message}"
+        code = main([
+            "plot", "--curves", str(curves), "--split", "1", "--kernel", "gaussian",
+            "--out", str(tmp_path / "x.svg"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"driftscope: {exc.value}\n"
+
+    def test_hand_built_curves_round_trip(self, tmp_path):
+        result = _hand_built_result("d")
+        curves = tmp_path / "curves.csv"
+        curves.write_text(_curves_text(result), newline="")
+        assert read_curves(curves) == result.curves
 
 
 class TestSynth:
@@ -567,7 +693,9 @@ class TestUndecodableInput:
         out = tmp_path / "out"
         argv = [command, "--descriptor", str(desc), "--data", str(data)]
         assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
-        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"driftscope: {data}: 'utf-8' codec can't decode byte 0xe9"
+        )
         assert not out.exists()
 
     def test_descriptor_file(self, synth_csv, tmp_path, capsys):
@@ -575,7 +703,22 @@ class TestUndecodableInput:
         bad = tmp_path / "bad.descriptor.json"
         bad.write_bytes(b"\xff" + desc.read_bytes())
         assert main(["describe", str(bad)]) == 2
-        assert "can't decode byte 0xff" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"driftscope: {bad}: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
+    def test_descriptor_file_of_a_run(self, synth_csv, tmp_path, capsys, command):
+        data, desc = synth_csv
+        bad = tmp_path / "bad.descriptor.json"
+        bad.write_bytes(b"\xff" + desc.read_bytes())
+        out = tmp_path / "out"
+        argv = [command, "--descriptor", str(bad), "--data", str(data)]
+        assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"driftscope: {bad}: 'utf-8' codec can't decode byte 0xff"
+        )
+        assert not out.exists()
 
     def test_curves_file(self, synth_csv, tmp_path, capsys):
         data, desc = synth_csv
@@ -588,7 +731,9 @@ class TestUndecodableInput:
         code = main(["plot", "--curves", str(curves), "--split", "1",
                      "--kernel", "gaussian", "--out", str(svg)])
         assert code == 2
-        assert "can't decode byte 0xdf" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"driftscope: {curves}: 'utf-8' codec can't decode byte 0xdf"
+        )
         assert not svg.exists()
 
     def test_synth_config(self, tmp_path, capsys):
@@ -596,7 +741,9 @@ class TestUndecodableInput:
         cfg.write_bytes(b'{"seed": 1, "name": "caf\xe9"}')
         out = tmp_path / "synth.csv"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"driftscope: {cfg}: 'utf-8' codec can't decode byte 0xe9"
+        )
         assert not out.exists()
 
 

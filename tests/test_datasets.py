@@ -5,6 +5,7 @@ import tempfile
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
@@ -15,7 +16,6 @@ from driftscope.datasets import (
     BUILTIN_NAMES,
     MISSING_TOKENS,
     DataError,
-    Dataset,
     DatasetDescriptor,
     ProjectRecord,
     SynthConfig,
@@ -208,6 +208,10 @@ LOADER_ERRORS = {
         (",30,", ",-5,"), {}, "negative duration '-5' for 'p2'"),
     "completion year out of range": (
         ("p1,1990,", "p1,0,"), {}, "completion year '0' for 'p1' is outside 1..9999"),
+    "completion year past 9999": (
+        ("p1,1990,", "p1,10000,"), {}, "completion year '10000' for 'p1' is outside 1..9999"),
+    "fractional completion year": (
+        ("p1,1990,", "p1,1990.0,"), {}, "unparseable date '1990.0' in column 'done'"),
     "completion past the last date": (
         (",30,", ",3e6,"), {}, "record 'p2' completes after 9999-12-31"),
     "non-finite value": (
@@ -270,8 +274,6 @@ class TestLoaderErrors:
         assert records[-1] == records[1] and records[:1] == (records[0],)
         with pytest.raises(IndexError):
             records[2]
-        again = Dataset.from_records(ds.descriptor, records)
-        assert again == ds and again.keys.tolist() == ds.keys.tolist()
 
     def test_blank_lines_are_skipped(self):
         text = TABLE_CSV.replace("\np2,", "\n\n\np2,")
@@ -559,6 +561,8 @@ _TEXT = stn.text(
 
 @stn.composite
 def _datasets(draw):
+    """A dataset loaded from CSV text, and each row's completion: an int
+    year or a date."""
     granularity = draw(stn.sampled_from(Granularity))
     if granularity is Granularity.MONTHLY:
         completion = stn.dates(date(1990, 1, 1), date(1992, 12, 31))
@@ -572,14 +576,10 @@ def _datasets(draw):
     periods = draw(stn.lists(completion, min_size=1, max_size=3))
     ids = draw(stn.lists(_TEXT, min_size=1, max_size=12, unique=True))
     finite = stn.floats(allow_nan=False, allow_infinity=False, width=64)
-    records = tuple(
-        ProjectRecord(
-            id=rid,
-            completion=draw(stn.sampled_from(periods)),
-            attributes={"size": draw(finite), "kind": draw(_TEXT), "effort": draw(finite)},
-        )
+    rows = [
+        (rid, draw(stn.sampled_from(periods)), draw(finite), draw(_TEXT), draw(finite))
         for rid in ids
-    )
+    ]
     descriptor = DatasetDescriptor(
         name="roundtrip",
         granularity=granularity,
@@ -590,25 +590,27 @@ def _datasets(draw):
             terms=(Term("size"), Term("kind", kind="categorical", reference="a")),
         ),
     )
-    return Dataset.from_records(descriptor, records)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["id", "done", "size", "kind", "effort"])
+    writer.writerows(rows)
+    return load_dataset(descriptor, text.getvalue()), [row[1] for row in rows]
 
 
 class TestCsvRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(_datasets())
-    def test_write_then_load_gives_the_sorted_records(self, dataset):
+    def test_write_then_load_gives_the_sorted_records(self, case):
         """The loader keeps the written order; only the split plan sorts."""
+        dataset, completions = case
+        # the loader's columnar period keys are the per-record formula's
+        g = dataset.descriptor.granularity
+        assert dataset.keys.tolist() == [_key(c, g) for c in completions]
+        assert np.isnat(dataset.done).tolist() == [not isinstance(c, date) for c in completions]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
             write_csv(dataset, path)
-            loaded = load_dataset(dataset.descriptor, path)
-        assert loaded == dataset
-        assert [type(r.completion) for r in loaded.records] == [
-            type(r.completion) for r in dataset.records
-        ]
-        # the loader's columnar period keys are the per-record formula's
-        g = dataset.descriptor.granularity
-        assert loaded.keys.tolist() == [_key(r.completion, g) for r in dataset.records]
+            assert load_dataset(dataset.descriptor, path) == dataset
 
 
 def _strptime_date(text):

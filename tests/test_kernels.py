@@ -1,12 +1,10 @@
 import math
-from datetime import date, datetime
+from datetime import date
 
 import pytest
 import numpy as np
 from hypothesis import given, strategies as stn
 
-from driftscope.chronology import ChronologyMode
-from driftscope.datasets import DataError, Dataset, DatasetDescriptor, ProjectRecord
 from driftscope.kernels import (
     MAX_GRID_VALUES,
     BandwidthError,
@@ -21,7 +19,6 @@ from driftscope.kernels import (
     period_keys,
     weights_for_target,
 )
-from driftscope.stats import ModelFormula
 
 NON_UNIFORM = [KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]
 
@@ -54,41 +51,24 @@ def _columns(completions):
     return done, years
 
 
-def _from_records(completions, granularity):
-    """A dataset of one record per completion, or the error it raises."""
-    descriptor = DatasetDescriptor(
-        name="t", granularity=granularity, chronology=ChronologyMode.YEAR_ACCUMULATE,
-        columns={"id": "id"}, formula=ModelFormula(response="effort", terms=()),
-    )
-    records = [ProjectRecord(f"r{i}", c, {"effort": 1.0}) for i, c in enumerate(completions)]
-    return Dataset.from_records(descriptor, records)
-
-
 class TestPeriodKey:
-    """``period_keys`` on completion columns, and ``Dataset.from_records``,
-    where Python completion values become those columns."""
+    """``period_keys`` on completion columns: datetime64[D] days, NaT
+    where a completion is known only by its year, and those years."""
 
     def test_keys(self):
-        done, years = _columns([1999, date(1999, 3, 9), date(1999, 1, 1)])
-        assert period_keys(done, years, Granularity.YEARLY).tolist() == [1999] * 3
-        assert period_keys(done[1:], None, Granularity.MONTHLY).tolist() == [
-            1999 * 12 + 2, 1999 * 12,
+        # days on both sides of the datetime64 epoch and at the ends of
+        # what datetime.date holds, then two completions known by year
+        done = np.array(
+            ["1969-12-31", "1970-01-01", "2000-02-29", "0001-01-01", "9999-12-31", "NaT", "NaT"],
+            dtype="datetime64[D]",
+        )
+        years = np.array([0, 0, 0, 0, 0, 1, 9999])  # 0 where the day gives the year
+        dated = [1969, 1970, 2000, 1, 9999]
+        assert period_keys(done, years, Granularity.YEARLY).tolist() == dated + [1, 9999]
+        assert period_keys(done[:5], None, Granularity.YEARLY).tolist() == dated
+        assert period_keys(done[:5], None, Granularity.MONTHLY).tolist() == [
+            1969 * 12 + 11, 1970 * 12, 2000 * 12 + 1, 12, 9999 * 12 + 11,
         ]
-        ds = _from_records([1999, datetime(1999, 3, 9, 12)], Granularity.YEARLY)
-        assert ds.keys.tolist() == [1999, 1999]
-        ds = _from_records([datetime(1999, 1, 1), date(1999, 3, 9)], Granularity.MONTHLY)
-        assert ds.keys.tolist() == [1999 * 12, 1999 * 12 + 2]
-
-    @pytest.mark.parametrize("value", [True, 1999.0, "1999", None, 0, 10000])
-    def test_yearly_rejects_non_years(self, value):
-        with pytest.raises(DataError, match="is neither a date nor a year in 1..9999"):
-            _from_records([1999, value], Granularity.YEARLY)
-
-    @pytest.mark.parametrize("value", [1999, True, "1999-01-01", None])
-    def test_monthly_needs_a_date(self, value):
-        # a year is refused as year-only, anything else as no completion
-        with pytest.raises(DataError, match="record 'r1': .*date"):
-            _from_records([date(1999, 1, 1), value], Granularity.MONTHLY)
 
     @given(_COMPLETIONS)
     def test_indices_match_the_per_record_formula_bit_for_bit(self, case):

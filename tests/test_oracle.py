@@ -25,8 +25,8 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 from driftscope.analysis import AnalysisConfig, run_sweep, summarize
 from driftscope.chronology import ChronologyMode, SplitError
-from driftscope.datasets import Dataset, DatasetDescriptor, ProjectRecord, SynthConfig, synthesize
-from driftscope.kernels import Granularity, KernelKind
+from driftscope.datasets import DatasetDescriptor, SynthConfig, synthesize
+from driftscope.kernels import Granularity, KernelKind, period_keys
 from driftscope.stats import LOG, ModelFormula, Term
 
 from test_reference import _spec, reference  # noqa: F401  (``reference`` is a fixture)
@@ -49,33 +49,43 @@ def _datasets(draw):
     granularity = draw(stn.sampled_from(Granularity))
     mode = draw(stn.sampled_from(ChronologyMode))
     n_levels = draw(stn.sampled_from([0, 2, 3]))
-    records = []
-    # synthetic ids ascend with the period, so position i is plan position i
-    for i, r in enumerate(synthesize(config).records):
-        p = r.completion - 2000
+    dataset = synthesize(config)
+    # each synthetic year's period p gives a completion day in year 2000 + p
+    # or, monthly, in month p from 2000-01
+    done, start = [], []
+    for year in dataset.keys.tolist():
+        p = year - 2000
         if granularity is Granularity.YEARLY:
-            done = date(r.completion, draw(stn.integers(1, 12)), draw(stn.integers(1, 28)))
+            day = date(year, draw(stn.integers(1, 12)), draw(stn.integers(1, 28)))
         else:
-            done = date(2000 + p // 12, p % 12 + 1, draw(stn.integers(1, 28)))
-        attributes = dict(r.attributes)
-        if n_levels:
-            # cycling levels in plan order puts each in the first training set
-            attributes["lang"] = "abc"[i % n_levels]
-        start = None
+            day = date(2000 + p // 12, p % 12 + 1, draw(stn.integers(1, 28)))
+        done.append(day)
         if mode is ChronologyMode.DATE_FILTERED_TEST:
-            start = done - timedelta(days=draw(stn.integers(0, 200)))
-        records.append(ProjectRecord(r.id, done, attributes, start))
+            start.append(day - timedelta(days=draw(stn.integers(0, 200))))
+    done = np.array(done, dtype="datetime64[D]")
+    attributes = dict(dataset.attributes)
+    if n_levels:
+        # synthetic ids ascend with the period, so row i is plan position i:
+        # cycling levels in plan order puts each in the first training set
+        attributes["lang"] = np.array(["abc"[i % n_levels] for i in range(len(done))], dtype=object)
     formula = ModelFormula(response="effort", terms=(SIZE, LANG) if n_levels else (SIZE,))
     overrides = None
     if mode is ChronologyMode.REMAINDER_TEST and draw(stn.booleans()):
         wmin = 3 + max(n_levels - 1, 0)
-        sizes = stn.integers(wmin, len(records) - 2)
+        sizes = stn.integers(wmin, len(done) - 2)
         overrides = tuple(sorted(draw(stn.sets(sizes, min_size=1, max_size=3))))
     descriptor = DatasetDescriptor(
         name="oracle", granularity=granularity, chronology=mode, columns={"id": "id"},
         formula=formula, overrides=overrides,
     )
-    return Dataset.from_records(descriptor, records)
+    return replace(
+        dataset,
+        descriptor=descriptor,
+        keys=period_keys(done, None, granularity),
+        done=done,
+        start=np.array(start or [None] * len(done), dtype="datetime64[D]"),
+        attributes=attributes,
+    )
 
 
 def _boundary_theta(reference, kind, bandwidth, span):
