@@ -7,8 +7,8 @@
 # the per-split verdict.
 #
 # Every training set is a prefix of one plan-ordered design, so the fits
-# of a whole plan share one table of runs (records of one period, cut
-# again at every split's stop) and their per-run moment sums.  Whole
+# of a whole plan share its run table (records of one period, cut again
+# at every split's stop) and their per-run moment sums.  Whole
 # splits are solved together, up to BATCH_ROWS fits per weighted least
 # squares call on the whole design and run table; prediction and
 # relative errors stay per split.  Errors come out in plan order, at the
@@ -165,18 +165,15 @@ def _plan_design(dataset, order):
     return design, columns[formula.response]
 
 
-def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
+def _split_fits(plan: SplitPlan, design, grids, rows, cells):
     """Yield (split, model) for every split of ``plan`` in order: the
     split's stacked weighted fit on its training prefix of the
-    plan-ordered ``design``.
+    plan-ordered ``design``, laid out by ``rows`` and ``cells`` (see
+    ``run_sweep``).
 
-    Row 0 of each split's fit is the uniform fit, then come each
-    weighted kernel's rows, one per value of ``bandwidths[kind]``,
-    starting at row ``offsets[kind]``.  Records of one period share a
-    weight, so weights are given per run of records: the runs start at
-    the plan's period bounds and at every split's stop, which makes each
-    training prefix a whole number of runs, an override that cuts a
-    period included.  Whole splits are solved together, up to
+    Records of one period share a weight, so weights are given per run
+    of the plan's run table, which makes each training prefix a whole
+    number of runs.  Whole splits are solved together, up to
     ``BATCH_ROWS`` rows per ``weighted_least_squares`` call, each on the
     whole design and run table, every split's rows zero past its own
     runs.
@@ -184,19 +181,13 @@ def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
     A batch is cut at its first failing split, whether its weights or
     its fit failed: the splits before the cut are solved and yielded,
     then that split's error is raised.  A failing fit row is reported at
-    its (kernel, bandwidth), found through ``offsets``; a split's row 0
-    at the first kernel's first bandwidth, the first cell that needs it.
+    its ``cells`` entry.
     """
-    indices, splits = plan.indices, plan.splits
-    # np.sort and a mask, not np.union1d or np.unique: those import
-    # numpy.ma, which stays resident (about 1 MB)
-    starts = np.sort(np.concatenate((
-        [0], np.flatnonzero(indices[1:] != indices[:-1]) + 1, [s.stop for s in splits[:-1]]
-    ))).astype(np.intp)
-    starts = starts[np.diff(starts, prepend=-1) != 0]
-    origins = indices[starts]
+    splits, width = plan.splits, len(cells)
+    starts = np.array(plan.starts, dtype=np.intp)
+    origins = plan.indices[starts]
     runs = np.searchsorted(starts, [s.stop for s in splits])
-    width = 1 + sum(len(v) for k, v in bandwidths.items() if k is not KernelKind.UNIFORM)
+    weighted = {kind: at for kind, at in rows.items() if at[0]}  # uniform: row 0, all ones
     size = max(1, BATCH_ROWS // width)
     for first in range(0, len(splits), size):
         batch, batch_runs = splits[first : first + size], runs[first : first + size]
@@ -206,10 +197,8 @@ def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
             block = w[i * width : (i + 1) * width, :r]
             block[0] = 1.0
             try:
-                for kind, values in bandwidths.items():
-                    weights = weights_for_target(origins[:r], split.target, kind, values)
-                    if kind is not KernelKind.UNIFORM:
-                        block[offsets[kind] : offsets[kind] + len(values)] = weights
+                for kind, at in weighted.items():
+                    block[at] = weights_for_target(origins[:r], split.target, kind, grids[kind])
             except ValueError as exc:
                 cut, failure = i, (exc, {"split": split.ordinal, "kernel": kind})
                 break
@@ -221,13 +210,7 @@ def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
                 break
             except (ValueError, stats.SingularDesignError) as exc:
                 cut, row = divmod(getattr(exc, "row", 0), width)
-                kind, j = next(iter(bandwidths)), 0
-                for k, offset in offsets.items():
-                    if 0 < offset <= row:
-                        kind, j = k, row - offset
-                failure = exc, {
-                    "split": batch[cut].ordinal, "kernel": kind, "bandwidth": bandwidths[kind][j]
-                }
+                failure = exc, {"split": batch[cut].ordinal, **cells[row]}
         for i, split in enumerate(batch[:cut]):
             coefficients = model.coefficients[i * width : (i + 1) * width]
             yield split, stats.FittedModel(coefficients, design.subset(slice(split.stop)))
@@ -236,45 +219,33 @@ def _split_fits(plan: SplitPlan, design, bandwidths, offsets):
             raise SweepError(exc, **coordinates) from exc
 
 
-def _split_curves(split: Split, model, design, actuals, formula, bandwidths, offsets) -> list[Curve]:
+def _split_curves(split: Split, model, design, actuals, formula, grids, rows, cells) -> list[Curve]:
     """One curve per kernel of one split from its stacked fit ``model``
     (see ``_split_fits``), on the rows of the plan-ordered ``design`` and
-    ``actuals`` that the split selects; the uniform kernel reads row 0.
-    A failing relative error is reported at the first kernel's first
-    bandwidth."""
+    ``actuals`` that the split selects, each kernel's read at its
+    ``rows``.  A failing relative error is reported at row 0's ``cells``
+    entry."""
     log_scale = formula.response_transform == stats.LOG
-    rows = split.test_rows
-    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+    test_rows = split.test_rows
+    if test_rows.size and test_rows[-1] - test_rows[0] + 1 == test_rows.size:
         # ascending and contiguous: a slice takes views, not copies
-        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        test_rows = slice(int(test_rows[0]), int(test_rows[-1]) + 1)
     try:
-        # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
-        re_train = _relative_errors(
-            model, model.design, actuals[: split.stop], log_scale
-        ).tolist()
+        re_train = _relative_errors(model, model.design, actuals[: split.stop], log_scale)
         re_test = (
             None if split.is_final
-            else _relative_errors(model, design.subset(rows), actuals[rows], log_scale).tolist()
+            else _relative_errors(model, design.subset(test_rows), actuals[test_rows], log_scale)
         )
     except ValueError as exc:
-        kind = next(iter(bandwidths))
-        raise SweepError(
-            exc, split=split.ordinal, kernel=kind, bandwidth=bandwidths[kind][0]
-        ) from exc
-
-    def along(res, kind):
-        """The kernel's rows of the per-row ``res``, row 0 repeated for
-        the uniform kernel."""
-        n, first = len(bandwidths[kind]), offsets[kind]
-        return [res[0]] * n if kind is KernelKind.UNIFORM else res[first : first + n]
-
+        raise SweepError(exc, split=split.ordinal, **cells[0]) from exc
+    # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
     return [
         Curve(
-            split.ordinal, kind, values,
-            along(re_train, kind), None if re_test is None else along(re_test, kind),
-            re_train[0], None if re_test is None else re_test[0],
+            split.ordinal, kind, grids[kind],
+            re_train[at].tolist(), None if re_test is None else re_test[at].tolist(),
+            re_train[0].item(), None if re_test is None else re_test[0].item(),
         )
-        for kind, values in bandwidths.items()
+        for kind, at in rows.items()
     ]
 
 
@@ -301,18 +272,25 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
         )
         for kind in kernels
     }
-    offsets, rows = {}, 1  # kernel -> its first row in a split's stacked fit
+    # The row map of every split's stacked fit: row 0 is the uniform fit,
+    # then comes a row per bandwidth of each weighted kernel.  rows[kind]
+    # holds the fit row of each of kind's bandwidths (all row 0 for the
+    # uniform kernel), cells[row] the kernel and bandwidth a failure of
+    # it is reported at: row 0 at the first kernel's first bandwidth.
+    first = next(iter(grids))
+    rows, cells = {}, [{"kernel": first, "bandwidth": grids[first][0]}]
     for kind, values in grids.items():
         if kind is KernelKind.UNIFORM:
-            offsets[kind] = 0
+            rows[kind] = np.zeros(len(values), dtype=np.intp)
         else:
-            offsets[kind], rows = rows, rows + len(values)
+            rows[kind] = np.arange(len(cells), len(cells) + len(values))
+            cells += [{"kernel": kind, "bandwidth": b} for b in values]
 
     design, actuals = _plan_design(dataset, plan.order)
     curves = {}
-    for split, model in _split_fits(plan, design, grids, offsets):
+    for split, model in _split_fits(plan, design, grids, rows, cells):
         for curve in _split_curves(
-            split, model, design, actuals, descriptor.formula, grids, offsets
+            split, model, design, actuals, descriptor.formula, grids, rows, cells
         ):
             curves[curve.split, curve.kernel] = curve
     return SweepResult(

@@ -92,14 +92,16 @@ class Split:
 @dataclass(frozen=True, eq=False)
 class SplitPlan:
     """Splits over a dataset's records sorted by completion period then
-    id: ``order`` holds their dataset rows and ``indices`` their period
-    indices."""
+    id: ``order`` holds their dataset rows, ``indices`` their period
+    indices and ``starts`` the run table, ascending from 0: a run starts
+    at every period bound and every split's stop but the last one."""
 
     mode: ChronologyMode
     granularity: Granularity
     order: np.ndarray
     indices: np.ndarray
     splits: tuple[Split, ...]
+    starts: tuple[int, ...]
 
     def to_rows(self) -> list[dict]:
         """Stable tabular form for serialization and golden-file tests."""
@@ -167,24 +169,18 @@ def build_split_plan(dataset) -> SplitPlan:
         done[year_only] = _year_ends(keys[year_only])
         last_done = np.maximum.accumulate(done)
         start = dataset.start[order]
-    splits = []
-
-    def add(stop, test_rows):
-        splits.append(
-            _make_split(len(splits) + 1, stop, test_rows, ids, indices, granularity)
-        )
-
-    for stop in stops:
-        test_rows = _test_rows(stop, n, bounds, mode, start, last_done)
-        if test_rows.size >= 2:
-            add(stop, test_rows)
-    add(n, np.arange(0))
+    tests = (_test_rows(stop, n, bounds, mode, start, last_done) for stop in stops)
+    kept = [(stop, test_rows) for stop, test_rows in zip(stops, tests) if test_rows.size >= 2]
     return SplitPlan(
         mode=mode,
         granularity=granularity,
         order=order,
         indices=indices,
-        splits=tuple(splits),
+        splits=tuple(
+            _make_split(ordinal, stop, test_rows, ids, indices, granularity)
+            for ordinal, (stop, test_rows) in enumerate([*kept, (n, np.arange(0))], 1)
+        ),
+        starts=tuple(sorted({*bounds[:-1], *(stop for stop, _ in kept)})),
     )
 
 

@@ -104,6 +104,10 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+def _grid_text(config: AnalysisConfig) -> str:
+    return f"{config.grid_lo:g}:{config.grid_hi:g}:{config.grid_step:g}"
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -132,7 +136,7 @@ def _manifest(descriptor: DatasetDescriptor, result, text: str) -> dict:
         "config": {
             "epsilon": config.epsilon,
             "theta": config.theta,
-            "grid": f"{config.grid_lo:g}:{config.grid_hi:g}:{config.grid_step:g}",
+            "grid": _grid_text(config),
             "kernels": [k.value for k in result.grids],
             "overrides": list(descriptor.overrides) if descriptor.overrides else None,
         },
@@ -425,13 +429,14 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_validate)
 
+    defaults = AnalysisConfig()
     p = sub.add_parser("sweep", help="run the bandwidth sweep and write curves + verdicts")
     p.add_argument("--descriptor", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--kernels", default="gaussian,epanechnikov,triangular")
-    p.add_argument("--grid", default="1:100:1", help="lo:hi:step")
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--theta", type=float, default=0.01)
+    p.add_argument("--grid", default=_grid_text(defaults), help="lo:hi:step")
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    p.add_argument("--theta", type=float, default=defaults.theta)
     p.add_argument("--overrides", default=None, help="comma list of training sizes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -167,23 +167,35 @@ class DatasetDescriptor:
     @staticmethod
     def from_json(text: str) -> "DatasetDescriptor":
         """The descriptor a JSON object gives.  Each field must have its
-        JSON type; an optional one may also be null or absent."""
+        JSON type; an optional one may also be null or absent.  An
+        unknown key is refused at every level."""
         doc = _json_object(text, "descriptor")
         try:
+            _known(doc, [x.name for x in fields(DatasetDescriptor)])
             columns = _field(doc, "columns", "an object")
+            _known(columns, ("id", "completion", "start", "duration"), "columns.")
             for key in ("id", *columns):
                 _field(columns, key, "a string", where="columns.")
             filters = _field(doc, "filters", "a list of objects", [])
             for i, filt in enumerate(filters):
-                _field(filt, "column", "a string", where=f"filters[{i}].")
-                _field(filt, "exclude", "a list", None, f"filters[{i}].")
+                w = f"filters[{i}]."
+                _known(filt, ("column", "equals", "exclude"), w)
+                _field(filt, "column", "a string", where=w)
+                if ("equals" in filt) == ("exclude" in filt):
+                    raise DataError(
+                        f"descriptor key {w[:-1]!r} needs exactly one of 'equals' and 'exclude'"
+                    )
+                if "exclude" in filt:
+                    _field(filt, "exclude", "a list", where=w)
             derived = _field(doc, "derived_products", "an object", {})
             for name in derived:
                 _field(derived, name, "a list of strings", where="derived_products.")
             f = _field(doc, "formula", "an object")
+            _known(f, ("response", "response_transform", "terms"), "formula.")
             terms = []
             for i, t in enumerate(_field(f, "terms", "a list of objects", where="formula.")):
                 w = f"formula.terms[{i}]."
+                _known(t, [x.name for x in fields(Term)], w)
                 terms.append(Term(
                     column=_field(t, "column", "a string", where=w),
                     kind=_field(t, "kind", "a string", "numeric", w),
@@ -210,6 +222,12 @@ class DatasetDescriptor:
             raise
         except ValueError as exc:  # an unknown value, such as a granularity
             raise DataError(f"bad descriptor: {exc}") from None
+
+
+def _known(doc: dict, keys, where: str = "") -> None:
+    """Refuse a key of ``doc`` not in ``keys``, named ``where + key``."""
+    if unknown := [repr(where + key) for key in doc if key not in keys]:
+        raise DataError(f"unknown descriptor keys: {', '.join(unknown)}")
 
 
 # The JSON type a descriptor field may have, by its name in errors; JSON
@@ -416,13 +434,11 @@ def _parse_completion(text: str, column: str, rid: str):
 
 def _filter_test(filt: dict):
     """The test a filter applies to a stripped cell value."""
-    if "equals" in filt:
+    if filt.keys() == {"column", "equals"}:
         return str(filt["equals"]).__eq__
-    if "exclude" in filt:
+    if filt.keys() == {"column", "exclude"}:
         excluded = {str(v) for v in filt["exclude"]} | MISSING_TOKENS
         return lambda value: value not in excluded
-    if filt.get("not_missing"):
-        return lambda value: value not in MISSING_TOKENS
     raise DataError(f"unrecognized filter: {filt}")
 
 

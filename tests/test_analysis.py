@@ -41,6 +41,15 @@ ALL_KERNELS = (
 )
 
 
+# one kernel order per place of the uniform kernel, which reads the
+# stacked fit's row 0, among two weighted kernels
+UNIFORM_PLACES = {
+    "uniform-first": (KernelKind.UNIFORM, KernelKind.GAUSSIAN, KernelKind.TRIANGULAR),
+    "uniform-middle": (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR),
+    "uniform-last": (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR, KernelKind.UNIFORM),
+}
+
+
 @pytest.fixture(scope="module")
 def stationary_dataset():
     return synthesize(SynthConfig(seed=42))
@@ -224,13 +233,13 @@ class TestRunSweep:
             run_sweep(lone_oldest, (KernelKind.GAUSSIAN,))
         assert str(info.value) == "[split 1, kernel gaussian, bandwidth 3] singular design"
 
-    def test_singular_row_in_second_kernel_names_it(self, lone_oldest, monkeypatch):
+    @pytest.mark.parametrize("kernels", UNIFORM_PLACES.values(), ids=list(UNIFORM_PLACES))
+    def test_singular_row_in_second_kernel_names_it(self, lone_oldest, monkeypatch, kernels):
         config = AnalysisConfig(grid_step=3.0)
         grid = run_sweep(lone_oldest, (KernelKind.TRIANGULAR,), config).grids[
             KernelKind.TRIANGULAR
         ]
         self._plant_singular_rows(monkeypatch, KernelKind.TRIANGULAR, (1, 3))
-        kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels, config)
         assert (info.value.split, info.value.kernel) == (1, KernelKind.TRIANGULAR)
@@ -330,8 +339,8 @@ class TestRunSweep:
             f"[split 1, kernel epanechnikov, bandwidth {first:g}] singular design"
         )
 
-    def test_uniform_kernel_reads_the_uniform_row(self, stationary_dataset):
-        kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR)
+    @pytest.mark.parametrize("kernels", UNIFORM_PLACES.values(), ids=list(UNIFORM_PLACES))
+    def test_uniform_kernel_reads_the_uniform_row(self, stationary_dataset, kernels):
         sweep = run_sweep(stationary_dataset, kernels, AnalysisConfig(grid_step=7.0))
         for split in sweep.plan.splits:
             uniform = sweep.curves[split.ordinal, KernelKind.UNIFORM]
@@ -346,6 +355,22 @@ class TestRunSweep:
                 assert (curve.re_train_u, curve.re_test_u) == (
                     uniform.re_train_u, uniform.re_test_u
                 )
+
+    @pytest.mark.parametrize("kernels", UNIFORM_PLACES.values(), ids=list(UNIFORM_PLACES))
+    def test_mixed_sweep_curves_equal_single_kernel_sweeps(self, stationary_dataset, kernels):
+        # batch sizes differ, and with them the BLAS path: not bit-equal
+        config = AnalysisConfig(grid_step=7.0)
+        mixed = run_sweep(stationary_dataset, kernels, config)
+        for kind in kernels:
+            alone = run_sweep(stationary_dataset, (kind,), config)
+            assert alone.grids[kind] == mixed.grids[kind]
+            for split in mixed.plan.splits:
+                want, got = alone.curves[split.ordinal, kind], mixed.curves[split.ordinal, kind]
+                for field in ("re_train_nu", "re_test_nu", "re_train_u", "re_test_u"):
+                    a, b = getattr(want, field), getattr(got, field)
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
 
 
 CATEGORICAL = ModelFormula(

@@ -1,9 +1,11 @@
 import csv
 import io
+from dataclasses import replace
 from datetime import date
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as stn
+from hypothesis import event, given, strategies as stn
 
 from driftscope.chronology import (
     ChronologyMode,
@@ -11,7 +13,7 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import DatasetDescriptor, load_dataset
+from driftscope.datasets import DatasetDescriptor, SynthConfig, load_dataset, synthesize
 from driftscope.kernels import Granularity
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
@@ -420,3 +422,38 @@ class TestPlanOrder:
         assert [x.hex() for x in plan.indices.tolist()] == [
             x.hex() for x in _per_record_indices([r["done"] for r in expected], granularity)
         ]
+
+
+@stn.composite
+def _synth_plans(draw):
+    """The split plan of a synthetic dataset as generated, or under
+    remainder tests with split overrides that may cut its periods."""
+    n_periods = draw(stn.integers(2, 8))
+    dataset = synthesize(SynthConfig(
+        n_projects=draw(stn.integers(max(6, n_periods), 40)),
+        n_periods=n_periods,
+        seed=draw(stn.integers(0, 2**16)),
+    ))
+    if draw(stn.booleans()):
+        n, wmin = len(dataset.ids), well_formed_min(dataset.descriptor.formula, {})
+        overrides = draw(stn.sets(stn.integers(wmin, n - 1), min_size=1, max_size=4))
+        descriptor = replace(
+            dataset.descriptor,
+            chronology=ChronologyMode.REMAINDER_TEST, overrides=tuple(sorted(overrides)),
+        )
+        dataset = replace(dataset, descriptor=descriptor)
+    return build_split_plan(dataset)
+
+
+class TestRunTable:
+    @given(_synth_plans())
+    def test_runs_start_at_period_bounds_and_split_stops(self, plan):
+        starts = plan.starts
+        assert all(type(s) is int for s in starts)
+        assert starts[0] == 0
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        bounds = np.flatnonzero(np.diff(plan.indices)) + 1
+        stops = {s.stop for s in plan.splits[:-1]}
+        if not stops <= set(bounds.tolist()):
+            event("a split stop cuts a period")
+        assert set(starts) == {0, *bounds.tolist(), *stops}

@@ -126,6 +126,30 @@ MISTYPED_DESCRIPTOR = {
         _set("formula", "terms", 0, "reference", 1),
         "descriptor key 'formula.terms[0].reference' must be a string, got 1"),
     "null-name": (_set("name", None), "descriptor key 'name' must be a string, got None"),
+    "null-exclude": (
+        _set("filters", [{"column": "size", "exclude": None}]),
+        "descriptor key 'filters[0].exclude' must be a list, got None"),
+    # misspelt keys would silently switch their checks off
+    "unknown-key": (_set("expected_row", 119), "unknown descriptor keys: 'expected_row'"),
+    "unknown-keys": (
+        _set("filter", [{"column": "size", "equals": "0"}]),
+        "unknown descriptor keys: 'filter'"),
+    "unknown-column-key": (
+        _set("columns", "completon", "year"), "unknown descriptor keys: 'columns.completon'"),
+    "unknown-formula-key": (
+        _set("formula", "respones", "effort"), "unknown descriptor keys: 'formula.respones'"),
+    "unknown-term-key": (
+        _set("formula", "terms", 0, "transfrom", "log"),
+        "unknown descriptor keys: 'formula.terms[0].transfrom'"),
+    "unknown-filter-key": (
+        _set("filters", [{"column": "size", "not_missing": True}]),
+        "unknown descriptor keys: 'filters[0].not_missing'"),
+    "filter-equals-and-exclude": (
+        _set("filters", [{"column": "size", "equals": "0", "exclude": []}]),
+        "descriptor key 'filters[0]' needs exactly one of 'equals' and 'exclude'"),
+    "filter-without-test": (
+        _set("filters", [{"column": "size"}]),
+        "descriptor key 'filters[0]' needs exactly one of 'equals' and 'exclude'"),
 }
 
 
@@ -363,6 +387,16 @@ class TestSweep:
         assert manifest["config"]["kernels"] == ["gaussian"]
         expected = DatasetDescriptor.from_json(desc.read_text()).to_json()
         assert manifest["descriptor_digest"] == hashlib.sha256(expected.encode()).hexdigest()
+
+    def test_default_config_is_the_analysis_default(self, synth_csv, tmp_path):
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        default = AnalysisConfig()
+        assert (config["epsilon"], config["theta"]) == (default.epsilon, default.theta)
+        assert [float(v) for v in config["grid"].split(":")] == [
+            default.grid_lo, default.grid_hi, default.grid_step
+        ]
 
     def test_manifest_records_the_overrides_that_ran(self, tmp_path):
         data = GOLDEN / "xbc_seed1" / "data.csv"

@@ -255,6 +255,9 @@ LOADER_ERRORS = {
     "unrecognized filter": (
         None, {"filters": ({"column": "client", "above": 1},)},
         "unrecognized filter: {'column': 'client', 'above': 1}"),
+    "filter with two tests": (
+        None, {"filters": ({"column": "client", "equals": "1", "exclude": []},)},
+        "unrecognized filter: {'column': 'client', 'equals': '1', 'exclude': []}"),
 }
 
 
@@ -274,6 +277,16 @@ class TestLoaderErrors:
         assert records[-1] == records[1] and records[:1] == (records[0],)
         with pytest.raises(IndexError):
             records[2]
+
+    def test_exclude_drops_missing_values_too(self):
+        text = TABLE_CSV.replace("300,1.2,0.8,7", "300,1.2,0.8,NA")
+        for exclude, kept in (([], ["p1", "p2"]), (["2"], []), (["7"], ["p1", "p2"])):
+            descriptor = _table_descriptor(filters=({"column": "client", "exclude": exclude},))
+            if kept:
+                assert list(load_dataset(descriptor, text).ids) == kept
+            else:
+                with pytest.raises(DataError, match="no records left"):
+                    load_dataset(descriptor, text)
 
     def test_blank_lines_are_skipped(self):
         text = TABLE_CSV.replace("\np2,", "\n\n\np2,")
