@@ -25,9 +25,9 @@ from .datasets import (
     DatasetDescriptor,
     SynthConfig,
     builtin_descriptor,
+    csv_text,
     load_dataset,
     synthesize,
-    write_csv,
 )
 from .kernels import Granularity, KernelKind, grid_size, min_bandwidth
 
@@ -105,7 +105,10 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 
 def _grid_text(config: AnalysisConfig) -> str:
-    return f"{config.grid_lo:g}:{config.grid_hi:g}:{config.grid_step:g}"
+    """The grid as lo:hi:step, each bound its shortest round-trip repr
+    less a trailing ``.0``, so that ``float`` reads back the exact value."""
+    bounds = (config.grid_lo, config.grid_hi, config.grid_step)
+    return ":".join(repr(b).removesuffix(".0") for b in bounds)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -173,7 +176,7 @@ def cmd_describe(args) -> int:
 
 def cmd_validate(args) -> int:
     descriptor = _resolve_descriptor(args.descriptor)
-    dataset = load_dataset(descriptor, io.StringIO(_read_text(args.data), newline=""))
+    dataset = load_dataset(descriptor, _read_text(args.data))
     first, last = int(dataset.keys.min()), int(dataset.keys.max())
     if descriptor.granularity is Granularity.MONTHLY:  # absolute month numbers
         first, last = (f"{k // 12}-{k % 12 + 1:02d}" for k in (first, last))
@@ -274,7 +277,7 @@ def cmd_sweep(args) -> int:
 
     # one read: the manifest's digest describes the very text analyzed
     text = _read_text(args.data)
-    dataset = load_dataset(descriptor, io.StringIO(text, newline=""))
+    dataset = load_dataset(descriptor, text)
     result = run_sweep(dataset, kernels, config)
     summary = summarize(result)
 
@@ -404,8 +407,7 @@ def cmd_synth(args) -> int:
         config = SynthConfig(**{**config.__dict__, "seed": args.seed})
     dataset = synthesize(config)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(dataset, out)
+    _atomic_write(out, csv_text(dataset))
     descriptor_path = out.with_suffix(".descriptor.json")
     _atomic_write(descriptor_path, dataset.descriptor.to_json() + "\n")
     print(f"wrote {out} and {descriptor_path} ({len(dataset.ids)} records)")

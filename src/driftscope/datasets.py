@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -32,7 +31,7 @@ __all__ = [
     "builtin_descriptor",
     "BUILTIN_NAMES",
     "load_dataset",
-    "write_csv",
+    "csv_text",
     "synth_descriptor",
     "synthesize",
 ]
@@ -185,8 +184,10 @@ class DatasetDescriptor:
                     raise DataError(
                         f"descriptor key {w[:-1]!r} needs exactly one of 'equals' and 'exclude'"
                     )
-                if "exclude" in filt:
-                    _field(filt, "exclude", "a list", where=w)
+                if "equals" in filt:
+                    _field(filt, "equals", "a string", where=w)
+                else:
+                    _field(filt, "exclude", "a list of strings", where=w)
             derived = _field(doc, "derived_products", "an object", {})
             for name in derived:
                 _field(derived, name, "a list of strings", where="derived_products.")
@@ -236,7 +237,6 @@ _JSON_TYPES = {
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
     "an object": lambda v: type(v) is dict,
-    "a list": lambda v: type(v) is list,
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
     "a list of objects": lambda v: type(v) is list and all(type(x) is dict for x in v),
@@ -400,15 +400,6 @@ _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y", "%d/%m/%y", "%d-%b-%y", "%d-%b-%Y")
 
 def _parse_date(text: str, column: str) -> date:
     text = text.strip()
-    # Fast path for zero-padded ISO dates, which strptime's first format
-    # reads the same way.  The shape check keeps out the other forms
-    # fromisoformat takes (20010105, 2001-W01-1); anything else goes to
-    # the strptime loop.
-    if len(text) == 10 and text[4] == text[7] == "-":
-        try:
-            return date.fromisoformat(text)
-        except ValueError:
-            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(text, fmt).date()
@@ -419,37 +410,25 @@ def _parse_date(text: str, column: str) -> date:
 
 def _parse_completion(text: str, column: str, rid: str):
     """A stripped, non-empty completion value of record ``rid``: an int
-    year in 1..9999, the years a date holds, or a date.  ISO-shaped text
-    goes straight to the date parser, since ``int`` can never read it."""
-    if not (len(text) == 10 and text[4] == text[7] == "-"):
-        try:
-            year = int(text)
-        except ValueError:
-            return _parse_date(text, column)
-        if not 1 <= year <= 9999:
-            raise DataError(f"completion year {text!r} for {rid!r} is outside 1..9999")
-        return year
-    return _parse_date(text, column)
+    year in 1..9999, the years a date holds, or a date."""
+    try:
+        year = int(text)
+    except ValueError:
+        return _parse_date(text, column)
+    if not 1 <= year <= 9999:
+        raise DataError(f"completion year {text!r} for {rid!r} is outside 1..9999")
+    return year
 
 
 def _filter_test(filt: dict):
     """The test a filter applies to a stripped cell value."""
     if filt.keys() == {"column", "equals"}:
-        return str(filt["equals"]).__eq__
+        equals = filt["equals"]
+        return lambda value: value == equals
     if filt.keys() == {"column", "exclude"}:
-        excluded = {str(v) for v in filt["exclude"]} | MISSING_TOKENS
+        excluded = set(filt["exclude"]) | MISSING_TOKENS
         return lambda value: value not in excluded
     raise DataError(f"unrecognized filter: {filt}")
-
-
-def _text_stream(source):
-    """A context manager giving a text stream over ``source``: a file
-    object as it is (left open), CSV text, or a path to open."""
-    if hasattr(source, "read"):
-        return contextlib.nullcontext(source)
-    if isinstance(source, str) and "\n" in source:
-        return io.StringIO(source)
-    return open(source, newline="", encoding="utf-8")
 
 
 _NAT = np.datetime64("NaT", "D")
@@ -479,8 +458,8 @@ def _convert(whole, each, n: int, errors: list):
 
 def _iso_days(texts) -> np.ndarray | None:
     """Stripped texts as datetime64 days, blank ones NaT, if every other
-    text is a zero-padded ISO date that ``date.fromisoformat`` reads; else
-    None.  numpy reads the same dates plus year 0, which is checked for."""
+    text is a zero-padded ISO date that ``_parse_date`` reads; else None.
+    numpy reads the same dates plus year 0, which is checked for."""
     dated = list(filter(None, texts))
     if not dated:
         return np.full(len(texts), _NAT)
@@ -606,9 +585,10 @@ def _derive_completions(days, blank, start, duration, duration_raw, ids, errors)
     days[fill] = start[fill] + duration[fill].astype(np.int64)
 
 
-def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
-    """Parse, filter and validate a CSV into a Dataset, keeping the rows
-    in file order.  ``source`` is a path, a file object or CSV text.
+def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
+    """Parse, filter and validate CSV text into a Dataset, keeping the
+    rows in file order.  Line endings are read as ``csv`` reads them from
+    a file opened with ``newline=""``.
 
     Bound columns are read by their position in the header, resolved
     once; a repeated header name reads its last column.  Blank lines are
@@ -630,34 +610,33 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     needed += formula_cols + sorted(derived_sources)
     for f in descriptor.filters:
         needed.append(f["column"])
-    with _text_stream(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader, None)
-            if not header:
-                raise DataError("CSV has no header row")
-            at = {name: i for i, name in enumerate(header)}
-            missing = [c for c in needed if c not in at]
-            if missing:
-                raise DataError(f"CSV is missing bound columns: {', '.join(missing)}")
-            id_at = at[cols["id"]]
-            width = 1 + max(at[c] for c in needed)
-            filters = [(at[f["column"]], _filter_test(f)) for f in descriptor.filters]
-            kept = []
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue  # a blank line
-                    line = reader.line_num
-                    rid = row[id_at].strip() if id_at < len(row) else ""
-                    where = f"record {rid!r} (line {line})" if rid else f"line {line}"
-                    raise DataError(
-                        f"{where} has {len(row)} of the header's {len(header)} fields"
-                    )
-                if not filters or all(test(row[i].strip()) for i, test in filters):
-                    kept.append(row)
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise DataError(f"line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if not header:
+            raise DataError("CSV has no header row")
+        at = {name: i for i, name in enumerate(header)}
+        missing = [c for c in needed if c not in at]
+        if missing:
+            raise DataError(f"CSV is missing bound columns: {', '.join(missing)}")
+        id_at = at[cols["id"]]
+        width = 1 + max(at[c] for c in needed)
+        filters = [(at[f["column"]], _filter_test(f)) for f in descriptor.filters]
+        kept = []
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue  # a blank line
+                line = reader.line_num
+                rid = row[id_at].strip() if id_at < len(row) else ""
+                where = f"record {rid!r} (line {line})" if rid else f"line {line}"
+                raise DataError(
+                    f"{where} has {len(row)} of the header's {len(header)} fields"
+                )
+            if not filters or all(test(row[i].strip()) for i, test in filters):
+                kept.append(row)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     if descriptor.expected_rows is not None and len(kept) != descriptor.expected_rows:
         raise DataError(
             f"{descriptor.name}: expected {descriptor.expected_rows} rows "
@@ -768,10 +747,10 @@ def load_dataset(descriptor: DatasetDescriptor, source) -> Dataset:
     )
 
 
-def write_csv(dataset: Dataset, path) -> None:
-    """Serialize a dataset back to its descriptor's CSV schema: a date as
-    ISO text, a year-only completion as its year, a value as ``str``
-    writes it."""
+def csv_text(dataset: Dataset) -> str:
+    """A dataset as CSV text in its descriptor's schema: a date as ISO
+    text, a year-only completion as its year, a value as ``str`` writes
+    it."""
     descriptor = dataset.descriptor
     cols = descriptor.columns
     formula_cols = [
@@ -786,10 +765,11 @@ def write_csv(dataset: Dataset, path) -> None:
         columns.append(texts)
     header += formula_cols
     columns += [map(str, dataset.attributes[c].tolist()) for c in formula_cols]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buf.getvalue()
 
 
 # --- synthetic datasets ----------------------------------------------------

@@ -114,7 +114,7 @@ def weights_for_target(
     period index in ``origins``: that of a record, or the one shared by a
     run of records of one period, so that the kernel is evaluated once
     per run.  The lag of an origin is its elapsed periods to the target
-    over the bandwidth.
+    over the bandwidth; ``kernel_weight`` refuses one outside the support.
     """
     b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
     if np.any(b <= 0):
@@ -124,14 +124,7 @@ def weights_for_target(
         raise ValueError(
             f"origin period {origins.max()} is newer than target period {target}"
         )
-    elapsed = target - origins
-    lags = elapsed / b
-    if kind.finite_support and np.any(lags >= 1):
-        raise BandwidthError(
-            f"bandwidth {b.min():g} below support minimum for "
-            f"{kind.value} kernel (max elapsed {elapsed.max():g})"
-        )
-    return kernel_weight(kind, lags)
+    return kernel_weight(kind, (target - origins) / b)
 
 
 def min_bandwidth(

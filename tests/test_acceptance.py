@@ -50,7 +50,8 @@ _SWEEPS = {}
 def _sweep(name, kernels):
     key = (name, kernels)
     if key not in _SWEEPS:
-        dataset = load_dataset(builtin_descriptor(name), str(_data_path(name)))
+        text = _data_path(name).read_bytes().decode("utf-8")
+        dataset = load_dataset(builtin_descriptor(name), text)
         _SWEEPS[key] = run_sweep(dataset, kernels)
     return _SWEEPS[key]
 

@@ -2,21 +2,22 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from driftscope.analysis import AnalysisConfig, Curve, SweepResult, run_sweep
-from driftscope.cli import CURVE_COLUMNS, _curves_text, main, read_curves
+from driftscope.cli import CURVE_COLUMNS, _curves_text, _grid_text, main, read_curves
 from driftscope.datasets import (
     DataError,
     DatasetDescriptor,
     SynthConfig,
     builtin_descriptor,
+    csv_text,
     load_dataset,
     synth_descriptor,
     synthesize,
-    write_csv,
 )
 from driftscope.kernels import KernelKind
 
@@ -29,7 +30,7 @@ def synth_csv(tmp_path):
     dataset = synthesize(config)
     data = tmp_path / "synth.csv"
     desc = tmp_path / "synth.descriptor.json"
-    write_csv(dataset, data)
+    data.write_bytes(csv_text(dataset).encode("utf-8"))
     desc.write_text(dataset.descriptor.to_json())
     return data, desc
 
@@ -108,7 +109,7 @@ MISTYPED_DESCRIPTOR = {
         _set("filters", ["x"]), "descriptor key 'filters' must be a list of objects, got ['x']"),
     "filter-exclude-number": (
         _set("filters", [{"column": "size", "exclude": 5}]),
-        "descriptor key 'filters[0].exclude' must be a list, got 5"),
+        "descriptor key 'filters[0].exclude' must be a list of strings, got 5"),
     "filter-without-column": (
         _set("filters", [{"equals": "2"}]), "descriptor is missing key 'column'"),
     "derived-number": (
@@ -128,7 +129,17 @@ MISTYPED_DESCRIPTOR = {
     "null-name": (_set("name", None), "descriptor key 'name' must be a string, got None"),
     "null-exclude": (
         _set("filters", [{"column": "size", "exclude": None}]),
-        "descriptor key 'filters[0].exclude' must be a list, got None"),
+        "descriptor key 'filters[0].exclude' must be a list of strings, got None"),
+    # filter values are compared with cell text, so they must be text
+    "filter-equals-null": (
+        _set("filters", [{"column": "size", "equals": None}]),
+        "descriptor key 'filters[0].equals' must be a string, got None"),
+    "filter-equals-number": (
+        _set("filters", [{"column": "size", "equals": 2}]),
+        "descriptor key 'filters[0].equals' must be a string, got 2"),
+    "filter-exclude-null": (
+        _set("filters", [{"column": "size", "exclude": [None]}]),
+        "descriptor key 'filters[0].exclude' must be a list of strings, got [None]"),
     # misspelt keys would silently switch their checks off
     "unknown-key": (_set("expected_row", 119), "unknown descriptor keys: 'expected_row'"),
     "unknown-keys": (
@@ -254,7 +265,7 @@ class TestSweep:
         data, desc = synth_csv
         descriptor = DatasetDescriptor.from_json(desc.read_text())
         kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM)
-        result = run_sweep(load_dataset(descriptor, str(data)), kernels)
+        result = run_sweep(load_dataset(descriptor, data.read_bytes().decode("utf-8")), kernels)
         assert curves == result.curves
         assert list(curves) == list(result.curves)  # in the file's order
 
@@ -398,6 +409,17 @@ class TestSweep:
             default.grid_lo, default.grid_hi, default.grid_step
         ]
 
+    def test_manifest_grid_is_exact(self, synth_csv, tmp_path):
+        grid = "1:20:0.1234567"
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian", "--grid", grid)
+        assert code == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]["grid"]
+        assert recorded == grid
+        assert [float(v) for v in recorded.split(":")] == [1.0, 20.0, 0.1234567]
+        [curve, *_] = read_curves(out / "curves.csv").values()
+        assert curve.bandwidths[1] == 1.1234567
+        assert _grid_text(AnalysisConfig()) == "1:100:1"
+
     def test_manifest_records_the_overrides_that_ran(self, tmp_path):
         data = GOLDEN / "xbc_seed1" / "data.csv"
         manifests = []
@@ -485,7 +507,8 @@ class TestCurvesText:
 
     def test_bytes_match_a_csv_writer_on_a_sweep(self, synth_csv):
         data, desc = synth_csv
-        dataset = load_dataset(DatasetDescriptor.from_json(desc.read_text()), str(data))
+        text = data.read_bytes().decode("utf-8")
+        dataset = load_dataset(DatasetDescriptor.from_json(desc.read_text()), text)
         result = run_sweep(
             dataset, (KernelKind.GAUSSIAN, KernelKind.UNIFORM), AnalysisConfig(grid_step=7.0)
         )
@@ -705,6 +728,16 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_failed_write_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        def replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "synth" / "synth.csv"
+        assert main(["synth", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"driftscope: cannot replace {out}\n"
+        assert list(out.parent.iterdir()) == []  # no CSV, no temporary file
 
 
 class TestUndecodableInput:

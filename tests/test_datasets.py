@@ -1,9 +1,7 @@
 import csv
 import io
 import math
-import tempfile
 from datetime import date, datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +18,10 @@ from driftscope.datasets import (
     ProjectRecord,
     SynthConfig,
     builtin_descriptor,
+    csv_text,
     load_dataset,
     synth_descriptor,
     synthesize,
-    write_csv,
     _finite_floats,
     _iso_days,
     _parse_completion,
@@ -96,18 +94,6 @@ class TestLoadDataset:
         ds = load_dataset(self._descriptor(), DESHARNAIS_LIKE_CSV)
         assert len(ds.records) == 4
         assert all(r.id != "3" for r in ds.records)
-
-    def test_every_source_kind_gives_the_same_dataset(self, tmp_path):
-        path = tmp_path / "desharnais.csv"
-        path.write_text(DESHARNAIS_LIKE_CSV, encoding="utf-8")
-        descriptor = self._descriptor()
-        expected = load_dataset(descriptor, DESHARNAIS_LIKE_CSV)
-        assert load_dataset(descriptor, path) == expected
-        assert load_dataset(descriptor, str(path)) == expected
-        with open(path, newline="", encoding="utf-8") as fh:
-            assert load_dataset(descriptor, fh) == expected
-            assert not fh.closed  # the caller's file stays open
-        assert len(expected.records) == 4
 
     def test_expected_rows_mismatch(self):
         with pytest.raises(DataError, match="expected 5 rows"):
@@ -466,10 +452,10 @@ class TestColumnarConversions:
         expected = _read_record_by_record(descriptor, rows)
         if isinstance(expected, Exception):
             with pytest.raises(type(expected)) as exc:
-                load_dataset(descriptor, io.StringIO(buf.getvalue(), newline=""))
+                load_dataset(descriptor, buf.getvalue())
             assert str(exc.value) == str(expected)
         else:
-            ds = load_dataset(descriptor, io.StringIO(buf.getvalue(), newline=""))
+            ds = load_dataset(descriptor, buf.getvalue())
             assert tuple(ds.records) == expected
             assert ds.keys.tolist() == [_key(r.completion, granularity) for r in expected]
 
@@ -509,7 +495,7 @@ def _edited_synth_csv(tmp_path, edits):
     data row's index to its new fields, and its descriptor path."""
     dataset = synthesize(SynthConfig(seed=3, n_projects=40, n_periods=4))
     data = tmp_path / "synth.csv"
-    write_csv(dataset, data)
+    data.write_bytes(csv_text(dataset).encode("utf-8"))
     descriptor = tmp_path / "synth.descriptor.json"
     descriptor.write_text(dataset.descriptor.to_json())
     header, *rows = data.read_text().splitlines()
@@ -548,7 +534,8 @@ class TestConversionEdges:
             0: lambda f: ["p0001\x00", *f[1:]],
             1: lambda f: ["p0001", *f[1:]],
         })
-        ds = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data)
+        descriptor = DatasetDescriptor.from_json(desc.read_text())
+        ds = load_dataset(descriptor, data.read_bytes().decode("utf-8"))
         assert [r.id for r in ds.records[:2]] == ["p0001\x00", "p0001"]
         plan = build_split_plan(ds)
         assert plan.splits[-1].train_ids[:2] == ("p0001", "p0001\x00")  # one period
@@ -559,7 +546,8 @@ class TestConversionEdges:
             1: lambda f: [f[0], "+2000", "١٢", " ７ "],
             2: lambda f: [f[0], " 2001 ", "1e2", "+0.5"],
         })
-        ds = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data)
+        descriptor = DatasetDescriptor.from_json(desc.read_text())
+        ds = load_dataset(descriptor, data.read_bytes().decode("utf-8"))
         got = [(r.completion, r.attributes["effort"]) for r in ds.records[:3]]
         assert got == [(2000, 15.5), (2000, 12.0), (2001, 100.0)]
         assert ds.records[1].attributes["size"] == 7.0
@@ -620,14 +608,11 @@ class TestCsvRoundTrip:
         g = dataset.descriptor.granularity
         assert dataset.keys.tolist() == [_key(c, g) for c in completions]
         assert np.isnat(dataset.done).tolist() == [not isinstance(c, date) for c in completions]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "data.csv"
-            write_csv(dataset, path)
-            assert load_dataset(dataset.descriptor, path) == dataset
+        assert load_dataset(dataset.descriptor, csv_text(dataset)) == dataset
 
 
 def _strptime_date(text):
-    """The date loop alone, without the ISO fast path: the reference."""
+    """The strptime loop over every format, written out: the reference."""
     text = text.strip()
     for fmt in _DATE_FORMATS:
         try:
@@ -698,13 +683,11 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(SynthConfig(n_projects=4, n_periods=2))
 
-    def test_round_trips_through_csv(self, tmp_path):
+    def test_round_trips_through_csv(self):
         config = SynthConfig(seed=12)
         ds = synthesize(config)
         assert ds.descriptor == synth_descriptor(config)
-        path = tmp_path / "synth.csv"
-        write_csv(ds, path)
-        assert load_dataset(ds.descriptor, str(path)) == ds
+        assert load_dataset(ds.descriptor, csv_text(ds)) == ds
 
     def test_config_json_round_trip(self):
         config = SynthConfig(seed=5, intercept_drift=0.25)

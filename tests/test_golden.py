@@ -177,7 +177,8 @@ def _plan(case):
         ds = synthesize(SynthConfig(**CASES[case]))
     else:
         name = case.split("_")[0]
-        ds = load_dataset(builtin_descriptor(name), GOLDEN / f"{name}_seed1" / "data.csv")
+        data = GOLDEN / f"{name}_seed1" / "data.csv"
+        ds = load_dataset(builtin_descriptor(name), data.read_bytes().decode("utf-8"))
     if case.endswith("/remainder"):
         ds = dataclasses.replace(
             ds, descriptor=dataclasses.replace(ds.descriptor, overrides=None)

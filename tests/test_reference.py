@@ -109,7 +109,7 @@ def test_every_cell_and_verdict_matches_the_reference(reference, name, tmp_path,
         "--out", str(out),
     ]) == 0
     cells = int(capsys.readouterr().out.split(" cells -> ")[0].rsplit(" ", 1)[1])
-    spec = _spec(reference, load_dataset(descriptor, data))
+    spec = _spec(reference, load_dataset(descriptor, data.read_bytes().decode("utf-8")))
 
     # plan, row count, verdicts and kernel agreement, and a sample of cells
     problems, _ = reference.check(spec, out, cells, np.random.default_rng(0))
