@@ -176,7 +176,8 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
     number of runs.  Whole splits are solved together, up to
     ``BATCH_ROWS`` rows per ``weighted_least_squares`` call, each on the
     whole design and run table, every split's rows zero past its own
-    runs.
+    runs.  Each weighted kernel's weights of a batch come from one
+    ``weights_for_target`` call.
 
     A batch is cut at its first failing split, whether its weights or
     its fit failed: the splits before the cut are solved and yielded,
@@ -186,22 +187,29 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
     splits, width = plan.splits, len(cells)
     starts = np.array(plan.starts, dtype=np.intp)
     origins = plan.indices[starts]
+    targets = np.array([s.target for s in splits])
     runs = np.searchsorted(starts, [s.stop for s in splits])
     weighted = {kind: at for kind, at in rows.items() if at[0]}  # uniform: row 0, all ones
     size = max(1, BATCH_ROWS // width)
     for first in range(0, len(splits), size):
         batch, batch_runs = splits[first : first + size], runs[first : first + size]
-        w = np.zeros((len(batch) * width, starts.size))
+        batch_targets = targets[first : first + size]
+        blocks = np.zeros((len(batch), width, starts.size))
+        blocks[:, 0] = np.arange(starts.size) < batch_runs[:, None]
         cut, failure = len(batch), None
-        for i, (split, r) in enumerate(zip(batch, batch_runs)):
-            block = w[i * width : (i + 1) * width, :r]
-            block[0] = 1.0
-            try:
-                for kind, at in weighted.items():
-                    block[at] = weights_for_target(origins[:r], split.target, kind, grids[kind])
-            except ValueError as exc:
-                cut, failure = i, (exc, {"split": split.ordinal, "kernel": kind})
-                break
+        for kind, at in weighted.items():
+            while cut:
+                try:
+                    weights = weights_for_target(
+                        origins, batch_targets[:cut], kind, grids[kind], batch_runs[:cut]
+                    )
+                except ValueError as exc:
+                    cut = exc.row
+                    failure = exc, {"split": batch[cut].ordinal, "kernel": kind}
+                else:
+                    blocks[:cut, at] = weights.reshape(cut, at.size, starts.size)
+                    break
+        w = blocks.reshape(len(batch) * width, starts.size)
         while cut:
             try:
                 model = stats.weighted_least_squares(

@@ -54,7 +54,9 @@ def well_formed_min(formula: ModelFormula, columns) -> int:
 @dataclass(frozen=True, eq=False)
 class Split:
     """One split as row positions in its plan's record order: training is
-    the first ``stop`` records, testing the records at ``test_rows``.
+    the first ``stop`` records, testing the records at ``test_rows``, an
+    ascending read-only array: a view of one array of the plan's
+    positions where the test set is contiguous.
 
     ``plan_ids`` and ``plan_indices`` are the plan's sorted record ids
     and their period indices, shared by every split of the plan.
@@ -139,8 +141,12 @@ def build_split_plan(dataset) -> SplitPlan:
     n = len(dataset.ids)
     if not n:
         raise SplitError("empty dataset")
-    # np.lexsort is stable: records with equal keys and ids keep their order
-    order = np.lexsort((dataset.ids, dataset.keys))
+    # by key, then id; records with equal keys and ids keep their order.
+    # Two stable sorts give np.lexsort((ids, keys)) without comparing the
+    # object-dtype ids through numpy, which is slower than Python's sort
+    # on ids in random order.
+    by_id = np.fromiter(sorted(range(n), key=dataset.ids.tolist().__getitem__), np.intp, n)
+    order = by_id[np.argsort(dataset.keys[by_id], kind="stable")]
     keys, ids = dataset.keys[order], dataset.ids[order]
     categorical = [t.column for t in descriptor.formula.terms if t.kind == "categorical"]
     wmin = well_formed_min(
@@ -169,7 +175,10 @@ def build_split_plan(dataset) -> SplitPlan:
         done[year_only] = _year_ends(keys[year_only])
         last_done = np.maximum.accumulate(done)
         start = dataset.start[order]
-    tests = (_test_rows(stop, n, bounds, mode, start, last_done) for stop in stops)
+    # contiguous test sets are read-only views of one array of positions
+    positions = np.arange(n)
+    positions.setflags(write=False)
+    tests = (_test_rows(stop, positions, bounds, mode, start, last_done) for stop in stops)
     kept = [(stop, test_rows) for stop, test_rows in zip(stops, tests) if test_rows.size >= 2]
     return SplitPlan(
         mode=mode,
@@ -178,21 +187,22 @@ def build_split_plan(dataset) -> SplitPlan:
         indices=indices,
         splits=tuple(
             _make_split(ordinal, stop, test_rows, ids, indices, granularity)
-            for ordinal, (stop, test_rows) in enumerate([*kept, (n, np.arange(0))], 1)
+            for ordinal, (stop, test_rows) in enumerate([*kept, (n, positions[n:])], 1)
         ),
         starts=tuple(sorted({*bounds[:-1], *(stop for stop, _ in kept)})),
     )
 
 
-def _test_rows(stop, n, bounds, mode, start, last_done) -> np.ndarray:
-    """Positions of the test records after a training prefix of ``stop``
-    of the ``n`` records: the rest of the data, or the next completion
-    period, kept under ``DATE_FILTERED_TEST`` only if started after
-    training ended (a record without a start never is)."""
+def _test_rows(stop, positions, bounds, mode, start, last_done) -> np.ndarray:
+    """The test records after a training prefix of ``stop`` records, as
+    a range of ``positions``, those of all records: the rest of the
+    data, or the next completion period, kept under
+    ``DATE_FILTERED_TEST`` only if started after training ended (a
+    record without a start never is)."""
     if mode is ChronologyMode.REMAINDER_TEST:
-        return np.arange(stop, n)
+        return positions[stop:]
     end = bounds[bisect_right(bounds, stop)]
-    rows = np.arange(stop, end)
+    rows = positions[stop:end]
     if last_done is None:
         return rows
     return rows[start[stop:end] > last_done[stop - 1]]
@@ -200,8 +210,10 @@ def _test_rows(stop, n, bounds, mode, start, last_done) -> np.ndarray:
 
 def _make_split(ordinal, stop, test_rows, ids, indices, granularity) -> Split:
     test_rows.setflags(write=False)
+    # plan indices never decrease and test rows ascend: the first is the
+    # oldest
     target = (
-        float(indices[test_rows].min())
+        float(indices[test_rows[0]])
         if test_rows.size
         else round(float(indices[stop - 1]) + granularity.increment, 10)
     )

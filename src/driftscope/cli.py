@@ -29,7 +29,7 @@ from .datasets import (
     load_dataset,
     synthesize,
 )
-from .kernels import Granularity, KernelKind, grid_size, min_bandwidth
+from .kernels import Granularity, KernelKind, grid_size, grid_text, min_bandwidth
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -105,10 +105,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 
 def _grid_text(config: AnalysisConfig) -> str:
-    """The grid as lo:hi:step, each bound its shortest round-trip repr
-    less a trailing ``.0``, so that ``float`` reads back the exact value."""
-    bounds = (config.grid_lo, config.grid_hi, config.grid_step)
-    return ":".join(repr(b).removesuffix(".0") for b in bounds)
+    return grid_text(config.grid_lo, config.grid_hi, config.grid_step)
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -21,6 +21,7 @@ __all__ = [
     "BandwidthError",
     "MAX_GRID_VALUES",
     "grid_size",
+    "grid_text",
     "period_keys",
     "period_index",
     "kernel_weight",
@@ -106,25 +107,56 @@ def kernel_weight(kind: KernelKind, lag):
 
 
 def weights_for_target(
-    origins, target: float, kind: KernelKind, bandwidths
+    origins, targets, kind: KernelKind, bandwidths, runs=None
 ) -> np.ndarray:
-    """Kernel weights relative to a target period.
+    """Kernel weights of a batch of target periods.
 
-    Returns one C-ordered row per bandwidth and one column per origin
-    period index in ``origins``: that of a record, or the one shared by a
-    run of records of one period, so that the kernel is evaluated once
-    per run.  The lag of an origin is its elapsed periods to the target
-    over the bandwidth; ``kernel_weight`` refuses one outside the support.
+    ``origins`` holds period indices: those of records, or the one shared
+    by each run of records of one period, so that the kernel is evaluated
+    once per run.  Target t weighs the first ``runs[t]`` origins (by
+    default all of them; a scalar target is a batch of one).  Returns one
+    C-ordered row per (target, bandwidth), target-major, with one column
+    per origin, 0 past the target's own origins.  The lag of an origin is
+    its elapsed periods to the target over the bandwidth;
+    ``kernel_weight`` refuses one outside the support.
+
+    Only a target's own origins are checked, each target's as a call for
+    it alone would check them.  An error is that of the first failing
+    target, raised with its position in the batch as ``row``.
     """
     b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
     if np.any(b <= 0):
-        raise BandwidthError(f"bandwidth must be positive, got {b.min()}")
+        error = BandwidthError(f"bandwidth must be positive, got {b.min()}")
+        error.row = 0
+        raise error
     origins = np.asarray(origins, dtype=float)
-    if np.any(origins > target):
-        raise ValueError(
-            f"origin period {origins.max()} is newer than target period {target}"
-        )
-    return kernel_weight(kind, (target - origins) / b)
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    runs = np.full(targets.size, origins.size) if runs is None else np.asarray(runs)
+    own = np.arange(origins.size) < runs[:, None]
+    newer = np.any(origins > targets[:, None], axis=1, where=own)
+    # past a target's own origins the lag reads 0, inside every support
+    lags = (targets[:, None, None] - origins) / b
+    lags *= own[:, None]
+    if not newer.any():
+        try:
+            weights = kernel_weight(kind, lags)
+        except ValueError:
+            pass  # raised below, as the first failing target's own error
+        else:
+            weights *= own[:, None]
+            return weights.reshape(targets.size * b.size, origins.size)
+    for row, target in enumerate(targets):
+        try:
+            if newer[row]:
+                raise ValueError(
+                    f"origin period {origins[: runs[row]].max()} is newer than "
+                    f"target period {target}"
+                )
+            kernel_weight(kind, lags[row])
+        except ValueError as error:
+            error.row = row
+            raise
+    raise AssertionError("a failing batch has a failing target")
 
 
 def min_bandwidth(
@@ -152,11 +184,17 @@ def min_bandwidth(
 MAX_GRID_VALUES = 100_000
 
 
+def grid_text(lo: float, hi: float, step: float) -> str:
+    """The grid as lo:hi:step, each bound its shortest round-trip repr
+    less a trailing ``.0``, so that ``float`` reads back the exact value."""
+    return ":".join(repr(float(b)).removesuffix(".0") for b in (lo, hi, step))
+
+
 def grid_size(lo: float, hi: float, step: float) -> int:
     """Number of values of the grid ``lo:hi:step``, counted without making
     them.  A grid must have finite bounds, a positive ``lo`` and ``step``,
     at least one value and at most ``MAX_GRID_VALUES``."""
-    grid = f"{lo:g}:{hi:g}:{step:g}"
+    grid = grid_text(lo, hi, step)
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise BandwidthError(f"grid {grid} has a non-finite bound")
     if step <= 0:

@@ -208,12 +208,14 @@ class TestRunSweep:
         split, or only in the split whose target period is ``target``."""
         weights_for_target = analysis.weights_for_target
 
-        def degenerate(origins, split_target, kind, bandwidths):
-            weights = weights_for_target(origins, split_target, kind, bandwidths)
-            if kind is planted and target in (None, split_target):
-                for row in rows:
-                    weights[row] = 1e-40
-                    weights[row, 0] = 1.0
+        def degenerate(origins, targets, kind, bandwidths, runs):
+            weights = weights_for_target(origins, targets, kind, bandwidths, runs)
+            blocks = weights.reshape(len(targets), len(bandwidths), len(origins))
+            for block, split_target, r in zip(blocks, targets, runs):
+                if kind is planted and target in (None, split_target):
+                    for row in rows:
+                        block[row, :r] = 1e-40
+                        block[row, 0] = 1.0
             return weights
 
         monkeypatch.setattr(analysis, "weights_for_target", degenerate)
@@ -260,20 +262,25 @@ class TestRunSweep:
         assert analysis.BATCH_ROWS // rows >= 3  # splits 1-3 share a batch
         weights_for_target = analysis.weights_for_target
 
-        def failing(origins, target, kind, bandwidths):
-            if target != third or kind is not KernelKind.TRIANGULAR:
-                return weights_for_target(origins, target, kind, bandwidths)
+        def failing(origins, targets, kind, bandwidths, runs):
+            if third not in targets or kind is not KernelKind.TRIANGULAR:
+                return weights_for_target(origins, targets, kind, bandwidths, runs)
             if failure == "out of support":
-                # lags past the triangular kernel's support: BandwidthError
-                return weights_for_target(origins, target, kind, [1e-3 * b for b in bandwidths])
-            weights = weights_for_target(origins, target, kind, bandwidths)
-            weights[0, 0] = 0.0  # as an underflowing weight
+                # the third split's lags past the triangular kernel's
+                # support: BandwidthError at its row of the batch
+                late = np.where(targets == third, third + 1e3, targets)
+                return weights_for_target(origins, late, kind, bandwidths, runs)
+            weights = weights_for_target(origins, targets, kind, bandwidths, runs)
+            row = list(targets).index(third) * len(bandwidths)
+            weights[row, 0] = 0.0  # as an underflowing weight
             return weights
 
         monkeypatch.setattr(analysis, "weights_for_target", failing)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
         assert (info.value.split, info.value.kernel) == (3, KernelKind.TRIANGULAR)
+        reason = "outside the support" if failure == "out of support" else "strictly positive"
+        assert reason in str(info.value)
         self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2,), target=second)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
@@ -449,6 +456,14 @@ class TestPlanDesign:
                 _assert_same_design(design.subset(split.test_rows), test)
 
 
+def _remainder_tests(dataset, overrides):
+    """``dataset`` under remainder tests after the training sizes ``overrides``."""
+    descriptor = replace(
+        dataset.descriptor, chronology=ChronologyMode.REMAINDER_TEST, overrides=overrides
+    )
+    return replace(dataset, descriptor=descriptor)
+
+
 class TestBatchedFits:
     """Whole splits are solved together in batches of stacked fit rows;
     each split's coefficients equal a fit of its own."""
@@ -506,6 +521,51 @@ class TestBatchedFits:
             error = np.linalg.norm(model.coefficients - want.coefficients, axis=1)
             assert np.all(error <= 1e-12 * np.linalg.norm(want.coefficients, axis=1))
             _assert_same_design(model.design, train)
+
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(dataset=_datasets(), step=stn.sampled_from([4.0, 1.0, 0.5]))
+    # remainder tests after 20 (inside a period), 40, 50 and 100 records:
+    # five splits of 285 rows, batches of three and two
+    @example(dataset=_remainder_tests(synthesize(SynthConfig(seed=3)), (20, 40, 50, 100)), step=1.0)
+    def test_batched_weights_equal_per_target_weights(self, dataset, step):
+        unit = dataset.descriptor.granularity.increment
+        config = AnalysisConfig(grid_lo=unit, grid_hi=100 * unit, grid_step=step * unit)
+        batches = {}
+        weights_for_target = analysis.weights_for_target
+
+        def recorded(origins, targets, kind, bandwidths, runs):
+            batches[tuple(targets.tolist()), tuple(runs.tolist())] = origins
+            return weights_for_target(origins, targets, kind, bandwidths, runs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "weights_for_target", recorded)
+            try:
+                sweep = run_sweep(dataset, (KernelKind.UNIFORM, *ALL_KERNELS), config)
+            except SplitError:
+                assume(False)
+        plan = sweep.plan
+        # one call per weighted kernel and batch of whole splits, in plan order
+        assert [t for targets, _ in batches for t in targets] == [s.target for s in plan.splits]
+        if len(batches) > 1:
+            event("a batch boundary mid-plan")
+        if dataset.descriptor.overrides and not set(dataset.descriptor.overrides) <= set(
+            np.flatnonzero(np.diff(plan.indices)) + 1
+        ):
+            event("an override cuts a period")
+        for (targets, runs), origins in batches.items():
+            assert np.array_equal(origins, plan.indices[list(plan.starts)])
+            for kind, bandwidths in sweep.grids.items():  # all four kernels
+                rows = weights_for_target(origins, np.array(targets), kind, bandwidths, runs)
+                assert rows.shape == (len(targets) * len(bandwidths), origins.size)
+                assert rows.flags.c_contiguous
+                blocks = rows.reshape(len(targets), len(bandwidths), origins.size)
+                for block, target, r in zip(blocks, targets, runs):
+                    alone = weights_for_target(origins[:r], target, kind, bandwidths)
+                    assert np.array_equal(block[:, :r], alone)
+                    assert not block[:, r:].any()
 
 
 def test_sweep_leaves_numpy_ma_unimported(tmp_path):

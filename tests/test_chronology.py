@@ -13,7 +13,13 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import DatasetDescriptor, SynthConfig, load_dataset, synthesize
+from driftscope.datasets import (
+    Dataset,
+    DatasetDescriptor,
+    SynthConfig,
+    load_dataset,
+    synthesize,
+)
 from driftscope.kernels import Granularity
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
@@ -424,6 +430,48 @@ class TestPlanOrder:
         ]
 
 
+def _keyed(ids, keys):
+    """A hand-built yearly dataset of the records ``ids`` completing in
+    the years ``keys``; its ids need not be unique."""
+    n = len(ids)
+    descriptor = DatasetDescriptor(
+        name="t", granularity=Granularity.YEARLY, chronology=ChronologyMode.YEAR_ACCUMULATE,
+        columns={"id": "id", "completion": "done"}, formula=ONE_TERM,
+    )
+    return Dataset(
+        descriptor=descriptor,
+        ids=np.array(ids, dtype=object),
+        keys=np.array(keys, dtype=np.int64),
+        done=np.full(n, "NaT", dtype="datetime64[D]"),
+        start=np.full(n, "NaT", dtype="datetime64[D]"),
+        attributes={"size": np.arange(10.0, 10.0 + n), "effort": np.arange(100.0, 100.0 + n)},
+    )
+
+
+# shared prefixes, non-ASCII text and digit strings
+_IDS = stn.builds(
+    str.__add__,
+    stn.sampled_from(["", "p", "p-", "P", "é", "項目"]),
+    stn.text(alphabet="0129aZéß€項", max_size=3),
+)
+
+
+class TestOrderMatchesLexsort:
+    """The plan order is ``np.lexsort((ids, keys))``: by key, then id,
+    records with equal keys and ids in their dataset order."""
+
+    @given(stn.lists(stn.tuples(_IDS, stn.integers(1990, 1992)), min_size=3, max_size=40))
+    def test_any_ids_and_tied_keys(self, records):
+        ds = _keyed(*zip(*records))
+        assert np.array_equal(build_split_plan(ds).order, np.lexsort((ds.ids, ds.keys)))
+
+    def test_duplicate_ids_keep_their_order(self):
+        ds = _keyed(["b", "a", "b", "a", "b", "a"], [1991, 1990, 1990, 1990, 1991, 1990])
+        order = build_split_plan(ds).order
+        assert order.tolist() == [1, 3, 5, 2, 0, 4]
+        assert np.array_equal(order, np.lexsort((ds.ids, ds.keys)))
+
+
 @stn.composite
 def _synth_plans(draw):
     """The split plan of a synthetic dataset as generated, or under
@@ -445,7 +493,33 @@ def _synth_plans(draw):
     return build_split_plan(dataset)
 
 
+def _assert_test_rows(plan):
+    """Contiguous test sets (remainder and next-period tests) are
+    read-only views of one plan-wide array of positions; date-filtered
+    ones are ascending read-only selections of the next period.  Every
+    test-bearing split's target is its oldest test record's index."""
+    n = len(plan.order)
+    positions = plan.splits[-1].test_rows.base
+    assert positions is not None and not positions.flags.writeable
+    assert np.array_equal(positions, np.arange(n))
+    for split in plan.splits[:-1]:
+        rows = split.test_rows
+        assert not rows.flags.writeable
+        assert rows.size >= 2 and rows[0] >= split.stop
+        assert split.target == float(plan.indices[rows].min())
+        if plan.mode is ChronologyMode.DATE_FILTERED_TEST:
+            assert np.all(np.diff(rows) > 0)
+            assert np.ptp(plan.indices[rows]) == 0
+        else:
+            assert rows.base is positions and np.shares_memory(rows, positions)
+            assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
+
+
 class TestRunTable:
+    @given(_synth_plans())
+    def test_test_rows_share_one_array(self, plan):
+        _assert_test_rows(plan)
+
     @given(_synth_plans())
     def test_runs_start_at_period_bounds_and_split_stops(self, plan):
         starts = plan.starts

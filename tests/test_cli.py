@@ -834,6 +834,8 @@ class TestUsage:
             ("--grid", "1:10:0", "positive step"),
             ("--grid", "0:10:1", "positive lower bound"),
             ("--grid", "10:1:1", "empty"),
+            # bounds that differ past six significant digits read apart
+            ("--grid", "0.1234567:0.1234566:1", "is empty: lo exceeds hi"),
             ("--grid", "nan:10:1", "non-finite"),
             ("--grid", "1:inf:1", "non-finite"),
             ("--epsilon", "2", "got 2.0"),

@@ -61,6 +61,8 @@ from driftscope.chronology import ChronologyMode, build_split_plan
 from driftscope.cli import main
 from driftscope.datasets import SynthConfig, builtin_descriptor, load_dataset, synthesize
 
+from test_chronology import _assert_test_rows
+
 GOLDEN = Path(__file__).parent / "golden"
 RE_ATOL = 1e-12
 SHAPES_RE_ATOL = 1e-10
@@ -216,6 +218,11 @@ def test_plan_matches_golden(case):
         assert type(s.train_ids) is tuple and type(s.test_ids) is tuple
         assert type(s.train_indices) is tuple and type(s.test_indices) is tuple
         assert type(s.target) is float and type(s.train_span) is float
+
+
+@pytest.mark.parametrize("case", PLANS)
+def test_plan_test_rows_and_targets(case):
+    _assert_test_rows(_plan(case))
 
 
 def test_plan_shapes_are_covered():

@@ -218,6 +218,58 @@ class TestWeightsForTarget:
                 assert row.tolist() == [kernel_weight(kind, (target - i) / b) for i in indices]
 
 
+class TestBatchedTargets:
+    """A batch of targets, each weighing its own prefix of the origins."""
+
+    ORIGINS = [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_rows_are_per_target_rows_zero_past_their_runs(self, kind):
+        targets, runs, bandwidths = [2.0, 3.5, 5.0], [2, 3, 4], [5.0, 7.5]
+        rows = weights_for_target(self.ORIGINS, targets, kind, bandwidths, runs)
+        assert rows.shape == (6, 4) and rows.flags.c_contiguous
+        for t, (target, r) in enumerate(zip(targets, runs)):
+            alone = weights_for_target(self.ORIGINS[:r], target, kind, bandwidths)
+            assert np.array_equal(rows[2 * t : 2 * t + 2, :r], alone)
+            assert not rows[2 * t : 2 * t + 2, r:].any()
+
+    def test_scalar_target_is_a_batch_of_one_over_every_origin(self):
+        one = weights_for_target(self.ORIGINS, 4.0, KernelKind.GAUSSIAN, [2.0, 3.0])
+        batch = weights_for_target(self.ORIGINS, [4.0], KernelKind.GAUSSIAN, [2.0, 3.0], [4])
+        assert np.array_equal(one, batch)
+
+    def test_only_own_origins_are_checked(self):
+        # origins past a target's runs may be newer, or out of its support
+        rows = weights_for_target(self.ORIGINS, [1.0, 2.0], KernelKind.TRIANGULAR, [1.5], [1, 2])
+        assert rows.tolist() == [[1.0, 0.0, 0.0, 0.0], [1 - 1 / 1.5, 1.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "targets,runs,row",
+        [
+            ([2.0, 3.0, 4.0], [2, 3, 4], 2),  # lag 3 / 2.5 past the support
+            ([2.0, 1.5, 9.0], [2, 2, 4], 1),  # origin 2 newer than target 1.5
+            ([9.0, 1.5], [4, 2], 0),  # the first failing target wins
+            ([2.0, 1.5, 9.0], [2, 1, 4], 2),  # target 1.5 weighs origin 1 alone
+        ],
+    )
+    def test_error_is_the_first_failing_targets_own(self, targets, runs, row):
+        kind, bandwidths = KernelKind.TRIANGULAR, [2.5]
+        with pytest.raises(ValueError) as batch:
+            weights_for_target(self.ORIGINS, targets, kind, bandwidths, runs)
+        with pytest.raises(ValueError) as alone:
+            weights_for_target(self.ORIGINS[: runs[row]], targets[row], kind, bandwidths)
+        assert batch.value.row == row
+        assert type(batch.value) is type(alone.value)
+        assert str(batch.value) == str(alone.value)
+        # the targets before it are sound
+        weights_for_target(self.ORIGINS, targets[:row], kind, bandwidths, runs[:row])
+
+    def test_nonpositive_bandwidth_fails_the_first_target(self):
+        with pytest.raises(BandwidthError, match="bandwidth must be positive") as info:
+            weights_for_target(self.ORIGINS, [4.0, 5.0], KernelKind.GAUSSIAN, [1.0, -1.0], [4, 4])
+        assert info.value.row == 0
+
+
 class TestBandwidthGrid:
     @pytest.mark.parametrize(
         "kind,max_elapsed,expected",
