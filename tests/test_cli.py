@@ -259,36 +259,41 @@ class TestSweep:
         from driftscope.datasets import load_dataset, DatasetDescriptor
         from driftscope.kernels import KernelKind
 
-        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian,uniform")
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian,triangular")
         assert code == 0
         curves = read_curves(out / "curves.csv")
         data, desc = synth_csv
         descriptor = DatasetDescriptor.from_json(desc.read_text())
-        kernels = (KernelKind.GAUSSIAN, KernelKind.UNIFORM)
+        kernels = (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR)
         result = run_sweep(load_dataset(descriptor, data.read_bytes().decode("utf-8")), kernels)
         assert curves == result.curves
         assert list(curves) == list(result.curves)  # in the file's order
 
-    def test_uniform_kernel_rows_coincide(self, synth_csv, tmp_path):
-        code, out = self._run(synth_csv, tmp_path, "--kernels", "uniform")
-        assert code == 0
-        for curve in read_curves(out / "curves.csv").values():
-            n = len(curve.bandwidths)
-            assert curve.re_train_nu == [curve.re_train_u] * n
-            assert curve.re_test_nu in (None, [curve.re_test_u] * n)
-
-    def test_failed_cell_exits_3_with_coordinates(self, tmp_path, capsys):
+    @staticmethod
+    def _underflowing_sweep(tmp_path, *extra):
+        """A Gaussian sweep of 39 yearly periods, whose weights underflow
+        to 0 at the last split's oldest period."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_projects": 200, "n_periods": 39, "seed": 0}))
         data = tmp_path / "long.csv"
         assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
-        code = main([
+        return main([
             "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
-            "--data", str(data), "--kernels", "gaussian", "--out", str(tmp_path / "out"),
+            "--data", str(data), "--kernels", "gaussian", "--out", str(tmp_path / "out"), *extra,
         ])
-        assert code == 3
+
+    def test_failed_cell_exits_3_with_coordinates(self, tmp_path, capsys):
+        assert self._underflowing_sweep(tmp_path) == 3
         assert capsys.readouterr().err.strip() == (
             "driftscope: [split 39, kernel gaussian, bandwidth 1] "
+            "weights must be strictly positive"
+        )
+
+    def test_failed_cell_names_its_bandwidth_exactly(self, tmp_path, capsys):
+        # no bandwidth of this grid reads 1 to six significant digits
+        assert self._underflowing_sweep(tmp_path, "--grid", "1.0000001:1.0000009:0.0000001") == 3
+        assert capsys.readouterr().err.strip() == (
+            "driftscope: [split 39, kernel gaussian, bandwidth 1.0000001] "
             "weights must be strictly positive"
         )
 
@@ -369,18 +374,18 @@ class TestSweep:
                 "stationary", "near_stationary", "non_stationary"
             )
 
-    def test_uniform_verdicts_are_strict_json(self, synth_csv, tmp_path):
-        code, out = self._run(synth_csv, tmp_path, "--kernels", "uniform,gaussian")
+    def test_verdicts_are_strict_json(self, synth_csv, tmp_path):
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "triangular,gaussian")
         assert code == 0
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
         doc = json.loads((out / "verdicts.json").read_text(), parse_constant=reject)
-        uniform = [v for k, v in doc["verdicts"].items() if k.endswith(":uniform")]
-        assert uniform
-        for entry in uniform:
-            assert entry["bandwidth"] is not None and entry["horizon"] is None
+        assert doc["verdicts"]
+        for entry in doc["verdicts"].values():
+            # a horizon is null only where no bandwidth converged
+            assert (entry["bandwidth"] is None) == (entry["horizon"] is None)
 
     def test_manifest_digest_is_sha256_of_data(self, synth_csv, tmp_path):
         data, _ = synth_csv
@@ -480,20 +485,20 @@ def _reference_curves_text(result) -> str:
 
 
 def _hand_built_result(name: str) -> SweepResult:
-    gaussian, uniform = KernelKind.GAUSSIAN, KernelKind.UNIFORM
-    g, u = (0.5, 1.0, 1.5, 2.0), (3.0,)  # the uniform grid has one value
+    gaussian, epanechnikov = KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV
+    g, e = (0.5, 1.0, 1.5, 2.0), (3.0,)  # the epanechnikov grid has one value
     curves = [
         Curve(1, gaussian, g, [0.1 + 0.2, 1 / 3, 2.5e-17, 12345.678901234567],
               [1.0, 0.5, 1e-05, 7.0], 0.7, 1e300),
-        Curve(1, uniform, u, [0.7], [1e300], 0.7, 1e300),
+        Curve(1, epanechnikov, e, [0.7], [1e300], 0.7, 1e300),
         # the all-data split: empty test fields
         Curve(2, gaussian, g, [0.25, 0.125, 2.0, 3e-08], None, 0.4, None),
-        Curve(2, uniform, u, [0.4], None, 0.4, None),
+        Curve(2, epanechnikov, e, [0.4], None, 0.4, None),
     ]
     return SweepResult(
         dataset=name,
         config=AnalysisConfig(),
-        grids={gaussian: g, uniform: u},
+        grids={gaussian: g, epanechnikov: e},
         plan=None,
         curves={(c.split, c.kernel): c for c in curves},
     )
@@ -510,7 +515,7 @@ class TestCurvesText:
         text = data.read_bytes().decode("utf-8")
         dataset = load_dataset(DatasetDescriptor.from_json(desc.read_text()), text)
         result = run_sweep(
-            dataset, (KernelKind.GAUSSIAN, KernelKind.UNIFORM), AnalysisConfig(grid_step=7.0)
+            dataset, (KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV), AnalysisConfig(grid_step=7.0)
         )
         text = _curves_text(result)
         assert text == _reference_curves_text(result)
@@ -563,6 +568,21 @@ class TestPlot:
         text = svg.read_text()
         assert text.count("<polyline") == 2
 
+    def test_uniform_kernel_is_a_usage_error(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text(_curves_text(_hand_built_result("d")), newline="")
+        svg = tmp_path / "x.svg"
+        code = main([
+            "plot", "--curves", str(curves), "--split", "1", "--kernel", "uniform",
+            "--out", str(svg),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "driftscope: unknown kernel 'uniform'; "
+            "choose from gaussian, epanechnikov, triangular\n"
+        )
+        assert not svg.exists()
+
     def test_missing_slice(self, synth_csv, tmp_path):
         data, desc = synth_csv
         out = tmp_path / "out"
@@ -590,8 +610,10 @@ class TestReadCurves:
             (lambda row: row.replace("gaussian", "cosine"), "'cosine' is not a valid"),
             (lambda row: row.rsplit(",", 3)[0], "line 2"),  # a short row
             (lambda row: row + ",EXTRA", "9 fields, the header has 8"),
+            # the uniform model is a curve's re_*_u columns, not a kernel
+            (lambda row: row.replace("gaussian", "uniform"), "'uniform' is not a valid"),
         ],
-        ids=["non-numeric", "unknown-kernel", "short-row", "extra-field"],
+        ids=["non-numeric", "unknown-kernel", "short-row", "extra-field", "uniform-kernel"],
     )
     def test_malformed_row_is_a_validation_error(self, tmp_path, capsys, edit, named):
         lines = _curves_text(_hand_built_result("d")).split("\r\n")
@@ -841,6 +863,10 @@ class TestUsage:
             ("--epsilon", "2", "got 2.0"),
             ("--theta", "0", "got 0.0"),
             ("--kernels", "gaussian,triangular,Gaussian", "kernel 'gaussian' given twice"),
+            # the uniform model is every curve's re_*_u columns, not a kernel
+            ("--kernels", "gaussian,uniform",
+             "unknown kernel 'uniform'; choose from gaussian, epanechnikov, triangular"),
+            ("--grid", "1:2:1e-10", "needs a step of at least 2e-10"),
         ],
     )
     def test_bad_sweep_parameter(self, synth_csv, tmp_path, capsys, option, value, named):
@@ -855,6 +881,35 @@ class TestUsage:
         assert code == 1
         err = capsys.readouterr().err
         assert named in err and (option != "--grid" or value in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,kernel,grid",
+        [
+            # 40 duplicated (split, kernel, bandwidth) rows
+            ({"seed": 3}, "gaussian", "1:1.0000000004:4e-11"),
+            # a triangular bandwidth of exactly the 22-period span
+            ({"n_projects": 120, "n_periods": 22, "seed": 0}, "triangular",
+             "21.999999999799996:22.000000000200007:4.0001e-11"),
+        ],
+        ids=["duplicate-bandwidths", "bandwidth-on-the-span"],
+    )
+    def test_grid_finer_than_its_rounding(self, tmp_path, capsys, config, kernel, grid):
+        # grid values are rounded to 10 decimals
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        data = tmp_path / "synth.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
+            "--data", str(data), "--kernels", kernel, "--grid", grid, "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"driftscope: bad --grid: grid {grid} needs a step of at least 2e-10\n"
+        )
         assert not out.exists()
 
     def test_grid_above_ceiling(self, synth_csv, tmp_path, capsys):

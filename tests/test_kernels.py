@@ -3,9 +3,10 @@ from datetime import date
 
 import pytest
 import numpy as np
-from hypothesis import given, strategies as stn
+from hypothesis import example, given, settings, strategies as stn
 
 from driftscope.kernels import (
+    GRID_RESOLUTION,
     MAX_GRID_VALUES,
     BandwidthError,
     Granularity,
@@ -13,14 +14,13 @@ from driftscope.kernels import (
     build_grid,
     decay_horizon,
     grid_size,
+    grid_text,
     kernel_weight,
     min_bandwidth,
     period_index,
     period_keys,
     weights_for_target,
 )
-
-NON_UNIFORM = [KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]
 
 
 def _reference_indices(completions, granularity):
@@ -117,7 +117,6 @@ class TestKernelWeight:
             (KernelKind.GAUSSIAN, 1.0, 0.606531),
             (KernelKind.EPANECHNIKOV, 0.5, 0.75),
             (KernelKind.TRIANGULAR, 0.25, 0.75),
-            (KernelKind.UNIFORM, 0.9, 1.0),
         ],
     )
     def test_point_values(self, kind, lag, expected):
@@ -133,7 +132,7 @@ class TestKernelWeight:
             kernel_weight(KernelKind.GAUSSIAN, -0.1)
 
     def test_scalar_gives_float(self):
-        assert type(kernel_weight(KernelKind.UNIFORM, 0.3)) is float
+        assert type(kernel_weight(KernelKind.TRIANGULAR, 0.3)) is float
         assert type(kernel_weight(KernelKind.GAUSSIAN, np.float64(0.3))) is float
 
     @pytest.mark.parametrize("kind", list(KernelKind))
@@ -153,15 +152,14 @@ class TestKernelWeight:
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_bounds_and_monotonicity_on_grid(self, kind):
-        hi = 5.0 if kind in (KernelKind.GAUSSIAN, KernelKind.UNIFORM) else 1.0
+        hi = 5.0 if kind is KernelKind.GAUSSIAN else 1.0
         lags = [i * hi / 10_000 for i in range(10_000)]
         weights = [kernel_weight(kind, lag) for lag in lags]
         assert weights[0] == 1.0
         assert all(0.0 < w <= 1.0 for w in weights)
         for prev, cur in zip(weights, weights[1:]):
             assert cur <= prev + 1e-15
-        if kind is not KernelKind.UNIFORM:
-            assert weights[-1] < weights[0]
+        assert weights[-1] < weights[0]
 
     @given(
         e=stn.floats(min_value=0.01, max_value=50),
@@ -178,10 +176,6 @@ class TestKernelWeight:
 
 
 class TestWeightsForTarget:
-    def test_uniform_all_ones(self):
-        w = weights_for_target([1, 1, 2], 2, KernelKind.UNIFORM, [10])
-        assert w.tolist() == [[1.0, 1.0, 1.0]]
-
     def test_gaussian_vector(self):
         [w] = weights_for_target([1, 2, 3], 3, KernelKind.GAUSSIAN, [2])
         assert list(w) == pytest.approx([0.606531, 0.882497, 1.0], abs=1e-6)
@@ -244,30 +238,26 @@ class TestBatchedTargets:
         assert rows.tolist() == [[1.0, 0.0, 0.0, 0.0], [1 - 1 / 1.5, 1.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize(
-        "targets,runs,row",
+        "targets,runs,message",
         [
-            ([2.0, 3.0, 4.0], [2, 3, 4], 2),  # lag 3 / 2.5 past the support
-            ([2.0, 1.5, 9.0], [2, 2, 4], 1),  # origin 2 newer than target 1.5
-            ([9.0, 1.5], [4, 2], 0),  # the first failing target wins
-            ([2.0, 1.5, 9.0], [2, 1, 4], 2),  # target 1.5 weighs origin 1 alone
+            # origin 2 newer than target 1.5, whose run count is 2
+            ([2.0, 1.5, 1.0], [2, 2, 4], "origin period 2.0 is newer than target period 1.5"),
+            # the first target with a newer origin is named, past a support violation
+            ([9.0, 1.5], [4, 2], "origin period 2.0 is newer than target period 1.5"),
         ],
     )
-    def test_error_is_the_first_failing_targets_own(self, targets, runs, row):
-        kind, bandwidths = KernelKind.TRIANGULAR, [2.5]
-        with pytest.raises(ValueError) as batch:
-            weights_for_target(self.ORIGINS, targets, kind, bandwidths, runs)
-        with pytest.raises(ValueError) as alone:
-            weights_for_target(self.ORIGINS[: runs[row]], targets[row], kind, bandwidths)
-        assert batch.value.row == row
-        assert type(batch.value) is type(alone.value)
-        assert str(batch.value) == str(alone.value)
-        # the targets before it are sound
-        weights_for_target(self.ORIGINS, targets[:row], kind, bandwidths, runs[:row])
+    def test_newer_origin_names_the_first_such_target(self, targets, runs, message):
+        with pytest.raises(ValueError) as info:
+            weights_for_target(self.ORIGINS, targets, KernelKind.TRIANGULAR, [2.5], runs)
+        assert type(info.value) is ValueError and str(info.value) == message
 
-    def test_nonpositive_bandwidth_fails_the_first_target(self):
-        with pytest.raises(BandwidthError, match="bandwidth must be positive") as info:
+    def test_support_is_checked_over_the_whole_batch(self):
+        # target 4 weighs origin 1 at lag 3 / 2.5, past the support
+        with pytest.raises(BandwidthError) as info:
+            weights_for_target(self.ORIGINS, [2.0, 4.0, 3.0], KernelKind.TRIANGULAR, [2.5], [2, 4, 3])
+        assert str(info.value) == "lag 1.2 outside the support of the triangular kernel"
+        with pytest.raises(BandwidthError, match="bandwidth must be positive"):
             weights_for_target(self.ORIGINS, [4.0, 5.0], KernelKind.GAUSSIAN, [1.0, -1.0], [4, 4])
-        assert info.value.row == 0
 
 
 class TestBandwidthGrid:
@@ -278,7 +268,6 @@ class TestBandwidthGrid:
             (KernelKind.TRIANGULAR, 4, 5),
             (KernelKind.TRIANGULAR, 7, 8),
             (KernelKind.GAUSSIAN, 16, 1),
-            (KernelKind.UNIFORM, 99, 1),
         ],
     )
     def test_min_bandwidth(self, kind, max_elapsed, expected):
@@ -317,6 +306,89 @@ class TestBandwidthGrid:
             build_grid(KernelKind.GAUSSIAN, 16, hi=math.inf)
 
 
+def _finest_step(hi):
+    """The smallest step ``grid_size`` accepts for a grid topping out at ``hi``."""
+    return max(GRID_RESOLUTION, hi * 2**-48)
+
+
+class TestGridResolution:
+    """Grid values are rounded to 10 decimals, so a grid's step has a
+    floor: every grid ``grid_size`` accepts builds strictly ascending
+    values, a finite-support kernel's all above the span it serves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=stn.one_of(
+            stn.floats(1e-3, 1e9),
+            # halfway between two 10-decimal values, where rounding splits
+            stn.integers(1, 10**6).map(lambda k: k * 1e-4 + 0.5e-10),
+        ),
+        # steps near the 10-decimal floor, or near a float's own spacing
+        relative=stn.booleans(),
+        steps=stn.one_of(stn.floats(0.1, 4.0), stn.sampled_from([0.5, 1.0, 1.0000001])),
+        n=stn.integers(1, 200),
+    )
+    # a step of 1e-10 rounds neighbours of this grid to one value; the
+    # floor itself does not
+    @example(lo=2.34070000005, relative=False, steps=0.5, n=60)
+    @example(lo=2.34070000005, relative=False, steps=1.0, n=60)
+    # 1:1.0000000004:4e-11 held duplicated bandwidths
+    @example(lo=1.0, relative=False, steps=0.2, n=10)
+    def test_accepted_grids_ascend(self, lo, relative, steps, n):
+        step = steps * (_finest_step(lo) if relative else GRID_RESOLUTION)
+        hi = lo + n * step
+        try:
+            size = grid_size(lo, hi, step)
+        except BandwidthError as exc:
+            assert step < _finest_step(hi)
+            assert "needs a step of at least" in str(exc)
+            return
+        grid = build_grid(KernelKind.GAUSSIAN, 0.0, lo=lo, hi=hi, step=step)
+        assert len(grid) == size
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=stn.sampled_from([KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]),
+        granularity=stn.sampled_from(Granularity),
+        elapsed=stn.integers(0, 400),
+        step=stn.one_of(
+            stn.floats(0.1, 3.0).map(lambda f: f * GRID_RESOLUTION),
+            stn.sampled_from([1.0, 0.1, 0.25, 1e-9, 3e-10]),
+        ),
+        below=stn.floats(-2.0, 20.0),
+        above=stn.floats(-2.0, 20.0),
+    )
+    # a 22-period span on 4.0001e-11 steps gave a value of exactly 22
+    @example(
+        kind=KernelKind.TRIANGULAR, granularity=Granularity.YEARLY, elapsed=20,
+        step=4.0001e-11, below=5.0, above=5.0,
+    )
+    def test_finite_support_values_lie_above_the_span(
+        self, kind, granularity, elapsed, step, below, above
+    ):
+        # period indices as the sweep forms them: the oldest period, each
+        # later one, and the all-data split's target one increment on
+        origins = [period_index(k, 0, granularity) for k in range(elapsed + 1)]
+        target = round(origins[-1] + granularity.increment, 10)
+        max_elapsed = target - origins[0]
+        lo, hi = max_elapsed - below * step, max_elapsed + above * step
+        try:
+            grid = build_grid(kind, max_elapsed, lo=lo, hi=hi, step=step)
+        except BandwidthError as exc:
+            # the grid as given is refused, or has no value above the span
+            if str(exc).startswith("empty grid: "):
+                assert hi < max_elapsed + step + 1e-9
+            else:
+                assert str(exc).startswith(f"grid {grid_text(lo, hi, step)} ")
+                with pytest.raises(BandwidthError):
+                    grid_size(lo, hi, step)
+            return
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert grid[0] > max_elapsed
+        weights_for_target(origins, target, kind, grid)  # every lag inside the support
+
+
 class TestDecayHorizon:
     def test_gaussian_matches_calibration(self):
         # tau = b * sqrt(-2 ln theta)
@@ -328,17 +400,14 @@ class TestDecayHorizon:
     def test_epanechnikov(self):
         assert decay_horizon(KernelKind.EPANECHNIKOV, 20, 0.01) == pytest.approx(19.90, abs=0.005)
 
-    def test_uniform_never_decays(self):
-        assert decay_horizon(KernelKind.UNIFORM, 5, 0.5) == math.inf
-
-    @pytest.mark.parametrize("kind", NON_UNIFORM)
+    @pytest.mark.parametrize("kind", list(KernelKind))
     @given(b=stn.floats(min_value=0.1, max_value=500), theta=stn.floats(min_value=1e-6, max_value=0.99))
     def test_proportional_to_bandwidth(self, kind, b, theta):
         h1 = decay_horizon(kind, b, theta)
         h2 = decay_horizon(kind, 2 * b, theta)
         assert h2 == pytest.approx(2 * h1, abs=1e-9, rel=1e-9)
 
-    @pytest.mark.parametrize("kind", NON_UNIFORM)
+    @pytest.mark.parametrize("kind", list(KernelKind))
     def test_horizon_is_crossing_point(self, kind):
         b, theta = 7.0, 0.05
         tau = decay_horizon(kind, b, theta)
