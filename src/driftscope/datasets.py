@@ -420,6 +420,17 @@ def _parse_completion(text: str, column: str, rid: str):
     return year
 
 
+def _formula_columns(descriptor: DatasetDescriptor) -> dict:
+    """Each formula column the CSV holds (a derived one it does not),
+    mapped to whether it is numeric."""
+    categorical = {t.column for t in descriptor.formula.terms if t.kind == "categorical"}
+    return {
+        c: c not in categorical
+        for c in descriptor.formula.columns
+        if c not in descriptor.derived_products
+    }
+
+
 def _filter_test(filt: dict):
     """The test a filter applies to a stripped cell value."""
     if filt.keys() == {"column", "equals"}:
@@ -436,24 +447,6 @@ _NAT = np.datetime64("NaT", "D")
 _FIRST_DAY = np.datetime64("0001-01-01")
 _LAST_DAY = np.datetime64("9999-12-31")
 _ISO_DATES = re.compile(r"(?:\d{4}-\d\d-\d\d)*", re.ASCII)
-
-
-def _convert(whole, each, n: int, errors: list):
-    """A column converted by ``whole()`` in one pass or, where that gives
-    None, value by value by ``each(i)``, which raises the error a
-    record-by-record reading raises for record i.  The first such error
-    joins ``errors`` as (i, error), and the values from i on are None."""
-    values = whole()
-    if values is not None:
-        return values
-    values = [None] * n
-    for i in range(n):
-        try:
-            values[i] = each(i)
-        except ValueError as exc:  # DataError included
-            errors.append((i, exc))
-            break
-    return values
 
 
 def _iso_days(texts) -> np.ndarray | None:
@@ -523,66 +516,122 @@ def _finite_product(factors, n: int) -> np.ndarray | None:
     return product if np.isfinite(product).all() else None
 
 
-def _whole_attribute(texts, numeric: bool):
+def _days(texts, column: str | None) -> np.ndarray | None:
+    """Stripped date texts as datetime64 days, blank ones NaT, each read
+    as ``_parse_date`` reads it (a column of zero-padded ISO dates in one
+    pass); None if a non-blank text is not a date."""
+    days = _iso_days(texts)
+    if days is not None:
+        return days
+    try:
+        return np.array(
+            [_parse_date(t, column) if t else None for t in texts], dtype="datetime64[D]"
+        )
+    except DataError:
+        return None
+
+
+def _completions(texts, column: str | None, ids):
+    """Stripped completion texts as (days, years), each read as
+    ``_parse_completion`` reads it for its record in ``ids``: ``days`` is
+    NaT for a year or a blank, ``years`` holds each year, 0 elsewhere, and
+    may be None when no text is a year; None if a non-blank text is
+    neither a year nor a date."""
+    parsed = _whole_completions(texts)
+    if parsed is not None:
+        return parsed
+    try:
+        values = [_parse_completion(t, column, rid) if t else None for t, rid in zip(texts, ids)]
+    except DataError:
+        return None
+    return (
+        np.array([v if isinstance(v, date) else None for v in values], dtype="datetime64[D]"),
+        np.array([v if isinstance(v, int) else 0 for v in values], dtype=np.int64),
+    )
+
+
+def _whole_attribute(texts, numeric: bool) -> np.ndarray | None:
     """A formula column's stripped texts as finite floats for a numeric
-    column, as they are for a categorical one; None if a value is
-    missing, not a number or not finite."""
+    column, as an object array of the texts for a categorical one; None
+    if a value is missing, not a number or not finite."""
     if numeric:  # every missing token fails float()
         return _finite_floats(texts)
-    return texts if MISSING_TOKENS.isdisjoint(texts) else None
+    return np.array(texts, dtype=object) if MISSING_TOKENS.isdisjoint(texts) else None
 
 
-def _attribute(text: str, column: str, numeric: bool, rid: str):
-    """One stripped formula value, checked as a record-by-record reading
-    checks it: a finite float for a numeric column, else the text."""
-    if text in MISSING_TOKENS:
-        raise DataError(f"missing value in column {column!r} for {rid!r}")
-    if not numeric:
-        return text
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(
-            f"non-numeric value {text!r} in column {column!r} for {rid!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite value {text!r} in column {column!r} for {rid!r}")
-    return value
+def _derived_days(days, blank, start, duration) -> np.ndarray | None:
+    """``days`` with each ``blank`` row's completion filled in as its
+    start plus its duration; None if a blank row has no start or no
+    duration, a negative duration, or completes after the last day
+    ``datetime.date`` holds."""
+    # a NaT start casts to the smallest int64, and isnat covers it
+    late = duration > (_LAST_DAY - start).astype(np.int64)
+    if (blank & (np.isnat(start) | np.isnan(duration) | (duration < 0) | late)).any():
+        return None
+    days[blank] = start[blank] + duration[blank].astype(np.int64)
+    return days
 
 
-def _product(name: str, factors, rid: str) -> float:
-    """One derived value from its raw factor texts, checked as a
-    record-by-record reading checks it."""
-    try:
-        value = math.prod([float(f) for f in factors])
-    except ValueError:
-        raise DataError(
-            f"non-numeric multiplier for derived column {name!r} in {rid!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite product for derived column {name!r} in {rid!r}")
-    return value
-
-
-def _derive_completions(days, blank, start, duration, duration_raw, ids, errors) -> None:
-    """Fill ``days`` at each ``blank`` row with its start plus its
-    duration.  The first row that cannot be derived joins ``errors`` as
-    (row, error): one without a start or a duration, with a negative
-    duration, or completing after the last day ``datetime.date`` holds."""
-    missing = blank & (np.isnat(start) | np.isnan(duration))
-    negative = blank & ~missing & (duration < 0)
-    # a NaT start casts to the smallest int64, and missing covers it
-    late = blank & ~missing & ~negative & (duration > (_LAST_DAY - start).astype(np.int64))
-    bad = missing | negative | late
-    if bad.any():
-        i = int(np.argmax(bad))
-        errors.append((i, DataError(
-            f"record {ids[i]!r} has no completion date and no start+duration" if missing[i]
-            else f"negative duration {duration_raw[i]!r} for {ids[i]!r}" if negative[i]
-            else f"record {ids[i]!r} completes after {_LAST_DAY}"
-        )))
-    fill = blank & ~bad
-    days[fill] = start[fill] + duration[fill].astype(np.int64)
+def _first_error(descriptor: DatasetDescriptor, raw) -> DataError:
+    """The error that reading the kept records one at a time raises
+    first, checking each record's id, start, duration, completion,
+    formula values and derived values in turn.  ``raw(column)`` gives a
+    bound column's texts as read, and blank ones for an unbound column."""
+    cols = descriptor.columns
+    ids, starts, durations, dones = (
+        raw(cols.get(key)) for key in ("id", "start", "duration", "completion")
+    )
+    formula = _formula_columns(descriptor).items()
+    seen = set()
+    for i, rid in enumerate(map(str.strip, ids)):
+        try:
+            if rid in seen:
+                raise DataError(f"duplicate project id {rid!r}")
+            seen.add(rid)
+            start = _parse_date(starts[i], cols.get("start")) if starts[i].strip() else None
+            duration = None
+            if durations[i].strip():
+                try:
+                    duration = round(float(durations[i]))
+                except (ValueError, OverflowError):  # text, nan or inf
+                    raise DataError(
+                        f"non-numeric duration {durations[i]!r} for {rid!r}"
+                    ) from None
+            done = start
+            if dones[i].strip():
+                done = _parse_completion(dones[i].strip(), cols.get("completion"), rid)
+            elif start is None or duration is None:
+                raise DataError(f"record {rid!r} has no completion date and no start+duration")
+            elif duration < 0:
+                raise DataError(f"negative duration {durations[i]!r} for {rid!r}")
+            elif duration > (date.max - start).days:
+                raise DataError(f"record {rid!r} completes after {date.max}")
+            if descriptor.granularity is Granularity.MONTHLY and not isinstance(done, date):
+                raise DataError(f"record {rid!r}: monthly chronology needs full completion dates")
+            for col, numeric in formula:
+                text = raw(col)[i].strip()
+                if text in MISSING_TOKENS:
+                    raise DataError(f"missing value in column {col!r} for {rid!r}")
+                try:
+                    value = float(text) if numeric else 0.0  # a category is any text
+                except ValueError:
+                    raise DataError(
+                        f"non-numeric value {text!r} in column {col!r} for {rid!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"non-finite value {text!r} in column {col!r} for {rid!r}")
+            for name, sources in descriptor.derived_products.items():
+                try:
+                    value = math.prod([float(raw(s)[i]) for s in sources])
+                except ValueError:
+                    raise DataError(
+                        f"non-numeric multiplier for derived column {name!r} in {rid!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"non-finite product for derived column {name!r} in {rid!r}")
+        except DataError as exc:
+            return exc
+    raise AssertionError("a column reader refused a column whose every record reads")
 
 
 def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
@@ -593,23 +642,19 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     Bound columns are read by their position in the header, resolved
     once; a repeated header name reads its last column.  Blank lines are
     skipped, and a row too short to hold every bound column is an error.
-    Each column is converted in one pass; invalid input raises the error
-    a record-by-record reading would raise first.
+    Each bound column is read whole.  Invalid input raises the error that
+    reading the records one at a time raises first, checking a record's
+    id, start, duration, completion, formula values and derived values in
+    turn; that reading runs only when a column is refused.
     """
     cols = descriptor.columns
-    derived_sources = {s for srcs in descriptor.derived_products.values() for s in srcs}
-    formula_cols = [
-        c
-        for c in descriptor.formula.columns
-        if c not in descriptor.derived_products
+    formula = _formula_columns(descriptor)
+    needed = [
+        *filter(None, map(cols.get, ("id", "completion", "start", "duration"))),
+        *formula,
+        *sorted({s for sources in descriptor.derived_products.values() for s in sources}),
+        *(f["column"] for f in descriptor.filters),
     ]
-    needed = [cols["id"]]
-    for key in ("completion", "start", "duration"):
-        if cols.get(key):
-            needed.append(cols[key])
-    needed += formula_cols + sorted(derived_sources)
-    for f in descriptor.filters:
-        needed.append(f["column"])
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -645,102 +690,40 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     if not kept:
         raise DataError(f"{descriptor.name}: no records left after filtering")
 
-    # One tuple of raw texts per CSV column, converted column by column in
-    # the order one record's checks run: id, start, duration, completion,
-    # formula columns, derived columns.
+    # One tuple of texts per CSV column; each reader gives None for a
+    # column it refuses
     n = len(kept)
     texts = list(zip(*kept))
-    errors: list = []
 
     def raw(column):
         return texts[at[column]] if column else ("",) * n
 
     def stripped(column):
-        return list(map(str.strip, texts[at[column]])) if column else [""] * n
+        return list(map(str.strip, raw(column)))
 
     ids = stripped(cols["id"])
-    seen = set()
-
-    def new_id(i):
-        if ids[i] in seen:
-            raise DataError(f"duplicate project id {ids[i]!r}")
-        seen.add(ids[i])
-
-    _convert(lambda: ids if len(set(ids)) == n else None, new_id, n, errors)
-
-    start_col = cols.get("start")
-    start_texts = stripped(start_col)
-    start = np.asarray(_convert(
-        lambda: _iso_days(start_texts),
-        lambda i: _parse_date(start_texts[i], start_col) if start_texts[i] else None,
-        n, errors,
-    ), dtype="datetime64[D]")
-
-    duration_col = cols.get("duration")
-    duration_raw, duration_texts = raw(duration_col), stripped(duration_col)
-
-    def duration(i):
-        if not duration_texts[i]:
-            return None
-        try:
-            return round(float(duration_raw[i]))
-        except (ValueError, OverflowError):  # text, nan or inf
-            raise DataError(
-                f"non-numeric duration {duration_raw[i]!r} for {ids[i]!r}"
-            ) from None
-
-    duration = np.asarray(
-        _convert(lambda: _whole_days(duration_texts), duration, n, errors), dtype=float
-    )
-
-    done_col = cols.get("completion")
-    done_texts = stripped(done_col)
-    parsed = _convert(
-        lambda: _whole_completions(done_texts),
-        lambda i: _parse_completion(done_texts[i], done_col, ids[i]) if done_texts[i] else None,
-        n, errors,
-    )
-    if not isinstance(parsed, tuple):  # dates, int years and None (blank)
-        parsed = (
-            np.array([v if isinstance(v, date) else None for v in parsed], dtype="datetime64[D]"),
-            np.array([v if isinstance(v, int) else 0 for v in parsed], dtype=np.int64),
-        )
-    days, years = parsed
-    blank = np.array([not t for t in done_texts], dtype=bool)
-    _derive_completions(days, blank, start, duration, duration_raw, ids, errors)
-    dateless = np.isnat(days)
-    if descriptor.granularity is Granularity.MONTHLY and dateless.any():
-        i = int(np.argmax(dateless))
-        errors.append((i, DataError(
-            f"record {ids[i]!r}: monthly chronology needs full completion dates"
-        )))
-
-    categorical = {
-        t.column for t in descriptor.formula.terms if t.kind == "categorical"
-    }
-    attributes = {}
-    for col in formula_cols:
-        values = stripped(col)
-        numeric = col not in categorical
-        attributes[col] = np.asarray(_convert(
-            lambda: _whole_attribute(values, numeric),
-            lambda i: _attribute(values[i], col, numeric, ids[i]),
-            n, errors,
-        ), dtype=float if numeric else object)
+    start = _days(stripped(cols.get("start")), cols.get("start"))
+    duration = _whole_days(stripped(cols.get("duration")))
+    done_texts = stripped(cols.get("completion"))
+    parsed = _completions(done_texts, cols.get("completion"), ids)
+    attributes = {c: _whole_attribute(stripped(c), numeric) for c, numeric in formula.items()}
     for name, sources in descriptor.derived_products.items():
-        factors = [raw(s) for s in sources]
-        attributes[name] = np.asarray(_convert(
-            lambda: _finite_product(factors, n),
-            lambda i: _product(name, [f[i] for f in factors], ids[i]),
-            n, errors,
-        ), dtype=float)
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]  # the first of the earliest row's
+        attributes[name] = _finite_product([raw(s) for s in sources], n)
+    days = None
+    if len(set(ids)) == n and all(v is not None for v in (start, duration, parsed)):
+        blank = np.array([not t for t in done_texts], dtype=bool)
+        days = _derived_days(parsed[0], blank, start, duration)
+    if (
+        days is None
+        or (descriptor.granularity is Granularity.MONTHLY and np.isnat(days).any())
+        or any(v is None for v in attributes.values())
+    ):
+        raise _first_error(descriptor, raw)
 
     return Dataset(
         descriptor,
         ids=np.array(ids, dtype=object),
-        keys=period_keys(days, years, descriptor.granularity),
+        keys=period_keys(days, parsed[1], descriptor.granularity),
         done=days,
         start=start,
         attributes=attributes,
@@ -753,9 +736,7 @@ def csv_text(dataset: Dataset) -> str:
     it."""
     descriptor = dataset.descriptor
     cols = descriptor.columns
-    formula_cols = [
-        c for c in descriptor.formula.columns if c not in descriptor.derived_products
-    ]
+    formula_cols = list(_formula_columns(descriptor))
     header, columns = [cols["id"]], [dataset.ids]
     if cols.get("completion"):
         year_only = np.isnat(dataset.done)

@@ -151,9 +151,10 @@ def min_bandwidth(
 ) -> float:
     """Smallest admissible bandwidth on a grid anchored at ``lo``.
 
-    For finite-support kinds this is the smallest grid value strictly
-    greater than the largest elapsed time the grid must serve, so every
-    lag stays below 1.  The Gaussian is unrestricted.
+    For finite-support kinds this is ``lo + k * step`` for the smallest
+    ``k`` whose value, rounded to 10 decimals as ``build_grid`` rounds it,
+    lies strictly above the largest elapsed time the grid must serve, so
+    every lag stays below 1.  The Gaussian is unrestricted.
     """
     if max_elapsed < 0:
         raise ValueError(f"negative max_elapsed: {max_elapsed}")
@@ -161,11 +162,13 @@ def min_bandwidth(
         raise ValueError(f"step must be positive, got {step}")
     if not kind.finite_support:
         return float(lo)
-    k = max(0, math.ceil((max_elapsed - lo) / step - 1e-9))
-    candidate = lo + k * step
-    if candidate <= max_elapsed + 1e-9:
-        candidate += step
-    return candidate
+    # rounding to 10 decimals moves a value by at most a quarter of the
+    # finest step ``grid_size`` accepts, so k is within one of this ceiling
+    first = max(0, math.ceil((max_elapsed - lo) / step) - 1)
+    for k in range(first, first + 3):
+        if round(lo + k * step, 10) > max_elapsed:
+            break
+    return lo + k * step
 
 
 MAX_GRID_VALUES = 100_000

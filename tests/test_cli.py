@@ -353,6 +353,23 @@ class TestSweep:
         bandwidths = {b for c in read_curves(out / "curves.csv").values() for b in c.bandwidths}
         assert min(bandwidths) == 17 and max(bandwidths) == 100
 
+    def test_finite_support_grid_keeps_its_first_value_above_the_span(self, tmp_path):
+        # 22 periods: the all-data split's target lies 22 past the oldest
+        # record, and 22.0000000001 is the first grid value above that
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 3, "n_periods": 22, "n_projects": 200}))
+        data = tmp_path / "synth.csv"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        out = tmp_path / "out"
+        assert main([
+            "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
+            "--data", str(data), "--kernels", "triangular",
+            "--grid", "21.9999999999:22.000000001:2.0001e-10", "--out", str(out),
+        ]) == 0
+        assert {c.bandwidths for c in read_curves(out / "curves.csv").values()} == {
+            (22.0000000001, 22.0000000003, 22.0000000005, 22.0000000007, 22.0000000009)
+        }
+
     def test_all_data_split_has_empty_test_fields(self, synth_csv, tmp_path):
         code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
         curves = read_curves(out / "curves.csv")

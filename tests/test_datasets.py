@@ -1,13 +1,16 @@
 import csv
 import io
 import math
+import time
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
 from driftscope.chronology import ChronologyMode, build_split_plan
+from driftscope import datasets
 from driftscope.cli import main
 from driftscope.datasets import (
     _DATE_FORMATS,
@@ -552,6 +555,39 @@ class TestConversionEdges:
         assert got == [(2000, 15.5), (2000, 12.0), (2001, 100.0)]
         assert ds.records[1].attributes["size"] == 7.0
         assert ds.keys[:3].tolist() == [2000, 2000, 2001]
+
+
+class TestRecordReading:
+    """The loader reads records one at a time only to name the first
+    error, and that reading is linear in the records."""
+
+    @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "synth"])
+    def test_valid_input_never_reaches_it(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("valid input reached the record-by-record reading")
+
+        monkeypatch.setattr(datasets, "_first_error", refuse)
+        if name == "synth":
+            dataset = synthesize(SynthConfig(seed=1))
+            descriptor, text = dataset.descriptor, csv_text(dataset)
+        else:  # day-first kitchenham, maxwell's years and start dates, ISO xbc
+            descriptor = builtin_descriptor(name)
+            data = Path(__file__).parent / "golden" / f"{name}_seed1" / "data.csv"
+            text = data.read_bytes().decode("utf-8")
+        assert len(load_dataset(descriptor, text).ids) == descriptor.expected_rows
+
+    def test_an_error_in_the_last_of_many_records(self):
+        dataset = synthesize(SynthConfig(seed=1, n_projects=20_000, n_periods=20))
+        header, *rows = csv_text(dataset).splitlines()
+        fields = rows[-1].split(",")
+        fields[header.split(",").index("size")] = "ten"
+        text = "\n".join([header, *rows[:-1], ",".join(fields)]) + "\n"
+        began = time.perf_counter()
+        with pytest.raises(DataError) as exc:
+            load_dataset(dataset.descriptor, text)
+        # well under a second read linearly; tens of seconds read quadratically
+        assert time.perf_counter() - began < 10
+        assert str(exc.value) == "non-numeric value 'ten' in column 'size' for 'p19999'"
 
 
 _TEXT = stn.text(

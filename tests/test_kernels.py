@@ -388,6 +388,37 @@ class TestGridResolution:
         assert grid[0] > max_elapsed
         weights_for_target(origins, target, kind, grid)  # every lag inside the support
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=stn.sampled_from([KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]),
+        lo=stn.one_of(
+            stn.floats(1e-3, 1e4),
+            stn.integers(1, 10**6).map(lambda k: k * 1e-4 + 0.5e-10),
+        ),
+        steps=stn.one_of(stn.floats(1.0, 1e9), stn.sampled_from([1.0, 1.00005, 5e9])),
+        n=stn.integers(3, 200),
+        j=stn.integers(0, 200),
+        nudge=stn.one_of(stn.floats(-0.99, 0.99), stn.just(0.0)),
+        shift=stn.sampled_from([0.0, 1e-11, -1e-11, 4e-11, -4e-11, 6e-11, -6e-11, 1e-10]),
+    )
+    # a 22-period span on 2.0001e-10 steps from 21.9999999999 lost 22.0000000001
+    @example(
+        kind=KernelKind.TRIANGULAR, lo=21.9999999999, steps=1.00005, n=5, j=0, nudge=0.0,
+        shift=1e-10,
+    )
+    # 1.02000000006 lies above a span of 1.02000000009 once rounded
+    @example(
+        kind=KernelKind.EPANECHNIKOV, lo=1.00000000006, steps=5e7, n=10, j=2, nudge=0.0,
+        shift=-1e-11,
+    )
+    def test_no_value_above_the_span_is_dropped(self, kind, lo, steps, n, j, nudge, shift):
+        step = steps * GRID_RESOLUTION
+        full = build_grid(KernelKind.GAUSSIAN, 0.0, lo=lo, hi=lo + n * step, step=step)
+        # two grid values on, so the finite-support grid is never empty
+        max_elapsed = max(0.0, full[min(j, len(full) - 3)] + nudge * step + shift)
+        grid = build_grid(kind, max_elapsed, lo=lo, hi=lo + n * step, step=step)
+        assert grid[0] == min(v for v in full if v > max_elapsed)
+
 
 class TestDecayHorizon:
     def test_gaussian_matches_calibration(self):
