@@ -9,11 +9,11 @@
 # Every training set is a prefix of one plan-ordered design, so the fits
 # of a whole plan share its run table (records of one period, cut again
 # at every split's stop) and their per-run moment sums.  Whole
-# splits are solved together, up to BATCH_ROWS fits per weighted least
-# squares call on the whole design and run table; prediction and
-# relative errors stay per split.  Errors come out in plan order, at the
-# (split, kernel, bandwidth) of the first failing cell, as one split at a
-# time would give them.
+# splits are solved together, within BATCH_VALUES stacked values per
+# weighted least squares call on the whole design and run table;
+# prediction and relative errors stay per split.  Errors come out in
+# plan order, at the (split, kernel, bandwidth) of the first failing
+# cell, as one split at a time would give them.
 
 from __future__ import annotations
 
@@ -49,14 +49,16 @@ __all__ = [
     "summarize",
 ]
 
-# Fit rows per weighted_least_squares call: whole splits are batched up
-# to this many rows (a split with more is a batch of its own).  A batch's
-# weights, Gram matrices and coefficients grow with its rows while its
-# dispatch cost does not.  On the benchmark's nasa93-shaped sweep (about
-# 4500 fit rows), one uncapped batch raised the whole sweep's peak
-# tracemalloc allocation from 1.34 to 3.66 MB; with 1024-row batches it
-# stays at 1.34 MB, that of solving one split at a time.
-BATCH_ROWS = 1024
+# Stacked values per weighted_least_squares call: whole splits are
+# batched while their fit rows x (runs + p*p + p), the weights and the
+# moment sums the call stacks for p coefficients, stay within this
+# budget, so a batch exceeds it only when one split alone does.  Every
+# benchmark plan fits in one batch (nasa93 needs the most, 213,333
+# values).  A batch's dispatch cost does not grow with its rows: on the
+# benchmark's 1000 x 20 long-history sweep (5,220 fit rows), one batch
+# in place of seven of at most 1024 rows cut the sweep's wall time by
+# 12% and raised its peak RSS by 1.9 MB (4.6%), on a 2-core x86 box.
+BATCH_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -174,10 +176,10 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
 
     Records of one period share a weight, so weights are given per run
     of the plan's run table, which makes each training prefix a whole
-    number of runs.  Whole splits are solved together, up to
-    ``BATCH_ROWS`` rows per ``weighted_least_squares`` call, each on the
-    whole design and run table, every split's rows zero past its own
-    runs.  Each kernel's weights of a batch come from one
+    number of runs.  Whole splits are solved together, within
+    ``BATCH_VALUES`` stacked values per ``weighted_least_squares`` call,
+    each on the whole design and run table, every split's rows zero past
+    its own runs.  Each kernel's weights of a batch come from one
     ``weights_for_target`` call, which the grids keep inside every
     kernel's support.
 
@@ -190,7 +192,8 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
     origins = plan.indices[starts]
     targets = np.array([s.target for s in splits])
     runs = np.searchsorted(starts, [s.stop for s in splits])
-    size = max(1, BATCH_ROWS // width)
+    p = design.n_columns
+    size = max(1, BATCH_VALUES // (width * (starts.size + p * p + p)))
     for first in range(0, len(splits), size):
         batch, batch_runs = splits[first : first + size], runs[first : first + size]
         batch_targets = targets[first : first + size]
@@ -210,6 +213,7 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
             except (ValueError, stats.SingularDesignError) as exc:
                 cut, row = divmod(getattr(exc, "row", 0), width)
                 failure = exc, {"split": batch[cut].ordinal, **cells[row]}
+        del blocks, w  # not held while the batch's splits are scored
         for i, split in enumerate(batch[:cut]):
             coefficients = model.coefficients[i * width : (i + 1) * width]
             yield split, stats.FittedModel(coefficients, design.subset(slice(split.stop)))

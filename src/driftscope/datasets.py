@@ -15,6 +15,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
+from itertools import compress
 
 import numpy as np
 
@@ -477,13 +478,16 @@ def _finite_floats(texts) -> np.ndarray | None:
 
 
 def _whole_days(texts) -> np.ndarray | None:
-    """Stripped durations as whole days, rounded half to even as ``round``
-    rounds, NaN where blank; None if a non-blank one is not finite."""
-    values = _finite_floats(list(filter(None, texts)))
+    """Duration texts as whole days: NaN where a text is blank once
+    stripped, and each other text as ``round(float(text))`` reads it,
+    unstripped (``str.strip`` removes the separators U+001C to U+001F,
+    which ``float`` refuses); None if one is not finite."""
+    filled = list(map(bool, map(str.strip, texts)))
+    values = _finite_floats(list(compress(texts, filled)))
     if values is None:
         return None
     days = np.full(len(texts), np.nan)
-    days[np.array(list(map(bool, texts)), dtype=bool)] = np.rint(values)
+    days[np.array(filled, dtype=bool)] = np.rint(values)
     return days
 
 
@@ -703,7 +707,7 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
 
     ids = stripped(cols["id"])
     start = _days(stripped(cols.get("start")), cols.get("start"))
-    duration = _whole_days(stripped(cols.get("duration")))
+    duration = _whole_days(raw(cols.get("duration")))
     done_texts = stripped(cols.get("completion"))
     parsed = _completions(done_texts, cols.get("completion"), ids)
     attributes = {c: _whole_attribute(stripped(c), numeric) for c, numeric in formula.items()}

@@ -309,6 +309,8 @@ def _solve(design: DesignMatrix, w, starts, runs, inside, ends) -> np.ndarray:
     eigenvalues = np.linalg.eigvalsh(xtx)[np.searchsorted(prefixes, runs)]
     w_min = np.min(w, axis=1, where=inside, initial=np.inf)
     direct = _bounded_rows(gram, w_min, w.max(axis=1), eigenvalues)
+    if direct.all():  # on the views, without copying them
+        return np.linalg.solve(gram, xty[:, :, None])[..., 0]
     coefficients = np.empty((len(w), p))
     coefficients[direct] = np.linalg.solve(gram[direct], xty[direct, :, None])[..., 0]
     rest = np.flatnonzero(~direct)

@@ -27,7 +27,7 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
-from driftscope.datasets import SynthConfig, synthesize
+from driftscope.datasets import SynthConfig, builtin_descriptor, load_dataset, synthesize
 from driftscope.kernels import Granularity, KernelKind
 from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
 
@@ -48,6 +48,14 @@ TRIANGULAR_PLACES = {
     "triangular-middle": (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR, KernelKind.EPANECHNIKOV),
     "triangular-last": (KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR),
 }
+
+
+def _split_values(dataset, sweep):
+    """The values each split of ``sweep`` stacks in a weighted least
+    squares call: its fit rows x (runs + p*p + p), p coefficients."""
+    rows = 1 + sum(map(len, sweep.grids.values()))
+    p = analysis._plan_design(dataset, sweep.plan.order)[0].n_columns
+    return rows * (len(sweep.plan.starts) + p * p + p)
 
 
 @pytest.fixture(scope="module")
@@ -151,18 +159,26 @@ class TestRunSweep:
 
         monkeypatch.setattr(stats, "weighted_least_squares", counted)
         sweep = run_sweep(stationary_dataset, ALL_KERNELS)
-        # one stacked fit per batch of whole splits, up to BATCH_ROWS rows:
+        # one stacked fit per batch of whole splits within BATCH_VALUES:
         # each split's uniform row, then every kernel's bandwidth rows, all
         # on the split's own runs
         rows = 1 + sum(len(sweep.grids[kind]) for kind in ALL_KERNELS)
         splits = sweep.plan.splits
-        assert (rows, len(splits), analysis.BATCH_ROWS // rows) == (285, 8, 3)
-        assert [n for n, _ in calls] == [3 * rows, 3 * rows, 2 * rows]
+        assert (rows, len(splits)) == (285, 8)
         indices = splits[0].plan_indices
         runs = [
             r for s in splits
             for r in [1 + np.count_nonzero(np.diff(indices[: s.stop]))] * rows
         ]
+        assert [n for n, _ in calls] == [8 * rows]
+        assert [r for _, batch in calls for r in batch] == runs
+        # a budget short of four splits' values batches them by three
+        calls.clear()
+        monkeypatch.setattr(
+            analysis, "BATCH_VALUES", 4 * _split_values(stationary_dataset, sweep) - 1
+        )
+        run_sweep(stationary_dataset, ALL_KERNELS)
+        assert [n for n, _ in calls] == [3 * rows, 3 * rows, 2 * rows]
         assert [r for _, batch in calls for r in batch] == runs
 
     def test_empty_kernel_set(self, stationary_dataset):
@@ -248,8 +264,8 @@ class TestRunSweep:
         plan = build_split_plan(lone_oldest)
         second, third = plan.splits[1].target, plan.splits[2].target
         sweep = run_sweep(lone_oldest, kernels)
-        rows = 1 + sum(map(len, sweep.grids.values()))
-        assert analysis.BATCH_ROWS // rows >= 3  # splits 1-3 share a batch
+        # splits 1-3 share a batch
+        assert 3 * _split_values(lone_oldest, sweep) <= analysis.BATCH_VALUES
         weights_for_target = analysis.weights_for_target
 
         def failing(origins, targets, kind, bandwidths, runs):
@@ -430,8 +446,12 @@ def _remainder_tests(dataset, overrides):
     return replace(dataset, descriptor=descriptor)
 
 
+# Value budgets for the batches of a sweep, the default and smaller ones
+BUDGETS = [analysis.BATCH_VALUES, 2**16, 2**14, 2**12, 2**10]
+
+
 class TestBatchedFits:
-    """Whole splits are solved together in batches of stacked fit rows;
+    """Whole splits are solved together in batches within a value budget;
     each split's coefficients equal a fit of its own."""
 
     @settings(
@@ -441,13 +461,15 @@ class TestBatchedFits:
     @given(
         dataset=_datasets(),
         kernels=stn.lists(stn.sampled_from(KernelKind), min_size=1, max_size=3, unique=True),
-        # in period units: a step of 1 or 0.5 gives batches of a few
-        # splits, 0.25 one split each when three kernels are weighted
-        step=stn.sampled_from([4.0, 1.0, 0.5, 0.25]),
+        step=stn.sampled_from([4.0, 1.0, 0.5, 0.25]),  # in period units
+        budget=stn.sampled_from(BUDGETS),
     )
-    # eight splits of 285 rows: batches of three, three and two splits
-    @example(dataset=synthesize(SynthConfig(seed=3)), kernels=list(ALL_KERNELS), step=1.0)
-    def test_batched_coefficients_equal_direct_fits(self, dataset, kernels, step):
+    # eight splits of 3990 values: batches of three, three and two splits
+    @example(
+        dataset=synthesize(SynthConfig(seed=3)), kernels=list(ALL_KERNELS), step=1.0,
+        budget=12_000,
+    )
+    def test_batched_coefficients_equal_direct_fits(self, dataset, kernels, step, budget):
         unit = dataset.descriptor.granularity.increment
         config = AnalysisConfig(grid_lo=unit, grid_hi=100 * unit, grid_step=step * unit)
         fits = []
@@ -459,14 +481,14 @@ class TestBatchedFits:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_split_curves", recorded)
+            mp.setattr(analysis, "BATCH_VALUES", budget)
             try:
                 sweep = run_sweep(dataset, kernels, config)
             except SplitError:
                 assume(False)
         plan = sweep.plan
         assert [split for split, _ in fits] == list(plan.splits)
-        rows = 1 + sum(map(len, sweep.grids.values()))
-        per_batch = max(1, analysis.BATCH_ROWS // rows)
+        per_batch = max(1, budget // _split_values(dataset, sweep))
         if 1 < per_batch < len(plan.splits):
             event("a batch boundary mid-plan")
         if dataset.descriptor.overrides and not set(dataset.descriptor.overrides) <= set(
@@ -491,11 +513,17 @@ class TestBatchedFits:
         max_examples=30, deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     )
-    @given(dataset=_datasets(), step=stn.sampled_from([4.0, 1.0, 0.5]))
+    @given(
+        dataset=_datasets(), step=stn.sampled_from([4.0, 1.0, 0.5]),
+        budget=stn.sampled_from(BUDGETS),
+    )
     # remainder tests after 20 (inside a period), 40, 50 and 100 records:
-    # five splits of 285 rows, batches of three and two
-    @example(dataset=_remainder_tests(synthesize(SynthConfig(seed=3)), (20, 40, 50, 100)), step=1.0)
-    def test_batched_weights_equal_per_target_weights(self, dataset, step):
+    # five splits of 5130 values, batches of two, two and one
+    @example(
+        dataset=_remainder_tests(synthesize(SynthConfig(seed=3)), (20, 40, 50, 100)), step=1.0,
+        budget=12_000,
+    )
+    def test_batched_weights_equal_per_target_weights(self, dataset, step, budget):
         unit = dataset.descriptor.granularity.increment
         config = AnalysisConfig(grid_lo=unit, grid_hi=100 * unit, grid_step=step * unit)
         batches = {}
@@ -507,6 +535,7 @@ class TestBatchedFits:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "weights_for_target", recorded)
+            mp.setattr(analysis, "BATCH_VALUES", budget)
             try:
                 sweep = run_sweep(dataset, ALL_KERNELS, config)
             except SplitError:
@@ -531,6 +560,36 @@ class TestBatchedFits:
                     alone = weights_for_target(origins[:r], target, kind, bandwidths)
                     assert np.array_equal(block[:, :r], alone)
                     assert not block[:, r:].any()
+
+    # the default, and budgets that hold 3990-value synth splits by
+    # three, by one and none at all
+    @pytest.mark.parametrize("budget", [analysis.BATCH_VALUES, 12_000, 4_000, 1])
+    @pytest.mark.parametrize("case", ["synth", "nasa93"])
+    def test_batches_fill_the_value_budget(self, case, budget, monkeypatch):
+        if case == "synth":
+            dataset = synthesize(SynthConfig(seed=3))
+        else:  # five coefficients
+            data = Path(__file__).resolve().parent / "golden" / "nasa93_seed1" / "data.csv"
+            dataset = load_dataset(builtin_descriptor("nasa93"), data.read_text("utf-8"))
+        config = AnalysisConfig(grid_step=3.0)
+        default = run_sweep(dataset, ALL_KERNELS, config)
+        split = _split_values(dataset, default)
+        calls = []
+        wls = stats.weighted_least_squares
+
+        def counted(design, w, starts, runs):
+            calls.append(w.shape[0] * (w.shape[1] + design.n_columns * (design.n_columns + 1)))
+            return wls(design, w, starts, runs)
+
+        monkeypatch.setattr(stats, "weighted_least_squares", counted)
+        monkeypatch.setattr(analysis, "BATCH_VALUES", budget)
+        sweep = run_sweep(dataset, ALL_KERNELS, config)
+        # whole splits, as many as the budget holds, and one at least
+        assert sum(calls) == len(sweep.plan.splits) * split
+        assert all(values <= budget or values == split for values in calls)
+        assert all(values + split > budget for values in calls[:-1])
+        # batching moves no bit
+        assert sweep.curves == default.curves
 
 
 def test_sweep_leaves_numpy_ma_unimported(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from driftscope import analysis, cli
+from driftscope import cli
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -44,12 +44,12 @@ def test_every_span_is_called(tracer_cls, tmp_path):
     (layers,) = tracer.rounds()
     for _, _, span, _ in targets:
         assert layers[f"{span}.calls"] > 0, span
-    # one stacked fit per batch of whole splits, up to BATCH_ROWS rows:
-    # each split's uniform row and every kernel's rows
+    # one stacked fit per batch of whole splits within BATCH_VALUES, each
+    # split's uniform row and every kernel's rows: here the whole plan
     splits = layers["chronology.splits"]
     rows = 1 + layers["analysis.cells"] // splits
-    assert (splits, rows, analysis.BATCH_ROWS // rows) == (6, 289, 3)
-    assert layers["stats.weighted_least_squares.calls"] == 2
+    assert (splits, rows) == (6, 289)
+    assert layers["stats.weighted_least_squares.calls"] == 1
     # one design per sweep, one row per record; splits take row ranges of it
     assert layers["stats.build_design_matrix.calls"] == 1
     records = layers["datasets.load_dataset.rows"]
