@@ -349,8 +349,6 @@ class StationarityVerdict:
     convergence: ConvergencePoint | None
     horizon: float | None
     train_span: float
-    epsilon: float
-    theta: float
 
 
 def stationarity_verdict(
@@ -372,8 +370,7 @@ def stationarity_verdict(
         raise ValueError(f"train span must be positive, got {train_span}")
     if point is None:
         return StationarityVerdict(
-            split, kind, Classification.NON_STATIONARY, None, None,
-            train_span, config.epsilon, config.theta,
+            split, kind, Classification.NON_STATIONARY, None, None, train_span
         )
     horizon = decay_horizon(kind, point.bandwidth, config.theta)
     if point.at_grid_minimum:
@@ -382,17 +379,13 @@ def stationarity_verdict(
         cls = Classification.STATIONARY
     else:
         cls = Classification.NON_STATIONARY
-    return StationarityVerdict(
-        split, kind, cls, point, horizon, train_span,
-        config.epsilon, config.theta,
-    )
+    return StationarityVerdict(split, kind, cls, point, horizon, train_span)
 
 
 @dataclass(frozen=True)
 class SweepSummary:
     verdicts: tuple[StationarityVerdict, ...]
     kernel_agreement: float | None  # None with fewer than 2 kernels
-    test_re_range: dict  # split ordinal -> (min, max) over all test REs
 
     @cached_property
     def _by_key(self) -> dict:
@@ -403,16 +396,14 @@ class SweepSummary:
 
 
 def summarize(sweep: SweepResult) -> SweepSummary:
-    """Per-split, per-kernel verdicts plus cross-kernel agreement and the
-    spread of test relative errors, read at the sweep's own config."""
+    """Per-split, per-kernel verdicts plus cross-kernel agreement, read
+    at the sweep's own config."""
     config = sweep.config
     verdicts = []
-    test_re_range = {}
     agree = 0
     for split in sweep.plan.splits:
         span = max(split.train_span, sweep.plan.granularity.increment)
         calls = set()
-        test_res = []
         for kind in sweep.grids:
             curve = sweep.curves[split.ordinal, kind]
             point = detect_convergence(
@@ -421,16 +412,8 @@ def summarize(sweep: SweepResult) -> SweepSummary:
             verdict = stationarity_verdict(point, kind, span, config, split=split.ordinal)
             verdicts.append(verdict)
             calls.add(verdict.classification)
-            if curve.re_test_nu is not None:
-                test_res += (min(curve.re_test_nu), max(curve.re_test_nu), curve.re_test_u)
         agree += len(calls) == 1
-        if test_res:
-            test_re_range[split.ordinal] = (min(test_res), max(test_res))
     agreement = None
     if len(sweep.grids) >= 2:
         agreement = agree / len(sweep.plan.splits)
-    return SweepSummary(
-        verdicts=tuple(verdicts),
-        kernel_agreement=agreement,
-        test_re_range=test_re_range,
-    )
+    return SweepSummary(verdicts=tuple(verdicts), kernel_agreement=agreement)

@@ -58,8 +58,8 @@ class Split:
     ascending read-only array: a view of one array of the plan's
     positions where the test set is contiguous.
 
-    ``plan_ids`` and ``plan_indices`` are the plan's sorted record ids
-    and their period indices, shared by every split of the plan.
+    ``plan_ids`` are the plan's sorted record ids, shared by every split
+    of the plan.
     """
 
     ordinal: int
@@ -68,7 +68,6 @@ class Split:
     target: float
     train_span: float
     plan_ids: np.ndarray = field(repr=False)
-    plan_indices: np.ndarray = field(repr=False)
 
     @property
     def train_ids(self) -> tuple[str, ...]:
@@ -77,14 +76,6 @@ class Split:
     @property
     def test_ids(self) -> tuple[str, ...]:
         return tuple(self.plan_ids[self.test_rows])
-
-    @property
-    def train_indices(self) -> tuple[float, ...]:
-        return tuple(self.plan_indices[: self.stop].tolist())
-
-    @property
-    def test_indices(self) -> tuple[float, ...]:
-        return tuple(self.plan_indices[self.test_rows].tolist())
 
     @property
     def is_final(self) -> bool:
@@ -98,25 +89,11 @@ class SplitPlan:
     indices and ``starts`` the run table, ascending from 0: a run starts
     at every period bound and every split's stop but the last one."""
 
-    mode: ChronologyMode
     granularity: Granularity
     order: np.ndarray
     indices: np.ndarray
     splits: tuple[Split, ...]
     starts: tuple[int, ...]
-
-    def to_rows(self) -> list[dict]:
-        """Stable tabular form for serialization and golden-file tests."""
-        return [
-            {
-                "ordinal": s.ordinal,
-                "train": ",".join(s.train_ids),
-                "test": ",".join(s.test_ids),
-                "target": s.target,
-                "span": s.train_span,
-            }
-            for s in self.splits
-        ]
 
 
 def _year_ends(years: np.ndarray) -> np.ndarray:
@@ -160,8 +137,8 @@ def build_split_plan(dataset) -> SplitPlan:
     indices = np.repeat(
         [period_index(k, periods[0], granularity) for k in periods], np.diff(bounds)
     )
-    indices.setflags(write=False)  # shared by every split of the plan
-    ids.setflags(write=False)
+    indices.setflags(write=False)
+    ids.setflags(write=False)  # shared by every split of the plan
 
     if descriptor.overrides is not None:
         stops = _override_stops(descriptor.overrides, bounds, mode, wmin)
@@ -181,7 +158,6 @@ def build_split_plan(dataset) -> SplitPlan:
     tests = (_test_rows(stop, positions, bounds, mode, start, last_done) for stop in stops)
     kept = [(stop, test_rows) for stop, test_rows in zip(stops, tests) if test_rows.size >= 2]
     return SplitPlan(
-        mode=mode,
         granularity=granularity,
         order=order,
         indices=indices,
@@ -224,7 +200,6 @@ def _make_split(ordinal, stop, test_rows, ids, indices, granularity) -> Split:
         target=target,
         train_span=round(float(indices[stop - 1] - indices[0]), 10),
         plan_ids=ids,
-        plan_indices=indices,
     )
 
 

@@ -10,8 +10,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .swilk import swilk
-
 __all__ = [
     "Term",
     "ModelFormula",
@@ -117,6 +115,9 @@ class NormalityReport:
 
 def shapiro_wilk(sample, alpha: float = 0.05) -> NormalityReport:
     """Shapiro-Wilk normality test (Royston AS R94, 3 <= n <= 5000)."""
+    # imported here: swilk's import of statistics costs every start
+    from .swilk import swilk
+
     sample = list(sample)
     w, p = swilk(sample)
     return NormalityReport(
@@ -251,12 +252,6 @@ class FittedModel:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.design.labels
-
-    @property
-    def residuals(self) -> np.ndarray:
-        """Transformed-scale training residuals, one row per fit.  They are
-        computed on request, so a stacked fit holds no fits x rows array."""
-        return self.design.response - predict(self, self.design)
 
 
 def _bounded_rows(gram, w_min, w_max, eigenvalues) -> np.ndarray:

@@ -96,9 +96,8 @@ class TestRunSweep:
         assert len(stationary_sweep.cells) == expected
 
     def test_finite_support_grids_start_above_span(self, stationary_sweep):
-        max_elapsed = max(
-            s.target - min(s.train_indices) for s in stationary_sweep.plan.splits
-        )
+        plan = stationary_sweep.plan
+        max_elapsed = max(s.target - min(plan.indices[: s.stop]) for s in plan.splits)
         for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
             assert stationary_sweep.grids[kind][0] > max_elapsed
 
@@ -165,7 +164,7 @@ class TestRunSweep:
         rows = 1 + sum(len(sweep.grids[kind]) for kind in ALL_KERNELS)
         splits = sweep.plan.splits
         assert (rows, len(splits)) == (285, 8)
-        indices = splits[0].plan_indices
+        indices = sweep.plan.indices
         runs = [
             r for s in splits
             for r in [1 + np.count_nonzero(np.diff(indices[: s.stop]))] * rows
@@ -697,11 +696,13 @@ class TestSummarize:
         assert len(summary.verdicts) == n_splits * len(ALL_KERNELS)
 
     def test_all_data_split_not_in_test_ranges(self, stationary_sweep):
-        summary = summarize(stationary_sweep)
         final = stationary_sweep.plan.splits[-1].ordinal
-        assert final not in summary.test_re_range
-        for ordinal, (lo, hi) in summary.test_re_range.items():
-            assert 0 <= lo <= hi
+        for (split, _), curve in stationary_sweep.curves.items():
+            if split == final:
+                assert curve.re_test_nu is None and curve.re_test_u is None
+            else:
+                assert 0 <= min(curve.re_test_nu) <= max(curve.re_test_nu)
+                assert curve.re_test_u >= 0
 
     def test_kernel_agreement_reported(self, stationary_sweep):
         summary = summarize(stationary_sweep)
@@ -713,13 +714,3 @@ class TestSummarize:
             assert summary.verdict(v.split, v.kernel) is v
         with pytest.raises(KeyError):
             summary.verdict(0, KernelKind.GAUSSIAN)
-
-    def test_test_re_range_spans_every_test_re(self, stationary_sweep):
-        summary = summarize(stationary_sweep)
-        by_split = {}
-        for c in stationary_sweep.cells:
-            if c.re_test_nu is not None:
-                by_split.setdefault(c.split, []).extend((c.re_test_nu, c.re_test_u))
-        assert summary.test_re_range == {
-            split: (min(res), max(res)) for split, res in by_split.items()
-        }

@@ -146,7 +146,7 @@ def _check_invariants(plan, records, formula):
         assert len(train) >= wmin
         if test:
             assert len(test) >= 2
-            assert max(split.train_indices) <= min(split.test_indices)
+            assert max(plan.indices[: split.stop]) <= min(plan.indices[split.test_rows])
         if prev_train is not None:
             assert prev_train < train
         prev_train = train
@@ -209,7 +209,11 @@ class TestYearAccumulate:
             ChronologyMode.YEAR_ACCUMULATE,
             ONE_TERM,
         )
-        assert a.to_rows() == b.to_rows()
+
+        def rows(plan):
+            return [(s.train_ids, s.test_ids, s.target, s.train_span) for s in plan.splits]
+
+        assert rows(a) == rows(b)
 
 
 class TestDateFilteredTest:
@@ -262,10 +266,12 @@ class TestDateFilteredTest:
         plain = _plan(
             records, Granularity.YEARLY, ChronologyMode.YEAR_ACCUMULATE, ONE_TERM
         )
-        plain_tests = {min(s.test_indices): set(s.test_ids) for s in plain.splits if s.test_ids}
+        plain_tests = {
+            min(plain.indices[s.test_rows]): set(s.test_ids) for s in plain.splits if s.test_ids
+        }
         for s in filtered.splits:
             if s.test_ids:
-                assert set(s.test_ids) <= plain_tests[min(s.test_indices)]
+                assert set(s.test_ids) <= plain_tests[min(filtered.indices[s.test_rows])]
 
     def test_start_on_last_training_completion_is_excluded(self):
         # A test project must start strictly after the last training
@@ -370,7 +376,7 @@ class TestTargetPeriod:
             _monthly(), Granularity.MONTHLY, ChronologyMode.REMAINDER_TEST, f
         )
         # eight months, 1999-10 .. 2000-05, at indices 0.1 .. 0.8
-        assert plan.splits[0].target == min(plan.splits[0].test_indices)
+        assert plan.splits[0].target == min(plan.indices[plan.splits[0].test_rows])
         assert plan.splits[-1].target == 0.9
 
 
@@ -473,9 +479,9 @@ class TestOrderMatchesLexsort:
 
 
 @stn.composite
-def _synth_plans(draw):
-    """The split plan of a synthetic dataset as generated, or under
-    remainder tests with split overrides that may cut its periods."""
+def _synth_datasets(draw):
+    """A synthetic dataset as generated, or under remainder tests with
+    split overrides that may cut its periods."""
     n_periods = draw(stn.integers(2, 8))
     dataset = synthesize(SynthConfig(
         n_projects=draw(stn.integers(max(6, n_periods), 40)),
@@ -490,10 +496,10 @@ def _synth_plans(draw):
             chronology=ChronologyMode.REMAINDER_TEST, overrides=tuple(sorted(overrides)),
         )
         dataset = replace(dataset, descriptor=descriptor)
-    return build_split_plan(dataset)
+    return dataset
 
 
-def _assert_test_rows(plan):
+def _assert_test_rows(plan, chronology):
     """Contiguous test sets (remainder and next-period tests) are
     read-only views of one plan-wide array of positions; date-filtered
     ones are ascending read-only selections of the next period.  Every
@@ -507,7 +513,7 @@ def _assert_test_rows(plan):
         assert not rows.flags.writeable
         assert rows.size >= 2 and rows[0] >= split.stop
         assert split.target == float(plan.indices[rows].min())
-        if plan.mode is ChronologyMode.DATE_FILTERED_TEST:
+        if chronology is ChronologyMode.DATE_FILTERED_TEST:
             assert np.all(np.diff(rows) > 0)
             assert np.ptp(plan.indices[rows]) == 0
         else:
@@ -516,11 +522,11 @@ def _assert_test_rows(plan):
 
 
 class TestRunTable:
-    @given(_synth_plans())
-    def test_test_rows_share_one_array(self, plan):
-        _assert_test_rows(plan)
+    @given(_synth_datasets())
+    def test_test_rows_share_one_array(self, dataset):
+        _assert_test_rows(build_split_plan(dataset), dataset.descriptor.chronology)
 
-    @given(_synth_plans())
+    @given(_synth_datasets().map(build_split_plan))
     def test_runs_start_at_period_bounds_and_split_stops(self, plan):
         starts = plan.starts
         assert all(type(s) is int for s in starts)

@@ -779,6 +779,30 @@ class TestSynth:
         assert list(out.parent.iterdir()) == []  # no CSV, no temporary file
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_take_the_umask_mode(tmp_path, umask):
+    """Every file synth, sweep and plot write has the mode ``open`` would
+    give it, 0o666 less the umask, not the temporary file's 0o600."""
+    data, out, svg = tmp_path / "synth.csv", tmp_path / "out", tmp_path / "split1.svg"
+    desc = data.with_suffix(".descriptor.json")
+    old = os.umask(umask)
+    try:
+        assert main(["synth", "--seed", "3", "--out", str(data)]) == 0
+        assert main([
+            "sweep", "--descriptor", str(desc), "--data", str(data),
+            "--grid", "1:20:1", "--kernels", "gaussian", "--out", str(out),
+        ]) == 0
+        assert main([
+            "plot", "--curves", str(out / "curves.csv"), "--split", "1",
+            "--kernel", "gaussian", "--out", str(svg),
+        ]) == 0
+    finally:
+        os.umask(old)
+    written = [data, desc, svg, *(out / n for n in ("curves.csv", "verdicts.json", "manifest.json"))]
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in written}
+    assert modes == {p.name: oct(0o666 & ~umask) for p in written}
+
+
 class TestUndecodableInput:
     """A file that is not UTF-8 is an input error (exit 2), though
     ``UnicodeDecodeError`` is a ``ValueError``, which a computation

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +20,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"driftscope.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"driftscope.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    """Only ``shapiro_wilk``, which no command calls, needs ``statistics``
+    (and with it ``fractions`` and ``decimal``): a start does not import
+    it."""
+    package_root = os.path.dirname(driftscope.__path__[0])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = "import sys, driftscope.cli; print('statistics' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "False\n"

@@ -37,8 +37,10 @@ to the batched Gram solve: the fixtures' relative errors moved by at most
 moved by 1.09e-12, so 1e-12 does not hold for this shape.
 
 Each fixture directory also holds ``plan.json``: the split plan of its
-dataset as ``SplitPlan.to_rows()`` plus every split's ``target``,
-``train_span``, ``train_indices`` and ``test_indices``.  The plans cover
+dataset as one row per split (its ordinal, its train and test ids joined
+by commas, its target and training span) plus every split's ``target``,
+``train_span`` and the period indices of its training and test
+records.  The plans cover
 the four plan shapes: year accumulation (the synthetic data, nasa93,
 desharnais), date-filtered tests (kitchenham, maxwell), remainder tests
 (xbc without its overrides, ``xbc_seed1/plan_remainder.json``) and split
@@ -174,7 +176,7 @@ def test_drifting_fixture_covers_both_verdicts():
 PLANS = (*sorted(CASES), *(f"{s}_seed1" for s in SHAPES), "xbc_seed1/remainder")
 
 
-def _plan(case):
+def _dataset(case):
     if case in CASES:
         ds = synthesize(SynthConfig(**CASES[case]))
     else:
@@ -185,19 +187,32 @@ def _plan(case):
         ds = dataclasses.replace(
             ds, descriptor=dataclasses.replace(ds.descriptor, overrides=None)
         )
-    return build_split_plan(ds)
+    return ds
+
+
+def _plan(case):
+    return build_split_plan(_dataset(case))
 
 
 def _plan_doc(plan):
     return {
-        "rows": plan.to_rows(),
+        "rows": [
+            {
+                "ordinal": s.ordinal,
+                "train": ",".join(s.train_ids),
+                "test": ",".join(s.test_ids),
+                "target": s.target,
+                "span": s.train_span,
+            }
+            for s in plan.splits
+        ],
         "splits": [
             {
                 "ordinal": s.ordinal,
                 "target": s.target,
                 "train_span": s.train_span,
-                "train_indices": list(s.train_indices),
-                "test_indices": list(s.test_indices),
+                "train_indices": plan.indices[: s.stop].tolist(),
+                "test_indices": plan.indices[s.test_rows].tolist(),
             }
             for s in plan.splits
         ],
@@ -216,15 +231,15 @@ def test_plan_matches_golden(case):
     assert _plan_doc(plan) == json.loads(_plan_path(case).read_text())
     for s in plan.splits:
         assert type(s.train_ids) is tuple and type(s.test_ids) is tuple
-        assert type(s.train_indices) is tuple and type(s.test_indices) is tuple
         assert type(s.target) is float and type(s.train_span) is float
 
 
 @pytest.mark.parametrize("case", PLANS)
 def test_plan_test_rows_and_targets(case):
-    _assert_test_rows(_plan(case))
+    ds = _dataset(case)
+    _assert_test_rows(build_split_plan(ds), ds.descriptor.chronology)
 
 
 def test_plan_shapes_are_covered():
-    assert {_plan(case).mode for case in PLANS} == set(ChronologyMode)
+    assert {_dataset(case).descriptor.chronology for case in PLANS} == set(ChronologyMode)
     assert builtin_descriptor("xbc").overrides  # the override shape
