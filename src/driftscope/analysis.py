@@ -105,45 +105,45 @@ class SweepCell:
     re_test_u: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """One (split, kernel) slice: the weighted relative errors along the
-    kernel's bandwidth grid, and the flat unweighted values they are read
-    against."""
+    """One kernel's curves over every split: the weighted relative errors
+    along the kernel's bandwidth grid, [split, bandwidth], and the flat
+    unweighted values they are read against, [split].  Row i is split
+    i + 1; test values are NaN on the last, all-data split."""
 
-    split: int
-    kernel: KernelKind
     bandwidths: tuple[float, ...]  # the kernel's grid, shared by every split
-    re_train_nu: list[float]
-    re_test_nu: list[float] | None  # None on the all-data split
-    re_train_u: float
-    re_test_u: float | None
-
-    def cells(self) -> tuple[SweepCell, ...]:
-        re_test_nu = self.re_test_nu
-        if re_test_nu is None:
-            re_test_nu = [None] * len(self.bandwidths)
-        return tuple(
-            SweepCell(
-                self.split, self.kernel, b, train_nu, test_nu,
-                self.re_train_u, self.re_test_u,
-            )
-            for b, train_nu, test_nu in zip(self.bandwidths, self.re_train_nu, re_test_nu)
-        )
+    re_train_nu: np.ndarray
+    re_test_nu: np.ndarray
+    re_train_u: np.ndarray
+    re_test_u: np.ndarray
 
 
 @dataclass(frozen=True)
 class SweepResult:
     dataset: str
     config: AnalysisConfig
-    grids: dict  # KernelKind -> its ascending bandwidths, a tuple, in run order
     plan: SplitPlan
-    curves: dict  # (split ordinal, KernelKind) -> Curve, split-major
+    curves: dict  # KernelKind -> Curve, in run order
 
     @property
     def cells(self) -> tuple[SweepCell, ...]:
-        """One cell per (split, kernel, bandwidth), built on request."""
-        return tuple(cell for curve in self.curves.values() for cell in curve.cells())
+        """One cell per (split, kernel, bandwidth), split-major, built on
+        request; test values are None on the all-data split."""
+        columns = {
+            kind: [a.tolist() for a in (c.re_train_nu, c.re_test_nu, c.re_train_u, c.re_test_u)]
+            for kind, c in self.curves.items()
+        }
+        return tuple(
+            SweepCell(
+                split.ordinal, kind, b, train_nu[i][j],
+                None if split.is_final else test_nu[i][j],
+                train_u[i], None if split.is_final else test_u[i],
+            )
+            for i, split in enumerate(self.plan.splits)
+            for kind, (train_nu, test_nu, train_u, test_u) in columns.items()
+            for j, b in enumerate(self.curves[kind].bandwidths)
+        )
 
 
 def _relative_errors(model, design, actuals, log_scale: bool):
@@ -168,7 +168,7 @@ def _plan_design(dataset, order):
     return design, columns[formula.response]
 
 
-def _split_fits(plan: SplitPlan, design, grids, rows, cells):
+def _split_fits(plan: SplitPlan, design, curves, rows, cells):
     """Yield (split, model) for every split of ``plan`` in order: the
     split's stacked weighted fit on its training prefix of the
     plan-ordered ``design``, laid out by ``rows`` and ``cells`` (see
@@ -180,8 +180,8 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
     ``BATCH_VALUES`` stacked values per ``weighted_least_squares`` call,
     each on the whole design and run table, every split's rows zero past
     its own runs.  Each kernel's weights of a batch come from one
-    ``weights_for_target`` call, which the grids keep inside every
-    kernel's support.
+    ``weights_for_target`` call, which the ``curves``' grids keep inside
+    every kernel's support.
 
     A batch is cut at its first failing fit: the splits before the cut
     are solved and yielded, then that split's error is raised.  A
@@ -200,7 +200,8 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
         blocks = np.zeros((len(batch), width, starts.size))
         blocks[:, 0] = np.arange(starts.size) < batch_runs[:, None]
         for kind, at in rows.items():
-            weights = weights_for_target(origins, batch_targets, kind, grids[kind], batch_runs)
+            grid = curves[kind].bandwidths
+            weights = weights_for_target(origins, batch_targets, kind, grid, batch_runs)
             blocks[:, at] = weights.reshape(len(batch), at.size, starts.size)
         w = blocks.reshape(len(batch) * width, starts.size)
         cut, failure = len(batch), None
@@ -222,12 +223,12 @@ def _split_fits(plan: SplitPlan, design, grids, rows, cells):
             raise SweepError(exc, **coordinates) from exc
 
 
-def _split_curves(split: Split, model, design, actuals, formula, grids, rows, cells) -> list[Curve]:
-    """One curve per kernel of one split from its stacked fit ``model``
-    (see ``_split_fits``), on the rows of the plan-ordered ``design`` and
-    ``actuals`` that the split selects, each kernel's read at its
-    ``rows``.  A failing relative error is reported at row 0's ``cells``
-    entry."""
+def _split_curves(split: Split, model, design, actuals, formula, curves, rows, cells) -> None:
+    """Write one split's row of every kernel's ``curves`` from its stacked
+    fit ``model`` (see ``_split_fits``), on the rows of the plan-ordered
+    ``design`` and ``actuals`` that the split selects, each kernel's read
+    at its ``rows``.  A failing relative error is reported at row 0's
+    ``cells`` entry."""
     log_scale = formula.response_transform == stats.LOG
     test_rows = split.test_rows
     if test_rows.size and test_rows[-1] - test_rows[0] + 1 == test_rows.size:
@@ -241,15 +242,12 @@ def _split_curves(split: Split, model, design, actuals, formula, grids, rows, ce
         )
     except ValueError as exc:
         raise SweepError(exc, split=split.ordinal, **cells[0]) from exc
-    # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
-    return [
-        Curve(
-            split.ordinal, kind, grids[kind],
-            re_train[at].tolist(), None if re_test is None else re_test[at].tolist(),
-            re_train[0].item(), None if re_test is None else re_test[0].item(),
-        )
-        for kind, at in rows.items()
-    ]
+    i = split.ordinal - 1
+    for kind, at in rows.items():
+        curve = curves[kind]
+        curve.re_train_nu[i], curve.re_train_u[i] = re_train[at], re_train[0]
+        if re_test is not None:
+            curve.re_test_nu[i], curve.re_test_u[i] = re_test[at], re_test[0]
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
@@ -269,37 +267,26 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     # training sets are prefixes of the plan order, which starts at the
     # oldest period
     max_elapsed = max(s.target for s in plan.splits) - float(plan.indices[0])
-    grids = {
-        kind: build_grid(
-            kind, max_elapsed, lo=config.grid_lo, hi=config.grid_hi, step=config.grid_step
-        )
-        for kind in kernels
-    }
     # The row map of every split's stacked fit: row 0 is the uniform fit,
     # then comes a row per bandwidth of each kernel.  rows[kind] holds the
     # fit row of each of kind's bandwidths, cells[row] the kernel and
     # bandwidth a failure of it is reported at: row 0 at the first
     # kernel's first bandwidth.
-    first = next(iter(grids))
-    rows, cells = {}, [{"kernel": first, "bandwidth": grids[first][0]}]
-    for kind, values in grids.items():
-        rows[kind] = np.arange(len(cells), len(cells) + len(values))
-        cells += [{"kernel": kind, "bandwidth": b} for b in values]
+    n = len(plan.splits)
+    curves, rows, cells = {}, {}, [None]
+    for kind in dict.fromkeys(kernels):
+        grid = build_grid(
+            kind, max_elapsed, lo=config.grid_lo, hi=config.grid_hi, step=config.grid_step
+        )
+        curves[kind] = Curve(grid, *np.full((2, n, len(grid)), np.nan), *np.full((2, n), np.nan))
+        rows[kind] = np.arange(len(cells), len(cells) + len(grid))
+        cells += [{"kernel": kind, "bandwidth": b} for b in grid]
+    cells[0] = cells[1]
 
     design, actuals = _plan_design(dataset, plan.order)
-    curves = {}
-    for split, model in _split_fits(plan, design, grids, rows, cells):
-        for curve in _split_curves(
-            split, model, design, actuals, descriptor.formula, grids, rows, cells
-        ):
-            curves[curve.split, curve.kernel] = curve
-    return SweepResult(
-        dataset=descriptor.name,
-        config=config,
-        grids=grids,
-        plan=plan,
-        curves=curves,
-    )
+    for split, model in _split_fits(plan, design, curves, rows, cells):
+        _split_curves(split, model, design, actuals, descriptor.formula, curves, rows, cells)
+    return SweepResult(dataset=descriptor.name, config=config, plan=plan, curves=curves)
 
 
 @dataclass(frozen=True)
@@ -308,31 +295,21 @@ class ConvergencePoint:
     at_grid_minimum: bool
 
 
-def detect_convergence(curve, uniform_re: float, epsilon: float) -> ConvergencePoint | None:
-    """Smallest bandwidth from which the weighted curve stays within
-    tolerance of the unweighted value for the rest of the grid.
+def detect_convergence(curve: Curve, epsilon: float) -> list[ConvergencePoint | None]:
+    """Per split of ``curve``, the smallest bandwidth from which the
+    weighted training curve stays within tolerance of the unweighted
+    value for the rest of the grid: the first column of the row's
+    all-within-tolerance tail, None where that tail is empty.
 
-    ``curve`` is a sequence of (bandwidth, re) pairs in ascending
-    bandwidth order.  The tolerance is relative to the unweighted value
-    but floored at epsilon in absolute terms.
+    The tolerance is relative to the unweighted value but floored at
+    epsilon in absolute terms.
     """
-    curve = list(curve)
-    if not curve:
-        raise ValueError("empty curve")
-    tolerance = epsilon * max(1.0, uniform_re)
-    b_star = None
-    for b, re in curve:
-        if abs(re - uniform_re) <= tolerance:
-            if b_star is None:
-                b_star = b
-        else:
-            b_star = None
-    if b_star is None:
-        return None
-    return ConvergencePoint(
-        bandwidth=b_star,
-        at_grid_minimum=b_star == curve[0][0],
-    )
+    uniform = curve.re_train_u[:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, out of tolerance, as in float
+        within = np.abs(curve.re_train_nu - uniform) <= epsilon * np.maximum(1.0, uniform)
+    tails = np.logical_and.accumulate(within[:, ::-1], axis=1).sum(axis=1)
+    b = curve.bandwidths
+    return [ConvergencePoint(b[-t], b[-t] == b[0]) if t else None for t in tails.tolist()]
 
 
 class Classification(Enum):
@@ -399,21 +376,18 @@ def summarize(sweep: SweepResult) -> SweepSummary:
     """Per-split, per-kernel verdicts plus cross-kernel agreement, read
     at the sweep's own config."""
     config = sweep.config
+    points = {kind: detect_convergence(c, config.epsilon) for kind, c in sweep.curves.items()}
     verdicts = []
     agree = 0
-    for split in sweep.plan.splits:
+    for i, split in enumerate(sweep.plan.splits):
         span = max(split.train_span, sweep.plan.granularity.increment)
         calls = set()
-        for kind in sweep.grids:
-            curve = sweep.curves[split.ordinal, kind]
-            point = detect_convergence(
-                zip(curve.bandwidths, curve.re_train_nu), curve.re_train_u, config.epsilon
-            )
-            verdict = stationarity_verdict(point, kind, span, config, split=split.ordinal)
+        for kind, kind_points in points.items():
+            verdict = stationarity_verdict(kind_points[i], kind, span, config, split=split.ordinal)
             verdicts.append(verdict)
             calls.add(verdict.classification)
         agree += len(calls) == 1
     agreement = None
-    if len(sweep.grids) >= 2:
+    if len(sweep.curves) >= 2:
         agreement = agree / len(sweep.plan.splits)
     return SweepSummary(verdicts=tuple(verdicts), kernel_agreement=agreement)

@@ -16,6 +16,8 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import AnalysisConfig, Curve, SweepError, run_sweep, summarize
 from .datasets import (
@@ -143,7 +145,7 @@ def _manifest(descriptor: DatasetDescriptor, result, text: str) -> dict:
             "epsilon": config.epsilon,
             "theta": config.theta,
             "grid": _grid_text(config),
-            "kernels": [k.value for k in result.grids],
+            "kernels": [k.value for k in result.curves],
             "overrides": list(descriptor.overrides) if descriptor.overrides else None,
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -195,68 +197,84 @@ def _csv_field(text: str) -> str:
 
 
 def _curves_text(result) -> str:
-    """curves.csv, written one (split, kernel) block at a time.  The bytes
-    are those of ``csv.writer`` row by row; only the dataset name can need
-    quoting, since int, kernel and float reprs never do."""
+    """curves.csv, written one (split, kernel) block at a time, with empty
+    test fields on the plan's final split.  The bytes are those of
+    ``csv.writer`` row by row; only the dataset name can need quoting,
+    since int, kernel and float reprs never do."""
     name = _csv_field(result.dataset)
-    bandwidths = {
-        kind: [repr(b) for b in grid] for kind, grid in result.grids.items()
-    }
     blocks = [",".join(CURVE_COLUMNS) + "\r\n"]
-    for curve in result.curves.values():
-        head = f"{name},{curve.split},{curve.kernel.value},"
-        train_u = repr(curve.re_train_u)
-        if curve.re_test_nu is None:
-            rows = (
-                f"{head}{b},{train_nu!r},,{train_u},\r\n"
-                for b, train_nu in zip(bandwidths[curve.kernel], curve.re_train_nu)
-            )
-        else:
-            test_u = repr(curve.re_test_u)
-            rows = (
-                f"{head}{b},{train_nu!r},{test_nu!r},{train_u},{test_u}\r\n"
-                for b, train_nu, test_nu in zip(
-                    bandwidths[curve.kernel], curve.re_train_nu, curve.re_test_nu
-                )
-            )
-        blocks.append("".join(rows))
+    # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
+    columns = {
+        kind: [
+            [repr(b) for b in c.bandwidths],
+            *(a.tolist() for a in (c.re_train_nu, c.re_test_nu, c.re_train_u, c.re_test_u)),
+        ]
+        for kind, c in result.curves.items()
+    }
+    for i, split in enumerate(result.plan.splits):
+        for kind, (bandwidths, train_nu, test_nu, train_u, test_u) in columns.items():
+            head = f"{name},{split.ordinal},{kind.value},"
+            if split.is_final:
+                tests, tail = [""] * len(bandwidths), f",{train_u[i]!r},\r\n"
+            else:
+                tests, tail = map(repr, test_nu[i]), f",{train_u[i]!r},{test_u[i]!r}\r\n"
+            rows = zip(bandwidths, train_nu[i], tests)
+            blocks.append("".join(f"{head}{b},{re!r},{test}{tail}" for b, re, test in rows))
     return "".join(blocks)
 
 
 def read_curves(path) -> dict:
-    """Parse a curves.csv back into its curves, keyed (split, kernel) as
-    ``SweepResult.curves`` is (exact round trip).  A curve's rows must
-    agree on its unweighted values, so on whether it has test fields."""
+    """Parse a curves.csv back into its curves, {KernelKind: Curve} as
+    ``SweepResult.curves`` is (exact round trip).  Each kernel's splits
+    must run 1, 2, ... in order, each on the bandwidths of its first, with
+    test fields on every split but the last; the rows of one split must
+    agree on its unweighted values."""
     rows = csv.reader(io.StringIO(_read_text(path), newline=""))
     if (header := next(rows, None)) != CURVE_COLUMNS:
         raise DataError(f"unexpected curve columns: {header}")
-    blocks = {}  # (split, kernel) -> unweighted texts and values, weighted points
+    splits = {}  # kernel -> per split: its first line, unweighted texts, rows' values
     for fields in filter(None, rows):  # blank lines skipped
         where = f"{path}, line {rows.line_num}"
         if len(fields) != len(CURVE_COLUMNS):
             raise DataError(f"{where}: {len(fields)} fields, the header has {len(CURVE_COLUMNS)}")
         _, split, kernel, bandwidth, train_nu, test_nu, train_u, test_u = fields
         try:
-            key = int(split), KernelKind(kernel)
-            point = float(bandwidth), float(train_nu), float(test_nu) if test_nu else None
-            flat = float(train_u), float(test_u) if test_u else None
+            split, kind = int(split), KernelKind(kernel)
+            values = (
+                float(bandwidth), float(train_nu), float(test_nu or "nan"),
+                float(train_u), float(test_u or "nan"),
+            )
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from None
         if bool(test_nu) != bool(test_u):
             raise DataError(f"{where}: re_test_nu and re_test_u must both be given or both be empty")
-        texts, _, points = blocks.setdefault(key, ((train_u, test_u), flat, []))
-        if texts != (train_u, test_u):
+        seen = splits.setdefault(kind, [])
+        if split == len(seen) + 1:
+            seen.append((rows.line_num, (train_u, test_u), []))
+        elif not seen or split != len(seen):
+            raise DataError(f"{where}: split {split} of kernel {kernel} is out of order")
+        if seen[-1][1] != (train_u, test_u):
             raise DataError(
                 f"{where}: re_train_u and re_test_u differ from those of the first row "
                 f"of split {split}, kernel {kernel}"
             )
-        points.append(point)
+        seen[-1][2].append(values)
     curves = {}
-    for (split, kernel), (_, (train_u, test_u), points) in blocks.items():
-        bandwidths, train_nu, test_nu = zip(*points)
-        curves[split, kernel] = Curve(
-            split, kernel, bandwidths, list(train_nu),
-            None if test_u is None else list(test_nu), train_u, test_u,
+    for kind, seen in splits.items():
+        bandwidths = [values[0] for values in seen[0][2]]
+        for ordinal, (line, (_, test_u), block) in enumerate(seen, 1):
+            where = f"{path}, line {line}: split {ordinal} of kernel {kind.value}"
+            if not np.array_equal([values[0] for values in block], bandwidths, equal_nan=True):
+                raise DataError(f"{where} has other bandwidths than split 1")
+            if bool(test_u) == (ordinal == len(seen)):
+                rule = (
+                    "the last, so its test fields must be empty" if test_u
+                    else "not the last, so its test fields must be given"
+                )
+                raise DataError(f"{where} is {rule}")
+        table = np.array([block for *_, block in seen])  # [split, bandwidth, field]
+        curves[kind] = Curve(
+            tuple(bandwidths), table[..., 1], table[..., 2], table[:, 0, 3], table[:, 0, 4]
         )
     return curves
 
@@ -305,7 +323,7 @@ def cmd_sweep(args) -> int:
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(
         f"{result.dataset}: {len(result.plan.splits)} splits, "
-        f"{sum(len(c.bandwidths) for c in result.curves.values())} cells -> {out}"
+        f"{sum(c.re_train_nu.size for c in result.curves.values())} cells -> {out}"
     )
     return 0
 
@@ -386,14 +404,18 @@ def _svg_chart(bandwidths, series: dict, title: str) -> str:
 
 def cmd_plot(args) -> int:
     kind = _kernel(args.kernel.lower())
-    curves = read_curves(args.curves)
-    curve = curves.get((args.split, kind))
-    if curve is None:
+    curve = read_curves(args.curves).get(kind)
+    if curve is None or not 1 <= args.split <= len(curve.re_train_u):
         raise DataError(f"no rows for split {args.split}, kernel {kind.value} in {args.curves}")
-    n = len(curve.bandwidths)
-    series = {"train": curve.re_train_nu, "train global": [curve.re_train_u] * n}
-    if curve.re_test_nu is not None:
-        series |= {"test": curve.re_test_nu, "test global": [curve.re_test_u] * n}
+    i, n = args.split - 1, len(curve.bandwidths)
+    series = {"train": curve.re_train_nu[i], "train global": np.repeat(curve.re_train_u[i], n)}
+    if args.split < len(curve.re_train_u):  # the last split has no test records
+        series |= {"test": curve.re_test_nu[i], "test global": np.repeat(curve.re_test_u[i], n)}
+    if not np.isfinite([curve.bandwidths, *series.values()]).all():
+        raise DataError(
+            f"split {args.split}, kernel {kind.value} in {args.curves} holds a "
+            f"non-finite bandwidth or relative error, which cannot be plotted"
+        )
     title = f"split {args.split}, {kind.value} kernel"
     _atomic_write(Path(args.out), _svg_chart(curve.bandwidths, series, title))
     print(f"wrote {args.out}")

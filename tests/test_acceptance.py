@@ -59,11 +59,10 @@ def _sweep(name, kernels):
 def _test_re_range(sweep):
     """Per test-bearing split, the least and the greatest test relative
     error over its curves, weighted and unweighted."""
-    res = {}
-    for (split, _), curve in sweep.curves.items():
-        if curve.re_test_nu is not None:
-            res.setdefault(split, []).extend((*curve.re_test_nu, curve.re_test_u))
-    return {split: (min(values), max(values)) for split, values in res.items()}
+    values = np.column_stack(
+        [v for c in sweep.curves.values() for v in (c.re_test_nu, c.re_test_u)]
+    )[:-1]  # the final split has no test records
+    return {i: (float(row.min()), float(row.max())) for i, row in enumerate(values, 1)}
 
 
 def _random_design(rng):
@@ -341,9 +340,9 @@ def test_uniform_training_error_bound_on_non_stationary_splits():
         for verdict in summary.verdicts:
             if verdict.classification is not Classification.NON_STATIONARY:
                 continue
-            curve = sweep.curves[verdict.split, KernelKind.GAUSSIAN]
-            best_nu = min(curve.re_train_nu)
-            uniform = curve.re_train_u
+            curve, i = sweep.curves[KernelKind.GAUSSIAN], verdict.split - 1
+            best_nu = curve.re_train_nu[i].min()
+            uniform = curve.re_train_u[i]
             assert best_nu >= uniform - sweep.config.epsilon
             checked += 1
     assert checked > 0

@@ -15,6 +15,7 @@ from driftscope.analysis import (
     AnalysisConfig,
     Classification,
     ConvergencePoint,
+    Curve,
     SweepError,
     detect_convergence,
     run_sweep,
@@ -50,10 +51,30 @@ TRIANGULAR_PLACES = {
 }
 
 
+CURVE_ARRAYS = ("re_train_nu", "re_test_nu", "re_train_u", "re_test_u")
+
+
+def _fit_rows(sweep):
+    """The rows of each split's stacked fit: the uniform row, then one per
+    bandwidth of every kernel."""
+    return 1 + sum(len(curve.bandwidths) for curve in sweep.curves.values())
+
+
+def _assert_same_curves(got, want):
+    """Equal {KernelKind: Curve} maps: the same kernels in the same order,
+    the same grids, and the same arrays value for value, NaN where NaN."""
+    assert list(got) == list(want)
+    for kind, curve in want.items():
+        assert type(got[kind].bandwidths) is tuple
+        for field in ("bandwidths", *CURVE_ARRAYS):
+            a, b = getattr(got[kind], field), getattr(curve, field)
+            assert np.array_equal(a, b, equal_nan=True), (kind, field)
+
+
 def _split_values(dataset, sweep):
     """The values each split of ``sweep`` stacks in a weighted least
     squares call: its fit rows x (runs + p*p + p), p coefficients."""
-    rows = 1 + sum(map(len, sweep.grids.values()))
+    rows = _fit_rows(sweep)
     p = analysis._plan_design(dataset, sweep.plan.order)[0].n_columns
     return rows * (len(sweep.plan.starts) + p * p + p)
 
@@ -74,16 +95,19 @@ class TestFitCell:
     def test_noiseless_data_gives_zero_res(self):
         ds = synthesize(SynthConfig(seed=3, noise_sd=0.0))
         config = AnalysisConfig(grid_lo=5.0, grid_hi=5.0)
-        curve = run_sweep(ds, (KernelKind.GAUSSIAN,), config).curves[1, KernelKind.GAUSSIAN]
-        assert curve.re_train_nu == [pytest.approx(0.0, abs=1e-12)]
-        assert curve.re_test_nu == [pytest.approx(0.0, abs=1e-12)]
-        assert curve.re_train_u == pytest.approx(0.0, abs=1e-12)
+        curve = run_sweep(ds, (KernelKind.GAUSSIAN,), config).curves[KernelKind.GAUSSIAN]
+        assert curve.re_train_nu[0].tolist() == [pytest.approx(0.0, abs=1e-12)]
+        assert curve.re_test_nu[0].tolist() == [pytest.approx(0.0, abs=1e-12)]
+        assert curve.re_train_u[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_all_data_split_has_no_test_res(self, stationary_dataset):
         config = AnalysisConfig(grid_lo=5.0, grid_hi=5.0)
         result = run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,), config)
-        curve = result.curves[result.plan.splits[-1].ordinal, KernelKind.GAUSSIAN]
-        assert curve.re_test_nu is None and curve.re_test_u is None
+        curve = result.curves[KernelKind.GAUSSIAN]
+        assert len(curve.re_test_u) == len(result.plan.splits)
+        assert np.isnan(curve.re_test_nu[-1]).all() and np.isnan(curve.re_test_u[-1])
+        assert not np.isnan(curve.re_test_nu[:-1]).any()
+        assert not np.isnan(curve.re_test_u[:-1]).any()
 
 
 class TestRunSweep:
@@ -92,46 +116,66 @@ class TestRunSweep:
         n_splits = len(plan.splits)
         expected = 0
         for kind in ALL_KERNELS:
-            expected += n_splits * len(stationary_sweep.grids[kind])
+            expected += n_splits * len(stationary_sweep.curves[kind].bandwidths)
         assert len(stationary_sweep.cells) == expected
 
     def test_finite_support_grids_start_above_span(self, stationary_sweep):
         plan = stationary_sweep.plan
         max_elapsed = max(s.target - min(plan.indices[: s.stop]) for s in plan.splits)
         for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
-            assert stationary_sweep.grids[kind][0] > max_elapsed
+            assert stationary_sweep.curves[kind].bandwidths[0] > max_elapsed
 
     def test_uniform_re_constant_across_bandwidth(self, stationary_sweep):
-        for split in stationary_sweep.plan.splits:
-            for kind in ALL_KERNELS:
-                curve = stationary_sweep.curves[split.ordinal, kind].cells()
-                values = {c.re_train_u for c in curve}
-                assert max(values) - min(values) <= 1e-12
+        # one uniform fit per split: every kernel reads the same values,
+        # and every cell of a (split, kernel) repeats them
+        gaussian = stationary_sweep.curves[KernelKind.GAUSSIAN]
+        for curve in stationary_sweep.curves.values():
+            for field in ("re_train_u", "re_test_u"):
+                a, b = getattr(curve, field), getattr(gaussian, field)
+                assert np.array_equal(a, b, equal_nan=True)
+        flat = {}
+        for c in stationary_sweep.cells:
+            flat.setdefault((c.split, c.kernel), set()).add((c.re_train_u, c.re_test_u))
+        assert len(flat) == len(stationary_sweep.plan.splits) * len(ALL_KERNELS)
+        assert all(len(values) == 1 for values in flat.values())
 
     def test_curves_split_major_with_python_floats(self, stationary_sweep):
+        # the curves: one per kernel in run order, [split, bandwidth] arrays
         plan = stationary_sweep.plan
-        assert list(stationary_sweep.curves) == [
-            (split.ordinal, kind) for split in plan.splits for kind in ALL_KERNELS
-        ]
-        for (ordinal, kind), curve in stationary_sweep.curves.items():
-            assert (curve.split, curve.kernel) == (ordinal, kind)
-            assert curve.bandwidths is stationary_sweep.grids[kind]
-            final = ordinal == plan.splits[-1].ordinal
-            assert (curve.re_test_nu is None) == (curve.re_test_u is None) == final
-            columns = [curve.re_train_nu] + ([] if final else [curve.re_test_nu])
-            for values in columns:
-                assert len(values) == len(curve.bandwidths)
-                assert all(type(re) is float for re in values)
+        n = len(plan.splits)
+        assert list(stationary_sweep.curves) == list(ALL_KERNELS)
+        for curve in stationary_sweep.curves.values():
+            assert type(curve.bandwidths) is tuple
+            assert all(type(b) is float for b in curve.bandwidths)
+            for field in CURVE_ARRAYS:
+                values = getattr(curve, field)
+                assert values.dtype == np.float64
+                assert values.shape == (n, len(curve.bandwidths))[: values.ndim]
+            # NaN test values on the all-data split, and there alone
+            for field in ("re_test_nu", "re_test_u"):
+                assert np.array_equal(
+                    np.isnan(getattr(curve, field)).reshape(n, -1).any(axis=1),
+                    [split.is_final for split in plan.splits],
+                )
+        # the cells: split-major, Python floats, None on the all-data split
         cells = stationary_sweep.cells
-        assert cells == tuple(
-            cell for curve in stationary_sweep.curves.values() for cell in curve.cells()
-        )
         assert [(c.split, c.kernel, c.bandwidth) for c in cells] == [
             (split.ordinal, kind, b)
             for split in plan.splits
             for kind in ALL_KERNELS
-            for b in stationary_sweep.grids[kind]
+            for b in stationary_sweep.curves[kind].bandwidths
         ]
+        for c in cells:
+            curve, i = stationary_sweep.curves[c.kernel], c.split - 1
+            j = curve.bandwidths.index(c.bandwidth)
+            final = plan.splits[i].is_final
+            assert (c.re_train_nu, c.re_train_u) == (curve.re_train_nu[i, j], curve.re_train_u[i])
+            if final:
+                assert c.re_test_nu is None and c.re_test_u is None
+            else:
+                assert (c.re_test_nu, c.re_test_u) == (curve.re_test_nu[i, j], curve.re_test_u[i])
+            values = [c.re_train_nu, c.re_train_u] + ([] if final else [c.re_test_nu, c.re_test_u])
+            assert all(type(re) is float for re in values)
 
     def test_deterministic(self, stationary_dataset):
         a = run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,))
@@ -141,12 +185,9 @@ class TestRunSweep:
     def test_weighted_curve_approaches_uniform_at_large_bandwidth(
         self, stationary_sweep
     ):
-        for split in stationary_sweep.plan.splits:
-            curve = stationary_sweep.curves[split.ordinal, KernelKind.GAUSSIAN].cells()
-            first, last = curve[0], curve[-1]
-            assert abs(last.re_train_nu - last.re_train_u) <= (
-                abs(first.re_train_nu - first.re_train_u) + 1e-9
-            )
+        curve = stationary_sweep.curves[KernelKind.GAUSSIAN]
+        gaps = np.abs(curve.re_train_nu - curve.re_train_u[:, None])
+        assert np.all(gaps[:, -1] <= gaps[:, 0] + 1e-9)
 
     def test_one_uniform_fit_per_split(self, stationary_dataset, monkeypatch):
         calls = []
@@ -161,7 +202,7 @@ class TestRunSweep:
         # one stacked fit per batch of whole splits within BATCH_VALUES:
         # each split's uniform row, then every kernel's bandwidth rows, all
         # on the split's own runs
-        rows = 1 + sum(len(sweep.grids[kind]) for kind in ALL_KERNELS)
+        rows = _fit_rows(sweep)
         splits = sweep.plan.splits
         assert (rows, len(splits)) == (285, 8)
         indices = sweep.plan.indices
@@ -187,7 +228,7 @@ class TestRunSweep:
     def test_repeated_kernel_runs_once(self, stationary_dataset):
         gaussian = KernelKind.GAUSSIAN
         sweep = run_sweep(stationary_dataset, (gaussian, gaussian), AnalysisConfig(grid_step=9.0))
-        assert list(sweep.grids) == [gaussian]
+        assert list(sweep.curves) == [gaussian]
         summary = summarize(sweep)
         assert summary.kernel_agreement is None
         assert [v.split for v in summary.verdicts] == [s.ordinal for s in sweep.plan.splits]
@@ -246,9 +287,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("kernels", TRIANGULAR_PLACES.values(), ids=list(TRIANGULAR_PLACES))
     def test_singular_row_of_a_kernel_names_it(self, lone_oldest, monkeypatch, kernels):
         config = AnalysisConfig(grid_step=3.0)
-        grid = run_sweep(lone_oldest, (KernelKind.TRIANGULAR,), config).grids[
+        grid = run_sweep(lone_oldest, (KernelKind.TRIANGULAR,), config).curves[
             KernelKind.TRIANGULAR
-        ]
+        ].bandwidths
         self._plant_singular_rows(monkeypatch, KernelKind.TRIANGULAR, (1, 3))
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels, config)
@@ -308,7 +349,7 @@ class TestRunSweep:
         kernels = (KernelKind.EPANECHNIKOV, KernelKind.GAUSSIAN)
         config = AnalysisConfig(grid_step=3.0)
         sweep = run_sweep(lone_oldest, kernels, config)
-        rows = 1 + sum(map(len, sweep.grids.values()))
+        rows = _fit_rows(sweep)
         wls = stats.weighted_least_squares
 
         def planted(design, w, starts, runs):
@@ -323,7 +364,7 @@ class TestRunSweep:
         monkeypatch.setattr(stats, "weighted_least_squares", planted)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels, config)
-        first = sweep.grids[KernelKind.EPANECHNIKOV][0]
+        first = sweep.curves[KernelKind.EPANECHNIKOV].bandwidths[0]
         assert str(info.value) == (
             f"[split 2, kernel epanechnikov, bandwidth {first:g}] singular design"
         )
@@ -337,7 +378,7 @@ class TestRunSweep:
         )
         config = AnalysisConfig(grid_step=3.0)
         kernels = (KernelKind.EPANECHNIKOV, KernelKind.GAUSSIAN)
-        first = run_sweep(stationary_dataset, kernels[:1], config).grids[kernels[0]][0]
+        first = run_sweep(stationary_dataset, kernels[:1], config).curves[kernels[0]].bandwidths[0]
         with pytest.raises(SweepError) as info:
             run_sweep(broken, kernels, config)
         assert str(info.value) == (
@@ -351,14 +392,12 @@ class TestRunSweep:
         mixed = run_sweep(stationary_dataset, kernels, config)
         for kind in kernels:
             alone = run_sweep(stationary_dataset, (kind,), config)
-            assert alone.grids[kind] == mixed.grids[kind]
-            for split in mixed.plan.splits:
-                want, got = alone.curves[split.ordinal, kind], mixed.curves[split.ordinal, kind]
-                for field in ("re_train_nu", "re_test_nu", "re_train_u", "re_test_u"):
-                    a, b = getattr(want, field), getattr(got, field)
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
+            want, got = alone.curves[kind], mixed.curves[kind]
+            assert want.bandwidths == got.bandwidths
+            for field in CURVE_ARRAYS:
+                a, b = getattr(want, field), getattr(got, field)
+                assert np.array_equal(np.isnan(a), np.isnan(b))
+                assert np.nanmax(np.abs(a - b)) <= 1e-12
 
 
 CATEGORICAL = ModelFormula(
@@ -500,8 +539,8 @@ class TestBatchedFits:
             indices = plan.indices[: split.stop]
             starts = np.flatnonzero(np.concatenate(([True], indices[1:] != indices[:-1])))
             weights = [np.ones((1, starts.size))] + [
-                analysis.weights_for_target(indices[starts], split.target, kind, values)
-                for kind, values in sweep.grids.items()
+                analysis.weights_for_target(indices[starts], split.target, kind, curve.bandwidths)
+                for kind, curve in sweep.curves.items()
             ]
             want = stats.weighted_least_squares(train, np.concatenate(weights), starts)
             error = np.linalg.norm(model.coefficients - want.coefficients, axis=1)
@@ -550,7 +589,8 @@ class TestBatchedFits:
             event("an override cuts a period")
         for (targets, runs), origins in batches.items():
             assert np.array_equal(origins, plan.indices[list(plan.starts)])
-            for kind, bandwidths in sweep.grids.items():  # all three kernels
+            for kind, curve in sweep.curves.items():  # all three kernels
+                bandwidths = curve.bandwidths
                 rows = weights_for_target(origins, np.array(targets), kind, bandwidths, runs)
                 assert rows.shape == (len(targets) * len(bandwidths), origins.size)
                 assert rows.flags.c_contiguous
@@ -588,7 +628,7 @@ class TestBatchedFits:
         assert all(values <= budget or values == split for values in calls)
         assert all(values + split > budget for values in calls[:-1])
         # batching moves no bit
-        assert sweep.curves == default.curves
+        _assert_same_curves(sweep.curves, default.curves)
 
 
 def test_sweep_leaves_numpy_ma_unimported(tmp_path):
@@ -617,31 +657,102 @@ print("numpy.ma" in sys.modules)
     assert after_sweep == "False"
 
 
+def _curve(bandwidths, re_train_nu, re_train_u):
+    """A curve of weighted training rows ``re_train_nu``, [split,
+    bandwidth], read against ``re_train_u``, without test values."""
+    nu = np.array(re_train_nu, dtype=float).reshape(len(re_train_u), len(bandwidths))
+    u = np.array(re_train_u, dtype=float)
+    return Curve(tuple(bandwidths), nu, np.full_like(nu, np.nan), u, np.full_like(u, np.nan))
+
+
+def _scalar_convergence(curve, uniform_re, epsilon):
+    """The reference for one split: the smallest bandwidth of the (bandwidth,
+    re) pairs ``curve``, in ascending order, from which every re stays
+    within tolerance of ``uniform_re``, read one pair at a time."""
+    curve = list(curve)
+    tolerance = epsilon * max(1.0, uniform_re)
+    b_star = None
+    for b, re in curve:
+        if abs(re - uniform_re) <= tolerance:
+            if b_star is None:
+                b_star = b
+        else:
+            b_star = None
+    if b_star is None:
+        return None
+    return ConvergencePoint(bandwidth=b_star, at_grid_minimum=b_star == curve[0][0])
+
+
+@stn.composite
+def _convergence_cases(draw):
+    """A random curve, [split, bandwidth], and an epsilon: unweighted values
+    below and above 1, and weighted values drawn anywhere, exactly on
+    the tolerance's edges, u +- epsilon * max(1, u), or not finite."""
+    n_splits, n_bandwidths = draw(stn.integers(1, 4)), draw(stn.integers(1, 8))
+    bandwidths = sorted(
+        draw(stn.sets(stn.floats(0.25, 100.0), min_size=n_bandwidths, max_size=n_bandwidths))
+    )
+    epsilon = draw(stn.floats(0.001, 0.5))
+    uniform = draw(
+        stn.lists(
+            stn.one_of(stn.floats(0.0, 1.0), stn.floats(1.0, 50.0), stn.just(math.inf)),
+            min_size=n_splits, max_size=n_splits,
+        )
+    )
+    rows = []
+    for u in uniform:
+        tolerance = epsilon * max(1.0, u)
+        edges = stn.sampled_from([u - tolerance, u, u + tolerance])
+        rows.append(
+            draw(stn.lists(
+                stn.one_of(edges, stn.floats(0.0, 60.0), stn.sampled_from([math.inf, math.nan])),
+                min_size=n_bandwidths, max_size=n_bandwidths,
+            ))
+        )
+    return _curve(bandwidths, rows, uniform), epsilon
+
+
 class TestDetectConvergence:
     def test_identical_curve_converges_at_grid_min(self):
-        curve = [(b, 0.5) for b in range(1, 11)]
-        point = detect_convergence(curve, 0.5, 0.05)
+        [point] = detect_convergence(_curve(range(1, 11), [[0.5] * 10], [0.5]), 0.05)
         assert point.bandwidth == 1
         assert point.at_grid_minimum
 
     def test_never_within_tolerance(self):
-        curve = [(b, 2.0) for b in range(1, 11)]
-        assert detect_convergence(curve, 0.5, 0.05) is None
+        assert detect_convergence(_curve(range(1, 11), [[2.0] * 10], [0.5]), 0.05) == [None]
 
     def test_sustained_tail_required(self):
         # transient touch at b=2 does not count
-        curve = [(1, 2.0), (2, 0.5), (3, 2.0), (4, 0.52), (5, 0.51), (6, 0.5)]
-        point = detect_convergence(curve, 0.5, 0.05)
+        curve = _curve(range(1, 7), [[2.0, 0.5, 2.0, 0.52, 0.51, 0.5]], [0.5])
+        [point] = detect_convergence(curve, 0.05)
         assert point.bandwidth == 4
 
     def test_tolerance_scales_with_large_uniform_re(self):
-        curve = [(1, 10.8), (2, 10.4), (3, 10.2)]
-        point = detect_convergence(curve, 10.0, 0.05)
+        [point] = detect_convergence(_curve((1, 2, 3), [[10.8, 10.4, 10.2]], [10.0]), 0.05)
         assert point.bandwidth == 2
 
-    def test_empty_curve(self):
-        with pytest.raises(ValueError):
-            detect_convergence([], 1.0, 0.05)
+    def test_one_point_per_split(self):
+        curve = _curve((1, 2, 3), [[0.5, 0.5, 0.5], [2.0, 0.5, 0.5], [0.5, 0.5, 2.0]], [0.5] * 3)
+        assert detect_convergence(curve, 0.05) == [
+            ConvergencePoint(1, at_grid_minimum=True),
+            ConvergencePoint(2, at_grid_minimum=False),
+            None,
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_convergence_cases())
+    @example((_curve((3.0,), [[0.5], [0.56]], [0.5, 0.5]), 0.1))  # a one-bandwidth grid
+    def test_array_reading_equals_a_scalar_loop(self, case):
+        curve, epsilon = case
+        if len(curve.bandwidths) == 1:
+            event("a one-bandwidth grid")
+        want = [
+            _scalar_convergence(zip(curve.bandwidths, row), u, epsilon)
+            for row, u in zip(curve.re_train_nu.tolist(), curve.re_train_u.tolist())
+        ]
+        if any(point and not point.at_grid_minimum for point in want):
+            event("converged past the grid minimum")
+        assert detect_convergence(curve, epsilon) == want
 
 
 class TestStationarityVerdict:
@@ -697,12 +808,11 @@ class TestSummarize:
 
     def test_all_data_split_not_in_test_ranges(self, stationary_sweep):
         final = stationary_sweep.plan.splits[-1].ordinal
-        for (split, _), curve in stationary_sweep.curves.items():
-            if split == final:
-                assert curve.re_test_nu is None and curve.re_test_u is None
-            else:
-                assert 0 <= min(curve.re_test_nu) <= max(curve.re_test_nu)
-                assert curve.re_test_u >= 0
+        for curve in stationary_sweep.curves.values():
+            assert np.isnan(curve.re_test_nu[final - 1]).all()
+            assert np.isnan(curve.re_test_u[final - 1])
+            assert np.all(curve.re_test_nu[: final - 1] >= 0)
+            assert np.all(curve.re_test_u[: final - 1] >= 0)
 
     def test_kernel_agreement_reported(self, stationary_sweep):
         summary = summarize(stationary_sweep)

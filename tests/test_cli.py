@@ -1,13 +1,22 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from driftscope.analysis import AnalysisConfig, Curve, SweepResult, run_sweep
+from driftscope.analysis import (
+    AnalysisConfig,
+    Curve,
+    SweepResult,
+    detect_convergence,
+    run_sweep,
+)
+from driftscope.chronology import Split, SplitPlan
 from driftscope.cli import CURVE_COLUMNS, _curves_text, _grid_text, main, read_curves
 from driftscope.datasets import (
     DataError,
@@ -19,7 +28,9 @@ from driftscope.datasets import (
     synth_descriptor,
     synthesize,
 )
-from driftscope.kernels import KernelKind
+from driftscope.kernels import Granularity, KernelKind
+
+from test_analysis import _assert_same_curves
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,8 +277,21 @@ class TestSweep:
         descriptor = DatasetDescriptor.from_json(desc.read_text())
         kernels = (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR)
         result = run_sweep(load_dataset(descriptor, data.read_bytes().decode("utf-8")), kernels)
-        assert curves == result.curves
-        assert list(curves) == list(result.curves)  # in the file's order
+        _assert_same_curves(curves, result.curves)  # kernels in the file's order
+
+    def test_saved_curves_read_to_the_same_convergence(self, synth_csv, tmp_path):
+        data, desc = synth_csv
+        dataset = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data.read_text())
+        result = run_sweep(dataset, (KernelKind.TRIANGULAR, KernelKind.GAUSSIAN))
+        curves = tmp_path / "curves.csv"
+        curves.write_text(_curves_text(result), newline="")
+        saved = read_curves(curves)
+        _assert_same_curves(saved, result.curves)
+        epsilon = result.config.epsilon
+        for kind, curve in result.curves.items():
+            points = detect_convergence(curve, epsilon)
+            assert len(points) == len(result.plan.splits)
+            assert detect_convergence(saved[kind], epsilon) == points
 
     @staticmethod
     def _underflowing_sweep(tmp_path, *extra):
@@ -372,13 +396,15 @@ class TestSweep:
 
     def test_all_data_split_has_empty_test_fields(self, synth_csv, tmp_path):
         code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
-        curves = read_curves(out / "curves.csv")
-        final = max(split for split, _ in curves)
-        assert all(
-            c.re_test_nu is None and c.re_test_u is None
-            for (split, _), c in curves.items()
-            if split == final
-        )
+        with open(out / "curves.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        final = rows[-1]["split"]
+        for row in rows:
+            empty = [row[c] == "" for c in ("re_test_nu", "re_test_u")]
+            assert empty == [row["split"] == final] * 2
+        [curve] = read_curves(out / "curves.csv").values()
+        assert len(curve.re_test_u) == int(final)
+        assert np.isnan(curve.re_test_nu[-1]).all() and np.isnan(curve.re_test_u[-1])
 
     def test_verdicts_keyed_by_split_and_kernel(self, synth_csv, tmp_path):
         code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian,triangular")
@@ -504,21 +530,29 @@ def _reference_curves_text(result) -> str:
 def _hand_built_result(name: str) -> SweepResult:
     gaussian, epanechnikov = KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV
     g, e = (0.5, 1.0, 1.5, 2.0), (3.0,)  # the epanechnikov grid has one value
-    curves = [
-        Curve(1, gaussian, g, [0.1 + 0.2, 1 / 3, 2.5e-17, 12345.678901234567],
-              [1.0, 0.5, 1e-05, 7.0], 0.7, 1e300),
-        Curve(1, epanechnikov, e, [0.7], [1e300], 0.7, 1e300),
-        # the all-data split: empty test fields
-        Curve(2, gaussian, g, [0.25, 0.125, 2.0, 3e-08], None, 0.4, None),
-        Curve(2, epanechnikov, e, [0.4], None, 0.4, None),
-    ]
-    return SweepResult(
-        dataset=name,
-        config=AnalysisConfig(),
-        grids={gaussian: g, epanechnikov: e},
-        plan=None,
-        curves={(c.split, c.kernel): c for c in curves},
+    nan = float("nan")
+    curves = {
+        gaussian: Curve(
+            g,
+            np.array([[0.1 + 0.2, 1 / 3, 2.5e-17, 12345.678901234567], [0.25, 0.125, 2.0, 3e-08]]),
+            np.array([[1.0, 0.5, 1e-05, 7.0], [nan] * 4]),  # the all-data split: NaN
+            np.array([0.7, 0.4]),
+            np.array([1e300, nan]),
+        ),
+        epanechnikov: Curve(
+            e, np.array([[0.7], [0.4]]), np.array([[1e300], [nan]]),
+            np.array([0.7, 0.4]), np.array([1e300, nan]),
+        ),
+    }
+    # two splits of four records: the first tests on the last two, and the
+    # second is the all-data split
+    ids = np.array(["p1", "p2", "p3", "p4"])
+    splits = (
+        Split(1, 2, np.array([2, 3]), 1.0, 1.0, ids),
+        Split(2, 4, np.array([], dtype=np.intp), 2.0, 2.0, ids),
     )
+    plan = SplitPlan(Granularity.YEARLY, np.arange(4), np.array([0, 0, 1, 1]), splits, (0, 2))
+    return SweepResult(dataset=name, config=AnalysisConfig(), plan=plan, curves=curves)
 
 
 class TestCurvesText:
@@ -574,7 +608,7 @@ class TestPlot:
                 "--kernels", "gaussian", "--out", str(out),
             ]
         )
-        final = max(split for split, _ in read_curves(out / "curves.csv"))
+        final = len(read_curves(out / "curves.csv")[KernelKind.GAUSSIAN].re_train_u)
         svg = tmp_path / "final.svg"
         main(
             [
@@ -599,6 +633,59 @@ class TestPlot:
             "choose from gaussian, epanechnikov, triangular\n"
         )
         assert not svg.exists()
+
+    @staticmethod
+    def _non_finite(field, at):
+        """The hand-built result with the gaussian curve's ``field`` not
+        finite at ``at``: NaN for a bandwidth, inf for a relative error."""
+        result = _hand_built_result("d")
+        curve = result.curves[KernelKind.GAUSSIAN]
+        if field == "bandwidths":
+            bandwidths = list(curve.bandwidths)
+            bandwidths[at] = float("nan")
+            curve = dataclasses.replace(curve, bandwidths=tuple(bandwidths))
+        else:
+            getattr(curve, field)[at] = float("inf")
+        return dataclasses.replace(result, curves={**result.curves, KernelKind.GAUSSIAN: curve})
+
+    @pytest.mark.parametrize(
+        "field,at,refused,drawn",
+        [
+            # the final split draws no test values
+            ("re_test_nu", (0, 1), [1], [2]),
+            ("re_train_nu", (1, 3), [2], [1]),
+            ("re_test_u", 0, [1], [2]),
+            ("bandwidths", 0, [1, 2], []),
+        ],
+        ids=["inf-test-re", "inf-train-re", "inf-test-u", "nan-bandwidth"],
+    )
+    def test_non_finite_slice_is_refused(self, tmp_path, capsys, field, at, refused, drawn):
+        result = self._non_finite(field, at)
+        curves = tmp_path / "curves.csv"
+        curves.write_text(_curves_text(result), newline="")
+        # the file reads back exactly, non-finite value and all
+        _assert_same_curves(read_curves(curves), result.curves)
+        for split in refused:
+            svg = tmp_path / f"refused{split}.svg"
+            code = main([
+                "plot", "--curves", str(curves), "--split", str(split), "--kernel", "gaussian",
+                "--out", str(svg),
+            ])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"driftscope: split {split}, kernel gaussian in {curves} holds a non-finite "
+                f"bandwidth or relative error, which cannot be plotted\n"
+            )
+            assert not svg.exists()
+        # the other slices draw as before
+        for split, kernel in [(s, "gaussian") for s in drawn] + [(1, "epanechnikov")]:
+            svg = tmp_path / f"drawn{split}{kernel}.svg"
+            code = main([
+                "plot", "--curves", str(curves), "--split", str(split), "--kernel", kernel,
+                "--out", str(svg),
+            ])
+            assert code == 0
+            assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
 
     def test_missing_slice(self, synth_csv, tmp_path):
         data, desc = synth_csv
@@ -661,8 +748,21 @@ class TestReadCurves:
             (3, lambda f: f[:5] + ["", f[6], ""],
              "re_train_u and re_test_u differ from those of the first row of split 1, "
              "kernel gaussian"),
+            # each kernel's splits run 1, 2, ... in order
+            (7, lambda f: [f[0], "3", *f[2:]], "split 3 of kernel gaussian is out of order"),
+            (10, lambda f: [f[0], "1", *f[2:]], "split 1 of kernel gaussian is out of order"),
+            (7, lambda f: f[:3] + ["0.75", *f[4:]],
+             "split 2 of kernel gaussian has other bandwidths than split 1"),
+            # test fields on every split but the last
+            (11, lambda f: f[:5] + ["0.9", f[6], "0.8"],
+             "split 2 of kernel epanechnikov is the last, so its test fields must be empty"),
+            (6, lambda f: f[:5] + ["", f[6], ""],
+             "split 1 of kernel epanechnikov is not the last, so its test fields must be given"),
         ],
-        ids=["one-test-field", "train-u-differs", "test-fields-dropped"],
+        ids=[
+            "one-test-field", "train-u-differs", "test-fields-dropped", "split-skipped",
+            "split-returns", "other-bandwidths", "last-split-tested", "split-untested",
+        ],
     )
     def test_rows_of_one_curve_must_agree(self, tmp_path, capsys, line, edit, message):
         lines = _curves_text(_hand_built_result("d")).split("\r\n")
@@ -683,7 +783,7 @@ class TestReadCurves:
         result = _hand_built_result("d")
         curves = tmp_path / "curves.csv"
         curves.write_text(_curves_text(result), newline="")
-        assert read_curves(curves) == result.curves
+        _assert_same_curves(read_curves(curves), result.curves)
 
 
 class TestSynth:

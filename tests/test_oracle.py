@@ -110,13 +110,17 @@ def _assert_verdicts(reference, sweep, spans):
     rule's verdict on the sweep's curve."""
     config = sweep.config
     summary = summarize(sweep)
-    for (ordinal, kind), curve in sweep.curves.items():
-        points = [(b, re, curve.re_train_u) for b, re in zip(curve.bandwidths, curve.re_train_nu)]
-        want = reference._verdict(points, kind.value, spans[ordinal], config.epsilon, config.theta)
-        got = summary.verdict(ordinal, kind)
-        assert got.classification.value == want["classification"], (ordinal, kind)
-        assert (got.convergence and got.convergence.bandwidth) == want["bandwidth"]
-        assert got.horizon == want["horizon"] or reference._close(got.horizon, want["horizon"])
+    for kind, curve in sweep.curves.items():
+        rows = zip(curve.re_train_nu.tolist(), curve.re_train_u.tolist())
+        for ordinal, (train_nu, train_u) in enumerate(rows, 1):
+            points = [(b, re, train_u) for b, re in zip(curve.bandwidths, train_nu)]
+            want = reference._verdict(
+                points, kind.value, spans[ordinal], config.epsilon, config.theta
+            )
+            got = summary.verdict(ordinal, kind)
+            assert got.classification.value == want["classification"], (ordinal, kind)
+            assert (got.convergence and got.convergence.bandwidth) == want["bandwidth"]
+            assert got.horizon == want["horizon"] or reference._close(got.horizon, want["horizon"])
 
 
 @settings(
@@ -151,16 +155,21 @@ def test_random_sweeps_match_the_reference(reference, dataset, kernels, grid):
     ]
 
     wrong = []
-    for (ordinal, kind), curve in sweep.curves.items():
-        split = splits[ordinal - 1]
-        assert curve.bandwidths == sweep.grids[kind]
-        test_nu = curve.re_test_nu or [None] * len(curve.bandwidths)
-        assert len(curve.re_train_nu) == len(test_nu) == len(curve.bandwidths)
-        for b, train_nu, re_test_nu in zip(curve.bandwidths, curve.re_train_nu, test_nu):
-            got = (train_nu, re_test_nu, curve.re_train_u, curve.re_test_u)
-            want = reference.cell_res(spec, split, kind.value, b)
-            if not all(reference._close(g, w) for g, w in zip(got, want)):
-                wrong.append((ordinal, kind.value, b, got, want))
+    for kind, curve in sweep.curves.items():
+        shape = (len(splits), len(curve.bandwidths))
+        assert curve.re_train_nu.shape == curve.re_test_nu.shape == shape
+        # the final split has no test values: NaN in the curve, None in the reference
+        assert np.isnan(curve.re_test_nu[-1]).all() and np.isnan(curve.re_test_u[-1])
+        for i, split in enumerate(splits):
+            final = i == len(splits) - 1
+            for j, b in enumerate(curve.bandwidths):
+                got = (
+                    curve.re_train_nu[i, j], None if final else curve.re_test_nu[i, j],
+                    curve.re_train_u[i], None if final else curve.re_test_u[i],
+                )
+                want = reference.cell_res(spec, split, kind.value, b)
+                if not all(reference._close(g, w) for g, w in zip(got, want)):
+                    wrong.append((i + 1, kind.value, b, got, want))
     assert wrong == []
 
     spans = {i + 1: max(s.span, unit) for i, s in enumerate(splits)}
