@@ -211,8 +211,8 @@ def _split_fits(plan: SplitPlan, design, curves, rows, cells):
                     design, w[: cut * width], starts, np.repeat(batch_runs[:cut], width)
                 )
                 break
-            except (ValueError, stats.SingularDesignError) as exc:
-                cut, row = divmod(getattr(exc, "row", 0), width)
+            except stats.SingularDesignError as exc:
+                cut, row = divmod(exc.row, width)
                 failure = exc, {"split": batch[cut].ordinal, **cells[row]}
         del blocks, w  # not held while the batch's splits are scored
         for i, split in enumerate(batch[:cut]):

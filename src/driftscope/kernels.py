@@ -3,7 +3,7 @@
 #
 # Conventions:
 #   lag  = (target_period - origin_period) / bandwidth
-#   weight(lag) in (0, 1], equal to 1 at lag 0
+#   weight(lag) in [0, 1], equal to 1 at lag 0
 # Epanechnikov and Triangular are only defined for lag < 1; instead of
 # clipping weights to zero we restrict the admissible bandwidth grid so
 # that every training lag stays inside the support.
@@ -89,8 +89,8 @@ def kernel_weight(kind: KernelKind, lag):
     beyond 1; the Gaussian decays smoothly for any nonnegative lag.
     """
     lags = np.asarray(lag, dtype=float)
-    if np.any(lags < 0):
-        raise ValueError(f"negative lag: {lags.min()}")
+    if not np.all(lags >= 0):
+        raise ValueError(f"lag must be nonnegative, got {lags[~(lags >= 0)].flat[0]}")
     if kind.finite_support and np.any(lags >= 1):
         raise BandwidthError(
             f"lag {lags.max()} outside the support of the {kind.value} kernel"
@@ -125,8 +125,8 @@ def weights_for_target(
     ``build_grid``).
     """
     b = np.reshape(np.asarray(bandwidths, dtype=float), (-1, 1))
-    if np.any(b <= 0):
-        raise BandwidthError(f"bandwidth must be positive, got {b.min()}")
+    if not np.all(b > 0):
+        raise BandwidthError(f"bandwidth must be positive, got {b[~(b > 0)][0]}")
     origins = np.asarray(origins, dtype=float)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     runs = np.full(targets.size, origins.size) if runs is None else np.asarray(runs)
@@ -237,7 +237,7 @@ def build_grid(
 
 def decay_horizon(kind: KernelKind, bandwidth: float, threshold: float) -> float:
     """Elapsed time at which the kernel weight falls to the threshold."""
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise BandwidthError(f"bandwidth must be positive, got {bandwidth}")
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")

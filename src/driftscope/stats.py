@@ -17,7 +17,6 @@ __all__ = [
     "FittedModel",
     "NormalityReport",
     "SingularDesignError",
-    "WeightError",
     "shapiro_wilk",
     "dummy_levels",
     "build_design_matrix",
@@ -46,21 +45,13 @@ IDENTITY = "identity"
 GRAM_RATIO_MIN = 1e-8
 
 
-class _RowError:
-    """Mixin: ``row`` is the first failing row of a stacked weight matrix
-    (0 for a single weight vector)."""
+class SingularDesignError(RuntimeError):
+    """Design matrix is rank deficient; ``row`` is the first singular row
+    of a stacked weight matrix (0 for a single weight vector)."""
 
     def __init__(self, message, row: int = 0):
         super().__init__(message)
         self.row = row
-
-
-class SingularDesignError(_RowError, RuntimeError):
-    """Design matrix is rank deficient or has too few rows."""
-
-
-class WeightError(_RowError, ValueError):
-    """A weight is not strictly positive."""
 
 
 @dataclass(frozen=True)
@@ -340,15 +331,18 @@ def weighted_least_squares(design: DesignMatrix, weights, starts=None, runs=None
     ``design`` is still the whole design.  By default every fit uses
     every run.
 
-    A design is singular exactly when ``np.linalg.lstsq`` on sqrt(w)X
-    finds its rank below the number of columns.  Errors name the first
-    failing row of stacked weights: the rows before it are solved first,
-    so a singular row is reported before a later row's nonpositive
-    weight or too short prefix.
+    Weights must be finite and nonnegative; a zero weight drops its
+    records from the fit.  A fit fails only by rank: a design is singular
+    exactly when ``np.linalg.lstsq`` on sqrt(w)X finds its rank below the
+    number of columns, as on a prefix with fewer weighted records than
+    columns, and the error names the first singular row of stacked
+    weights.
     """
     w = np.asarray(weights, dtype=float)
     rows = np.atleast_2d(w)
-    n, p = design.n_rows, design.n_columns
+    if not (np.all(rows >= 0) and np.isfinite(rows).all()):
+        raise ValueError("weights must be finite and nonnegative")
+    n = design.n_rows
     if starts is None:
         starts, width = np.arange(n), f"{n} design rows"
     else:
@@ -368,22 +362,7 @@ def weighted_least_squares(design: DesignMatrix, weights, starts=None, runs=None
     if np.any(rows != 0, where=~inside):
         raise ValueError("weights past a fit's runs must be 0")
     ends = np.append(starts, n)[runs]
-
-    def first(failing):
-        return int(failing[0]) if failing.size else len(rows)
-
-    nonpositive = first(np.flatnonzero(np.any(rows <= 0, axis=1, where=inside)))
-    short = first(np.flatnonzero(ends < p))
-    stop = min(nonpositive, short)
-    coefficients = np.empty((0, p))
-    if stop:
-        coefficients = _solve(
-            design, rows[:stop], starts, runs[:stop], inside[:stop], ends[:stop]
-        )
-    if nonpositive < len(rows) and nonpositive <= short:
-        raise WeightError("weights must be strictly positive", row=stop)
-    if stop < len(rows):
-        raise SingularDesignError(f"{ends[stop]} rows cannot identify {p} coefficients", row=stop)
+    coefficients = _solve(design, rows, starts, runs, inside, ends)
     return FittedModel(
         coefficients=coefficients[0] if w.ndim == 1 else coefficients,
         design=design,

@@ -240,15 +240,51 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="split"):
             run_sweep(broken, (KernelKind.GAUSSIAN,))
 
-    def test_gaussian_underflow_coordinates(self):
-        # Gaussian weights underflow to 0.0 past a lag of about 38.6; the
-        # sweep stops at the first cell that meets it.
+    @pytest.fixture(scope="class")
+    def underflowing(self):
+        """200 records over 39 yearly periods, whose Gaussian weights at
+        bandwidth 1 underflow to 0.0 past a lag of about 38.6, and their
+        three-kernel sweep."""
         ds = synthesize(SynthConfig(n_projects=200, n_periods=39, seed=0))
-        with pytest.raises(SweepError) as info:
-            run_sweep(ds, (KernelKind.GAUSSIAN,))
-        assert str(info.value) == (
-            "[split 39, kernel gaussian, bandwidth 1] weights must be strictly positive"
+        return ds, run_sweep(ds, ALL_KERNELS)
+
+    def test_gaussian_underflow_sweep_completes(self, underflowing):
+        _, sweep = underflowing
+        assert len(sweep.plan.splits) == 39
+        for curve in sweep.curves.values():
+            assert np.isfinite(curve.re_train_nu).all() and np.isfinite(curve.re_train_u).all()
+            assert np.isfinite(curve.re_test_nu[:-1]).all() and np.isfinite(curve.re_test_u[:-1]).all()
+
+    def test_underflowed_weights_drop_their_records(self, underflowing):
+        # the last split's bandwidth-1 Gaussian cell against lstsq on
+        # sqrt(w)X over its positive-weight records alone
+        ds, sweep = underflowing
+        plan = sweep.plan
+        split = plan.splits[-1]
+        formula = ds.descriptor.formula
+        rows = plan.order[: split.stop]
+        design = build_design_matrix({c: ds.attributes[c][rows] for c in formula.columns}, formula)
+        lags = split.target - plan.indices[: split.stop]
+        w = np.array([math.exp(-0.5 * lag * lag) for lag in lags.tolist()])
+        kept = w > 0
+        assert np.count_nonzero(~kept) == 7
+        sw = np.sqrt(w[kept])
+        beta, *_ = np.linalg.lstsq(
+            design.matrix[kept] * sw[:, None], design.response[kept] * sw, rcond=None
         )
+        actual = ds.attributes[formula.response][rows]
+        residuals = actual - np.exp(design.matrix @ beta)
+        want = np.var(residuals, ddof=1) / np.var(actual, ddof=1)
+        curve = sweep.curves[KernelKind.GAUSSIAN]
+        assert curve.bandwidths[0] == 1.0
+        assert curve.re_train_nu[-1, 0] == pytest.approx(want, rel=1e-12)
+
+    def test_eighty_periods_sweep_every_kernel(self):
+        ds = synthesize(SynthConfig(n_projects=200, n_periods=80, seed=0))
+        sweep = run_sweep(ds, ALL_KERNELS)
+        assert list(sweep.curves) == list(ALL_KERNELS)
+        for curve in sweep.curves.values():
+            assert np.isfinite(curve.re_train_nu).all() and np.isfinite(curve.re_train_u).all()
 
     @staticmethod
     def _plant_singular_rows(monkeypatch, planted, rows, target=None):
@@ -306,20 +342,12 @@ class TestRunSweep:
         sweep = run_sweep(lone_oldest, kernels)
         # splits 1-3 share a batch
         assert 3 * _split_values(lone_oldest, sweep) <= analysis.BATCH_VALUES
-        weights_for_target = analysis.weights_for_target
-
-        def failing(origins, targets, kind, bandwidths, runs):
-            weights = weights_for_target(origins, targets, kind, bandwidths, runs)
-            if third in targets and kind is KernelKind.TRIANGULAR:
-                row = list(targets).index(third) * len(bandwidths)
-                weights[row, 0] = 0.0  # as an underflowing weight
-            return weights
-
-        monkeypatch.setattr(analysis, "weights_for_target", failing)
+        self._plant_singular_rows(monkeypatch, KernelKind.TRIANGULAR, (1,), target=third)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
         assert (info.value.split, info.value.kernel) == (3, KernelKind.TRIANGULAR)
-        assert "strictly positive" in str(info.value)
+        assert info.value.bandwidth == sweep.curves[KernelKind.TRIANGULAR].bandwidths[1]
+        assert str(info.value).endswith("] singular design")
         self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2,), target=second)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)

@@ -294,31 +294,40 @@ class TestSweep:
             assert detect_convergence(saved[kind], epsilon) == points
 
     @staticmethod
-    def _underflowing_sweep(tmp_path, *extra):
-        """A Gaussian sweep of 39 yearly periods, whose weights underflow
-        to 0 at the last split's oldest period."""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_projects": 200, "n_periods": 39, "seed": 0}))
-        data = tmp_path / "long.csv"
-        assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    def _late_level_sweep(synth_csv, tmp_path, *extra):
+        """A Gaussian sweep with a categorical term whose second level is
+        first seen in the last year, so that its dummy column is all zero
+        on split 1's training rows: a singular design."""
+        data, desc = synth_csv
+        rows = list(csv.reader(io.StringIO(data.read_text())))
+        last = max(row[1] for row in rows[1:])  # the year column
+        rows[0].append("mode")
+        for row in rows[1:]:
+            row.append("late" if row[1] == last else "early")
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        descriptor = json.loads(desc.read_text())
+        descriptor["formula"]["terms"].append(
+            {"column": "mode", "kind": "categorical", "reference": "early"}
+        )
+        desc.write_text(json.dumps(descriptor))
         return main([
-            "sweep", "--descriptor", str(data.with_suffix(".descriptor.json")),
-            "--data", str(data), "--kernels", "gaussian", "--out", str(tmp_path / "out"), *extra,
+            "sweep", "--descriptor", str(desc), "--data", str(data),
+            "--kernels", "gaussian", "--out", str(tmp_path / "out"), *extra,
         ])
 
-    def test_failed_cell_exits_3_with_coordinates(self, tmp_path, capsys):
-        assert self._underflowing_sweep(tmp_path) == 3
+    def test_failed_cell_exits_3_with_coordinates(self, synth_csv, tmp_path, capsys):
+        assert self._late_level_sweep(synth_csv, tmp_path) == 3
         assert capsys.readouterr().err.strip() == (
-            "driftscope: [split 39, kernel gaussian, bandwidth 1] "
-            "weights must be strictly positive"
+            "driftscope: [split 1, kernel gaussian, bandwidth 1] singular design"
         )
+        assert not (tmp_path / "out").exists()
 
-    def test_failed_cell_names_its_bandwidth_exactly(self, tmp_path, capsys):
+    def test_failed_cell_names_its_bandwidth_exactly(self, synth_csv, tmp_path, capsys):
         # no bandwidth of this grid reads 1 to six significant digits
-        assert self._underflowing_sweep(tmp_path, "--grid", "1.0000001:1.0000009:0.0000001") == 3
+        grid = "1.0000001:1.0000009:0.0000001"
+        assert self._late_level_sweep(synth_csv, tmp_path, "--grid", grid) == 3
         assert capsys.readouterr().err.strip() == (
-            "driftscope: [split 39, kernel gaussian, bandwidth 1.0000001] "
-            "weights must be strictly positive"
+            "driftscope: [split 1, kernel gaussian, bandwidth 1.0000001] singular design"
         )
 
     def test_unbuildable_design_exits_3_before_any_split(self, synth_csv, tmp_path, capsys):

@@ -103,6 +103,13 @@ class TestNormalizedLag:
         with pytest.raises(BandwidthError):
             weights_for_target([1], 2, KernelKind.GAUSSIAN, [0])
 
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_rejects_nan_bandwidth(self, kind):
+        # a NaN lag is not outside a finite support, so the bandwidth check
+        # is what refuses it
+        with pytest.raises(BandwidthError, match="bandwidth must be positive, got nan"):
+            weights_for_target([1.0, 2.0], 3.0, kind, [5.0, math.nan])
+
     def test_rejects_future_origin(self):
         for indices in ([5], [1, 1, 5, 2, 2], [5, 1, 2], [1, 2, 2, 5]):
             with pytest.raises(ValueError, match="newer than target"):
@@ -130,6 +137,12 @@ class TestKernelWeight:
     def test_negative_lag(self):
         with pytest.raises(ValueError):
             kernel_weight(KernelKind.GAUSSIAN, -0.1)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_nan_lag(self, kind):
+        for lag in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="lag must be nonnegative, got nan"):
+                kernel_weight(kind, lag)
 
     def test_scalar_gives_float(self):
         assert type(kernel_weight(KernelKind.TRIANGULAR, 0.3)) is float
@@ -449,3 +462,8 @@ class TestDecayHorizon:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             decay_horizon(KernelKind.GAUSSIAN, 5, 1.5)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_nan_bandwidth(self, kind):
+        with pytest.raises(BandwidthError, match="bandwidth must be positive, got nan"):
+            decay_horizon(kind, math.nan, 0.01)

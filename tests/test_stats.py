@@ -12,7 +12,6 @@ from driftscope.stats import (
     ModelFormula,
     SingularDesignError,
     Term,
-    WeightError,
     _bounded_rows,
     _squared_deviations,
     build_design_matrix,
@@ -189,9 +188,37 @@ class TestWeightedLeastSquares:
         with pytest.raises(SingularDesignError):
             weighted_least_squares(_design([1.0], [2.0]), [1.0])
 
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            weighted_least_squares(_design([1, 2, 3], [1, 2, 3]), [1.0, 0.0, 1.0])
+    def test_rejects_negative_and_non_finite_weights(self):
+        d = _design([1, 2, 3, 4], [1, 3, 2, 5])
+        for bad in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                weighted_least_squares(d, [1.0, bad, 1.0, 1.0])
+        # a zero is a weight: its record drops from the fit
+        fit = weighted_least_squares(d, [1.0, 0.0, 1.0, 1.0])
+        alone = weighted_least_squares(d.subset([0, 2, 3]), np.ones(3))
+        assert fit.coefficients == pytest.approx(alone.coefficients, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stn.integers(min_value=0, max_value=2**32 - 1))
+    def test_zero_weights_drop_their_records(self, seed):
+        """Each row of stacked weights with exact zeros gets the
+        coefficients of ``np.linalg.lstsq`` on sqrt(w)X over its
+        positive-weight records alone, at least p + 1 of them."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(k + 3, 25))
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
+        y = rng.normal(size=n)
+        w = rng.uniform(0.1, 1.0, size=(int(rng.integers(1, 6)), n))
+        for row in w:
+            row[rng.permutation(n)[: int(rng.integers(1, n - k - 1))]] = 0.0
+        design = DesignMatrix(matrix=x, response=y, labels=tuple(f"x{j}" for j in range(k + 1)))
+        fit = weighted_least_squares(design, w)
+        for row, got in zip(w, fit.coefficients):
+            kept = row > 0
+            sw = np.sqrt(row[kept])
+            beta, *_ = np.linalg.lstsq(x[kept] * sw[:, None], y[kept] * sw, rcond=None)
+            assert np.linalg.norm(got - beta) <= 1e-10 * np.linalg.norm(beta)
 
     @settings(max_examples=50, deadline=None)
     @given(stn.integers(min_value=0, max_value=2**32 - 1))
@@ -386,9 +413,11 @@ class TestWeightedLeastSquares:
         with pytest.raises(SingularDesignError, match="singular design") as info:
             weighted_least_squares(d, [good, good, singular, zero, singular])
         assert info.value.row == 2
-        with pytest.raises(WeightError, match="strictly positive") as info:
-            weighted_least_squares(d, [good, zero, singular])
-        assert info.value.row == 1
+        # a zero weight is solved; zeros on all records but one are singular
+        lone = np.eye(6)[3]
+        with pytest.raises(SingularDesignError, match="singular design") as info:
+            weighted_least_squares(d, [good, zero, lone, singular])
+        assert info.value.row == 2
 
     def test_run_weights_equal_their_expansion(self):
         # one weight per run of rows against the same weights per row;
@@ -446,18 +475,21 @@ class TestWeightedLeastSquares:
         one = np.eye(6)[0]
         zero = padded.copy()
         zero[1] = 0.0
-        # a singular row wins over a later short prefix and a later zero weight
+        # a singular row wins over a later short prefix
         with pytest.raises(SingularDesignError, match="singular design") as info:
             weighted_least_squares(d, [good, singular, one, zero], runs=[6, 6, 1, 3])
         assert info.value.row == 1
-        with pytest.raises(SingularDesignError, match="1 rows cannot identify 2") as info:
+        # a prefix of one record is singular by rank alone
+        with pytest.raises(SingularDesignError, match="singular design") as info:
             weighted_least_squares(d, [padded, one, zero], runs=[3, 1, 3])
         assert info.value.row == 1
-        with pytest.raises(WeightError) as info:
+        # a zero weight inside a prefix drops its record: records 0 and 2 remain
+        with pytest.raises(SingularDesignError) as info:
             weighted_least_squares(d, [padded, zero, one], runs=[3, 3, 1])
-        assert info.value.row == 1
-        # only weights inside a row's prefix must be positive
-        assert weighted_least_squares(d, [padded, padded], runs=[3, 3]).coefficients.shape == (2, 2)
+        assert info.value.row == 2
+        fit = weighted_least_squares(d, [padded, zero], runs=[3, 3]).coefficients
+        alone = weighted_least_squares(d.subset([0, 2]), np.ones(2)).coefficients
+        assert fit[1] == pytest.approx(alone, rel=1e-12)
 
     @pytest.mark.parametrize(
         "runs, message",
