@@ -30,7 +30,7 @@ from .datasets import (
     load_dataset,
     synthesize,
 )
-from .kernels import Granularity, KernelKind, grid_size, grid_text, min_bandwidth
+from .kernels import Granularity, KernelKind, build_grid, grid_size, grid_text
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -51,12 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_text(path) -> str:
-    """Input file ``path`` as UTF-8 text; undecodable bytes are an input
-    error naming the file."""
+def _read_text(path, parse=str):
+    """``parse`` of input file ``path`` read as UTF-8 text (by default the
+    text itself); undecodable bytes, or JSON that ``parse`` finds
+    malformed, are an input error naming the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
+        return parse(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -69,7 +70,7 @@ def _resolve_descriptor(name_or_path: str) -> DatasetDescriptor:
             f"{name_or_path!r} is neither a built-in descriptor "
             f"({', '.join(BUILTIN_NAMES)}) nor a descriptor file"
         )
-    return DatasetDescriptor.from_json(_read_text(path))
+    return _read_text(path, DatasetDescriptor.from_json)
 
 
 def _kernel(name: str) -> KernelKind:
@@ -174,7 +175,7 @@ def cmd_describe(args) -> int:
     print("grid rules:  finite-support kernels start above the dataset's")
     print("             elapsed span; e.g. minimum admissible bandwidths for")
     for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
-        b = min_bandwidth(kind, 16.0, 1.0)
+        b = build_grid(kind, 16.0)[0]
         print(f"             a 16-period span: {kind.value} >= {b:g}")
     return 0
 
@@ -423,7 +424,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig.from_json(_read_text(args.config)) if args.config else SynthConfig()
+    config = _read_text(args.config, SynthConfig.from_json) if args.config else SynthConfig()
     if args.seed is not None:
         config = SynthConfig(**{**config.__dict__, "seed": args.seed})
     dataset = synthesize(config)
@@ -487,7 +488,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"driftscope: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, OSError, json.JSONDecodeError, UnicodeError) as exc:
+    except (DataError, OSError, UnicodeError) as exc:
         print(f"driftscope: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SweepError, ValueError, RuntimeError) as exc:

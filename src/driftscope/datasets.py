@@ -641,7 +641,8 @@ def _first_error(descriptor: DatasetDescriptor, raw) -> DataError:
 def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     """Parse, filter and validate CSV text into a Dataset, keeping the
     rows in file order.  Line endings are read as ``csv`` reads them from
-    a file opened with ``newline=""``.
+    a file opened with ``newline=""``, and one leading byte-order mark
+    (U+FEFF) is not part of the header.
 
     Bound columns are read by their position in the header, resolved
     once; a repeated header name reads its last column.  Blank lines are
@@ -659,7 +660,7 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
         *sorted({s for sources in descriptor.derived_products.values() for s in sources}),
         *(f["column"] for f in descriptor.filters),
     ]
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
         header = next(reader, None)
         if not header:

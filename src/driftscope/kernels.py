@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from enum import Enum
 
@@ -28,7 +29,6 @@ __all__ = [
     "period_index",
     "kernel_weight",
     "weights_for_target",
-    "min_bandwidth",
     "build_grid",
     "decay_horizon",
 ]
@@ -146,31 +146,6 @@ def weights_for_target(
     return weights.reshape(targets.size * b.size, origins.size)
 
 
-def min_bandwidth(
-    kind: KernelKind, max_elapsed: float, step: float, lo: float = 1.0
-) -> float:
-    """Smallest admissible bandwidth on a grid anchored at ``lo``.
-
-    For finite-support kinds this is ``lo + k * step`` for the smallest
-    ``k`` whose value, rounded to 10 decimals as ``build_grid`` rounds it,
-    lies strictly above the largest elapsed time the grid must serve, so
-    every lag stays below 1.  The Gaussian is unrestricted.
-    """
-    if max_elapsed < 0:
-        raise ValueError(f"negative max_elapsed: {max_elapsed}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not kind.finite_support:
-        return float(lo)
-    # rounding to 10 decimals moves a value by at most a quarter of the
-    # finest step ``grid_size`` accepts, so k is within one of this ceiling
-    first = max(0, math.ceil((max_elapsed - lo) / step) - 1)
-    for k in range(first, first + 3):
-        if round(lo + k * step, 10) > max_elapsed:
-            break
-    return lo + k * step
-
-
 MAX_GRID_VALUES = 100_000
 # The finest grid step.  Grid values are rounded to 10 decimals, and a
 # step of 1e-10 can round two neighbours to one value, so the floor is
@@ -221,18 +196,21 @@ def build_grid(
     step: float = 1.0,
 ) -> tuple[float, ...]:
     """Ascending admissible bandwidths for a kernel over a known elapsed
-    span: the values of the grid ``lo:hi:step`` (see ``grid_size``) from
-    the kernel's smallest admissible bandwidth on, each rounded to 10
-    decimals.  The step's floor keeps the values strictly ascending and a
-    finite-support kernel's values above ``max_elapsed``."""
-    grid_size(lo, hi, step)
-    start = max(lo, min_bandwidth(kind, max_elapsed, step, lo=lo))
-    if start > hi + 1e-9 * step:  # grid_size's tolerance
+    span: the values of the grid ``lo:hi:step`` (see ``grid_size``), each
+    rounded to 10 decimals, and for a finite-support kernel only those
+    strictly above ``max_elapsed``, so that every lag stays below 1.  The
+    step's floor keeps the values strictly ascending."""
+    grid = tuple(round(lo + i * step, 10) for i in range(grid_size(lo, hi, step)))
+    if not kind.finite_support:
+        return grid
+    above = grid[bisect.bisect_right(grid, max_elapsed) :]
+    if not above:
         raise BandwidthError(
-            f"empty grid: {kind.value} kernel needs bandwidth >= {start}, "
-            f"grid tops out at {hi}"
+            f"empty grid: {kind.value} kernel needs a bandwidth above "
+            f"{float_text(max_elapsed)}, grid {grid_text(lo, hi, step)} tops out at "
+            f"{float_text(grid[-1])}"
         )
-    return tuple(round(start + i * step, 10) for i in range(grid_size(start, hi, step)))
+    return above
 
 
 def decay_horizon(kind: KernelKind, bandwidth: float, threshold: float) -> float:

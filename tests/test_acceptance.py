@@ -18,7 +18,7 @@ import pytest
 
 from driftscope.analysis import Classification, run_sweep, summarize
 from driftscope.datasets import SynthConfig, builtin_descriptor, load_dataset, synthesize
-from driftscope.kernels import KernelKind, decay_horizon, kernel_weight, min_bandwidth
+from driftscope.kernels import KernelKind, build_grid, decay_horizon, kernel_weight
 from driftscope.stats import DesignMatrix, predict, relative_error, weighted_least_squares
 from driftscope.swilk import swilk
 
@@ -159,7 +159,7 @@ class TestKernelTable:
 @pytest.mark.parametrize("kind", [KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR])
 @pytest.mark.parametrize("max_elapsed,expected", [(16, 17), (4, 5), (7, 8)])
 def test_grid_minima(kind, max_elapsed, expected):
-    assert min_bandwidth(kind, max_elapsed, 1.0) == expected
+    assert build_grid(kind, max_elapsed)[0] == expected
 
 
 @pytest.mark.criterion(5, "Gaussian decay horizon calibration")

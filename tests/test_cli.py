@@ -52,6 +52,8 @@ class TestDescribe:
         out = capsys.readouterr().out
         assert "T08" in out and "T09" in out
         assert "ln(Effort) = ln(Size) + T08 + T09" in out
+        # the first values of the default grid above a 16-period span
+        assert "epanechnikov >= 17\n" in out and "triangular >= 17\n" in out
 
     def test_descriptor_file(self, synth_csv, capsys):
         _, desc = synth_csv
@@ -446,6 +448,28 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["input_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, synth_csv, tmp_path, capsys):
+        data, desc = synth_csv
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+        assert main(["validate", "--descriptor", str(desc), "--data", str(data)]) == 0
+        plain = capsys.readouterr()
+        assert main(["validate", "--descriptor", str(desc), "--data", str(marked)]) == 0
+        assert capsys.readouterr() == plain
+        outs = []
+        for path in (data, marked):
+            out = tmp_path / path.stem
+            assert main([
+                "sweep", "--descriptor", str(desc), "--data", str(path),
+                "--grid", "1:20:1", "--out", str(out),
+            ]) == 0
+            outs.append(out)
+        for name in ("curves.csv", "verdicts.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # the digest is of the file's bytes, the mark included
+        manifest = json.loads((outs[1] / "manifest.json").read_text())
+        assert manifest["input_digest"] == hashlib.sha256(marked.read_bytes()).hexdigest()
+
     def test_manifest_without_overrides(self, synth_csv, tmp_path):
         _, desc = synth_csv
         code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
@@ -508,11 +532,16 @@ class TestSweep:
         )
         assert code == 2
 
-    def test_infeasible_grid_is_compute_error(self, synth_csv, tmp_path):
-        code, _ = self._run(
+    def test_infeasible_grid_is_compute_error(self, synth_csv, tmp_path, capsys):
+        code, out = self._run(
             synth_csv, tmp_path, "--kernels", "triangular", "--grid", "1:3:1"
         )
         assert code == 3
+        assert capsys.readouterr().err == (
+            "driftscope: empty grid: triangular kernel needs a bandwidth above 6, "
+            "grid 1:3:1 tops out at 3\n"
+        )
+        assert not out.exists()
 
 
 def _reference_curves_text(result) -> str:
@@ -913,8 +942,9 @@ def test_written_files_take_the_umask_mode(tmp_path, umask):
 
 
 class TestUndecodableInput:
-    """A file that is not UTF-8 is an input error (exit 2), though
-    ``UnicodeDecodeError`` is a ``ValueError``, which a computation
+    """A file that is not UTF-8, or a JSON input that is not JSON, is an
+    input error (exit 2) naming the file, though ``UnicodeDecodeError``
+    and ``json.JSONDecodeError`` are ``ValueError``s, which a computation
     failure raises."""
 
     @pytest.fixture()
@@ -937,27 +967,33 @@ class TestUndecodableInput:
         )
         assert not out.exists()
 
+    # a descriptor's bytes spoilt, and the error that follows its path
+    BAD_DESCRIPTORS = [
+        (lambda good: b"\xff" + good, "'utf-8' codec can't decode byte 0xff"),
+        (lambda good: good[: good.index(b":") + 1], "Expecting value: line 2 column 10 (char 11)"),
+        # a data CSV may start with a byte-order mark; a descriptor may not
+        (lambda good: b"\xef\xbb\xbf" + good, "Unexpected UTF-8 BOM"),
+    ]
+
     def test_descriptor_file(self, synth_csv, tmp_path, capsys):
         _, desc = synth_csv
         bad = tmp_path / "bad.descriptor.json"
-        bad.write_bytes(b"\xff" + desc.read_bytes())
-        assert main(["describe", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"driftscope: {bad}: 'utf-8' codec can't decode byte 0xff"
-        )
+        for spoil, error in self.BAD_DESCRIPTORS:
+            bad.write_bytes(spoil(desc.read_bytes()))
+            assert main(["describe", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"driftscope: {bad}: {error}")
 
     @pytest.mark.parametrize("command", ["sweep", "validate"])
     def test_descriptor_file_of_a_run(self, synth_csv, tmp_path, capsys, command):
         data, desc = synth_csv
         bad = tmp_path / "bad.descriptor.json"
-        bad.write_bytes(b"\xff" + desc.read_bytes())
         out = tmp_path / "out"
         argv = [command, "--descriptor", str(bad), "--data", str(data)]
-        assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
-        assert capsys.readouterr().err.startswith(
-            f"driftscope: {bad}: 'utf-8' codec can't decode byte 0xff"
-        )
-        assert not out.exists()
+        for spoil, error in self.BAD_DESCRIPTORS:
+            bad.write_bytes(spoil(desc.read_bytes()))
+            assert main(argv + ["--out", str(out)] if command == "sweep" else argv) == 2
+            assert capsys.readouterr().err.startswith(f"driftscope: {bad}: {error}")
+            assert not out.exists()
 
     def test_curves_file(self, synth_csv, tmp_path, capsys):
         data, desc = synth_csv
@@ -977,13 +1013,15 @@ class TestUndecodableInput:
 
     def test_synth_config(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
-        cfg.write_bytes(b'{"seed": 1, "name": "caf\xe9"}')
         out = tmp_path / "synth.csv"
-        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"driftscope: {cfg}: 'utf-8' codec can't decode byte 0xe9"
-        )
-        assert not out.exists()
+        for text, error in [
+            (b'{"seed": 1, "name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+            (b'{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
+        ]:
+            cfg.write_bytes(text)
+            assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"driftscope: {cfg}: {error}")
+            assert not out.exists()
 
 
 class TestUsage:

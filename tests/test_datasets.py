@@ -282,6 +282,13 @@ class TestLoaderErrors:
         assert load_dataset(_table_descriptor(), text) == load_dataset(
             _table_descriptor(), TABLE_CSV)
 
+    def test_one_byte_order_mark_is_not_part_of_the_header(self):
+        marked = load_dataset(_table_descriptor(), "\ufeff" + TABLE_CSV)
+        assert marked == load_dataset(_table_descriptor(), TABLE_CSV)
+        # a second is: the first column is then "\ufeffid"
+        with pytest.raises(DataError, match="missing bound columns: id$"):
+            load_dataset(_table_descriptor(), "\ufeff\ufeff" + TABLE_CSV)
+
     @pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
     def test_message(self, case):
         edit, fields, message = LOADER_ERRORS[case]

@@ -16,7 +16,6 @@ from driftscope.kernels import (
     grid_size,
     grid_text,
     kernel_weight,
-    min_bandwidth,
     period_index,
     period_keys,
     weights_for_target,
@@ -284,7 +283,7 @@ class TestBandwidthGrid:
         ],
     )
     def test_min_bandwidth(self, kind, max_elapsed, expected):
-        assert min_bandwidth(kind, max_elapsed, 1.0) == expected
+        assert build_grid(kind, max_elapsed)[0] == expected
 
     def test_gaussian_grid_default(self):
         grid = build_grid(KernelKind.GAUSSIAN, 16)
@@ -296,8 +295,12 @@ class TestBandwidthGrid:
         assert grid[-1] == 100
 
     def test_empty_grid(self):
-        with pytest.raises(BandwidthError):
+        with pytest.raises(BandwidthError) as info:
             build_grid(KernelKind.TRIANGULAR, 120)
+        assert str(info.value) == (
+            "empty grid: triangular kernel needs a bandwidth above 120, "
+            "grid 1:100:1 tops out at 100"
+        )
 
     def test_grid_values_ascending(self):
         grid = build_grid(KernelKind.GAUSSIAN, 16, lo=2.0, hi=3.0, step=0.25)
@@ -322,6 +325,26 @@ class TestBandwidthGrid:
 def _finest_step(hi):
     """The smallest step ``grid_size`` accepts for a grid topping out at ``hi``."""
     return max(GRID_RESOLUTION, hi * 2**-48)
+
+
+@stn.composite
+def _grid_and_span(draw):
+    """A grid's lo, hi and step, and a span near one of its values: hi a
+    whole number of steps above lo, or inside ``grid_size``'s 1e-9 of
+    one, at full precision or as decimal text."""
+    lo = draw(stn.one_of(
+        stn.floats(1e-3, 1e4),
+        stn.integers(1, 10**6).map(lambda k: k * 1e-4 + 0.5e-10),
+    ))
+    step = draw(stn.one_of(
+        stn.floats(1.0, 1e9).map(lambda f: f * GRID_RESOLUTION),
+        stn.sampled_from([1.0, 0.1, 0.25, 0.37, 0.1234567]),
+    ))
+    near = stn.one_of(stn.floats(-1.0, 1.0), stn.floats(-1e-9, 1e-9))
+    n = draw(stn.integers(1, 200))
+    hi = lo + (n + draw(stn.one_of(stn.floats(0.0, 1.0), stn.floats(-1e-9, 1e-9)))) * step
+    span = lo + (draw(stn.integers(-2, n + 2)) + draw(near)) * step
+    return lo, hi, step, max(0.0, span)
 
 
 class TestGridResolution:
@@ -431,6 +454,41 @@ class TestGridResolution:
         max_elapsed = max(0.0, full[min(j, len(full) - 3)] + nudge * step + shift)
         grid = build_grid(kind, max_elapsed, lo=lo, hi=lo + n * step, step=step)
         assert grid[0] == min(v for v in full if v > max_elapsed)
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        kind=stn.sampled_from([KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR]),
+        case=_grid_and_span(),
+    )
+    # grids whose top value lies inside grid_size's 1e-9 of a step, on
+    # which the grid used to be rebuilt from its first value above the
+    # span: it lost the requested grid's last value,
+    @example(
+        kind=KernelKind.EPANECHNIKOV,
+        case=(39.013400000050005, 39.013505307979074, 4.808581235921341e-07, 39.01341466217613),
+    )
+    # held a value that is not on the requested grid,
+    @example(
+        kind=KernelKind.EPANECHNIKOV,
+        case=(57.58950000005, 57.58950426431227, 1.4704352649811075e-07, 57.58950414098715),
+    )
+    # or rounded its values to others
+    @example(
+        kind=KernelKind.TRIANGULAR,
+        case=(54.25710000005, 54.25710129402739, 5.62598867004795e-09, 54.257100756307395),
+    )
+    def test_finite_support_grid_is_the_suffix_above_the_span(self, kind, case):
+        lo, hi, step, span = case
+        full = build_grid(KernelKind.GAUSSIAN, span, lo=lo, hi=hi, step=step)
+        above = tuple(v for v in full if v > span)
+        try:
+            grid = build_grid(kind, span, lo=lo, hi=hi, step=step)
+        except BandwidthError as exc:
+            assert str(exc).startswith("empty grid: ")
+            assert above == ()
+            return
+        assert grid == above != ()
 
 
 class TestDecayHorizon:
