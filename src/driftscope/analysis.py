@@ -265,8 +265,8 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     descriptor = dataset.descriptor
     plan = build_split_plan(dataset)
     # training sets are prefixes of the plan order, which starts at the
-    # oldest period
-    max_elapsed = max(s.target for s in plan.splits) - float(plan.indices[0])
+    # oldest period; rounded as a monthly index is
+    max_elapsed = round(max(s.target for s in plan.splits) - float(plan.indices[0]), 10)
     # The row map of every split's stacked fit: row 0 is the uniform fit,
     # then comes a row per bandwidth of each kernel.  rows[kind] holds the
     # fit row of each of kind's bandwidths, cells[row] the kernel and

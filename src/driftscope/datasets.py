@@ -15,6 +15,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -421,6 +422,45 @@ def _parse_completion(text: str, column: str, rid: str):
     return year
 
 
+def _parse_duration(text: str, rid: str) -> float:
+    """A duration text of record ``rid`` as ``round(float(text))`` reads
+    it, unstripped; NaN if it is blank once stripped."""
+    if not text.strip():
+        return math.nan
+    try:
+        return round(float(text))
+    except (ValueError, OverflowError):  # text, nan or inf
+        raise DataError(f"non-numeric duration {text!r} for {rid!r}") from None
+
+
+def _parse_attribute(text: str, rid: str, column: str, numeric: bool):
+    """A stripped formula value of record ``rid``: a finite float in a
+    numeric column, any text but a missing token in a categorical one."""
+    if text in MISSING_TOKENS:
+        raise DataError(f"missing value in column {column!r} for {rid!r}")
+    if not numeric:
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(f"non-numeric value {text!r} in column {column!r} for {rid!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite value {text!r} in column {column!r} for {rid!r}")
+    return value
+
+
+def _parse_product(texts, rid: str, name: str) -> float:
+    """The product of record ``rid``'s factor texts for the derived
+    column ``name``, as ``math.prod`` gives it."""
+    try:
+        value = math.prod(map(float, texts))
+    except ValueError:
+        raise DataError(f"non-numeric multiplier for derived column {name!r} in {rid!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"non-finite product for derived column {name!r} in {rid!r}")
+    return value
+
+
 def _formula_columns(descriptor: DatasetDescriptor) -> dict:
     """Each formula column the CSV holds (a derived one it does not),
     mapped to whether it is numeric."""
@@ -506,52 +546,27 @@ def _whole_completions(texts):
     return np.full(len(texts), _NAT), np.array(years, dtype=np.int64)
 
 
-def _finite_product(factors, n: int) -> np.ndarray | None:
-    """The product of ``n`` rows of factor columns taken left to right,
-    rounded at each step as ``math.prod`` rounds; None if a factor is not
-    a number or a product is not finite."""
-    product = np.ones(n)
-    for texts in factors:
-        values = _finite_floats(texts)
-        if values is None:
-            return None
-        with np.errstate(over="ignore"):  # checked below
-            product *= values
-    return product if np.isfinite(product).all() else None
-
-
-def _days(texts, column: str | None) -> np.ndarray | None:
-    """Stripped date texts as datetime64 days, blank ones NaT, each read
-    as ``_parse_date`` reads it (a column of zero-padded ISO dates in one
-    pass); None if a non-blank text is not a date."""
-    days = _iso_days(texts)
-    if days is not None:
-        return days
-    try:
-        return np.array(
-            [_parse_date(t, column) if t else None for t in texts], dtype="datetime64[D]"
-        )
-    except DataError:
-        return None
-
-
-def _completions(texts, column: str | None, ids):
-    """Stripped completion texts as (days, years), each read as
-    ``_parse_completion`` reads it for its record in ``ids``: ``days`` is
-    NaT for a year or a blank, ``years`` holds each year, 0 elsewhere, and
-    may be None when no text is a year; None if a non-blank text is
-    neither a year nor a date."""
-    parsed = _whole_completions(texts)
-    if parsed is not None:
-        return parsed
-    try:
-        values = [_parse_completion(t, column, rid) if t else None for t, rid in zip(texts, ids)]
-    except DataError:
-        return None
+def _completion_arrays(values):
+    """Completions read one at a time (a date, a year or None) as (days,
+    years), NaT in ``days`` where ``years`` holds a year, else 0."""
     return (
         np.array([v if isinstance(v, date) else None for v in values], dtype="datetime64[D]"),
         np.array([v if isinstance(v, int) else 0 for v in values], dtype=np.int64),
     )
+
+
+def _finite_product(rows) -> np.ndarray | None:
+    """The product of each row's factor texts taken left to right,
+    rounded at each step as ``math.prod`` rounds; None if a factor is not
+    a finite number or a product is not finite."""
+    factors = _finite_floats(rows)
+    if factors is None:
+        return None
+    product = np.ones(len(rows))
+    with np.errstate(over="ignore"):  # checked below
+        for values in factors.T:
+            product *= values
+    return product if np.isfinite(product).all() else None
 
 
 def _whole_attribute(texts, numeric: bool) -> np.ndarray | None:
@@ -563,81 +578,6 @@ def _whole_attribute(texts, numeric: bool) -> np.ndarray | None:
     return np.array(texts, dtype=object) if MISSING_TOKENS.isdisjoint(texts) else None
 
 
-def _derived_days(days, blank, start, duration) -> np.ndarray | None:
-    """``days`` with each ``blank`` row's completion filled in as its
-    start plus its duration; None if a blank row has no start or no
-    duration, a negative duration, or completes after the last day
-    ``datetime.date`` holds."""
-    # a NaT start casts to the smallest int64, and isnat covers it
-    late = duration > (_LAST_DAY - start).astype(np.int64)
-    if (blank & (np.isnat(start) | np.isnan(duration) | (duration < 0) | late)).any():
-        return None
-    days[blank] = start[blank] + duration[blank].astype(np.int64)
-    return days
-
-
-def _first_error(descriptor: DatasetDescriptor, raw) -> DataError:
-    """The error that reading the kept records one at a time raises
-    first, checking each record's id, start, duration, completion,
-    formula values and derived values in turn.  ``raw(column)`` gives a
-    bound column's texts as read, and blank ones for an unbound column."""
-    cols = descriptor.columns
-    ids, starts, durations, dones = (
-        raw(cols.get(key)) for key in ("id", "start", "duration", "completion")
-    )
-    formula = _formula_columns(descriptor).items()
-    seen = set()
-    for i, rid in enumerate(map(str.strip, ids)):
-        try:
-            if rid in seen:
-                raise DataError(f"duplicate project id {rid!r}")
-            seen.add(rid)
-            start = _parse_date(starts[i], cols.get("start")) if starts[i].strip() else None
-            duration = None
-            if durations[i].strip():
-                try:
-                    duration = round(float(durations[i]))
-                except (ValueError, OverflowError):  # text, nan or inf
-                    raise DataError(
-                        f"non-numeric duration {durations[i]!r} for {rid!r}"
-                    ) from None
-            done = start
-            if dones[i].strip():
-                done = _parse_completion(dones[i].strip(), cols.get("completion"), rid)
-            elif start is None or duration is None:
-                raise DataError(f"record {rid!r} has no completion date and no start+duration")
-            elif duration < 0:
-                raise DataError(f"negative duration {durations[i]!r} for {rid!r}")
-            elif duration > (date.max - start).days:
-                raise DataError(f"record {rid!r} completes after {date.max}")
-            if descriptor.granularity is Granularity.MONTHLY and not isinstance(done, date):
-                raise DataError(f"record {rid!r}: monthly chronology needs full completion dates")
-            for col, numeric in formula:
-                text = raw(col)[i].strip()
-                if text in MISSING_TOKENS:
-                    raise DataError(f"missing value in column {col!r} for {rid!r}")
-                try:
-                    value = float(text) if numeric else 0.0  # a category is any text
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {text!r} in column {col!r} for {rid!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"non-finite value {text!r} in column {col!r} for {rid!r}")
-            for name, sources in descriptor.derived_products.items():
-                try:
-                    value = math.prod([float(raw(s)[i]) for s in sources])
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric multiplier for derived column {name!r} in {rid!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"non-finite product for derived column {name!r} in {rid!r}")
-        except DataError as exc:
-            return exc
-    raise AssertionError("a column reader refused a column whose every record reads")
-
-
 def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     """Parse, filter and validate CSV text into a Dataset, keeping the
     rows in file order.  Line endings are read as ``csv`` reads them from
@@ -647,10 +587,13 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     Bound columns are read by their position in the header, resolved
     once; a repeated header name reads its last column.  Blank lines are
     skipped, and a row too short to hold every bound column is an error.
-    Each bound column is read whole.  Invalid input raises the error that
-    reading the records one at a time raises first, checking a record's
-    id, start, duration, completion, formula values and derived values in
-    turn; that reading runs only when a column is refused.
+    Each bound column is read whole, and value by value only when that
+    refuses it, up to its first refused record.  The checks run in a
+    record's reading order: id, start, duration, completion, monthly
+    completions, formula values and derived values, each only over the
+    records before the earliest refused so far.  So invalid input raises
+    the earliest bad record's first failing check, the error a reading
+    of one record at a time raises first.
     """
     cols = descriptor.columns
     formula = _formula_columns(descriptor)
@@ -695,40 +638,96 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     if not kept:
         raise DataError(f"{descriptor.name}: no records left after filtering")
 
-    # One tuple of texts per CSV column; each reader gives None for a
-    # column it refuses
-    n = len(kept)
+    # One tuple of texts per CSV column.  ``limit`` is the earliest row
+    # refused so far, with its ``error``; each check reads the rows before it.
     texts = list(zip(*kept))
+    limit, error = len(kept), None
 
-    def raw(column):
-        return texts[at[column]] if column else ("",) * n
+    def column(name, strip=True):
+        """A column's texts before ``limit``; blank ones if it is unbound."""
+        values = texts[at[name]][:limit] if name else ("",) * limit
+        return list(map(str.strip, values)) if strip else values
 
-    def stripped(column):
-        return list(map(str.strip, raw(column)))
+    ids = column(cols["id"])
 
-    ids = stripped(cols["id"])
-    start = _days(stripped(cols.get("start")), cols.get("start"))
-    duration = _whole_days(raw(cols.get("duration")))
-    done_texts = stripped(cols.get("completion"))
-    parsed = _completions(done_texts, cols.get("completion"), ids)
-    attributes = {c: _whole_attribute(stripped(c), numeric) for c, numeric in formula.items()}
+    def read(values, whole, parse, gather):
+        """``whole(values)``, a column converted at once.  Where that
+        refuses, ``parse(value, id)`` is the rule: ``gather`` of what it
+        gives one value at a time, up to the first it refuses, whose row
+        becomes ``limit``."""
+        nonlocal limit, error
+        converted = whole(values)
+        if converted is not None:
+            return converted
+        converted = []
+        for i, (value, rid) in enumerate(zip(values, ids)):
+            try:
+                converted.append(parse(value, rid))
+            except DataError as exc:
+                limit, error = i, exc
+                break
+        return gather(converted)
+
+    if len(set(ids)) < limit:  # the first id an earlier record has
+        seen = set()
+        limit = next(i for i, rid in enumerate(ids) if rid in seen or seen.add(rid))
+        error = DataError(f"duplicate project id {ids[limit]!r}")
+    start_col, done_col = cols.get("start"), cols.get("completion")
+    start = read(
+        column(start_col), _iso_days,
+        lambda t, rid: _parse_date(t, start_col) if t else None,
+        partial(np.array, dtype="datetime64[D]"),
+    )
+    durations = column(cols.get("duration"), strip=False)
+    duration = read(durations, _whole_days, _parse_duration, partial(np.array, dtype=float))
+    done_texts = column(done_col)
+    days, years = read(
+        done_texts, _whole_completions,
+        lambda t, rid: _parse_completion(t, done_col, rid) if t else None,
+        _completion_arrays,
+    )
+    # A blank completion is its start plus its duration
+    start, duration, days = start[:limit], duration[:limit], days[:limit]
+    blank = np.array([not t for t in done_texts[:limit]], dtype=bool)
+    unknown = np.isnat(start) | np.isnan(duration)
+    # a NaT start casts to the smallest int64, and unknown covers it
+    late = duration > (_LAST_DAY - start).astype(np.int64)
+    refused = blank & (unknown | (duration < 0) | late)
+    if refused.any():
+        limit = int(refused.argmax())
+        rid = ids[limit]
+        if unknown[limit]:
+            error = DataError(f"record {rid!r} has no completion date and no start+duration")
+        elif duration[limit] < 0:
+            error = DataError(f"negative duration {durations[limit]!r} for {rid!r}")
+        else:
+            error = DataError(f"record {rid!r} completes after {date.max}")
+        blank &= ~refused
+    days[blank] = start[blank] + duration[blank].astype(np.int64)
+    if descriptor.granularity is Granularity.MONTHLY and np.isnat(days[:limit]).any():
+        limit = int(np.isnat(days[:limit]).argmax())
+        error = DataError(f"record {ids[limit]!r}: monthly chronology needs full completion dates")
+    attributes = {
+        c: read(
+            column(c), partial(_whole_attribute, numeric=numeric),
+            partial(_parse_attribute, column=c, numeric=numeric),
+            partial(np.array, dtype=float if numeric else object),
+        )
+        for c, numeric in formula.items()
+    }
     for name, sources in descriptor.derived_products.items():
-        attributes[name] = _finite_product([raw(s) for s in sources], n)
-    days = None
-    if len(set(ids)) == n and all(v is not None for v in (start, duration, parsed)):
-        blank = np.array([not t for t in done_texts], dtype=bool)
-        days = _derived_days(parsed[0], blank, start, duration)
-    if (
-        days is None
-        or (descriptor.granularity is Granularity.MONTHLY and np.isnat(days).any())
-        or any(v is None for v in attributes.values())
-    ):
-        raise _first_error(descriptor, raw)
-
+        # a product of no factors is 1
+        rows = list(zip(*(column(s, strip=False) for s in sources))) or [()] * limit
+        attributes[name] = read(
+            rows, _finite_product, partial(_parse_product, name=name),
+            partial(np.array, dtype=float),
+        )
+    if error is not None:
+        raise error
     return Dataset(
         descriptor,
         ids=np.array(ids, dtype=object),
-        keys=period_keys(days, parsed[1], descriptor.granularity),
+        keys=period_keys(days, years, descriptor.granularity),
         done=days,
         start=start,
         attributes=attributes,

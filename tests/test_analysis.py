@@ -125,6 +125,23 @@ class TestRunSweep:
         for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
             assert stationary_sweep.curves[kind].bandwidths[0] > max_elapsed
 
+    def test_a_monthly_span_is_exact(self):
+        # 40 calendar months span 4.0, which a float difference of
+        # monthly indices reads as 3.9999999999999996, admitting 4
+        rng = np.random.default_rng(0)
+        lines = ["id,completion_date,total_effort,org_effort"]
+        for month in range(40):
+            for day in (10, 11, 12):
+                org = rng.uniform(10, 1000)
+                lines.append(
+                    f"m{month}-{day},{2010 + month // 12}-{month % 12 + 1:02d}-{day},"
+                    f"{org * rng.uniform(1.4, 1.6)!r},{org!r}"
+                )
+        descriptor = replace(builtin_descriptor("xbc"), overrides=None, expected_rows=None)
+        sweep = run_sweep(load_dataset(descriptor, "\n".join(lines)), ALL_KERNELS)
+        for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
+            assert sweep.curves[kind].bandwidths[0] == 5.0
+
     def test_uniform_re_constant_across_bandwidth(self, stationary_sweep):
         # one uniform fit per split: every kernel reads the same values,
         # and every cell of a (split, kernel) repeats them

@@ -543,6 +543,17 @@ class TestSweep:
         )
         assert not out.exists()
 
+    def test_a_monthly_span_is_named_exactly(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--descriptor", "xbc", "--data", str(GOLDEN / "xbc_seed1" / "data.csv"),
+            "--grid", "1:3:1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "driftscope: empty grid: epanechnikov kernel needs a bandwidth above 3.2, "
+            "grid 1:3:1 tops out at 3\n"
+        )
+
 
 def _reference_curves_text(result) -> str:
     """curves.csv as one csv.writer row per sweep cell."""

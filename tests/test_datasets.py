@@ -448,6 +448,13 @@ def _table_rows(draw):
     return rows
 
 
+def _row(rid, **cells):
+    """A valid TABLE_CSV row with ``cells`` replaced."""
+    row = {"id": rid, "done": "1990", "start": "", "days": "", "size": "1.0",
+           "kind": "a", "effort": "1.0", "m1": "1.0", "m2": "1.0"}
+    return {**row, **cells}
+
+
 class TestColumnarConversions:
     """Whole-column conversions accept and reject exactly what the
     per-value parsers do, record by record, with the same error."""
@@ -455,10 +462,13 @@ class TestColumnarConversions:
     @settings(max_examples=300, deadline=None)
     @given(_table_rows(), stn.sampled_from(Granularity))
     # str.strip removes \x1f, which float() refuses
+    @example([_row("a", days="0\x1f")], Granularity.YEARLY)
+    # two refusals compete: the earlier record's, then its first check
+    @example([_row("a", m1="x"), _row("b", start="1990-13-01")], Granularity.YEARLY)
+    @example([_row("a", days="x", size="ten")], Granularity.YEARLY)
+    @example([_row("a", done=""), _row("b"), _row("a")], Granularity.YEARLY)
     @example(
-        [{"id": "a", "done": "1990", "start": "", "days": "0\x1f", "size": "1.0",
-          "kind": "a", "effort": "1.0", "m1": "1.0", "m2": "1.0"}],
-        Granularity.YEARLY,
+        [_row("a"), _row("b", done="1990-02-03", size="NA")], Granularity.MONTHLY,
     )
     def test_match_the_record_by_record_reading(self, rows, granularity):
         descriptor = _table_descriptor(filters=(), granularity=granularity)
@@ -573,15 +583,18 @@ class TestConversionEdges:
 
 
 class TestRecordReading:
-    """The loader reads records one at a time only to name the first
-    error, and that reading is linear in the records."""
+    """The loader reads a column one value at a time only where its
+    whole-column conversion refuses it, which valid input meets only in
+    day-first dates and mixed completions, and that reading is linear
+    in the records."""
 
     @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "synth"])
     def test_valid_input_never_reaches_it(self, name, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("valid input reached the record-by-record reading")
+        def refuse(*args, **kwargs):
+            raise AssertionError("valid input was read one value at a time")
 
-        monkeypatch.setattr(datasets, "_first_error", refuse)
+        for parser in ("_parse_duration", "_parse_attribute", "_parse_product"):
+            monkeypatch.setattr(datasets, parser, refuse)
         if name == "synth":
             dataset = synthesize(SynthConfig(seed=1))
             descriptor, text = dataset.descriptor, csv_text(dataset)
