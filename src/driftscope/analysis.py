@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -146,10 +145,10 @@ class SweepResult:
         )
 
 
-def _relative_errors(model, design, actuals, log_scale: bool):
-    """Relative error of each fit of ``model`` on ``design``'s records;
-    the predictions array becomes the residuals in place."""
-    predictions = stats.predict(model, design)
+def _relative_errors(coefficients, matrix, actuals, log_scale: bool):
+    """Relative error of each row of ``coefficients`` on the design rows
+    ``matrix``; the predictions array becomes the residuals in place."""
+    predictions = stats.predict(coefficients, matrix)
     if log_scale:
         np.exp(predictions, out=predictions)
     return stats.relative_error(predictions, actuals, overwrite=True)
@@ -169,10 +168,10 @@ def _plan_design(dataset, order):
 
 
 def _split_fits(plan: SplitPlan, design, curves, rows, cells):
-    """Yield (split, model) for every split of ``plan`` in order: the
-    split's stacked weighted fit on its training prefix of the
-    plan-ordered ``design``, laid out by ``rows`` and ``cells`` (see
-    ``run_sweep``).
+    """Yield (split, coefficients) for every split of ``plan`` in order:
+    the coefficient rows of the split's stacked weighted fit on its
+    training prefix of the plan-ordered ``design``, laid out by ``rows``
+    and ``cells`` (see ``run_sweep``).
 
     Records of one period share a weight, so weights are given per run
     of the plan's run table, which makes each training prefix a whole
@@ -207,7 +206,7 @@ def _split_fits(plan: SplitPlan, design, curves, rows, cells):
         cut, failure = len(batch), None
         while cut:
             try:
-                model = stats.weighted_least_squares(
+                coefficients = stats.weighted_least_squares(
                     design, w[: cut * width], starts, np.repeat(batch_runs[:cut], width)
                 )
                 break
@@ -216,29 +215,32 @@ def _split_fits(plan: SplitPlan, design, curves, rows, cells):
                 failure = exc, {"split": batch[cut].ordinal, **cells[row]}
         del blocks, w  # not held while the batch's splits are scored
         for i, split in enumerate(batch[:cut]):
-            coefficients = model.coefficients[i * width : (i + 1) * width]
-            yield split, stats.FittedModel(coefficients, design.subset(slice(split.stop)))
+            yield split, coefficients[i * width : (i + 1) * width]
         if failure:
             exc, coordinates = failure
             raise SweepError(exc, **coordinates) from exc
 
 
-def _split_curves(split: Split, model, design, actuals, formula, curves, rows, cells) -> None:
-    """Write one split's row of every kernel's ``curves`` from its stacked
-    fit ``model`` (see ``_split_fits``), on the rows of the plan-ordered
-    ``design`` and ``actuals`` that the split selects, each kernel's read
-    at its ``rows``.  A failing relative error is reported at row 0's
-    ``cells`` entry."""
+def _split_curves(split: Split, coefficients, design, actuals, formula, curves, rows, cells):
+    """Write one split's row of every kernel's ``curves`` from the
+    coefficient rows of its stacked fit (see ``_split_fits``), on the
+    rows of the plan-ordered ``design`` and ``actuals`` that the split
+    selects, each kernel's read at its ``rows``.  A failing relative
+    error is reported at row 0's ``cells`` entry."""
     log_scale = formula.response_transform == stats.LOG
     test_rows = split.test_rows
     if test_rows.size and test_rows[-1] - test_rows[0] + 1 == test_rows.size:
         # ascending and contiguous: a slice takes views, not copies
         test_rows = slice(int(test_rows[0]), int(test_rows[-1]) + 1)
     try:
-        re_train = _relative_errors(model, model.design, actuals[: split.stop], log_scale)
+        re_train = _relative_errors(
+            coefficients, design.matrix[: split.stop], actuals[: split.stop], log_scale
+        )
         re_test = (
             None if split.is_final
-            else _relative_errors(model, design.subset(test_rows), actuals[test_rows], log_scale)
+            else _relative_errors(
+                coefficients, design.matrix[test_rows], actuals[test_rows], log_scale
+            )
         )
     except ValueError as exc:
         raise SweepError(exc, split=split.ordinal, **cells[0]) from exc
@@ -284,8 +286,8 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     cells[0] = cells[1]
 
     design, actuals = _plan_design(dataset, plan.order)
-    for split, model in _split_fits(plan, design, curves, rows, cells):
-        _split_curves(split, model, design, actuals, descriptor.formula, curves, rows, cells)
+    for split, coefficients in _split_fits(plan, design, curves, rows, cells):
+        _split_curves(split, coefficients, design, actuals, descriptor.formula, curves, rows, cells)
     return SweepResult(dataset=descriptor.name, config=config, plan=plan, curves=curves)
 
 
@@ -363,13 +365,6 @@ def stationarity_verdict(
 class SweepSummary:
     verdicts: tuple[StationarityVerdict, ...]
     kernel_agreement: float | None  # None with fewer than 2 kernels
-
-    @cached_property
-    def _by_key(self) -> dict:
-        return {(v.split, v.kernel): v for v in self.verdicts}
-
-    def verdict(self, split: int, kernel: KernelKind) -> StationarityVerdict:
-        return self._by_key[split, kernel]
 
 
 def summarize(sweep: SweepResult) -> SweepSummary:

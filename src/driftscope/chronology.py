@@ -119,19 +119,23 @@ def build_split_plan(dataset) -> SplitPlan:
     if not n:
         raise SplitError("empty dataset")
     # by key, then id; records with equal keys and ids keep their order.
-    # Two stable sorts give np.lexsort((ids, keys)) without comparing the
-    # object-dtype ids through numpy, which is slower than Python's sort
-    # on ids in random order.
-    by_id = np.fromiter(sorted(range(n), key=dataset.ids.tolist().__getitem__), np.intp, n)
-    order = by_id[np.argsort(dataset.keys[by_id], kind="stable")]
-    keys, ids = dataset.keys[order], dataset.ids[order]
+    # Two stable sorts give np.lexsort((ids, keys)): the keys', then
+    # Python's on the ids within each period, which compares ids only
+    # within their period and never the object-dtype ids through numpy.
+    order = np.argsort(dataset.keys, kind="stable")
+    keys = dataset.keys[order]
+    # bounds[g] is the position of the first record of period g; the last
+    # entry is the record count
+    bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), n]
+    id_of = dataset.ids.tolist().__getitem__
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo > 1:
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=id_of)
+    ids = dataset.ids[order]
     categorical = [t.column for t in descriptor.formula.terms if t.kind == "categorical"]
     wmin = well_formed_min(
         descriptor.formula, {c: dataset.attributes[c][order] for c in categorical}
     )
-    # bounds[g] is the position of the first record of period g; the last
-    # entry is the record count
-    bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), n]
     periods = keys[bounds[:-1]].tolist()
     # one index per period, repeated over its records
     indices = np.repeat(

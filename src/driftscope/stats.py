@@ -14,7 +14,6 @@ __all__ = [
     "Term",
     "ModelFormula",
     "DesignMatrix",
-    "FittedModel",
     "NormalityReport",
     "SingularDesignError",
     "shapiro_wilk",
@@ -147,15 +146,6 @@ class DesignMatrix:
         np.multiply(x, self.response[:, None], out=moments[:, p])
         return moments.reshape(n, p * p + p)
 
-    def subset(self, rows) -> "DesignMatrix":
-        """The design of the records ``rows`` selects (a slice or an index
-        array), with the same columns."""
-        return DesignMatrix(
-            matrix=self.matrix[rows],
-            response=self.response[rows],
-            labels=self.labels,
-        )
-
 
 def _transformed(values, transform: str, column: str) -> np.ndarray:
     """A numeric column as floats, log-scaled if ``transform`` asks.  The
@@ -232,19 +222,6 @@ def build_design_matrix(columns, formula: ModelFormula) -> DesignMatrix:
     )
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """Coefficients of one fit, or one row of coefficients per fit of a
-    stacked weight matrix, with the training design they were fitted on."""
-
-    coefficients: np.ndarray
-    design: DesignMatrix
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.design.labels
-
-
 def _bounded_rows(gram, w_min, w_max, eigenvalues) -> np.ndarray:
     """Which rows of the stacked Gram matrices ``gram`` pass
     ``GRAM_RATIO_MIN``, given each row's smallest and largest weight and
@@ -317,19 +294,18 @@ def _solve(design: DesignMatrix, w, starts, runs, inside, ends) -> np.ndarray:
     return coefficients
 
 
-def weighted_least_squares(design: DesignMatrix, weights, starts=None, runs=None) -> FittedModel:
+def weighted_least_squares(design: DesignMatrix, weights, starts=None, runs=None) -> np.ndarray:
     """Minimize the weighted sum of squared transformed-scale residuals.
 
-    ``weights`` holds one weight per design row, or one such row per fit;
-    stacked weights give one row of coefficients per fit, all solved in
-    one pass (see ``_solve``).  With ``starts``, the first rows of runs of
-    consecutive design rows, ascending from 0, ``weights`` holds one
-    weight per run instead, shared by the run's rows; by default every
-    design row is a run of its own.  With ``runs``, one count per fit,
+    ``weights`` holds one weight per design row, giving one vector of
+    coefficients, or one such row per fit, giving one row of coefficients
+    per fit, all solved in one pass (see ``_solve``).  With ``starts``,
+    the first rows of runs of consecutive design rows, ascending from 0,
+    ``weights`` holds one weight per run instead, shared by the run's
+    rows; by default every design row is a run of its own.  With ``runs``, one count per fit,
     fit b uses only the first ``runs[b]`` runs: it is fitted on that
-    prefix of the design, and its weights past it must be 0; the model's
-    ``design`` is still the whole design.  By default every fit uses
-    every run.
+    prefix of the design, and its weights past it must be 0.  By default
+    every fit uses every run.
 
     Weights must be finite and nonnegative; a zero weight drops its
     records from the fit.  A fit fails only by rank: a design is singular
@@ -363,20 +339,13 @@ def weighted_least_squares(design: DesignMatrix, weights, starts=None, runs=None
         raise ValueError("weights past a fit's runs must be 0")
     ends = np.append(starts, n)[runs]
     coefficients = _solve(design, rows, starts, runs, inside, ends)
-    return FittedModel(
-        coefficients=coefficients[0] if w.ndim == 1 else coefficients,
-        design=design,
-    )
+    return coefficients[0] if w.ndim == 1 else coefficients
 
 
-def predict(model: FittedModel, design: DesignMatrix) -> np.ndarray:
-    """Linear predictions on the transformed scale, one row per fit of a
-    stacked model."""
-    if design.labels != model.labels:
-        raise ValueError(
-            f"design columns {design.labels} do not match model columns {model.labels}"
-        )
-    return model.coefficients @ design.matrix.T
+def predict(coefficients: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Linear predictions on the transformed scale of the design rows
+    ``matrix``, one row per row of stacked ``coefficients``."""
+    return coefficients @ matrix.T
 
 
 def _squared_deviations(v: np.ndarray, out=None):

@@ -94,7 +94,7 @@ class TestWeightedFitOracles:
             x, y = design.matrix, design.response
             oracle = np.linalg.solve(x.T @ x, x.T @ y)
             scale = max(1.0, float(np.linalg.norm(oracle)))
-            assert np.linalg.norm(fit.coefficients - oracle) <= 1e-10 * scale
+            assert np.linalg.norm(fit - oracle) <= 1e-10 * scale
 
     @pytest.mark.criterion(2, "weighted least squares oracles")
     def test_integer_weights_match_row_replication(self):
@@ -109,8 +109,8 @@ class TestWeightedFitOracles:
                 labels=design.labels,
             )
             oracle = weighted_least_squares(replicated, np.ones(replicated.n_rows))
-            scale = max(1.0, float(np.linalg.norm(oracle.coefficients)))
-            assert np.linalg.norm(fit.coefficients - oracle.coefficients) <= 1e-8 * scale
+            scale = max(1.0, float(np.linalg.norm(oracle)))
+            assert np.linalg.norm(fit - oracle) <= 1e-8 * scale
 
     @pytest.mark.criterion(2, "weighted least squares oracles")
     def test_weighted_residuals_orthogonal_to_design(self):
@@ -119,7 +119,7 @@ class TestWeightedFitOracles:
             design = _random_design(rng)
             weights = rng.uniform(0.05, 1.0, size=design.n_rows)
             fit = weighted_least_squares(design, weights)
-            residuals = design.response - predict(fit, design)
+            residuals = design.response - predict(fit, design.matrix)
             gradient = design.matrix.T @ (weights * residuals)
             scale = max(
                 1.0,
@@ -193,8 +193,9 @@ class TestSyntheticVerdicts:
                 (KernelKind.GAUSSIAN,),
             )
             summary = summarize(sweep)
+            verdicts = {(v.split, v.kernel): v for v in summary.verdicts}
             final = sweep.plan.splits[-1].ordinal
-            verdict = summary.verdict(final, KernelKind.GAUSSIAN)
+            verdict = verdicts[final, KernelKind.GAUSSIAN]
             if verdict.classification is Classification.NON_STATIONARY:
                 hits += 1
         assert hits >= 9
@@ -232,10 +233,11 @@ class TestNasa93Replication:
     def test_convergence_bandwidths(self):
         sweep = _sweep("nasa93", (KernelKind.GAUSSIAN,))
         summary = summarize(sweep)
+        verdicts = {(v.split, v.kernel): v for v in summary.verdicts}
         final = sweep.plan.splits[-1].ordinal
-        full = summary.verdict(final, KernelKind.GAUSSIAN).convergence
+        full = verdicts[final, KernelKind.GAUSSIAN].convergence
         assert full is not None and abs(full.bandwidth - 18) <= 4
-        second = summary.verdict(2, KernelKind.GAUSSIAN).convergence
+        second = verdicts[2, KernelKind.GAUSSIAN].convergence
         assert second is not None and abs(second.bandwidth - 8) <= 4
 
     @pytest.mark.criterion(8, "nasa93 Gaussian replication")
@@ -267,10 +269,11 @@ class TestKitchenhamReplication:
     @pytest.mark.criterion(10, "kitchenham Gaussian replication")
     def test_split_classifications(self):
         summary = summarize(_sweep("kitchenham", (KernelKind.GAUSSIAN,)))
-        first = summary.verdict(1, KernelKind.GAUSSIAN)
+        verdicts = {(v.split, v.kernel): v for v in summary.verdicts}
+        first = verdicts[1, KernelKind.GAUSSIAN]
         assert first.classification is Classification.NEAR_STATIONARY
         for ordinal in (2, 3, 4):
-            verdict = summary.verdict(ordinal, KernelKind.GAUSSIAN)
+            verdict = verdicts[ordinal, KernelKind.GAUSSIAN]
             assert verdict.classification is Classification.NON_STATIONARY
             assert verdict.convergence is not None
             assert 1 <= verdict.convergence.bandwidth <= 13
@@ -288,20 +291,22 @@ class TestMaxwellReplication:
     @pytest.mark.parametrize("kind", WEIGHTED_KERNELS)
     def test_split_classifications(self, kind):
         summary = summarize(_sweep("maxwell", WEIGHTED_KERNELS))
+        verdicts = {(v.split, v.kernel): v for v in summary.verdicts}
         for ordinal in (1, 2):
-            assert summary.verdict(ordinal, kind).classification is (
+            assert verdicts[ordinal, kind].classification is (
                 Classification.NEAR_STATIONARY
             )
         for ordinal in (3, 4):
-            assert summary.verdict(ordinal, kind).classification is (
+            assert verdicts[ordinal, kind].classification is (
                 Classification.NON_STATIONARY
             )
 
     @pytest.mark.criterion(11, "maxwell three-kernel replication")
     def test_gaussian_convergence_bandwidths(self):
         summary = summarize(_sweep("maxwell", WEIGHTED_KERNELS))
-        third = summary.verdict(3, KernelKind.GAUSSIAN).convergence
-        fourth = summary.verdict(4, KernelKind.GAUSSIAN).convergence
+        verdicts = {(v.split, v.kernel): v for v in summary.verdicts}
+        third = verdicts[3, KernelKind.GAUSSIAN].convergence
+        fourth = verdicts[4, KernelKind.GAUSSIAN].convergence
         assert third is not None and abs(third.bandwidth - 5) <= 3
         assert fourth is not None and abs(fourth.bandwidth - 12) <= 3
 
@@ -320,9 +325,10 @@ def test_kernel_invariance_across_datasets():
     for name in ("nasa93", "desharnais", "kitchenham", "maxwell"):
         sweep = _sweep(name, WEIGHTED_KERNELS)
         summary = summarize(sweep)
+        verdicts = {(v.split, v.kernel): v for v in summary.verdicts}
         for split in sweep.plan.splits:
             calls = {
-                summary.verdict(split.ordinal, kind).classification
+                verdicts[split.ordinal, kind].classification
                 for kind in WEIGHTED_KERNELS
             }
             agreeing += len(calls) == 1

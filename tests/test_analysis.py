@@ -30,7 +30,7 @@ from driftscope.chronology import (
 )
 from driftscope.datasets import SynthConfig, builtin_descriptor, load_dataset, synthesize
 from driftscope.kernels import Granularity, KernelKind
-from driftscope.stats import LOG, ModelFormula, Term, build_design_matrix
+from driftscope.stats import LOG, DesignMatrix, ModelFormula, Term, build_design_matrix
 
 from test_chronology import _load
 from test_oracle import _datasets
@@ -484,6 +484,11 @@ def _plans(draw):
     return dataset, plan
 
 
+def _rows(design, rows):
+    """The design of the records ``rows`` selects, with the same columns."""
+    return DesignMatrix(design.matrix[rows], design.response[rows], design.labels)
+
+
 def _assert_same_design(got, want):
     assert np.array_equal(got.matrix, want.matrix)
     assert np.array_equal(got.response, want.response)
@@ -515,10 +520,10 @@ class TestPlanDesign:
         design = build_design_matrix(columns(plan.order), CATEGORICAL)
         for split in plan.splits:
             train = build_design_matrix(columns([row[i] for i in split.train_ids]), formula)
-            _assert_same_design(design.subset(slice(split.stop)), train)
+            _assert_same_design(_rows(design, slice(split.stop)), train)
             if split.test_ids:
                 test = build_design_matrix(columns([row[i] for i in split.test_ids]), formula)
-                _assert_same_design(design.subset(split.test_rows), test)
+                _assert_same_design(_rows(design, split.test_rows), test)
 
 
 def _remainder_tests(dataset, overrides):
@@ -558,9 +563,9 @@ class TestBatchedFits:
         fits = []
         split_curves = analysis._split_curves
 
-        def recorded(split, model, *args):
-            fits.append((split, model))
-            return split_curves(split, model, *args)
+        def recorded(split, coefficients, *args):
+            fits.append((split, coefficients))
+            return split_curves(split, coefficients, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_split_curves", recorded)
@@ -579,8 +584,8 @@ class TestBatchedFits:
         ):
             event("an override cuts a period")
         design, _ = analysis._plan_design(dataset, plan.order)
-        for split, model in fits:
-            train = design.subset(slice(split.stop))
+        for split, coefficients in fits:
+            train = _rows(design, slice(split.stop))
             indices = plan.indices[: split.stop]
             starts = np.flatnonzero(np.concatenate(([True], indices[1:] != indices[:-1])))
             weights = [np.ones((1, starts.size))] + [
@@ -588,9 +593,8 @@ class TestBatchedFits:
                 for kind, curve in sweep.curves.items()
             ]
             want = stats.weighted_least_squares(train, np.concatenate(weights), starts)
-            error = np.linalg.norm(model.coefficients - want.coefficients, axis=1)
-            assert np.all(error <= 1e-12 * np.linalg.norm(want.coefficients, axis=1))
-            _assert_same_design(model.design, train)
+            error = np.linalg.norm(coefficients - want, axis=1)
+            assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=1))
 
     @settings(
         max_examples=30, deadline=None,
@@ -864,8 +868,10 @@ class TestSummarize:
         assert 0.0 <= summary.kernel_agreement <= 1.0
 
     def test_verdict_lookup(self, stationary_sweep):
+        # one verdict per (split, kernel), splits numbered from 1
         summary = summarize(stationary_sweep)
+        by_key = {(v.split, v.kernel): v for v in summary.verdicts}
         for v in summary.verdicts:
-            assert summary.verdict(v.split, v.kernel) is v
+            assert by_key[v.split, v.kernel] is v
         with pytest.raises(KeyError):
-            summary.verdict(0, KernelKind.GAUSSIAN)
+            by_key[0, KernelKind.GAUSSIAN]

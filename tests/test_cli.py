@@ -928,28 +928,54 @@ class TestSynth:
         assert list(out.parent.iterdir()) == []  # no CSV, no temporary file
 
 
+def _write_every_file(tmp_path) -> dict:
+    """Run synth, sweep and plot into ``tmp_path``; the mode of each file
+    they write, by name."""
+    data, out, svg = tmp_path / "synth.csv", tmp_path / "out", tmp_path / "split1.svg"
+    desc = data.with_suffix(".descriptor.json")
+    assert main(["synth", "--seed", "3", "--out", str(data)]) == 0
+    assert main([
+        "sweep", "--descriptor", str(desc), "--data", str(data),
+        "--grid", "1:20:1", "--kernels", "gaussian", "--out", str(out),
+    ]) == 0
+    assert main([
+        "plot", "--curves", str(out / "curves.csv"), "--split", "1",
+        "--kernel", "gaussian", "--out", str(svg),
+    ]) == 0
+    written = [data, desc, svg, *(out / n for n in ("curves.csv", "verdicts.json", "manifest.json"))]
+    assert not list(tmp_path.rglob(".*"))  # no temporary file is left
+    return {p.name: oct(p.stat().st_mode & 0o777) for p in written}
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_written_files_take_the_umask_mode(tmp_path, umask):
     """Every file synth, sweep and plot write has the mode ``open`` would
-    give it, 0o666 less the umask, not the temporary file's 0o600."""
-    data, out, svg = tmp_path / "synth.csv", tmp_path / "out", tmp_path / "split1.svg"
-    desc = data.with_suffix(".descriptor.json")
+    give it, 0o666 less the umask."""
     old = os.umask(umask)
     try:
-        assert main(["synth", "--seed", "3", "--out", str(data)]) == 0
-        assert main([
-            "sweep", "--descriptor", str(desc), "--data", str(data),
-            "--grid", "1:20:1", "--kernels", "gaussian", "--out", str(out),
-        ]) == 0
-        assert main([
-            "plot", "--curves", str(out / "curves.csv"), "--split", "1",
-            "--kernel", "gaussian", "--out", str(svg),
-        ]) == 0
+        modes = _write_every_file(tmp_path)
     finally:
         os.umask(old)
-    written = [data, desc, svg, *(out / n for n in ("curves.csv", "verdicts.json", "manifest.json"))]
-    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in written}
-    assert modes == {p.name: oct(0o666 & ~umask) for p in written}
+    assert modes == dict.fromkeys(modes, oct(0o666 & ~umask))
+
+
+def test_writes_never_touch_the_process_umask(tmp_path, monkeypatch):
+    """Files are created with the umask applied by the kernel, never by
+    setting the process-wide umask, which would race with any other
+    thread's file creation."""
+    umask = 0o027
+    old = os.umask(umask)
+
+    def forbidden(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", forbidden)
+    try:
+        modes = _write_every_file(tmp_path)
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert modes == dict.fromkeys(modes, oct(0o666 & ~umask))
 
 
 class TestUndecodableInput:

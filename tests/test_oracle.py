@@ -109,7 +109,7 @@ def _assert_verdicts(reference, sweep, spans):
     """Every verdict of ``sweep`` read at its config is the reference
     rule's verdict on the sweep's curve."""
     config = sweep.config
-    summary = summarize(sweep)
+    verdicts = {(v.split, v.kernel): v for v in summarize(sweep).verdicts}
     for kind, curve in sweep.curves.items():
         rows = zip(curve.re_train_nu.tolist(), curve.re_train_u.tolist())
         for ordinal, (train_nu, train_u) in enumerate(rows, 1):
@@ -117,7 +117,7 @@ def _assert_verdicts(reference, sweep, spans):
             want = reference._verdict(
                 points, kind.value, spans[ordinal], config.epsilon, config.theta
             )
-            got = summary.verdict(ordinal, kind)
+            got = verdicts[ordinal, kind]
             assert got.classification.value == want["classification"], (ordinal, kind)
             assert (got.convergence and got.convergence.bandwidth) == want["bandwidth"]
             assert got.horizon == want["horizon"] or reference._close(got.horizon, want["horizon"])
@@ -185,5 +185,6 @@ def test_random_sweeps_match_the_reference(reference, dataset, kernels, grid):
             event("a convergence horizon on its span")
             boundary = replace(sweep, config=replace(sweep.config, theta=theta))
             _assert_verdicts(reference, boundary, spans)
-            assert summarize(boundary).verdict(verdict.split, verdict.kernel).classification.value == "stationary"
+            by_key = {(v.split, v.kernel): v for v in summarize(boundary).verdicts}
+            assert by_key[verdict.split, verdict.kernel].classification.value == "stationary"
             break

@@ -117,13 +117,13 @@ def test_every_cell_and_verdict_matches_the_reference(reference, name, tmp_path,
 
     # every cell
     splits = reference.plan(spec)
-    rows = reference.csv.DictReader((out / "curves.csv").open(newline="", encoding="utf-8"))
     wrong = []
-    for row in rows:
-        got = tuple(reference._f(row[c]) for c in RE_COLUMNS)
-        want = reference.cell_res(
-            spec, splits[int(row["split"]) - 1], row["kernel"], float(row["bandwidth"])
-        )
-        if not all(reference._close(g, w) for g, w in zip(got, want)):
-            wrong.append((row["split"], row["kernel"], row["bandwidth"], got, want))
+    with (out / "curves.csv").open(newline="", encoding="utf-8") as fh:
+        for row in reference.csv.DictReader(fh):
+            got = tuple(reference._f(row[c]) for c in RE_COLUMNS)
+            want = reference.cell_res(
+                spec, splits[int(row["split"]) - 1], row["kernel"], float(row["bandwidth"])
+            )
+            if not all(reference._close(g, w) for g, w in zip(got, want)):
+                wrong.append((row["split"], row["kernel"], row["bandwidth"], got, want))
     assert wrong == []
