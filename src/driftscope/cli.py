@@ -29,7 +29,7 @@ from .datasets import (
     load_dataset,
     synthesize,
 )
-from .kernels import Granularity, KernelKind, build_grid, grid_size, grid_text
+from .kernels import Granularity, KernelKind, grid_size, grid_text
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -155,26 +155,8 @@ def _manifest(descriptor: DatasetDescriptor, result, text: str) -> dict:
 
 
 def cmd_describe(args) -> int:
-    descriptor = _resolve_descriptor(args.descriptor)
-    print(f"dataset:     {descriptor.name}")
-    print(f"granularity: {descriptor.granularity.value}")
-    print(f"chronology:  {descriptor.chronology.value}")
-    print(f"formula:     {descriptor.formula.describe()}")
-    print(f"columns:     {json.dumps(descriptor.columns)}")
-    if descriptor.filters:
-        print(f"filters:     {json.dumps(list(descriptor.filters))}")
-    if descriptor.derived_products:
-        for name, sources in descriptor.derived_products.items():
-            print(f"derived:     {name} = product({', '.join(sources)})")
-    if descriptor.overrides:
-        print(f"overrides:   {list(descriptor.overrides)}")
-    if descriptor.expected_rows is not None:
-        print(f"expected:    {descriptor.expected_rows} rows after filtering")
-    print("grid rules:  finite-support kernels start above the dataset's")
-    print("             elapsed span; e.g. minimum admissible bandwidths for")
-    for kind in (KernelKind.EPANECHNIKOV, KernelKind.TRIANGULAR):
-        b = build_grid(kind, 16.0)[0]
-        print(f"             a 16-period span: {kind.value} >= {b:g}")
+    # the text synth writes and from_json reads: copy it to make a descriptor
+    print(_resolve_descriptor(args.descriptor).to_json())
     return 0
 
 
@@ -442,7 +424,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", help="show a descriptor's schema and formula")
+    p = sub.add_parser("describe", help="print a descriptor as JSON")
     p.add_argument("descriptor", help="built-in name or descriptor JSON path")
     p.set_defaults(func=cmd_describe)
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
@@ -777,12 +778,19 @@ class SynthConfig:
     size_hi: float = 1000.0
 
     def __post_init__(self):
+        for f in fields(self):  # NaN, infinities and ints past the float range
+            if f.type == "float" and not abs(value := getattr(self, f.name)) <= sys.float_info.max:
+                raise DataError(
+                    f"synth config key {f.name!r} must be a finite float, got {value!r}"
+                )
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.noise_sd < 0:
             raise DataError(f"negative noise sd: {self.noise_sd}")
         if self.n_periods < 2:
             raise DataError("need at least 2 periods")
+        if self.n_periods > 8000:  # period p completes in year 2000 + p
+            raise DataError(f"at most 8000 periods (years 2000..9999), got {self.n_periods}")
         minimum = 2 * (2 + len(synth_descriptor(self).formula.terms))
         if self.n_projects < minimum:
             raise DataError(
@@ -850,18 +858,24 @@ def synthesize(config: SynthConfig) -> Dataset:
     )
     # Python floats per record, summed as b0 + b1 * ln(size) + noise: the
     # golden fixtures hold these bits
-    effort = [
-        math.exp(
-            config.intercept + p * config.intercept_drift
-            + (config.slope + p * config.slope_drift) * math.log(size)
-            + eps
-        )
-        for p, size, eps in zip(periods.tolist(), sizes.tolist(), noise.tolist())
-    ]
+    ids = [f"p{i:04d}" for i in range(config.n_projects)]
+    effort = []
+    for rid, p, size, eps in zip(ids, periods.tolist(), sizes.tolist(), noise.tolist()):
+        try:
+            e = math.exp(
+                config.intercept + p * config.intercept_drift
+                + (config.slope + p * config.slope_drift) * math.log(size)
+                + eps
+            )
+        except OverflowError:
+            e = math.inf
+        if not 0 < e < math.inf:  # the loader or the sweep would refuse it
+            raise DataError(f"synthetic effort {e!r} for {rid!r} is not finite and positive")
+        effort.append(e)
     done = np.full(config.n_projects, _NAT)
     return Dataset(
         descriptor,
-        ids=np.array([f"p{i:04d}" for i in range(config.n_projects)], dtype=object),
+        ids=np.array(ids, dtype=object),
         keys=period_keys(done, 2000 + periods, descriptor.granularity),
         done=done,
         start=done.copy(),

@@ -14,9 +14,7 @@ __all__ = [
     "Term",
     "ModelFormula",
     "DesignMatrix",
-    "NormalityReport",
     "SingularDesignError",
-    "shapiro_wilk",
     "dummy_levels",
     "build_design_matrix",
     "weighted_least_squares",
@@ -69,8 +67,13 @@ class Term:
             raise ValueError(f"unknown term kind {self.kind!r}")
         if self.transform not in (LOG, IDENTITY):
             raise ValueError(f"unknown transform {self.transform!r}")
-        if self.kind == "categorical" and self.reference is None:
-            raise ValueError(f"categorical term {self.column!r} needs a reference level")
+        if self.kind == "categorical":
+            if self.reference is None:
+                raise ValueError(f"categorical term {self.column!r} needs a reference level")
+            if self.transform == LOG:
+                raise ValueError(f"categorical term {self.column!r} cannot be log-transformed")
+        elif self.reference is not None or self.levels is not None:
+            raise ValueError(f"numeric term {self.column!r} takes no reference or levels")
 
 
 @dataclass(frozen=True)
@@ -79,44 +82,9 @@ class ModelFormula:
     terms: tuple[Term, ...]
     response_transform: str = LOG
 
-    def describe(self) -> str:
-        lhs = f"ln({self.response})" if self.response_transform == LOG else self.response
-        parts = []
-        for t in self.terms:
-            if t.kind == "numeric" and t.transform == LOG:
-                parts.append(f"ln({t.column})")
-            else:
-                parts.append(t.column)
-        return f"{lhs} = {' + '.join(parts)}"
-
     @property
     def columns(self) -> tuple[str, ...]:
         return (self.response, *(t.column for t in self.terms))
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    statistic: float
-    p_value: float
-    sample_size: int
-    alpha: float
-    normal: bool
-
-
-def shapiro_wilk(sample, alpha: float = 0.05) -> NormalityReport:
-    """Shapiro-Wilk normality test (Royston AS R94, 3 <= n <= 5000)."""
-    # imported here: swilk's import of statistics costs every start
-    from .swilk import swilk
-
-    sample = list(sample)
-    w, p = swilk(sample)
-    return NormalityReport(
-        statistic=w,
-        p_value=p,
-        sample_size=len(sample),
-        alpha=alpha,
-        normal=p > alpha,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from driftscope.analysis import (
 from driftscope.chronology import Split, SplitPlan
 from driftscope.cli import CURVE_COLUMNS, _curves_text, _grid_text, main, read_curves
 from driftscope.datasets import (
+    BUILTIN_NAMES,
     DataError,
     DatasetDescriptor,
     SynthConfig,
@@ -46,19 +47,67 @@ def synth_csv(tmp_path):
     return data, desc
 
 
+def _describe(capsys, name_or_path) -> str:
+    """``describe``'s stdout, after checking it exits 0 and writes no error."""
+    assert main(["describe", str(name_or_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
 class TestDescribe:
     def test_builtin_maxwell_shows_formula(self, capsys):
-        assert main(["describe", "maxwell"]) == 0
-        out = capsys.readouterr().out
+        out = _describe(capsys, "maxwell")
         assert "T08" in out and "T09" in out
-        assert "ln(Effort) = ln(Size) + T08 + T09" in out
-        # the first values of the default grid above a 16-period span
-        assert "epanechnikov >= 17\n" in out and "triangular >= 17\n" in out
+        formula = json.loads(out)["formula"]
+        assert formula["response"] == "Effort" and formula["response_transform"] == "log"
+        assert [(t["column"], t["transform"]) for t in formula["terms"]] == [
+            ("Size", "log"), ("T08", "identity"), ("T09", "identity"),
+        ]
 
     def test_descriptor_file(self, synth_csv, capsys):
         _, desc = synth_csv
-        assert main(["describe", str(desc)]) == 0
-        assert "ln(effort) = ln(size)" in capsys.readouterr().out
+        descriptor = DatasetDescriptor.from_json(desc.read_text())
+        desc.write_text(json.dumps(json.loads(desc.read_text())))  # echoed normalized
+        out = _describe(capsys, desc)
+        assert out == descriptor.to_json() + "\n"
+        assert DatasetDescriptor.from_json(out) == descriptor
+        assert json.loads(out)["formula"]["terms"][0]["transform"] == "log"
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_prints_the_json_from_json_reads(self, capsys, name):
+        out = _describe(capsys, name)
+        assert out == builtin_descriptor(name).to_json() + "\n"
+        assert DatasetDescriptor.from_json(out) == builtin_descriptor(name)
+
+    def test_hashes_to_the_manifest_digest(self, tmp_path, capsys):
+        out = _describe(capsys, "xbc")
+        data = GOLDEN / "xbc_seed1" / "data.csv"
+        argv = ["sweep", "--descriptor", "xbc", "--data", str(data), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert hashlib.sha256(out[:-1].encode()).hexdigest() == manifest["descriptor_digest"]
+
+    def test_an_edited_copy_is_a_descriptor(self, tmp_path, capsys):
+        """A copy of ``describe xbc`` with other overrides sweeps as the
+        built-in does under ``--overrides``."""
+        doc = json.loads(_describe(capsys, "xbc"))
+        doc["overrides"] = [8, 11, 13]
+        copy = tmp_path / "xbc.json"
+        copy.write_text(json.dumps(doc, indent=2))
+        data = GOLDEN / "xbc_seed1" / "data.csv"
+        manifests = []
+        for out, flags in (
+            (tmp_path / "copy", ["--descriptor", str(copy)]),
+            (tmp_path / "flag", ["--descriptor", "xbc", "--overrides", "8,11,13"]),
+        ):
+            assert main(["sweep", *flags, "--data", str(data), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifests.append({k: v for k, v in manifest.items() if k != "timestamp"})
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"]["overrides"] == [8, 11, 13]
+        for name in ("curves.csv", "verdicts.json"):
+            assert (tmp_path / "copy" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
     def test_unknown_descriptor(self, capsys):
         assert main(["describe", "isbsg"]) == 2
@@ -174,6 +223,16 @@ MISTYPED_DESCRIPTOR = {
     "filter-without-test": (
         _set("filters", [{"column": "size"}]),
         "descriptor key 'filters[0]' needs exactly one of 'equals' and 'exclude'"),
+    # term fields that would do nothing
+    "numeric-term-reference": (
+        _set("formula", "terms", 0, "reference", "10"),
+        "bad descriptor: numeric term 'size' takes no reference or levels"),
+    "numeric-term-levels": (
+        _set("formula", "terms", 0, "levels", ["10", "20"]),
+        "bad descriptor: numeric term 'size' takes no reference or levels"),
+    "log-categorical": (
+        lambda d: d["formula"]["terms"][0].update(kind="categorical", reference="10"),
+        "bad descriptor: categorical term 'size' cannot be log-transformed"),
 }
 
 
@@ -916,6 +975,33 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ('{"n_projects": 8001, "n_periods": 8001}',
+             "at most 8000 periods (years 2000..9999), got 8001"),
+            ('{"intercept": NaN}', "synth config key 'intercept' must be a finite float, got nan"),
+            ('{"intercept": Infinity}',
+             "synth config key 'intercept' must be a finite float, got inf"),
+            ('{"noise_sd": NaN}', "synth config key 'noise_sd' must be a finite float, got nan"),
+            ('{"size_hi": Infinity}', "synth config key 'size_hi' must be a finite float, got inf"),
+            ('{"slope": 1%s}' % ("0" * 400),
+             "synth config key 'slope' must be a finite float, got 1%s" % ("0" * 400)),
+            ('{"intercept": -1000.0}',
+             "synthetic effort 0.0 for 'p0000' is not finite and positive"),
+            ('{"slope_drift": 300.0}',
+             "synthetic effort inf for 'p0018' is not finite and positive"),
+        ],
+        ids=["years-past-9999", "nan", "infinity", "nan-noise", "infinite-size", "huge-int",
+             "zero-effort", "overflowing-effort"],
+    )
+    def test_refuses_data_its_loader_or_sweep_refuses(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"driftscope: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_a_failed_write_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
         def replace(src, dst):

@@ -57,7 +57,10 @@ class TestBuiltinDescriptors:
         d = builtin_descriptor("nasa93")
         assert "eaf" in d.derived_products
         assert len(d.derived_products["eaf"]) == 15
-        assert d.formula.describe() == "ln(effort) = ln(kloc) + ln(eaf) + mode"
+        assert (d.formula.response, d.formula.response_transform) == ("effort", LOG)
+        assert [(t.column, t.kind, t.transform) for t in d.formula.terms] == [
+            ("kloc", "numeric", LOG), ("eaf", "numeric", LOG), ("mode", "categorical", "identity"),
+        ]
 
     def test_unknown_name(self):
         with pytest.raises(DataError):
@@ -723,6 +726,11 @@ class TestParseDate:
             _parse_date("2003-02-30", "c")
 
 
+_SYNTH_FLOATS = (
+    "intercept", "slope", "intercept_drift", "slope_drift", "noise_sd", "size_lo", "size_hi",
+)
+
+
 class TestSynthesize:
     def test_same_seed_identical(self):
         a = synthesize(SynthConfig(seed=99))
@@ -751,6 +759,42 @@ class TestSynthesize:
         config = SynthConfig(seed=12)
         ds = synthesize(config)
         assert ds.descriptor == synth_descriptor(config)
+        assert load_dataset(ds.descriptor, csv_text(ds)) == ds
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stn.fixed_dictionaries({
+            "n_projects": stn.integers(6, 60),
+            "n_periods": stn.integers(2, 6),
+            "seed": stn.integers(0, 2**32),
+            "intercept": stn.floats(-5, 5),
+            "slope": stn.floats(-5, 5),
+            "intercept_drift": stn.floats(-1, 1),
+            "slope_drift": stn.floats(-1, 1),
+            "noise_sd": stn.floats(0, 2),
+            "size_lo": stn.floats(1e-3, 100),
+            "size_hi": stn.floats(100, 1e4),
+        }),
+        # up to two float fields anywhere, NaN and infinities included
+        stn.dictionaries(stn.sampled_from(_SYNTH_FLOATS), stn.floats(), max_size=2),
+    )
+    @example({"n_projects": 8000, "n_periods": 8000}, {})
+    @example({"n_projects": 8001, "n_periods": 8001}, {})
+    @example({}, {"intercept": -1000.0})
+    @example({}, {"slope_drift": 300.0})
+    @example({}, {"size_lo": 5e-324, "slope": -1.0})
+    @example({}, {"size_hi": 1.7976931348623157e308, "slope": 0.0})
+    @example({}, {"intercept": 10**400})
+    def test_writes_only_data_it_loads(self, values, wild):
+        """A config is refused, or gives finite positive efforts on
+        positive sizes that its own loader reads back."""
+        try:
+            ds = synthesize(SynthConfig(**{**values, **wild}))
+        except DataError:
+            return
+        effort = ds.attributes["effort"]
+        assert np.isfinite(effort).all() and (effort > 0).all()
+        assert (ds.attributes["size"] > 0).all()
         assert load_dataset(ds.descriptor, csv_text(ds)) == ds
 
     def test_config_json_round_trip(self):

@@ -23,7 +23,7 @@ def test_all_names_resolve(name):
 
 
 def test_cli_import_leaves_statistics_unloaded():
-    """Only ``shapiro_wilk``, which no command calls, needs ``statistics``
+    """Only ``swilk``, which no command imports, needs ``statistics``
     (and with it ``fractions`` and ``decimal``): a start does not import
     it."""
     package_root = os.path.dirname(driftscope.__path__[0])

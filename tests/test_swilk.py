@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from driftscope.stats import shapiro_wilk
+from driftscope.swilk import swilk
 
 # Frozen 20-point normal draw; reference values computed with
 # scipy.stats.shapiro (see test_matches_frozen_reference).
@@ -16,27 +16,26 @@ FROZEN_P = 0.5784611772272803
 
 
 def test_matches_frozen_reference():
-    report = shapiro_wilk(FROZEN_SAMPLE)
-    assert report.statistic == pytest.approx(FROZEN_W, abs=1e-3)
-    assert report.p_value == pytest.approx(FROZEN_P, abs=1e-3)
-    assert report.sample_size == 20
-    assert report.normal
+    w, p = swilk(FROZEN_SAMPLE)
+    assert w == pytest.approx(FROZEN_W, abs=1e-3)
+    assert p == pytest.approx(FROZEN_P, abs=1e-3)
+    assert p > 0.05
 
 
 def test_constant_sample_rejected():
     with pytest.raises(ValueError, match="variance"):
-        shapiro_wilk([5.0, 5.0, 5.0, 5.0])
+        swilk([5.0, 5.0, 5.0, 5.0])
 
 
 def test_too_small_sample_rejected():
     with pytest.raises(ValueError, match="at least 3"):
-        shapiro_wilk([1.0, 2.0])
+        swilk([1.0, 2.0])
 
 
 def test_skewed_sample_fails_normality():
     rng = np.random.default_rng(5)
-    report = shapiro_wilk(rng.exponential(size=60))
-    assert not report.normal
+    _, p = swilk(rng.exponential(size=60))
+    assert p <= 0.05
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 11, 12, 25, 80, 500])
@@ -44,15 +43,15 @@ def test_skewed_sample_fails_normality():
 def test_tracks_scipy_across_sizes(n, dist):
     rng = np.random.default_rng(n * 131 + (dist == "normal"))
     x = rng.normal(size=n) if dist == "normal" else rng.exponential(size=n)
-    report = shapiro_wilk(x)
+    w, p = swilk(x)
     ref = scipy.stats.shapiro(x)
-    assert report.statistic == pytest.approx(ref.statistic, abs=1e-4)
-    assert report.p_value == pytest.approx(ref.pvalue, abs=1e-3)
+    assert w == pytest.approx(ref.statistic, abs=1e-4)
+    assert p == pytest.approx(ref.pvalue, abs=1e-3)
 
 
 def test_w_bounded_by_one():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        report = shapiro_wilk(rng.normal(size=int(rng.integers(3, 50))))
-        assert 0.0 < report.statistic <= 1.0
-        assert 0.0 <= report.p_value <= 1.0
+        w, p = swilk(rng.normal(size=int(rng.integers(3, 50))))
+        assert 0.0 < w <= 1.0
+        assert 0.0 <= p <= 1.0
