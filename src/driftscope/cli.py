@@ -52,11 +52,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path, parse=str):
     """``parse`` of input file ``path`` read as UTF-8 text (by default the
-    text itself); undecodable bytes, or JSON that ``parse`` finds
-    malformed, are an input error naming the file."""
+    text itself); undecodable bytes, or JSON that ``json.loads`` refuses
+    (malformed, or an integer of more than 4300 digits), are an input
+    error naming the file.  ``parse``'s own ``DataError`` passes
+    unchanged."""
     try:
         return parse(Path(path).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except DataError:
+        raise
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 

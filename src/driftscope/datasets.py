@@ -473,6 +473,19 @@ def _formula_columns(descriptor: DatasetDescriptor) -> dict:
     }
 
 
+def _bound_columns(descriptor: DatasetDescriptor) -> list:
+    """The CSV columns a descriptor reads: id, completion, start and
+    duration, the formula columns the CSV holds, the sources of derived
+    products and the filter columns."""
+    cols = descriptor.columns
+    return [
+        *filter(None, map(cols.get, ("id", "completion", "start", "duration"))),
+        *_formula_columns(descriptor),
+        *sorted({s for sources in descriptor.derived_products.values() for s in sources}),
+        *(f["column"] for f in descriptor.filters),
+    ]
+
+
 def _filter_test(filt: dict):
     """The test a filter applies to a stripped cell value."""
     if filt.keys() == {"column", "equals"}:
@@ -598,12 +611,7 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
     """
     cols = descriptor.columns
     formula = _formula_columns(descriptor)
-    needed = [
-        *filter(None, map(cols.get, ("id", "completion", "start", "duration"))),
-        *formula,
-        *sorted({s for sources in descriptor.derived_products.values() for s in sources}),
-        *(f["column"] for f in descriptor.filters),
-    ]
+    needed = _bound_columns(descriptor)
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
         header = next(reader, None)
@@ -736,12 +744,20 @@ def load_dataset(descriptor: DatasetDescriptor, text: str) -> Dataset:
 
 
 def csv_text(dataset: Dataset) -> str:
-    """A dataset as CSV text in its descriptor's schema: a date as ISO
-    text, a year-only completion as its year, a value as ``str`` writes
-    it."""
+    """A dataset as CSV text that ``load_dataset`` reads back equal.  It
+    writes the id and completion columns and the formula columns that are
+    not derived products: a date as ISO text, a year-only completion as
+    its year, a value as ``str`` writes it.  It writes no start,
+    duration, derived product source or filter column, so a descriptor
+    that reads any of these raises ``ValueError`` naming them."""
     descriptor = dataset.descriptor
     cols = descriptor.columns
     formula_cols = list(_formula_columns(descriptor))
+    written = {cols["id"], cols.get("completion"), *formula_cols}
+    if unwritable := [c for c in _bound_columns(descriptor) if c not in written]:
+        raise ValueError(
+            f"{descriptor.name}: csv_text cannot write bound columns: {', '.join(unwritable)}"
+        )
     header, columns = [cols["id"]], [dataset.ids]
     if cols.get("completion"):
         year_only = np.isnat(dataset.done)

@@ -220,11 +220,10 @@ def _solve(design: DesignMatrix, w, starts, runs, inside, ends) -> np.ndarray:
     are solved directly, in one batched solve.  The bound is taken
     against each row's own X'X, a partial sum of the runs' x x' sums,
     taken from one cumulative sum, with one batched eigenvalue call over
-    the distinct prefixes.  The other rows are solved by an SVD of
-    sqrt(w_b)X over their own training rows, weights expanded to one per
-    design row, whose singular values at or below max(n, p) * eps times
-    the largest count as zero, the rule ``np.linalg.lstsq`` applies with
-    ``rcond=None``.
+    the distinct prefixes.  The other rows are solved one at a time, in
+    row order, by ``np.linalg.lstsq`` (``rcond=None``) on sqrt(w_b)X over
+    their own training rows, weights expanded to one per design row; a
+    row whose lstsq rank is below the column count is a singular design.
     """
     x, y = design.matrix, design.response
     p = x.shape[1]
@@ -244,21 +243,12 @@ def _solve(design: DesignMatrix, w, starts, runs, inside, ends) -> np.ndarray:
         return np.linalg.solve(gram, xty[:, :, None])[..., 0]
     coefficients = np.empty((len(w), p))
     coefficients[direct] = np.linalg.solve(gram[direct], xty[direct, :, None])[..., 0]
-    rest = np.flatnonzero(~direct)
-    # rows on one prefix share an SVD batch; the batches go in row order,
-    # so the first singular row found is the first of all
-    for group in np.split(rest, np.flatnonzero(np.diff(ends[rest])) + 1):
-        if not group.size:
-            continue
-        m, r = int(ends[group[0]]), int(runs[group[0]])
-        sw = np.sqrt(np.repeat(w[group, :r], np.diff(starts[:r], append=m), axis=1))
-        u, sv, vt = np.linalg.svd(x[:m] * sw[:, :, None], full_matrices=False)
-        rank = np.sum(sv > max(m, p) * np.finfo(float).eps * sv[:, :1], axis=1)
-        singular = group[rank < p]
-        if singular.size:
-            raise SingularDesignError("singular design", row=int(singular[0]))
-        z = np.einsum("knp,kn->kp", u, y[:m] * sw) / sv
-        coefficients[group] = np.einsum("kpq,kp->kq", vt, z)
+    for b in np.flatnonzero(~direct):
+        m, r = int(ends[b]), int(runs[b])
+        sw = np.sqrt(np.repeat(w[b, :r], np.diff(starts[:r], append=m)))
+        coefficients[b], _, rank, _ = np.linalg.lstsq(x[:m] * sw[:, None], y[:m] * sw, rcond=None)
+        if rank < p:
+            raise SingularDesignError("singular design", row=int(b))
     return coefficients
 
 

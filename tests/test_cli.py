@@ -1065,10 +1065,11 @@ def test_writes_never_touch_the_process_umask(tmp_path, monkeypatch):
 
 
 class TestUndecodableInput:
-    """A file that is not UTF-8, or a JSON input that is not JSON, is an
-    input error (exit 2) naming the file, though ``UnicodeDecodeError``
-    and ``json.JSONDecodeError`` are ``ValueError``s, which a computation
-    failure raises."""
+    """A file that is not UTF-8, or a JSON input that ``json.loads``
+    refuses, is an input error (exit 2) naming the file, though
+    ``UnicodeDecodeError``, ``json.JSONDecodeError`` and the plain
+    ``ValueError`` of an over-long integer literal are ``ValueError``s,
+    which a computation failure raises."""
 
     @pytest.fixture()
     def latin1_csv(self, synth_csv, tmp_path):
@@ -1096,6 +1097,9 @@ class TestUndecodableInput:
         (lambda good: good[: good.index(b":") + 1], "Expecting value: line 2 column 10 (char 11)"),
         # a data CSV may start with a byte-order mark; a descriptor may not
         (lambda good: b"\xef\xbb\xbf" + good, "Unexpected UTF-8 BOM"),
+        # an integer of more than 4300 digits is refused by json.loads itself
+        (lambda good: good.replace(b'"expected_rows": 60', b'"expected_rows": 1' + b"0" * 5000),
+         "Exceeds the limit (4300 digits) for integer string conversion"),
     ]
 
     def test_descriptor_file(self, synth_csv, tmp_path, capsys):
@@ -1140,6 +1144,8 @@ class TestUndecodableInput:
         for text, error in [
             (b'{"seed": 1, "name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
             (b'{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
+            (b'{"slope": 1' + b"0" * 5000 + b"}",
+             "Exceeds the limit (4300 digits) for integer string conversion"),
         ]:
             cfg.write_bytes(text)
             assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2

@@ -261,7 +261,7 @@ class TestWeightedLeastSquares:
         That is the forward error bound both a normal-equation solve and
         an orthogonal one meet; 4000 seeded draws of this kind gave at
         most 5.3 * cond^2 * eps.  Weights spanning 12 decades and
-        near-collinear columns drive rows to the SVD fallback."""
+        near-collinear columns drive rows to the lstsq fallback."""
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 4))
         n = int(rng.integers(k + 1, 25))
@@ -393,19 +393,30 @@ class TestWeightedLeastSquares:
     def test_fallback_rows_match_lstsq(self):
         # Weight 1 on one record and 1e-12 on the rest: the Gram matrix
         # fails the eigenvalue guard, but sqrt(w)X keeps a singular value
-        # ratio near 1e-6, full rank by lstsq's rule.
+        # ratio near 1e-6, full rank by lstsq's rule.  Row 1 does so on
+        # all 10 records, row 2 on the first 6; both are lstsq's own
+        # solution on their training rows, bit for bit.
         d = _design([float(t) for t in range(10)], [1.0 + 0.5 * t + (-1) ** t for t in range(10)])
-        w = np.full((2, 10), 1e-12)
+        runs = [10, 10, 6]
+        w = np.full((3, 10), 1e-12)
         w[0] = 1.0
-        w[1, 0] = 1.0
-        eigenvalues = np.linalg.eigvalsh(d.matrix.T @ (w[1][:, None] * d.matrix))
-        assert eigenvalues[0] < GRAM_RATIO_MIN * eigenvalues[-1]
-        fit = weighted_least_squares(d, w)
-        for row, coefficients in zip(w, fit):
-            sw = np.sqrt(row)
-            beta, _, rank, _ = np.linalg.lstsq(d.matrix * sw[:, None], d.response * sw, rcond=None)
+        w[1:, 0] = 1.0
+        w[2, 6:] = 0.0
+        for row, m in zip(w[1:], runs[1:]):
+            x = d.matrix[:m]
+            eigenvalues = np.linalg.eigvalsh(x.T @ (row[:m, None] * x))
+            assert eigenvalues[0] < GRAM_RATIO_MIN * eigenvalues[-1]
+        fit = weighted_least_squares(d, w, runs=runs)
+        for b, (row, m) in enumerate(zip(w, runs)):
+            sw = np.sqrt(row[:m])
+            beta, _, rank, _ = np.linalg.lstsq(
+                d.matrix[:m] * sw[:, None], d.response[:m] * sw, rcond=None
+            )
             assert rank == 2
-            assert coefficients == pytest.approx(beta, rel=1e-9)
+            if b == 0:  # solved directly
+                assert fit[b] == pytest.approx(beta, rel=1e-9)
+            else:
+                assert np.array_equal(fit[b], beta)
 
     def test_first_failing_row_is_reported(self):
         d = _design([float(t) for t in range(6)], [0.3, 1.1, 2.4, 2.9, 4.2, 5.0])
@@ -422,10 +433,17 @@ class TestWeightedLeastSquares:
         with pytest.raises(SingularDesignError, match="singular design") as info:
             weighted_least_squares(d, [good, zero, lone, singular])
         assert info.value.row == 2
+        # a solvable fallback row on 4 records comes before a singular row
+        # on all 6: the singular row is reported, and only it
+        near = np.array([1.0, 1e-12, 1e-12, 1e-12, 0.0, 0.0])
+        weighted_least_squares(d, [good, near], runs=[6, 4])
+        with pytest.raises(SingularDesignError, match="singular design") as info:
+            weighted_least_squares(d, [good, near, singular, near], runs=[6, 4, 6, 4])
+        assert info.value.row == 2
 
     def test_run_weights_equal_their_expansion(self):
         # one weight per run of rows against the same weights per row;
-        # the row spanning 30 decades goes to the SVD path
+        # the row spanning 30 decades goes to the lstsq fallback
         rng = np.random.default_rng(12)
         d = _design(list(rng.normal(size=14)), list(rng.normal(size=14)))
         starts = np.array([0, 1, 4, 5, 9, 13])
@@ -456,7 +474,7 @@ class TestWeightedLeastSquares:
     def test_runs_fit_each_row_on_its_prefix(self):
         # rows on prefixes of 1, 3 and 6 runs of one design, zero past
         # them, against fits on those prefixes alone; the 30-decade row
-        # goes to the SVD path
+        # goes to the lstsq fallback
         rng = np.random.default_rng(13)
         d = _design(list(rng.normal(size=14)), list(rng.normal(size=14)))
         starts = np.array([0, 3, 4, 7, 9, 13])
