@@ -116,7 +116,10 @@ def _grid_text(config: AnalysisConfig) -> str:
     return grid_text(config.grid_lo, config.grid_hi, config.grid_step)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of iterable ``chunks`` to ``path``, whole or not
+    at all: a failure, in writing or in making a chunk, leaves the
+    previous file as it was and no temporary file beside it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     # a new file under a random hidden name beside the target, created
     # 0o666 less the umask, as open() would create it
@@ -124,7 +127,7 @@ def _atomic_write(path: Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -181,31 +184,25 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _curves_text(result) -> str:
-    """curves.csv, written one (split, kernel) block at a time, with empty
-    test fields on the plan's final split.  The bytes are those of
-    ``csv.writer`` row by row; only the dataset name can need quoting,
-    since int, kernel and float reprs never do."""
+def _curves_text(result):
+    """Yield curves.csv: its header, then one block of text per (split,
+    kernel), with empty test fields on the plan's final split.  The bytes
+    are those of ``csv.writer`` row by row; only the dataset name can
+    need quoting, since int, kernel and float reprs never do."""
     name = _csv_field(result.dataset)
-    blocks = [",".join(CURVE_COLUMNS) + "\r\n"]
-    # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
-    columns = {
-        kind: [
-            [repr(b) for b in c.bandwidths],
-            *(a.tolist() for a in (c.re_train_nu, c.re_test_nu, c.re_train_u, c.re_test_u)),
-        ]
-        for kind, c in result.curves.items()
-    }
+    yield ",".join(CURVE_COLUMNS) + "\r\n"
+    bandwidths = {kind: [repr(b) for b in c.bandwidths] for kind, c in result.curves.items()}
     for i, split in enumerate(result.plan.splits):
-        for kind, (bandwidths, train_nu, test_nu, train_u, test_u) in columns.items():
+        for kind, c in result.curves.items():
             head = f"{name},{split.ordinal},{kind.value},"
+            # Python floats: repr(np.float64(1.0)) is "np.float64(1.0)"
+            train_u, test_u = c.re_train_u[i].item(), c.re_test_u[i].item()
             if split.is_final:
-                tests, tail = [""] * len(bandwidths), f",{train_u[i]!r},\r\n"
+                tests, tail = [""] * len(c.bandwidths), f",{train_u!r},\r\n"
             else:
-                tests, tail = map(repr, test_nu[i]), f",{train_u[i]!r},{test_u[i]!r}\r\n"
-            rows = zip(bandwidths, train_nu[i], tests)
-            blocks.append("".join(f"{head}{b},{re!r},{test}{tail}" for b, re, test in rows))
-    return "".join(blocks)
+                tests, tail = map(repr, c.re_test_nu[i].tolist()), f",{train_u!r},{test_u!r}\r\n"
+            rows = zip(bandwidths[kind], c.re_train_nu[i].tolist(), tests)
+            yield "".join(f"{head}{b},{re!r},{test}{tail}" for b, re, test in rows)
 
 
 def read_curves(path) -> dict:
@@ -303,9 +300,9 @@ def cmd_sweep(args) -> int:
         "kernel_agreement": summary.kernel_agreement,
         "verdicts": verdicts,
     }
-    _atomic_write(out / "verdicts.json", json.dumps(doc, indent=2) + "\n")
+    _atomic_write(out / "verdicts.json", [json.dumps(doc, indent=2) + "\n"])
     manifest = _manifest(descriptor, result, text)
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])
     print(
         f"{result.dataset}: {len(result.plan.splits)} splits, "
         f"{sum(c.re_train_nu.size for c in result.curves.values())} cells -> {out}"
@@ -402,7 +399,7 @@ def cmd_plot(args) -> int:
             f"non-finite bandwidth or relative error, which cannot be plotted"
         )
     title = f"split {args.split}, {kind.value} kernel"
-    _atomic_write(Path(args.out), _svg_chart(curve.bandwidths, series, title))
+    _atomic_write(Path(args.out), [_svg_chart(curve.bandwidths, series, title)])
     print(f"wrote {args.out}")
     return 0
 
@@ -413,9 +410,9 @@ def cmd_synth(args) -> int:
         config = SynthConfig(**{**config.__dict__, "seed": args.seed})
     dataset = synthesize(config)
     out = Path(args.out)
-    _atomic_write(out, csv_text(dataset))
+    _atomic_write(out, [csv_text(dataset)])
     descriptor_path = out.with_suffix(".descriptor.json")
-    _atomic_write(descriptor_path, dataset.descriptor.to_json() + "\n")
+    _atomic_write(descriptor_path, [dataset.descriptor.to_json() + "\n"])
     print(f"wrote {out} and {descriptor_path} ({len(dataset.ids)} records)")
     return 0
 

@@ -382,11 +382,15 @@ class TestRunSweep:
         self._plant_singular_rows(
             monkeypatch, KernelKind.GAUSSIAN, (2,), target=plan.splits[1].target
         )
-        with pytest.raises(SweepError) as info:
-            run_sweep(flat, (KernelKind.GAUSSIAN,))
-        assert str(info.value) == (
-            "[split 1, kernel gaussian, bandwidth 1] actuals have zero variance"
-        )
+        # scored in one chunk, or one fit row at a time: the error is
+        # reported at row 0's cell either way
+        for budget in (analysis.SCORE_VALUES, 1):
+            monkeypatch.setattr(analysis, "SCORE_VALUES", budget)
+            with pytest.raises(SweepError) as info:
+                run_sweep(flat, (KernelKind.GAUSSIAN,))
+            assert str(info.value) == (
+                "[split 1, kernel gaussian, bandwidth 1] actuals have zero variance"
+            )
 
     def test_singular_uniform_row_of_a_later_split_names_its_first_cell(
         self, lone_oldest, monkeypatch
@@ -678,6 +682,50 @@ class TestBatchedFits:
         assert all(values + split > budget for values in calls[:-1])
         # batching moves no bit
         _assert_same_curves(sweep.curves, default.curves)
+
+    # the default, which holds every split of both cases in one chunk, a
+    # budget of a few rows per chunk, and one of a single row
+    @pytest.mark.parametrize("budget", [analysis.SCORE_VALUES, 2**12, 1])
+    @pytest.mark.parametrize("case", ["synth", "nasa93"])
+    def test_scoring_chunks_fill_the_prediction_budget(self, case, budget, monkeypatch):
+        if case == "synth":
+            dataset = synthesize(SynthConfig(seed=3))
+        else:
+            data = Path(__file__).resolve().parent / "golden" / "nasa93_seed1" / "data.csv"
+            dataset = load_dataset(builtin_descriptor("nasa93"), data.read_text("utf-8"))
+        config = AnalysisConfig(grid_step=3.0)
+        monkeypatch.setattr(analysis, "SCORE_VALUES", 2**62)
+        whole = run_sweep(dataset, ALL_KERNELS, config)
+        calls = []
+        predict = stats.predict
+
+        def counted(coefficients, matrix):
+            calls.append((len(coefficients), len(matrix)))
+            return predict(coefficients, matrix)
+
+        monkeypatch.setattr(stats, "predict", counted)
+        monkeypatch.setattr(analysis, "SCORE_VALUES", budget)
+        sweep = run_sweep(dataset, ALL_KERNELS, config)
+        # every split's fit rows, on its training and then its test records,
+        # in chunks of as many rows as the budget holds, and one at least
+        rows, want = _fit_rows(sweep), []
+        for split in sweep.plan.splits:
+            for n in (split.stop,) if split.is_final else (split.stop, split.test_rows.size):
+                size = max(1, budget // n)
+                want += [(min(size, rows - first), n) for first in range(0, rows, size)]
+        assert calls == want
+        assert all(k * n <= budget or k == 1 for k, n in calls)
+        # chunks of several rows move RE bits by under 1e-14 relative; a
+        # one-row chunk is a matrix-vector product, whose other summation
+        # order moved them by up to 3.7e-14 here, within the 1e-12 that
+        # the outputs allow a change of summation order
+        rtol = 1e-14 if budget > 1 else 1e-12
+        for kind, curve in whole.curves.items():
+            for field in CURVE_ARRAYS:
+                np.testing.assert_allclose(
+                    getattr(sweep.curves[kind], field), getattr(curve, field), rtol=rtol, atol=0
+                )
+        assert summarize(sweep).verdicts == summarize(whole).verdicts
 
 
 def test_sweep_leaves_numpy_ma_unimported(tmp_path):

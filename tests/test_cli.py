@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,14 @@ from driftscope.analysis import (
     run_sweep,
 )
 from driftscope.chronology import Split, SplitPlan
-from driftscope.cli import CURVE_COLUMNS, _curves_text, _grid_text, main, read_curves
+from driftscope.cli import (
+    CURVE_COLUMNS,
+    _atomic_write,
+    _curves_text,
+    _grid_text,
+    main,
+    read_curves,
+)
 from driftscope.datasets import (
     BUILTIN_NAMES,
     DataError,
@@ -345,7 +353,7 @@ class TestSweep:
         dataset = load_dataset(DatasetDescriptor.from_json(desc.read_text()), data.read_text())
         result = run_sweep(dataset, (KernelKind.TRIANGULAR, KernelKind.GAUSSIAN))
         curves = tmp_path / "curves.csv"
-        curves.write_text(_curves_text(result), newline="")
+        curves.write_text("".join(_curves_text(result)), newline="")
         saved = read_curves(curves)
         _assert_same_curves(saved, result.curves)
         epsilon = result.config.epsilon
@@ -667,7 +675,7 @@ class TestCurvesText:
     @pytest.mark.parametrize("name", ['a,"b"', "plain", "two\nlines", "", " pad "])
     def test_bytes_match_a_csv_writer(self, name):
         result = _hand_built_result(name)
-        assert _curves_text(result) == _reference_curves_text(result)
+        assert "".join(_curves_text(result)) == _reference_curves_text(result)
 
     def test_bytes_match_a_csv_writer_on_a_sweep(self, synth_csv):
         data, desc = synth_csv
@@ -676,12 +684,45 @@ class TestCurvesText:
         result = run_sweep(
             dataset, (KernelKind.GAUSSIAN, KernelKind.EPANECHNIKOV), AnalysisConfig(grid_step=7.0)
         )
-        text = _curves_text(result)
+        text = "".join(_curves_text(result))
         assert text == _reference_curves_text(result)
         rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
         assert len(rows) == len(result.cells)
         # every number is a plain float repr, not np.float64(...)
         assert all(repr(float(field)) == field for row in rows for field in row[3:] if field)
+
+    def test_a_failed_block_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        _atomic_write(path, _curves_text(_hand_built_result("old")))
+        before = path.read_bytes()
+
+        def failing(blocks):
+            yield next(blocks)
+            raise RuntimeError("no second block")
+
+        with pytest.raises(RuntimeError, match="no second block"):
+            _atomic_write(path, failing(_curves_text(_hand_built_result("new"))))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]  # no hidden temp file
+
+
+def test_sweep_memory_is_bounded_by_chunks_not_by_the_grid(tmp_path):
+    # ten times the grid: scoring in chunks and a streamed curves.csv keep
+    # the sweep's peak allocation within a fixed bound of the small grid's
+    dataset = synthesize(SynthConfig(seed=3, n_projects=400, n_periods=20))
+    data, desc = tmp_path / "synth.csv", tmp_path / "synth.descriptor.json"
+    data.write_text(csv_text(dataset), encoding="utf-8", newline="")
+    desc.write_text(dataset.descriptor.to_json())
+    peaks = []
+    for grid in ("1:200:1", "1:2000:1"):
+        argv = ["sweep", "--descriptor", str(desc), "--data", str(data), "--grid", grid]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / grid.replace(":", "-"))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
 class TestPlot:
@@ -729,7 +770,7 @@ class TestPlot:
 
     def test_uniform_kernel_is_a_usage_error(self, tmp_path, capsys):
         curves = tmp_path / "curves.csv"
-        curves.write_text(_curves_text(_hand_built_result("d")), newline="")
+        curves.write_text("".join(_curves_text(_hand_built_result("d"))), newline="")
         svg = tmp_path / "x.svg"
         code = main([
             "plot", "--curves", str(curves), "--split", "1", "--kernel", "uniform",
@@ -770,7 +811,7 @@ class TestPlot:
     def test_non_finite_slice_is_refused(self, tmp_path, capsys, field, at, refused, drawn):
         result = self._non_finite(field, at)
         curves = tmp_path / "curves.csv"
-        curves.write_text(_curves_text(result), newline="")
+        curves.write_text("".join(_curves_text(result)), newline="")
         # the file reads back exactly, non-finite value and all
         _assert_same_curves(read_curves(curves), result.curves)
         for split in refused:
@@ -828,7 +869,7 @@ class TestReadCurves:
         ids=["non-numeric", "unknown-kernel", "short-row", "extra-field", "uniform-kernel"],
     )
     def test_malformed_row_is_a_validation_error(self, tmp_path, capsys, edit, named):
-        lines = _curves_text(_hand_built_result("d")).split("\r\n")
+        lines = "".join(_curves_text(_hand_built_result("d"))).split("\r\n")
         lines[1] = edit(lines[1])
         curves = tmp_path / "curves.csv"
         curves.write_text("\r\n".join(lines), newline="")
@@ -873,7 +914,7 @@ class TestReadCurves:
         ],
     )
     def test_rows_of_one_curve_must_agree(self, tmp_path, capsys, line, edit, message):
-        lines = _curves_text(_hand_built_result("d")).split("\r\n")
+        lines = "".join(_curves_text(_hand_built_result("d"))).split("\r\n")
         lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
         curves = tmp_path / "curves.csv"
         curves.write_text("\r\n".join(lines), newline="")
@@ -890,7 +931,7 @@ class TestReadCurves:
     def test_hand_built_curves_round_trip(self, tmp_path):
         result = _hand_built_result("d")
         curves = tmp_path / "curves.csv"
-        curves.write_text(_curves_text(result), newline="")
+        curves.write_text("".join(_curves_text(result)), newline="")
         _assert_same_curves(read_curves(curves), result.curves)
 
 
