@@ -653,16 +653,20 @@ class TestBatchedFits:
                     assert np.array_equal(block[:, :r], alone)
                     assert not block[:, r:].any()
 
+    @staticmethod
+    def _budget_case(case):
+        if case == "synth":
+            return synthesize(SynthConfig(seed=3))
+        # five coefficients
+        data = Path(__file__).resolve().parent / "golden" / "nasa93_seed1" / "data.csv"
+        return load_dataset(builtin_descriptor("nasa93"), data.read_text("utf-8"))
+
     # the default, and budgets that hold 3990-value synth splits by
     # three, by one and none at all
     @pytest.mark.parametrize("budget", [analysis.BATCH_VALUES, 12_000, 4_000, 1])
     @pytest.mark.parametrize("case", ["synth", "nasa93"])
     def test_batches_fill_the_value_budget(self, case, budget, monkeypatch):
-        if case == "synth":
-            dataset = synthesize(SynthConfig(seed=3))
-        else:  # five coefficients
-            data = Path(__file__).resolve().parent / "golden" / "nasa93_seed1" / "data.csv"
-            dataset = load_dataset(builtin_descriptor("nasa93"), data.read_text("utf-8"))
+        dataset = self._budget_case(case)
         config = AnalysisConfig(grid_step=3.0)
         default = run_sweep(dataset, ALL_KERNELS, config)
         split = _split_values(dataset, default)
@@ -688,11 +692,7 @@ class TestBatchedFits:
     @pytest.mark.parametrize("budget", [analysis.SCORE_VALUES, 2**12, 1])
     @pytest.mark.parametrize("case", ["synth", "nasa93"])
     def test_scoring_chunks_fill_the_prediction_budget(self, case, budget, monkeypatch):
-        if case == "synth":
-            dataset = synthesize(SynthConfig(seed=3))
-        else:
-            data = Path(__file__).resolve().parent / "golden" / "nasa93_seed1" / "data.csv"
-            dataset = load_dataset(builtin_descriptor("nasa93"), data.read_text("utf-8"))
+        dataset = self._budget_case(case)
         config = AnalysisConfig(grid_step=3.0)
         monkeypatch.setattr(analysis, "SCORE_VALUES", 2**62)
         whole = run_sweep(dataset, ALL_KERNELS, config)
