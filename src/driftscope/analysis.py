@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import stats
-from .chronology import Split, SplitPlan, build_split_plan
+from .chronology import SplitPlan, build_split_plan
 from .kernels import (
     KernelKind,
     build_grid,
@@ -121,7 +121,9 @@ class Curve:
     """One kernel's curves over every split: the weighted relative errors
     along the kernel's bandwidth grid, [split, bandwidth], and the flat
     unweighted values they are read against, [split].  Row i is split
-    i + 1; test values are NaN on the last, all-data split."""
+    i + 1; test values are NaN on the last, all-data split.  A sweep's
+    curves are read-only column slices of its [split, fit row] tables of
+    relative errors, and all share the uniform fit's column."""
 
     bandwidths: tuple[float, ...]  # the kernel's grid, shared by every split
     re_train_nu: np.ndarray
@@ -185,11 +187,23 @@ def _plan_design(dataset, order):
     return design, columns[formula.response]
 
 
-def _split_fits(plan: SplitPlan, design, curves, rows, cells):
+def _cell(grids, row):
+    """The kernel and bandwidth a failure of fit ``row`` of a split's
+    stacked fit (see ``_split_fits``) is reported at; row 0, the uniform
+    fit, is reported at the first kernel's first bandwidth."""
+    row = max(row - 1, 0)
+    for kind, grid in grids.items():
+        if row < len(grid):
+            return {"kernel": kind, "bandwidth": grid[row]}
+        row -= len(grid)
+
+
+def _split_fits(plan: SplitPlan, design, grids):
     """Yield (split, coefficients) for every split of ``plan`` in order:
     the coefficient rows of the split's stacked weighted fit on its
-    training prefix of the plan-ordered ``design``, laid out by ``rows``
-    and ``cells`` (see ``run_sweep``).
+    training prefix of the plan-ordered ``design``.  Row 0 is the uniform
+    fit, then comes a row per bandwidth of each kernel's grid in
+    ``grids`` ({kind: grid}), in order.
 
     Records of one period share a weight, so weights are given per run
     of the plan's run table, which makes each training prefix a whole
@@ -197,14 +211,14 @@ def _split_fits(plan: SplitPlan, design, curves, rows, cells):
     ``BATCH_VALUES`` stacked values per ``weighted_least_squares`` call,
     each on the whole design and run table, every split's rows zero past
     its own runs.  Each kernel's weights of a batch come from one
-    ``weights_for_target`` call, which the ``curves``' grids keep inside
-    every kernel's support.
+    ``weights_for_target`` call, which the grids keep inside every
+    kernel's support.
 
     A batch is cut at its first failing fit: the splits before the cut
-    are solved and yielded, then that split's error is raised.  A
-    failing fit row is reported at its ``cells`` entry.
+    are solved and yielded, then that split's error is raised, at the
+    failing row's ``_cell``.
     """
-    splits, width = plan.splits, len(cells)
+    splits, width = plan.splits, 1 + sum(map(len, grids.values()))
     starts = np.array(plan.starts, dtype=np.intp)
     origins = plan.indices[starts]
     targets = np.array([s.target for s in splits])
@@ -216,10 +230,11 @@ def _split_fits(plan: SplitPlan, design, curves, rows, cells):
         batch_targets = targets[first : first + size]
         blocks = np.zeros((len(batch), width, starts.size))
         blocks[:, 0] = np.arange(starts.size) < batch_runs[:, None]
-        for kind, at in rows.items():
-            grid = curves[kind].bandwidths
+        at = 1
+        for kind, grid in grids.items():
             weights = weights_for_target(origins, batch_targets, kind, grid, batch_runs)
-            blocks[:, at] = weights.reshape(len(batch), at.size, starts.size)
+            blocks[:, at : at + len(grid)] = weights.reshape(len(batch), len(grid), starts.size)
+            at += len(grid)
         w = blocks.reshape(len(batch) * width, starts.size)
         cut, failure = len(batch), None
         while cut:
@@ -230,44 +245,13 @@ def _split_fits(plan: SplitPlan, design, curves, rows, cells):
                 break
             except stats.SingularDesignError as exc:
                 cut, row = divmod(exc.row, width)
-                failure = exc, {"split": batch[cut].ordinal, **cells[row]}
+                failure = exc, {"split": batch[cut].ordinal, **_cell(grids, row)}
         del blocks, w  # not held while the batch's splits are scored
         for i, split in enumerate(batch[:cut]):
             yield split, coefficients[i * width : (i + 1) * width]
         if failure:
             exc, coordinates = failure
             raise SweepError(exc, **coordinates) from exc
-
-
-def _split_curves(split: Split, coefficients, design, actuals, formula, curves, rows, cells):
-    """Write one split's row of every kernel's ``curves`` from the
-    coefficient rows of its stacked fit (see ``_split_fits``), on the
-    rows of the plan-ordered ``design`` and ``actuals`` that the split
-    selects, each kernel's read at its ``rows``.  A failing relative
-    error is reported at row 0's ``cells`` entry."""
-    log_scale = formula.response_transform == stats.LOG
-    test_rows = split.test_rows
-    if test_rows.size and test_rows[-1] - test_rows[0] + 1 == test_rows.size:
-        # ascending and contiguous: a slice takes views, not copies
-        test_rows = slice(int(test_rows[0]), int(test_rows[-1]) + 1)
-    try:
-        re_train = _relative_errors(
-            coefficients, design.matrix[: split.stop], actuals[: split.stop], log_scale
-        )
-        re_test = (
-            None if split.is_final
-            else _relative_errors(
-                coefficients, design.matrix[test_rows], actuals[test_rows], log_scale
-            )
-        )
-    except ValueError as exc:
-        raise SweepError(exc, split=split.ordinal, **cells[0]) from exc
-    i = split.ordinal - 1
-    for kind, at in rows.items():
-        curve = curves[kind]
-        curve.re_train_nu[i], curve.re_train_u[i] = re_train[at], re_train[0]
-        if re_test is not None:
-            curve.re_test_nu[i], curve.re_test_u[i] = re_test[at], re_test[0]
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
@@ -282,31 +266,42 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     kernels = tuple(kernels)
     if not kernels:
         raise ValueError("empty kernel set")
-    descriptor = dataset.descriptor
     plan = build_split_plan(dataset)
     # training sets are prefixes of the plan order, which starts at the
     # oldest period; rounded as a monthly index is
     max_elapsed = round(max(s.target for s in plan.splits) - float(plan.indices[0]), 10)
-    # The row map of every split's stacked fit: row 0 is the uniform fit,
-    # then comes a row per bandwidth of each kernel.  rows[kind] holds the
-    # fit row of each of kind's bandwidths, cells[row] the kernel and
-    # bandwidth a failure of it is reported at: row 0 at the first
-    # kernel's first bandwidth.
-    n = len(plan.splits)
-    curves, rows, cells = {}, {}, [None]
-    for kind in dict.fromkeys(kernels):
-        grid = build_grid(
+    grids = {
+        kind: build_grid(
             kind, max_elapsed, lo=config.grid_lo, hi=config.grid_hi, step=config.grid_step
         )
-        curves[kind] = Curve(grid, *np.full((2, n, len(grid)), np.nan), *np.full((2, n), np.nan))
-        rows[kind] = np.arange(len(cells), len(cells) + len(grid))
-        cells += [{"kernel": kind, "bandwidth": b} for b in grid]
-    cells[0] = cells[1]
+        for kind in dict.fromkeys(kernels)
+    }
 
     design, actuals = _plan_design(dataset, plan.order)
-    for split, coefficients in _split_fits(plan, design, curves, rows, cells):
-        _split_curves(split, coefficients, design, actuals, descriptor.formula, curves, rows, cells)
-    return SweepResult(dataset=descriptor.name, config=config, plan=plan, curves=curves)
+    log_scale = dataset.descriptor.formula.response_transform == stats.LOG
+    train, test = np.full((2, len(plan.splits), 1 + sum(map(len, grids.values()))), np.nan)
+    for i, (split, coefficients) in enumerate(_split_fits(plan, design, grids)):
+        test_rows = split.test_rows
+        if test_rows.size and test_rows[-1] - test_rows[0] + 1 == test_rows.size:
+            # ascending and contiguous: a slice takes views, not copies
+            test_rows = slice(int(test_rows[0]), int(test_rows[-1]) + 1)
+        try:
+            train[i] = _relative_errors(
+                coefficients, design.matrix[: split.stop], actuals[: split.stop], log_scale
+            )
+            if not split.is_final:
+                test[i] = _relative_errors(
+                    coefficients, design.matrix[test_rows], actuals[test_rows], log_scale
+                )
+        except ValueError as exc:
+            raise SweepError(exc, split=split.ordinal, **_cell(grids, 0)) from exc
+    train.flags.writeable = test.flags.writeable = False
+    curves, at = {}, 1
+    for kind, grid in grids.items():
+        columns = slice(at, at + len(grid))
+        curves[kind] = Curve(grid, train[:, columns], test[:, columns], train[:, 0], test[:, 0])
+        at += len(grid)
+    return SweepResult(dataset=dataset.descriptor.name, config=config, plan=plan, curves=curves)
 
 
 @dataclass(frozen=True)

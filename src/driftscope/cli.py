@@ -77,6 +77,8 @@ def _resolve_descriptor(name_or_path: str) -> DatasetDescriptor:
 
 
 def _kernel(name: str) -> KernelKind:
+    """The kernel ``name`` names, read without case or surrounding blanks."""
+    name = name.strip().lower()
     try:
         return KernelKind(name)
     except ValueError:
@@ -88,12 +90,11 @@ def _kernel(name: str) -> KernelKind:
 def _parse_kernels(text: str) -> tuple[KernelKind, ...]:
     kinds = []
     for part in text.split(","):
-        part = part.strip().lower()
-        if not part:
+        if not part.strip():
             continue
         kind = _kernel(part)
         if kind in kinds:
-            raise _UsageError(f"kernel {part!r} given twice")
+            raise _UsageError(f"kernel {kind.value!r} given twice")
         kinds.append(kind)
     if not kinds:
         raise _UsageError("no kernels given")
@@ -385,7 +386,7 @@ def _svg_chart(bandwidths, series: dict, title: str) -> str:
 
 
 def cmd_plot(args) -> int:
-    kind = _kernel(args.kernel.lower())
+    kind = _kernel(args.kernel)
     curve = read_curves(args.curves).get(kind)
     if curve is None or not 1 <= args.split <= len(curve.re_train_u):
         raise DataError(f"no rows for split {args.split}, kernel {kind.value} in {args.curves}")
@@ -407,7 +408,7 @@ def cmd_plot(args) -> int:
 def cmd_synth(args) -> int:
     config = _read_text(args.config, SynthConfig.from_json) if args.config else SynthConfig()
     if args.seed is not None:
-        config = SynthConfig(**{**config.__dict__, "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     dataset = synthesize(config)
     out = Path(args.out)
     _atomic_write(out, [csv_text(dataset)])

@@ -156,6 +156,18 @@ class TestRunSweep:
         assert len(flat) == len(stationary_sweep.plan.splits) * len(ALL_KERNELS)
         assert all(len(values) == 1 for values in flat.values())
 
+    def test_curves_are_read_only_views_of_one_table(self, stationary_sweep):
+        # every kernel's curve is a column slice of the sweep's read-only
+        # [split, fit row] tables, and all share the uniform fit's column
+        # (whose values test_uniform_re_constant_across_bandwidth checks)
+        gaussian = stationary_sweep.curves[KernelKind.GAUSSIAN]
+        for curve in stationary_sweep.curves.values():
+            for field in CURVE_ARRAYS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(curve, field)[0] = 0.0
+            for field in ("re_train_u", "re_test_u"):
+                assert np.shares_memory(getattr(curve, field), getattr(gaussian, field))
+
     def test_curves_split_major_with_python_floats(self, stationary_sweep):
         # the curves: one per kernel in run order, [split, bandwidth] arrays
         plan = stationary_sweep.plan
@@ -565,14 +577,15 @@ class TestBatchedFits:
         unit = dataset.descriptor.granularity.increment
         config = AnalysisConfig(grid_lo=unit, grid_hi=100 * unit, grid_step=step * unit)
         fits = []
-        split_curves = analysis._split_curves
+        split_fits = analysis._split_fits
 
-        def recorded(split, coefficients, *args):
-            fits.append((split, coefficients))
-            return split_curves(split, coefficients, *args)
+        def recorded(*args):
+            for fit in split_fits(*args):
+                fits.append(fit)
+                yield fit
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_split_curves", recorded)
+            mp.setattr(analysis, "_split_fits", recorded)
             mp.setattr(analysis, "BATCH_VALUES", budget)
             try:
                 sweep = run_sweep(dataset, kernels, config)

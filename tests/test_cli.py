@@ -391,6 +391,14 @@ class TestSweep:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_refused_split_plan_exits_3_and_writes_nothing(self, synth_csv, tmp_path, capsys):
+        code, out = self._run(synth_csv, tmp_path, "--overrides", "60")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "driftscope: override training size 60 leaves no test records (dataset has 60)\n"
+        )
+        assert not out.exists()
+
     def test_failed_cell_names_its_bandwidth_exactly(self, synth_csv, tmp_path, capsys):
         # no bandwidth of this grid reads 1 to six significant digits
         grid = "1.0000001:1.0000009:0.0000001"
@@ -747,6 +755,22 @@ class TestPlot:
         assert text.startswith("<svg")
         for label in ("train", "test", "train global", "test global"):
             assert f">{label}</text>" in text
+
+    def test_kernel_name_is_read_as_sweep_reads_it(self, synth_csv, tmp_path):
+        # --kernel takes the names --kernels does: any case, blanks around
+        data, desc = synth_csv
+        out = tmp_path / "out"
+        main([
+            "sweep", "--descriptor", str(desc), "--data", str(data),
+            "--kernels", " Gaussian ", "--out", str(out),
+        ])
+        svg = tmp_path / "chart.svg"
+        code = main([
+            "plot", "--curves", str(out / "curves.csv"),
+            "--split", "1", "--kernel", " Gaussian ", "--out", str(svg),
+        ])
+        assert code == 0
+        assert svg.read_text().count("<polyline") == 4
 
     def test_all_data_split_has_two_curves(self, synth_csv, tmp_path):
         data, desc = synth_csv

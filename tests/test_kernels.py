@@ -282,7 +282,7 @@ class TestBandwidthGrid:
             (KernelKind.GAUSSIAN, 16, 1),
         ],
     )
-    def test_min_bandwidth(self, kind, max_elapsed, expected):
+    def test_first_grid_value(self, kind, max_elapsed, expected):
         assert build_grid(kind, max_elapsed)[0] == expected
 
     def test_gaussian_grid_default(self):
