@@ -214,9 +214,9 @@ def _split_fits(plan: SplitPlan, design, grids):
     ``weights_for_target`` call, which the grids keep inside every
     kernel's support.
 
-    A batch is cut at its first failing fit: the splits before the cut
-    are solved and yielded, then that split's error is raised, at the
-    failing row's ``_cell``.
+    A batch fails at its first singular fit row: the whole splits among
+    the rows solved before it are yielded, then the failing split's
+    error is raised, at the failing row's ``_cell``.
     """
     splits, width = plan.splits, 1 + sum(map(len, grids.values()))
     starts = np.array(plan.starts, dtype=np.intp)
@@ -236,22 +236,17 @@ def _split_fits(plan: SplitPlan, design, grids):
             blocks[:, at : at + len(grid)] = weights.reshape(len(batch), len(grid), starts.size)
             at += len(grid)
         w = blocks.reshape(len(batch) * width, starts.size)
-        cut, failure = len(batch), None
-        while cut:
-            try:
-                coefficients = stats.weighted_least_squares(
-                    design, w[: cut * width], starts, np.repeat(batch_runs[:cut], width)
-                )
-                break
-            except stats.SingularDesignError as exc:
-                cut, row = divmod(exc.row, width)
-                failure = exc, {"split": batch[cut].ordinal, **_cell(grids, row)}
+        error = None
+        try:
+            coefficients = stats.weighted_least_squares(design, w, starts, batch_runs.repeat(width))
+        except stats.SingularDesignError as exc:
+            coefficients, error = exc.solved, exc
         del blocks, w  # not held while the batch's splits are scored
-        for i, split in enumerate(batch[:cut]):
-            yield split, coefficients[i * width : (i + 1) * width]
-        if failure:
-            exc, coordinates = failure
-            raise SweepError(exc, **coordinates) from exc
+        for i in range(len(coefficients) // width):
+            yield batch[i], coefficients[i * width : (i + 1) * width]
+        if error is not None:
+            i, row = divmod(error.row, width)
+            raise SweepError(error, split=batch[i].ordinal, **_cell(grids, row)) from error
 
 
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:

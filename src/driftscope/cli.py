@@ -53,14 +53,14 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path, parse=str):
     """``parse`` of input file ``path`` read as UTF-8 text (by default the
     text itself); undecodable bytes, or JSON that ``json.loads`` refuses
-    (malformed, or an integer of more than 4300 digits), are an input
-    error naming the file.  ``parse``'s own ``DataError`` passes
-    unchanged."""
+    (malformed, an integer of more than 4300 digits, or nested too deep
+    to decode), are an input error naming the file.  ``parse``'s own
+    ``DataError`` passes unchanged."""
     try:
         return parse(Path(path).read_bytes().decode("utf-8"))
     except DataError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -211,37 +211,42 @@ def read_curves(path) -> dict:
     ``SweepResult.curves`` is (exact round trip).  Each kernel's splits
     must run 1, 2, ... in order, each on the bandwidths of its first, with
     test fields on every split but the last; the rows of one split must
-    agree on its unweighted values."""
+    agree on its unweighted values.  A line ``csv`` cannot read is an error."""
     rows = csv.reader(io.StringIO(_read_text(path), newline=""))
-    if (header := next(rows, None)) != CURVE_COLUMNS:
-        raise DataError(f"unexpected curve columns: {header}")
     splits = {}  # kernel -> per split: its first line, unweighted texts, rows' values
-    for fields in filter(None, rows):  # blank lines skipped
-        where = f"{path}, line {rows.line_num}"
-        if len(fields) != len(CURVE_COLUMNS):
-            raise DataError(f"{where}: {len(fields)} fields, the header has {len(CURVE_COLUMNS)}")
-        _, split, kernel, bandwidth, train_nu, test_nu, train_u, test_u = fields
-        try:
-            split, kind = int(split), KernelKind(kernel)
-            values = (
-                float(bandwidth), float(train_nu), float(test_nu or "nan"),
-                float(train_u), float(test_u or "nan"),
-            )
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from None
-        if bool(test_nu) != bool(test_u):
-            raise DataError(f"{where}: re_test_nu and re_test_u must both be given or both be empty")
-        seen = splits.setdefault(kind, [])
-        if split == len(seen) + 1:
-            seen.append((rows.line_num, (train_u, test_u), []))
-        elif not seen or split != len(seen):
-            raise DataError(f"{where}: split {split} of kernel {kernel} is out of order")
-        if seen[-1][1] != (train_u, test_u):
-            raise DataError(
-                f"{where}: re_train_u and re_test_u differ from those of the first row "
-                f"of split {split}, kernel {kernel}"
-            )
-        seen[-1][2].append(values)
+    try:
+        if (header := next(rows, None)) != CURVE_COLUMNS:
+            raise DataError(f"unexpected curve columns: {header}")
+        for fields in filter(None, rows):  # blank lines skipped
+            where = f"{path}, line {rows.line_num}"
+            if len(fields) != len(header):
+                raise DataError(f"{where}: {len(fields)} fields, the header has {len(header)}")
+            _, split, kernel, bandwidth, train_nu, test_nu, train_u, test_u = fields
+            try:
+                split, kind = int(split), KernelKind(kernel)
+                values = (
+                    float(bandwidth), float(train_nu), float(test_nu or "nan"),
+                    float(train_u), float(test_u or "nan"),
+                )
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            if bool(test_nu) != bool(test_u):
+                raise DataError(
+                    f"{where}: re_test_nu and re_test_u must both be given or both be empty"
+                )
+            seen = splits.setdefault(kind, [])
+            if split == len(seen) + 1:
+                seen.append((rows.line_num, (train_u, test_u), []))
+            elif not seen or split != len(seen):
+                raise DataError(f"{where}: split {split} of kernel {kernel} is out of order")
+            if seen[-1][1] != (train_u, test_u):
+                raise DataError(
+                    f"{where}: re_train_u and re_test_u differ from those of the first row "
+                    f"of split {split}, kernel {kernel}"
+                )
+            seen[-1][2].append(values)
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {rows.line_num}: {exc}") from None
     curves = {}
     for kind, seen in splits.items():
         bandwidths = [values[0] for values in seen[0][2]]
@@ -475,6 +480,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (SweepError, ValueError, RuntimeError) as exc:
         print(f"driftscope: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"driftscope: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_COMPUTE
 
 

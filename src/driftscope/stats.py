@@ -44,11 +44,13 @@ GRAM_RATIO_MIN = 1e-8
 
 class SingularDesignError(RuntimeError):
     """Design matrix is rank deficient; ``row`` is the first singular row
-    of a stacked weight matrix (0 for a single weight vector)."""
+    of a stacked weight matrix (0 for a single weight vector), and
+    ``solved`` the coefficient rows of the fits before it, one per row."""
 
-    def __init__(self, message, row: int = 0):
+    def __init__(self, message, row: int = 0, solved=None):
         super().__init__(message)
         self.row = row
+        self.solved = solved
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def _solve(design: DesignMatrix, w, starts, runs, inside, ends) -> np.ndarray:
         sw = np.sqrt(np.repeat(w[b, :r], np.diff(starts[:r], append=m)))
         coefficients[b], _, rank, _ = np.linalg.lstsq(x[:m] * sw[:, None], y[:m] * sw, rcond=None)
         if rank < p:
-            raise SingularDesignError("singular design", row=int(b))
+            raise SingularDesignError("singular design", row=int(b), solved=coefficients[:b])
     return coefficients
 
 

@@ -334,6 +334,19 @@ class TestRunSweep:
 
         monkeypatch.setattr(analysis, "weights_for_target", degenerate)
 
+    @staticmethod
+    def _count_fits(monkeypatch):
+        """Patch the sweep's weighted_least_squares to count its calls;
+        returns the list it appends each call's number of fit rows to."""
+        calls, wls = [], stats.weighted_least_squares
+
+        def counted(design, w, starts, runs):
+            calls.append(len(w))
+            return wls(design, w, starts, runs)
+
+        monkeypatch.setattr(stats, "weighted_least_squares", counted)
+        return calls
+
     @pytest.fixture(scope="class")
     def lone_oldest(self, stationary_dataset):
         """The stationary dataset with one record left in its oldest period,
@@ -371,16 +384,21 @@ class TestRunSweep:
         sweep = run_sweep(lone_oldest, kernels)
         # splits 1-3 share a batch
         assert 3 * _split_values(lone_oldest, sweep) <= analysis.BATCH_VALUES
+        calls = self._count_fits(monkeypatch)
         self._plant_singular_rows(monkeypatch, KernelKind.TRIANGULAR, (1,), target=third)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
         assert (info.value.split, info.value.kernel) == (3, KernelKind.TRIANGULAR)
         assert info.value.bandwidth == sweep.curves[KernelKind.TRIANGULAR].bandwidths[1]
         assert str(info.value).endswith("] singular design")
+        # the failing batch is solved once, not again without its failure
+        assert len(calls) == 1
+        calls.clear()
         self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2,), target=second)
         with pytest.raises(SweepError) as info:
             run_sweep(lone_oldest, kernels)
         assert str(info.value) == "[split 2, kernel gaussian, bandwidth 3] singular design"
+        assert len(calls) == 1
 
     def test_earlier_relative_error_wins_over_a_later_fit_of_its_batch(
         self, lone_oldest, monkeypatch
@@ -394,15 +412,19 @@ class TestRunSweep:
         self._plant_singular_rows(
             monkeypatch, KernelKind.GAUSSIAN, (2,), target=plan.splits[1].target
         )
+        calls = self._count_fits(monkeypatch)
         # scored in one chunk, or one fit row at a time: the error is
-        # reported at row 0's cell either way
+        # reported at row 0's cell either way, from the one solve of the
+        # batch that fails
         for budget in (analysis.SCORE_VALUES, 1):
             monkeypatch.setattr(analysis, "SCORE_VALUES", budget)
+            calls.clear()
             with pytest.raises(SweepError) as info:
                 run_sweep(flat, (KernelKind.GAUSSIAN,))
             assert str(info.value) == (
                 "[split 1, kernel gaussian, bandwidth 1] actuals have zero variance"
             )
+            assert len(calls) == 1
 
     def test_singular_uniform_row_of_a_later_split_names_its_first_cell(
         self, lone_oldest, monkeypatch

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftscope import cli
 from driftscope.analysis import (
     AnalysisConfig,
     Curve,
@@ -860,6 +861,25 @@ class TestPlot:
             assert code == 0
             assert "nan" not in svg.read_text() and "inf" not in svg.read_text()
 
+    @pytest.mark.parametrize("line", [1, 2], ids=["header", "row"])
+    def test_unreadable_line_is_an_input_error(self, tmp_path, capsys, line):
+        # a first field longer than csv.field_size_limit(), 131072 by default
+        lines = "".join(_curves_text(_hand_built_result("d"))).split("\r\n")
+        lines[line - 1] = "x" * 200_000 + lines[line - 1]
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\r\n".join(lines), newline="")
+        svg = tmp_path / "x.svg"
+        code = main([
+            "plot", "--curves", str(curves), "--split", "1", "--kernel", "gaussian",
+            "--out", str(svg),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"driftscope: {curves}, line {line}: "
+            f"field larger than field limit ({csv.field_size_limit()})\n"
+        )
+        assert not svg.exists()
+
     def test_missing_slice(self, synth_csv, tmp_path):
         data, desc = synth_csv
         out = tmp_path / "out"
@@ -1165,6 +1185,8 @@ class TestUndecodableInput:
         # an integer of more than 4300 digits is refused by json.loads itself
         (lambda good: good.replace(b'"expected_rows": 60', b'"expected_rows": 1' + b"0" * 5000),
          "Exceeds the limit (4300 digits) for integer string conversion"),
+        # nested deeper than json.loads can decode: a RecursionError
+        (lambda good: b"[" * 200_000, "maximum recursion depth exceeded while decoding a JSON array"),
     ]
 
     def test_descriptor_file(self, synth_csv, tmp_path, capsys):
@@ -1211,11 +1233,38 @@ class TestUndecodableInput:
             (b'{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
             (b'{"slope": 1' + b"0" * 5000 + b"}",
              "Exceeds the limit (4300 digits) for integer string conversion"),
+            (b'{"slope": ' + b"[" * 200_000,
+             "maximum recursion depth exceeded while decoding a JSON array"),
         ]:
             cfg.write_bytes(text)
             assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"driftscope: {cfg}: {error}")
             assert not out.exists()
+
+
+@pytest.mark.parametrize("message,printed", [
+    ("Unable to allocate 7.28 TiB", "out of memory: Unable to allocate 7.28 TiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_3_and_writes_nothing(
+    synth_csv, tmp_path, capsys, monkeypatch, message, printed
+):
+    # raised, never allocated: whether a huge allocation fails depends on
+    # the host's overcommit setting
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "synthesize", exhausted)
+    monkeypatch.setattr(cli, "run_sweep", exhausted)
+    data, desc = synth_csv
+    out = tmp_path / "out"
+    for argv in (
+        ["synth", "--seed", "1", "--out", str(out / "synth.csv")],
+        ["sweep", "--descriptor", str(desc), "--data", str(data), "--out", str(out)],
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"driftscope: {printed}\n"
+        assert not out.exists()
 
 
 class TestUsage:

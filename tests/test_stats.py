@@ -425,21 +425,37 @@ class TestWeightedLeastSquares:
         singular[0] = 1.0
         zero = np.ones(6)
         zero[3] = 0.0
-        with pytest.raises(SingularDesignError, match="singular design") as info:
-            weighted_least_squares(d, [good, good, singular, zero, singular])
-        assert info.value.row == 2
+
+        def failure(w, runs=None):
+            """The error of fits ``w``, whose rows solved before the
+            failing one are those of a call on those rows alone."""
+            with pytest.raises(SingularDesignError, match="singular design") as info:
+                weighted_least_squares(d, w, runs=runs)
+            row, solved = info.value.row, info.value.solved
+            assert solved.shape == (row, 2)
+            if row:
+                before = None if runs is None else runs[:row]
+                assert solved == pytest.approx(
+                    weighted_least_squares(d, w[:row], runs=before), rel=1e-12
+                )
+            return info.value
+
+        assert failure([good, good, singular, zero, singular]).row == 2
         # a zero weight is solved; zeros on all records but one are singular
         lone = np.eye(6)[3]
-        with pytest.raises(SingularDesignError, match="singular design") as info:
-            weighted_least_squares(d, [good, zero, lone, singular])
-        assert info.value.row == 2
+        assert failure([good, zero, lone, singular]).row == 2
         # a solvable fallback row on 4 records comes before a singular row
-        # on all 6: the singular row is reported, and only it
+        # on all 6: the singular row is reported, and only it, with the
+        # fallback row solved as lstsq solves it, bit for bit
         near = np.array([1.0, 1e-12, 1e-12, 1e-12, 0.0, 0.0])
         weighted_least_squares(d, [good, near], runs=[6, 4])
-        with pytest.raises(SingularDesignError, match="singular design") as info:
-            weighted_least_squares(d, [good, near, singular, near], runs=[6, 4, 6, 4])
-        assert info.value.row == 2
+        error = failure([good, near, singular, near], runs=[6, 4, 6, 4])
+        assert error.row == 2
+        sw = np.sqrt(near[:4])
+        beta, *_ = np.linalg.lstsq(d.matrix[:4] * sw[:, None], d.response[:4] * sw, rcond=None)
+        assert np.array_equal(error.solved[1], beta)
+        # a single weight vector has no rows before its own
+        assert failure([singular]).row == 0
 
     def test_run_weights_equal_their_expansion(self):
         # one weight per run of rows against the same weights per row;
