@@ -15,10 +15,15 @@
 # most SCORE_VALUES predictions, so the predictions held at once do not
 # grow with the grid.  Errors come out in
 # plan order, at the (split, kernel, bandwidth) of the first failing
-# cell, as one split at a time would give them.
+# cell, as one split at a time would give them.  A sweep runs on one
+# BLAS thread (see _BlasPin).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,6 +143,7 @@ class SweepResult:
     config: AnalysisConfig
     plan: SplitPlan
     curves: dict  # KernelKind -> Curve, in run order
+    blas_threads: int | None = None  # 1 when the sweep pinned OpenBLAS, else None
 
     @property
     def cells(self) -> tuple[SweepCell, ...]:
@@ -249,6 +255,77 @@ def _split_fits(plan: SplitPlan, design, grids):
             raise SweepError(error, split=batch[i].ordinal, **_cell(grids, row)) from error
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    products run on, or None where none is found: numpy on MKL or
+    Accelerate, or numpy 1.x, whose core extension is not under
+    ``numpy._core``.  ``dlsym`` on numpy's core extension also searches
+    the libraries it links, so this finds the OpenBLAS numpy's wheels
+    bundle (its names prefixed ``scipy_`` and suffixed ``64_``) and a
+    system OpenBLAS numpy was built on (its plain names)."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _BlasPin:
+    """Runs sweeps on one OpenBLAS thread.  OpenBLAS would run products of
+    a sweep's shapes (nasa93's 4539 x 17 by 17 x 30 moment product, say)
+    on every core, for no wall time, and its idle workers spin on after
+    each: on a 2-core x86 box a promise-shaped sweep took about twice its
+    wall time in CPU.  The outputs of every input checked were
+    byte-identical at 1, 2, 4 and 8 threads.
+
+    The count is process-global, so sweeps in several Python threads
+    share one pin: the first in saves the caller's count and sets 1, and
+    the last out restores it, also when its sweep raises."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._caller = None
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        """Run the block on one OpenBLAS thread; yields the count it runs
+        with, 1, or None where ``_openblas`` finds no setter, and then the
+        count is left alone."""
+        blas = _openblas()
+        if blas is None:
+            yield None
+            return
+        get, set_ = blas
+        with self._lock:
+            if not self._inside:
+                self._caller = get()
+                set_(1)
+            self._inside += 1
+        try:
+            yield 1
+        finally:
+            with self._lock:
+                self._inside -= 1
+                if not self._inside:
+                    set_(self._caller)
+
+
+_blas_pin = _BlasPin()
+
+
 def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> SweepResult:
     """Sweep every split x kernel x admissible bandwidth.
 
@@ -256,8 +333,17 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
     span any split must serve decides the finite-support minimum), so
     every split of one dataset shares a common bandwidth axis; a kernel
     given twice runs once.  The design is built once, before any split
-    runs.
+    runs.  The sweep runs on one OpenBLAS thread, and the caller's count
+    is restored when it returns or raises (``_BlasPin``);
+    ``SweepResult.blas_threads`` is the count it ran with, None where
+    numpy's BLAS offers no OpenBLAS setter.
     """
+    with _blas_pin.one_thread() as threads:
+        return _sweep(dataset, kernels, config, threads)
+
+
+def _sweep(dataset, kernels, config: AnalysisConfig, blas_threads) -> SweepResult:
+    """``run_sweep``'s work, on the ``blas_threads`` it has set."""
     kernels = tuple(kernels)
     if not kernels:
         raise ValueError("empty kernel set")
@@ -296,7 +382,10 @@ def run_sweep(dataset, kernels, config: AnalysisConfig = AnalysisConfig()) -> Sw
         columns = slice(at, at + len(grid))
         curves[kind] = Curve(grid, train[:, columns], test[:, columns], train[:, 0], test[:, 0])
         at += len(grid)
-    return SweepResult(dataset=dataset.descriptor.name, config=config, plan=plan, curves=curves)
+    return SweepResult(
+        dataset=dataset.descriptor.name, config=config, plan=plan, curves=curves,
+        blas_threads=blas_threads,
+    )
 
 
 @dataclass(frozen=True)

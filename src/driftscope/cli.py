@@ -155,6 +155,7 @@ def _manifest(descriptor: DatasetDescriptor, result, text: str) -> dict:
             "kernels": [k.value for k in result.curves],
             "overrides": list(descriptor.overrides) if descriptor.overrides else None,
         },
+        "blas_threads": result.blas_threads,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -216,7 +217,7 @@ def read_curves(path) -> dict:
     splits = {}  # kernel -> per split: its first line, unweighted texts, rows' values
     try:
         if (header := next(rows, None)) != CURVE_COLUMNS:
-            raise DataError(f"unexpected curve columns: {header}")
+            raise DataError(f"{path}, line 1: unexpected curve columns: {header}")
         for fields in filter(None, rows):  # blank lines skipped
             where = f"{path}, line {rows.line_num}"
             if len(fields) != len(header):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -28,6 +29,7 @@ from driftscope.chronology import (
     build_split_plan,
     well_formed_min,
 )
+from driftscope.cli import _curves_text
 from driftscope.datasets import SynthConfig, builtin_descriptor, load_dataset, synthesize
 from driftscope.kernels import Granularity, KernelKind
 from driftscope.stats import LOG, DesignMatrix, ModelFormula, Term, build_design_matrix
@@ -399,6 +401,18 @@ class TestRunSweep:
             run_sweep(lone_oldest, kernels)
         assert str(info.value) == "[split 2, kernel gaussian, bandwidth 3] singular design"
         assert len(calls) == 1
+
+    def test_a_failed_sweep_restores_the_callers_blas_threads(
+        self, lone_oldest, monkeypatch, openblas
+    ):
+        get, _ = openblas
+        caller = _set_blas_threads(openblas, 2)
+        inside = _blas_threads_inside(monkeypatch, get)
+        self._plant_singular_rows(monkeypatch, KernelKind.GAUSSIAN, (2,))
+        with pytest.raises(SweepError):
+            run_sweep(lone_oldest, (KernelKind.GAUSSIAN, KernelKind.TRIANGULAR))
+        assert inside and set(inside) == {1}
+        assert get() == caller
 
     def test_earlier_relative_error_wins_over_a_later_fit_of_its_batch(
         self, lone_oldest, monkeypatch
@@ -787,6 +801,111 @@ print("numpy.ma" in sys.modules)
     if at_import == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert after_sweep == "False"
+
+
+@pytest.fixture
+def openblas():
+    """The (get, set) OpenBLAS thread-count pair the sweep pins, the
+    count restored after the test; skips where the sweep finds none."""
+    blas = analysis._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count setter")
+    get, set_ = blas
+    before = get()
+    yield blas
+    set_(before)
+
+
+def _set_blas_threads(openblas, count):
+    """Set the OpenBLAS thread count to ``count``; skips where it will not
+    take it."""
+    get, set_ = openblas
+    set_(count)
+    if get() != count:
+        pytest.skip(f"OpenBLAS will not run {count} threads here")
+    return count
+
+
+def _blas_threads_inside(monkeypatch, get):
+    """Patch the sweep's weighted_least_squares to read the OpenBLAS thread
+    count through ``get`` at each call; returns the list of counts."""
+    counts, wls = [], stats.weighted_least_squares
+
+    def counted(*args):
+        counts.append(get())
+        return wls(*args)
+
+    monkeypatch.setattr(stats, "weighted_least_squares", counted)
+    return counts
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("caller", [2, 1])
+    def test_sweep_runs_on_one_thread_and_restores_the_callers(
+        self, stationary_dataset, monkeypatch, openblas, caller
+    ):
+        get, _ = openblas
+        _set_blas_threads(openblas, caller)
+        inside = _blas_threads_inside(monkeypatch, get)
+        sweep = run_sweep(stationary_dataset, ALL_KERNELS, AnalysisConfig(grid_step=9.0))
+        assert inside and set(inside) == {1}
+        assert sweep.blas_threads == 1
+        assert get() == caller
+
+    @pytest.mark.parametrize("name", ["nasa93", "desharnais", "kitchenham", "maxwell", "xbc"])
+    def test_outputs_are_those_of_a_sweep_without_a_setter(self, monkeypatch, name):
+        data = Path(__file__).resolve().parent / "golden" / f"{name}_seed1" / "data.csv"
+        dataset = load_dataset(builtin_descriptor(name), data.read_text(encoding="utf-8"))
+        config = AnalysisConfig(grid_step=9.0)
+        pinned = run_sweep(dataset, ALL_KERNELS, config)
+        monkeypatch.setattr(analysis, "_openblas", lambda: None)
+        unpinned = run_sweep(dataset, ALL_KERNELS, config)
+        assert unpinned.blas_threads is None
+        assert "".join(_curves_text(unpinned)) == "".join(_curves_text(pinned))
+
+    def test_without_a_setter_the_count_is_never_set(
+        self, stationary_dataset, monkeypatch, openblas
+    ):
+        get, _ = openblas
+        caller = _set_blas_threads(openblas, 2)
+        inside = _blas_threads_inside(monkeypatch, get)
+        monkeypatch.setattr(analysis, "_openblas", lambda: None)
+        run_sweep(stationary_dataset, ALL_KERNELS, AnalysisConfig(grid_step=9.0))
+        assert inside and set(inside) == {caller}
+        assert get() == caller
+
+    def test_concurrent_sweeps_restore_the_callers_count(
+        self, stationary_dataset, monkeypatch, openblas
+    ):
+        # the count is process-global: the last sweep out restores the
+        # count the first one in found
+        get, _ = openblas
+        caller = _set_blas_threads(openblas, 2)
+        inside = _blas_threads_inside(monkeypatch, get)
+        config = AnalysisConfig(grid_step=9.0)
+        want = run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,), config)
+        inside.clear()
+        results, interval = [], sys.getswitchinterval()
+
+        def sweep():
+            for _ in range(10):
+                results.append(run_sweep(stationary_dataset, (KernelKind.GAUSSIAN,), config))
+
+        workers = [threading.Thread(target=sweep) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == 10 * len(workers)
+        assert set(inside) == {1}
+        assert get() == caller
+        for result in results:
+            _assert_same_curves(result.curves, want.curves)
 
 
 def _curve(bandwidths, re_train_nu, re_train_u):

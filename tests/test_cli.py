@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftscope import cli
+from driftscope import analysis, cli
 from driftscope.analysis import (
     AnalysisConfig,
     Curve,
@@ -556,6 +556,19 @@ class TestSweep:
         expected = DatasetDescriptor.from_json(desc.read_text()).to_json()
         assert manifest["descriptor_digest"] == hashlib.sha256(expected.encode()).hexdigest()
 
+    def test_manifest_records_the_blas_threads_the_sweep_ran_with(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
+        assert code == 0
+        pinned = json.loads((out / "manifest.json").read_text())["blas_threads"]
+        assert pinned == (None if analysis._openblas() is None else 1)
+        # numpy on a BLAS without an OpenBLAS thread setter: MKL, Accelerate
+        monkeypatch.setattr(analysis, "_openblas", lambda: None)
+        code, out = self._run(synth_csv, tmp_path / "unpinned", "--kernels", "gaussian")
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["blas_threads"] is None
+
     def test_default_config_is_the_analysis_default(self, synth_csv, tmp_path):
         code, out = self._run(synth_csv, tmp_path, "--kernels", "gaussian")
         assert code == 0
@@ -877,6 +890,20 @@ class TestPlot:
         assert capsys.readouterr().err == (
             f"driftscope: {curves}, line {line}: "
             f"field larger than field limit ({csv.field_size_limit()})\n"
+        )
+        assert not svg.exists()
+
+    def test_wrong_header_names_the_file_and_line(self, tmp_path, capsys):
+        curves = tmp_path / "bad.csv"
+        curves.write_text("a,b\r\n", newline="")
+        svg = tmp_path / "x.svg"
+        code = main([
+            "plot", "--curves", str(curves), "--split", "1", "--kernel", "gaussian",
+            "--out", str(svg),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"driftscope: {curves}, line 1: unexpected curve columns: ['a', 'b']\n"
         )
         assert not svg.exists()
 
